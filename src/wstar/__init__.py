@@ -11,6 +11,8 @@ Entry points:
 * :mod:`wstar.exprlib` - scalar expression algebra (parse, differentiate).
 * :mod:`wstar.geometry` - metric -> connection -> curvature pipeline.
 * :mod:`wstar.wstar` - the modified curvature tensor and its identities.
+* :mod:`wstar.matter` - field equations and perfect-fluid algebra.
+* :mod:`wstar.checks` - the check registry over one evaluated-field context.
 * :mod:`wstar.relativity` - matter content, classification, pairings.
 * :mod:`wstar.cli` - the ``wstar`` command (checks, compute, classify).
 """

@@ -9,22 +9,40 @@ must pass everywhere, and the two circulated closed forms that disagree with
 their independent routes fail with a reason naming the deviation instead of
 being patched over.
 
-The registry is ordered; ``run_all`` evaluates a subset or everything and is
+:class:`CheckContext` is the one place where a run turns symbolic fields into
+values.  It also memoizes the check outcomes and the results derived from
+several fields (per-point fluid decomposition, Ricci-recurrence fit), and the
+classification flags and theorem pairings are views over those outcomes, so
+every report of a run reads the same numbers.
+
+The registry is ordered; running a subset or everything through one context is
 deterministic for a fixed (metric, seed, points, tolerances) tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from . import relativity as rel
+from .matter import (
+    FieldEquationConfig,
+    FluidError,
+    _amax,
+    energy_momentum,
+    nabla_energy_momentum,
+    perfect_fluid_decompose,
+)
 from . import wstar as ws
 
-__all__ = ["CheckContext", "CheckOutcome", "REGISTRY", "check_names", "run_check"]
+__all__ = [
+    "CheckContext", "CheckOutcome", "REGISTRY", "check_names", "run_check",
+    "einstein_check", "em_distribution", "recurrence_fit", "fluid_relations",
+    "dust_vacuum", "classification", "pairing_results",
+]
 
 
 @dataclass
@@ -37,7 +55,12 @@ class CheckOutcome:
 
 
 class CheckContext:
-    """Shared evaluated-field cache for one (metric, points, config) run."""
+    """Shared evaluated-field cache for one (metric, points, config) run.
+
+    Each field group is evaluated at most once; check outcomes and the
+    multi-field results (``fluid``, ``recurrence``, ``classification``,
+    ``pairings``) are computed on first use and kept for the run.
+    """
 
     # evaluation groups: one compiled tape per group actually touched
     _GROUPS = (
@@ -49,7 +72,7 @@ class CheckContext:
         ("t", "nt"),
     )
 
-    def __init__(self, metric: MetricSpec, points, cfg: rel.FieldEquationConfig,
+    def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
                  atol: float = 1e-9, rtol: float = 1e-6):
         self.metric = metric
         self.geo: Geometry = workspace(metric)
@@ -58,6 +81,7 @@ class CheckContext:
         self.atol = atol
         self.rtol = rtol
         self._vals: Dict[str, np.ndarray] = {}
+        self._outcomes: Dict[str, CheckOutcome] = {}
 
     def _fields(self, names):
         geo, b = self.geo, ws.wstar_tensor(self.metric)
@@ -76,8 +100,8 @@ class CheckContext:
             "dw": lambda: ws._nabla_wstar04(geo),
             "weyl": lambda: geo.weyl,
             "nweyl": lambda: geo.nabla_weyl,
-            "t": lambda: rel.energy_momentum(self.metric, self.cfg),
-            "nt": lambda: rel.nabla_energy_momentum(self.metric, self.cfg),
+            "t": lambda: energy_momentum(self.metric, self.cfg),
+            "nt": lambda: nabla_energy_momentum(self.metric, self.cfg),
         }
         return {n: table[n]() for n in names}
 
@@ -111,10 +135,58 @@ class CheckContext:
             None, reason,
         )
 
+    def check(self, name: str) -> CheckOutcome:
+        """The named check's outcome, computed once per context."""
+        if name not in self._outcomes:
+            self._outcomes[name] = REGISTRY[name](self)
+        return self._outcomes[name]
+
+    @cached_property
+    def fluid(self) -> tuple:
+        """(mu, p, failures): T decomposed at every point, NaN where it fails."""
+        t, g, ginv = self.get("t"), self.get("g"), self.get("ginv")
+        mu = np.full(self.points.shape[0], np.nan)
+        p = np.full(self.points.shape[0], np.nan)
+        failures = []
+        for a, point in enumerate(self.points):
+            try:
+                dec = perfect_fluid_decompose(t[a], g[a], ginv[a], point)
+            except FluidError as err:
+                failures.append(str(err))
+                continue
+            mu[a], p[a] = dec.mu, dec.p
+        return mu, p, tuple(failures)
+
+    @cached_property
+    def recurrence(self) -> "RecurrenceFit":
+        return recurrence_fit(self)
+
+    @cached_property
+    def classification(self) -> "ClassificationRecord":
+        return classification(self)
+
+    @cached_property
+    def pairings(self) -> tuple:
+        return pairing_results(self)
+
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
     """Collapse all but the leading (point) axis with max |.|."""
     return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
+
+
+def _traceless_ricci(ctx: CheckContext) -> np.ndarray:
+    return ws.traceless_ricci(ctx.get("ric"), ctx.get("R"), ctx.get("g"))
+
+
+def _divergence_formula(ctx: CheckContext, coeff: float) -> np.ndarray:
+    return ws.divergence_closed_form(ctx.get("nric"), ctx.get("g"), ctx.get("gradR"), coeff)
+
+
+def _trace_relation_gap(ctx: CheckContext) -> np.ndarray:
+    """|R - (4L + k(mu - 3p))| per point; NaN where T has no fluid form."""
+    mu, p, _ = ctx.fluid
+    return np.abs(ctx.get("R") - (4.0 * ctx.cfg.lam + ctx.cfg.k * (mu - 3.0 * p)))
 
 
 # --- identity checks ----------------------------------------------------------
@@ -122,21 +194,12 @@ def _ptmax(a: np.ndarray) -> np.ndarray:
 
 def _check_trace_identity(ctx: CheckContext) -> CheckOutcome:
     n = ctx.geo.dim
-    factor = n / (n - 1.0)
-    rho = ctx.get("ric") - (ctx.get("R")[:, None, None] / n) * ctx.get("g")
-    res = _ptmax(ctx.get("w02") - factor * rho)
+    res = _ptmax(ctx.get("w02") - n / (n - 1.0) * _traceless_ricci(ctx))
     return ctx.outcome(res, 1.0 + ctx.amax("R") * ctx.amax("g"))
 
 
 def _divergence_direct(ctx: CheckContext) -> np.ndarray:
-    return np.einsum("phi,pijklh->pjkl", ctx.get("ginv"), ctx.get("dw"))
-
-
-def _divergence_formula(ctx: CheckContext, coeff: float) -> np.ndarray:
-    nric, g, gr = ctx.get("nric"), ctx.get("g"), ctx.get("gradR")
-    codazzi = nric - np.einsum("pjlk->pjkl", nric)
-    gradient = np.einsum("pjk,pl->pjkl", g, gr) - np.einsum("pjl,pk->pjkl", g, gr)
-    return codazzi - coeff * gradient
+    return ws.divergence(ctx.get("ginv"), ctx.get("dw"))
 
 
 def _check_divergence_formula(ctx: CheckContext) -> CheckOutcome:
@@ -160,18 +223,7 @@ def _check_divergence_adjusted(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_bianchi_identity(ctx: CheckContext) -> CheckOutcome:
-    d, nric, g = ctx.get("dw"), ctx.get("nric"), ctx.get("g")
-    cyc = (
-        d
-        + np.einsum("pijlmk->pijklm", d)
-        + np.einsum("pijmkl->pijklm", d)
-    )
-    x = nric - np.einsum("piba->piab", nric)
-    rhs = -(1.0 / 3.0) * (
-        np.einsum("pjk,pilm->pijklm", g, x)
-        + np.einsum("pjl,pimk->pijklm", g, x)
-        + np.einsum("pjm,pikl->pijklm", g, x)
-    )
+    cyc, rhs = ws.cyclic_identity(ctx.get("dw"), ctx.get("nric"), ctx.get("g"))
     return ctx.outcome(_ptmax(cyc - rhs), 1.0 + ctx.amax("dw"))
 
 
@@ -194,13 +246,7 @@ def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
         + np.einsum("im,pkl->piklm", eye, e)
     )
     b = w13 - recon
-    traces = np.stack(
-        [
-            _ptmax(np.einsum("pttab->pab", b)),
-            _ptmax(np.einsum("ptatb->pab", b)),
-            _ptmax(np.einsum("ptabt->pab", b)),
-        ]
-    ).max(axis=0)
+    traces = np.stack([_ptmax(t) for t in ws.traces(b)]).max(axis=0)
     forms = np.stack(
         [_ptmax(c - cc), _ptmax(d - cd), _ptmax(e - ce)]
     ).max(axis=0)
@@ -212,15 +258,8 @@ def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
 def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
     w13 = ctx.get("w13")
     c, d, e = ws.krupka_oracle(w13)
-    t1 = np.einsum("pttab->pab", w13)
-    t2 = np.einsum("ptatb->pab", w13)
-    t3 = np.einsum("ptabt->pab", w13)
-    tr = lambda a: np.einsum("pab->pba", a)
-    combo_c = (10.0 * t1 - 2.0 * (t2 + tr(t3))) / 33.0
-    combo_d = (-2.0 * (t1 + tr(t3)) + 10.0 * t2) / 33.0
-    combo_e = (10.0 * t3 - 2.0 * (tr(t1) + tr(t2))) / 33.0
-    n = ctx.geo.dim
-    rho = ctx.get("ric") - (ctx.get("R")[:, None, None] / n) * ctx.get("g")
+    combo_c, combo_d, combo_e = ws.trace_combos(w13)
+    rho = _traceless_ricci(ctx)
     res = np.stack(
         [
             _ptmax(combo_c - c),
@@ -242,30 +281,19 @@ def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_field_equation_trace(ctx: CheckContext) -> CheckOutcome:
-    g, ginv, t, scal = ctx.get("g"), ctx.get("ginv"), ctx.get("t"), ctx.get("R")
-    cfg = ctx.cfg
-    res = np.zeros(ctx.points.shape[0])
-    skipped = []
-    for a in range(ctx.points.shape[0]):
-        try:
-            dec = rel.perfect_fluid_decompose(t[a], g[a], ginv[a], ctx.points[a])
-        except rel.FluidError as err:
-            skipped.append(str(err))
-            continue
-        res[a] = abs(scal[a] - (4.0 * cfg.lam + cfg.k * (dec.mu - 3.0 * dec.p)))
-    if len(skipped) == ctx.points.shape[0]:
+    skipped = len(ctx.fluid[2])
+    if skipped == ctx.points.shape[0]:
         return ctx.na("no perfect-fluid decomposition at any sample point")
-    reason = None
+    gap = _trace_relation_gap(ctx)
+    out = ctx.outcome(np.where(np.isnan(gap), 0.0, gap), 1.0 + ctx.amax("R"))
     if skipped:
-        reason = f"{len(skipped)} point(s) had no fluid form and were skipped"
-    out = ctx.outcome(res, 1.0 + ctx.amax("R"))
-    out.reason = reason or out.reason
+        out.reason = f"{skipped} point(s) had no fluid form and were skipped"
     return out
 
 
 def _check_weyl_divergence(ctx: CheckContext) -> CheckOutcome:
     nweyl = np.einsum("pijlkm->pijklm", ctx.get("nweyl"))
-    direct = np.einsum("phi,pijklh->pjkl", ctx.get("ginv"), nweyl)
+    direct = ws.divergence(ctx.get("ginv"), nweyl)
     printed = 0.5 * _divergence_formula(ctx, -1.0 / 3.0)  # codazzi/2 + grad/6
     deviation = float(np.max(_ptmax(direct - printed)))
     codazzi = float(np.max(_ptmax(_divergence_formula(ctx, 0.0))))
@@ -289,9 +317,8 @@ def _check_ricci_flat(ctx: CheckContext) -> CheckOutcome:
 
 def _check_einstein(ctx: CheckContext) -> CheckOutcome:
     n = ctx.geo.dim
-    dev = ctx.get("ric") - (ctx.get("R")[:, None, None] / n) * ctx.get("g")
     scale = ctx.amax("ric") + ctx.amax("R") * ctx.amax("g") / n
-    out = ctx.outcome(_ptmax(dev), scale)
+    out = ctx.outcome(_ptmax(_traceless_ricci(ctx)), scale)
     trace_res = ctx.amax("w02")
     out.reason = f"independent trace route residual {trace_res:.3e}"
     return out
@@ -302,22 +329,15 @@ def _check_constant_scalar(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_codazzi(ctx: CheckContext) -> CheckOutcome:
-    nric = ctx.get("nric")
-    res = _ptmax(nric - np.einsum("pjlk->pjkl", nric))
+    res = _ptmax(ws.codazzi_defect(ctx.get("nric")))
     return ctx.outcome(res, ctx.amax("nric"))
 
 
 def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
-    fit = rel.ricci_recurrence_fit(ctx.metric, ctx.points)
+    fit = ctx.recurrence
     if not fit.applicable:
         return ctx.na(fit.reason or "recurrence undefined")
-    ric, nric = ctx.get("ric"), ctx.get("nric")
-    usable = np.max(np.abs(ric), axis=(1, 2)) > 1e-10
-    res = np.zeros(ctx.points.shape[0])
-    res[usable] = _ptmax(
-        nric[usable] - np.einsum("pjk,pm->pjkm", ric[usable], fit.b)
-    )
-    out = ctx.outcome(res, ctx.amax("nric"))
+    out = ctx.outcome(fit.point_residual, ctx.amax("nric"))
     out.reason = (
         f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}"
     )
@@ -347,7 +367,7 @@ def _check_wstar_semisymmetric(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_quarter_rule(ctx: CheckContext) -> CheckOutcome:
-    parallel = _check_wstar_parallel(ctx)
+    parallel = ctx.check("wstar_parallel")
     if parallel.status != "pass":
         return ctx.na(
             "modified curvature is not covariantly constant here "
@@ -364,8 +384,7 @@ def _check_t_parallel(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_t_codazzi(ctx: CheckContext) -> CheckOutcome:
-    nt = ctx.get("nt")
-    return ctx.outcome(_ptmax(nt - np.einsum("pjlk->pjkl", nt)), ctx.amax("nt"))
+    return ctx.outcome(_ptmax(ws.codazzi_defect(ctx.get("nt"))), ctx.amax("nt"))
 
 
 def _check_t_semisymmetric(ctx: CheckContext) -> CheckOutcome:
@@ -374,7 +393,7 @@ def _check_t_semisymmetric(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:
-    rep = rel.em_distribution_check(ctx.metric, ctx.cfg, ctx.points)
+    rep = em_distribution(ctx)
     note = (
         f"trace reads R = +kT with residual {rep.literal_sign_residual:.3e}; "
         f"sign-reversed reading residual {rep.reversed_sign_residual:.3e}"
@@ -390,7 +409,7 @@ def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_dust_vacuum(ctx: CheckContext) -> CheckOutcome:
-    rep = rel.dust_vacuum_check(ctx.metric, ctx.cfg, ctx.points)
+    rep = dust_vacuum(ctx)
     if rep.status == "not-applicable":
         return ctx.na(rep.detail)
     residual = rep.mu_max if rep.mu_max is not None else 0.0
@@ -404,13 +423,7 @@ def _check_dust_vacuum(ctx: CheckContext) -> CheckOutcome:
 
 def _pairing(name: str):
     def run(ctx: CheckContext) -> CheckOutcome:
-        pairs = {
-            p.name: p
-            for p in rel.pairing_checks(
-                ctx.metric, ctx.cfg, ctx.points, ctx.atol, ctx.rtol
-            )
-        }
-        p = pairs[name]
+        p = next(p for p in ctx.pairings if p.name == name)
         if p.holds is None:
             return ctx.na(p.detail, tolerance=0.5)
         status = "pass" if p.holds else "fail"
@@ -464,4 +477,368 @@ def check_names():
 def run_check(name: str, ctx: CheckContext) -> CheckOutcome:
     if name not in REGISTRY:
         raise KeyError(f"unknown check {name!r}")
-    return REGISTRY[name](ctx)
+    return ctx.check(name)
+
+
+# --- derived reports ----------------------------------------------------------
+#
+# Tolerance semantics: a condition "holds" when its residual is at most
+# ``atol + rtol * scale``, ``scale`` being the magnitude of the dominant
+# ingredient of that condition (reported alongside the flag).
+
+
+@dataclass(frozen=True)
+class EinsteinCheck:
+    flag: bool
+    residual: float
+    trace_flag: bool
+    trace_residual: float
+
+
+def einstein_check(ctx: CheckContext, tol: float = 1e-8) -> EinsteinCheck:
+    """Is R_{jk} = (R/n) g_{jk}?  Cross-checked against the W* trace.
+
+    The modified curvature's metric trace equals n/(n-1) times the deviation
+    from the Einstein condition, so the two booleans must agree; both are
+    computed independently and returned.
+    """
+
+    residual = ctx.check("einstein").max_residual
+    trace_residual = ctx.amax("w02")
+    factor = ctx.geo.dim / (ctx.geo.dim - 1.0)
+    trace_flag = trace_residual <= factor * tol * (1.0 + ctx.amax("g"))
+    return EinsteinCheck(residual <= tol, residual, trace_flag, trace_residual)
+
+
+@dataclass(frozen=True)
+class EMDistributionReport:
+    trace_max: float
+    scalar_max: float
+    literal_sign_residual: float
+    reversed_sign_residual: float
+    symmetry_residual: float
+    nabla_t_max: float
+    conclusion: str
+
+
+def em_distribution(ctx: CheckContext, tol: float = 1e-8) -> EMDistributionReport:
+    """Diagnostics for the reduced field equation R_{ij} = k T_{ij}.
+
+    Under that reduction the trace gives R = +k T literally; the sign-reversed
+    convention R = -k T is also scored so either reading can be audited (the
+    trace-free conclusion R = 0 is the same under both).  When the modified
+    curvature is covariantly constant the reduced T must be parallel as well;
+    the report says whether that conclusion holds, is violated, or does not
+    apply.
+    """
+
+    k, scal = ctx.cfg.k, ctx.get("R")
+    t_trace = scal / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
+    nabla_t = ctx.amax("nric") / abs(k)
+    sym_res = ctx.check("wstar_parallel").max_residual
+    sym_scale = 1.0 + ctx.amax("ric")
+    if sym_res <= tol * sym_scale:
+        conclusion = "holds" if nabla_t <= tol * sym_scale else "violated"
+    else:
+        conclusion = "not-applicable"
+    return EMDistributionReport(
+        trace_max=_amax(t_trace),
+        scalar_max=_amax(scal),
+        literal_sign_residual=_amax(scal - k * t_trace),
+        reversed_sign_residual=_amax(scal + k * t_trace),
+        symmetry_residual=sym_res,
+        nabla_t_max=nabla_t,
+        conclusion=conclusion,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RecurrenceFit:
+    applicable: bool
+    b: Optional[np.ndarray]  # (P, n) fitted covector per usable point
+    fit_residual: float
+    closedness_residual: Optional[float]
+    reason: Optional[str] = None
+    point_residual: Optional[np.ndarray] = None  # (P,), zero where Ricci vanishes
+
+
+def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
+    # least squares per point and slot: b_m = <nabla_m Ric, Ric> / <Ric, Ric>
+    denom = np.einsum("pjk,pjk->p", ric, ric)
+    return np.einsum("pjkm,pjk->pm", nric, ric) / denom[:, None]
+
+
+def recurrence_fit(ctx: CheckContext, fd_step: float = 1e-4) -> RecurrenceFit:
+    """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
+
+    Closedness of b is estimated by central finite differences of the fitted
+    covector at displaced copies of each sample point.  Points where Ricci
+    vanishes carry no information and are dropped; with no usable points the
+    fit is reported as not applicable rather than as trivially recurrent.
+    """
+
+    geo = ctx.geo
+    usable = np.max(np.abs(ctx.get("ric")), axis=(1, 2)) > 1e-10
+    if not np.any(usable):
+        return RecurrenceFit(False, None, 0.0, None, "Ricci tensor vanishes")
+    ric, nric = ctx.get("ric")[usable], ctx.get("nric")[usable]
+    b = _fit_covector(ric, nric)
+    point_residual = np.zeros(ctx.points.shape[0])
+    point_residual[usable] = _ptmax(nric - np.einsum("pjk,pm->pjkm", ric, b))
+
+    n = geo.dim
+    base = ctx.points[usable]
+    shifts = fd_step * np.eye(n)
+    displaced = np.concatenate(
+        [base + s for s in shifts] + [base - s for s in shifts]
+    )
+    dvals = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, displaced)
+    bd = _fit_covector(dvals["ric"], dvals["nric"])
+    p_used = base.shape[0]
+    plus = bd[: n * p_used].reshape(n, p_used, n)
+    minus = bd[n * p_used :].reshape(n, p_used, n)
+    grad_b = (plus - minus) / (2.0 * fd_step)  # grad_b[nu, p, mu] = d_nu b_mu
+    curl = grad_b - grad_b.transpose(2, 1, 0)
+    return RecurrenceFit(
+        True, b, float(point_residual.max()), _amax(curl), None, point_residual
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class FluidRelationsReport:
+    n_points: int
+    n_decomposed: int
+    mu: np.ndarray  # (P,), NaN where the decomposition failed
+    p: np.ndarray
+    trace_residual: float
+    scalar_max: float
+    failures: tuple
+    wstar_flat: bool
+    mu_plus_p_max: Optional[float]
+    mu_minus_3p_spread: Optional[float]
+    nabla_t_max: Optional[float]
+
+
+def fluid_relations(ctx: CheckContext) -> FluidRelationsReport:
+    """Decompose T at every sample point and test the trace relation.
+
+    |R - (4L + k(mu - 3p))| must vanish wherever the decomposition succeeds:
+    it is the metric trace of the field equations, not a special property.
+    When the modified curvature vanishes (the run's ``wstar_flat`` check) the
+    fluid must behave as a cosmological constant (mu + p = 0, mu - 3p
+    constant, T parallel); those extra figures are reported only in that
+    regime.
+    """
+
+    mu, p, failures = ctx.fluid
+    ok = ~np.isnan(mu)
+    flat = ctx.check("wstar_flat").status == "pass"
+    mu_plus_p = spread = nabla_t = None
+    if flat:
+        if np.any(ok):
+            mu_plus_p = _amax(mu[ok] + p[ok])
+            combo = mu[ok] - 3.0 * p[ok]
+            spread = float(np.max(combo) - np.min(combo))
+        nabla_t = ctx.amax("nt")
+    return FluidRelationsReport(
+        n_points=mu.shape[0],
+        n_decomposed=int(np.sum(ok)),
+        mu=mu,
+        p=p,
+        trace_residual=_amax(_trace_relation_gap(ctx)[ok]),
+        scalar_max=ctx.amax("R"),
+        failures=tuple(sorted(set(failures))),
+        wstar_flat=flat,
+        mu_plus_p_max=mu_plus_p,
+        mu_minus_3p_spread=spread,
+        nabla_t_max=nabla_t,
+    )
+
+
+@dataclass(frozen=True)
+class DustVacuumReport:
+    status: str  # "holds" | "not-applicable" | "violated"
+    dust: bool
+    wstar_flat: bool
+    p_max: Optional[float]
+    mu_max: Optional[float]
+    detail: str
+
+
+def dust_vacuum(ctx: CheckContext, tol: float = 1e-6) -> DustVacuumReport:
+    """Pressureless fluid + vanishing modified curvature must mean vacuum."""
+
+    rep = fluid_relations(ctx)
+    if rep.n_decomposed == 0:
+        return DustVacuumReport(
+            "not-applicable", False, rep.wstar_flat, None, None,
+            "no perfect-fluid decomposition at the sample points",
+        )
+    ok = ~np.isnan(rep.mu)
+    mu_max = _amax(rep.mu[ok])
+    p_max = _amax(rep.p[ok])
+    dust = p_max <= tol * (1.0 + mu_max)
+    if not dust or not rep.wstar_flat:
+        why = []
+        if not dust:
+            why.append(f"pressure is not negligible (max|p| = {p_max:.3e})")
+        if not rep.wstar_flat:
+            why.append("modified curvature does not vanish")
+        return DustVacuumReport(
+            "not-applicable", dust, rep.wstar_flat, p_max, mu_max, "; ".join(why)
+        )
+    vacuum = mu_max <= tol
+    return DustVacuumReport(
+        "holds" if vacuum else "violated",
+        True,
+        True,
+        p_max,
+        mu_max,
+        f"max|mu| = {mu_max:.3e} with dust and vanishing modified curvature",
+    )
+
+
+# --- classification and pairings: views over the check outcomes ---------------
+
+
+@dataclass(frozen=True)
+class FlagResult:
+    flag: Optional[bool]  # None when the condition does not apply
+    residual: float
+    threshold: float
+    note: str = ""
+
+
+@dataclass(frozen=True, eq=False)
+class ClassificationRecord:
+    metric: str
+    ricci_flat: FlagResult
+    einstein: FlagResult
+    constant_scalar_curvature: FlagResult
+    codazzi_ricci: FlagResult
+    ricci_recurrent: FlagResult
+    recurrence_b: Optional[np.ndarray]
+    recurrence_closedness: Optional[float]
+    ricci_semisymmetric: FlagResult
+    wstar_semisymmetric: FlagResult
+    wstar_flat: FlagResult
+    wstar_divergence_free: FlagResult
+    wstar_parallel: FlagResult
+    t_semisymmetric: FlagResult
+    t_codazzi: FlagResult
+    t_parallel: FlagResult
+
+    # (attribute, public flag name, check it is read from)
+    _ORDER = (
+        ("ricci_flat", "ricci_flat", "ricci_flat"),
+        ("einstein", "einstein", "einstein"),
+        ("constant_scalar_curvature", "constant_scalar_curvature",
+         "constant_scalar_curvature"),
+        ("codazzi_ricci", "codazzi_ricci", "codazzi"),
+        ("ricci_recurrent", "ricci_recurrent", "ricci_recurrent"),
+        ("ricci_semisymmetric", "ricci_semisymmetric", "ricci_semisymmetric"),
+        ("wstar_semisymmetric", "wstar_semisymmetric", "wstar_semisymmetric"),
+        ("wstar_flat", "wstar_flat", "wstar_flat"),
+        ("wstar_divergence_free", "wstar_divergence_free", "wstar_divergence_free"),
+        ("wstar_parallel", "wstar_parallel", "wstar_parallel"),
+        ("t_semisymmetric", "T_semisymmetric", "t_semisymmetric"),
+        ("t_codazzi", "T_codazzi", "t_codazzi"),
+        ("t_parallel", "T_parallel", "t_parallel"),
+    )
+
+    def flags(self):
+        """Ordered mapping of public flag name -> FlagResult."""
+        return {public: getattr(self, attr) for attr, public, _ in self._ORDER}
+
+
+def _flag(out: CheckOutcome) -> FlagResult:
+    if out.status == "not-applicable":
+        return FlagResult(None, out.max_residual, out.tolerance, out.reason or "")
+    return FlagResult(out.status == "pass", out.max_residual, out.tolerance)
+
+
+def classification(ctx: CheckContext) -> ClassificationRecord:
+    """Every studied curvature/matter condition as a flag, read off the checks.
+
+    Scales follow the dominant-ingredient rule: a condition saying "tensor X
+    vanishes" is scored against the magnitude of the tensor X is made from
+    (e.g. the Codazzi residual against |nabla Ricci|, flatness of the modified
+    curvature against |curvature|), so the flags stay meaningful across
+    metrics whose curvature differs by orders of magnitude.
+    """
+
+    flags = {attr: _flag(ctx.check(name)) for attr, _, name in ClassificationRecord._ORDER}
+    return ClassificationRecord(
+        metric=ctx.metric.name,
+        recurrence_b=ctx.recurrence.b,
+        recurrence_closedness=ctx.recurrence.closedness_residual,
+        **flags,
+    )
+
+
+@dataclass(frozen=True)
+class PairingResult:
+    name: str
+    holds: Optional[bool]  # None when the pairing does not apply
+    detail: str
+
+
+def pairing_results(ctx: CheckContext) -> tuple:
+    """Score the studied equivalences/implications with each side independent.
+
+    Every entry compares booleans computed from different routes; a mismatch
+    is reported honestly as a failed pairing rather than being reconciled.
+    """
+
+    rec = ctx.classification
+    flags = rec.flags()
+    flag = {name: fr.flag for name, fr in flags.items()}
+    ein = einstein_check(ctx, tol=rec.einstein.threshold)
+    fluid = fluid_relations(ctx)
+
+    def side(name: str) -> str:
+        fr = flags[name]
+        return f"{name}={fr.flag} (residual {fr.residual:.3e} vs threshold {fr.threshold:.3e})"
+
+    if not flag["wstar_flat"]:
+        lam_like, lam_detail = True, "premise false - holds vacuously"
+    elif fluid.n_decomposed == 0:
+        lam_like, lam_detail = None, "no fluid decomposition succeeded at the sample points"
+    else:
+        gap = fluid.mu_plus_p_max
+        lam_like = gap <= 1e-6 * (1.0 + _amax(fluid.mu[~np.isnan(fluid.mu)]))
+        lam_detail = f"max|mu + p| = {gap:.3e} over {fluid.n_decomposed} points"
+
+    return (
+        PairingResult(
+            "codazzi_iff_divergence_free",
+            flag["codazzi_ricci"] == flag["wstar_divergence_free"],
+            f"{side('codazzi_ricci')}; {side('wstar_divergence_free')}",
+        ),
+        PairingResult(
+            "einstein_iff_trace_vanishes",
+            ein.flag == ein.trace_flag,
+            f"einstein={ein.flag} (residual {ein.residual:.3e}); "
+            f"trace-of-modified-curvature={ein.trace_flag} "
+            f"(residual {ein.trace_residual:.3e})",
+        ),
+        PairingResult(
+            "parallel_implies_t_semisymmetric",
+            not flag["wstar_parallel"] or bool(flag["T_semisymmetric"]),
+            f"{side('wstar_parallel')}; {side('T_semisymmetric')}",
+        ),
+        PairingResult(
+            "flat_implies_constant_scalar_and_parallel_t",
+            not flag["wstar_flat"]
+            or (bool(flag["constant_scalar_curvature"]) and bool(flag["T_parallel"])),
+            f"{side('wstar_flat')}; "
+            f"constant_scalar_curvature={flag['constant_scalar_curvature']}; "
+            f"T_parallel={flag['T_parallel']}",
+        ),
+        PairingResult("flat_implies_lambda_like_fluid", lam_like, lam_detail),
+        PairingResult(
+            "t_semisymmetric_iff_ricci_semisymmetric",
+            flag["T_semisymmetric"] == flag["ricci_semisymmetric"],
+            f"{side('T_semisymmetric')}; {side('ricci_semisymmetric')}",
+        ),
+    )

@@ -10,6 +10,7 @@ deterministic for a fixed (metric, seed, points, tolerances) tuple; pass
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -120,7 +121,7 @@ def run_checks(cfg: RunConfig) -> RunReport:
         except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
                 ZeroDivisionError, rel.FluidError) as err:
             rep.checks.append(
-                CheckReport(name, "fail", float("inf"), ctx.tol(0.0), None,
+                CheckReport(name, "fail", None, ctx.tol(0.0), None,
                             f"evaluation error: {err}")
             )
             continue
@@ -245,9 +246,11 @@ def classify_payload(cfg: RunConfig) -> tuple:
     metric = load_metric(cfg.metric)
     geo = workspace(metric)
     pts = sample_for(geo, cfg.points, cfg.seed)
-    fe = rel.FieldEquationConfig(k=cfg.k, lam=cfg.lam)
-    record = rel.classify(metric, fe, pts, atol=cfg.atol, rtol=cfg.rtol)
-    pairs = rel.pairing_checks(metric, fe, pts, cfg.atol, cfg.rtol)
+    ctx = CheckContext(
+        metric, pts, rel.FieldEquationConfig(k=cfg.k, lam=cfg.lam),
+        atol=cfg.atol, rtol=cfg.rtol,
+    )
+    record, pairs = ctx.classification, ctx.pairings
     flags = {}
     residuals = {}
     for name, fr in record.flags().items():
@@ -387,9 +390,7 @@ def _cmd_classify(args) -> int:
     )
     payload, violated = classify_payload(cfg)
     if cfg.fmt == "json":
-        import json
-
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
         print(_classify_table(payload))
     return EXIT_CHECK_FAILED if violated else EXIT_OK

@@ -1,15 +1,13 @@
 """Matter content and space-time classification from the field equations.
 
-The energy-momentum tensor is built symbolically from the metric's curvature,
-
-    T_{ij} = (1/k) (R_{ij} - (R/2) g_{ij} + L g_{ij}),
-
-with coupling ``k`` and cosmological constant ``L`` supplied by a
-:class:`FieldEquationConfig`.  On top of that sit the numeric diagnostics:
-perfect-fluid eigen-decomposition, the trace relation R = 4L + k(mu - 3p),
-Ricci-recurrence fitting, conformal/matter-inheritance factors for vector
-fields, and a :func:`classify` routine that turns every studied curvature
-condition into a boolean with the residual that produced it.
+This module is the metric-level face of the analysis.  The field equations
+and the perfect-fluid algebra live in :mod:`wstar.matter`; each diagnostic
+that scores a metric at sample points (Einstein condition, trace-reversed
+matter distribution, Ricci recurrence, fluid relations, classification
+flags, theorem pairings) builds one :class:`wstar.checks.CheckContext` and
+reads it, so these functions report exactly the numbers that the ``check``
+and ``classify`` commands report.  Conformal-factor and matter-inheritance
+fits for vector fields live here as well.
 
 Tolerance semantics throughout: a condition "holds" when its residual is at
 most ``atol + rtol * scale`` where ``scale`` is the magnitude of the dominant
@@ -19,25 +17,36 @@ ingredient of that condition (reported alongside the flag).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Optional
 
 import numpy as np
 
-from .exprlib import const, mul, simplify
-from .geometry import (
-    Geometry,
-    MetricSpec,
-    PointTensor,
-    TensorField,
-    VectorFieldSpec,
-    is_zero,
-    ricci_commutator,
-    term_sum,
-    workspace,
+from .checks import (
+    CheckContext,
+    ClassificationRecord,
+    DustVacuumReport,
+    EinsteinCheck,
+    EMDistributionReport,
+    FlagResult,
+    FluidRelationsReport,
+    PairingResult,
+    RecurrenceFit,
+    dust_vacuum,
+    einstein_check,
+    em_distribution,
+    fluid_relations,
+    recurrence_fit,
 )
-from . import wstar as ws
+from .geometry import Geometry, MetricSpec, TensorField, VectorFieldSpec, workspace
+from .matter import (
+    FieldEquationConfig,
+    FluidDecomposition,
+    FluidError,
+    _amax,
+    energy_momentum,
+    nabla_energy_momentum,
+    perfect_fluid_decompose,
+)
 
 __all__ = [
     "FieldEquationConfig",
@@ -68,411 +77,61 @@ __all__ = [
 ]
 
 
-def _amax(a) -> float:
-    return float(np.max(np.abs(a))) if np.size(a) else 0.0
-
-
-@dataclass(frozen=True)
-class FieldEquationConfig:
-    """Coupling constant and cosmological constant of the field equations."""
-
-    k: float = 1.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        if self.k == 0:
-            raise ValueError("the gravitational coupling k must be nonzero")
-
-
-# --- energy-momentum tensor ---------------------------------------------------
-
-
-def energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
-    """Symbolic T_{ij} = (1/k)(R_{ij} - (R/2) g_{ij} + L g_{ij})."""
-
-    geo = workspace(m)
-
-    def build():
-        n = geo.dim
-        g, ric, scal = geo.g, geo.ricci, geo.scalar
-        comps = np.empty((n, n), dtype=object)
-        for i, j in product(range(n), repeat=2):
-            terms = []
-            if not is_zero(ric[i, j]):
-                terms.append(ric[i, j])
-            if not (is_zero(scal) or is_zero(g[i, j])):
-                terms.append(mul(const(Fraction(-1, 2)), mul(scal, g[i, j])))
-            if cfg.lam != 0.0 and not is_zero(g[i, j]):
-                terms.append(mul(const(cfg.lam), g[i, j]))
-            e = term_sum(terms)
-            if cfg.k != 1.0 and not is_zero(e):
-                e = mul(const(1.0 / cfg.k), e)
-            comps[i, j] = simplify(e)
-        return TensorField("ll", comps, "EnergyMomentum")
-
-    return geo.cached(f"energy_momentum[k={cfg.k!r},lam={cfg.lam!r}]", build)
-
-
-def nabla_energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
-    geo = workspace(m)
-    return geo.cached(
-        f"nabla_energy_momentum[k={cfg.k!r},lam={cfg.lam!r}]",
-        lambda: geo.covariant_derivative(energy_momentum(m, cfg)),
-    )
-
-
-# --- perfect fluids -----------------------------------------------------------
-
-
-class FluidError(ValueError):
-    """The tensor has no perfect-fluid form at the point."""
-
-
-@dataclass(frozen=True, eq=False)
-class FluidDecomposition:
-    """T_{ij} = (mu + p) u_i u_j + p g_{ij} with unit timelike u."""
-
-    mu: float
-    p: float
-    u: PointTensor
-    residual: float
-    w: Optional[float]
-    degenerate: bool = False
-
-
-def _timelike_direction(g: np.ndarray) -> np.ndarray:
-    # the eigenvector of g with negative eigenvalue (signature -+++)
-    evals, evecs = np.linalg.eigh(g)
-    c = int(np.argmin(evals))
-    if evals[c] >= 0:
-        raise FluidError("metric has no timelike direction at the point")
-    v = evecs[:, c] / np.sqrt(-evals[c])
-    return -v if v[0] < 0 else v
-
-
-def perfect_fluid_decompose(
-    t: np.ndarray, g: np.ndarray, ginv: np.ndarray, point=None
-) -> FluidDecomposition:
-    """Eigen-decompose T^i_j and read off density, pressure and velocity.
-
-    The unique timelike eigenvector (negative g-norm) is normalized to
-    u_i u^i = -1; ``mu`` is minus its eigenvalue and ``p`` the mean of the
-    spacelike ones.  ``residual`` adds the anisotropy of the spacelike
-    eigenvalues to the reconstruction error of the perfect-fluid form.
-    A tensor proportional to the metric has no preferred rest frame; it is
-    reported with ``degenerate=True``, mu = -p and any unit timelike u.
-    """
-
-    t = np.asarray(t, dtype=float)
-    scale = 1.0 + _amax(t)
-    n = t.shape[0]
-
-    trace = float(np.einsum("ij,ij->", ginv, t))
-    p0 = trace / n
-    if _amax(t - p0 * g) <= 1e-10 * scale:
-        u_up = _timelike_direction(g)
-        u = g @ u_up
-        mu, p = -p0, p0
-        w = p / mu if abs(mu) > 1e-10 else None
-        residual = _amax(t - ((mu + p) * np.outer(u, u) + p * g))
-        return FluidDecomposition(mu, p, PointTensor("l", u, point), residual, w, True)
-
-    lam, vecs = np.linalg.eig(ginv @ t)
-    if _amax(lam.imag) > 1e-8 * scale:
-        raise FluidError("complex eigenvalues of T^i_j - not a perfect fluid")
-    lam, vecs = lam.real, vecs.real
-    norms = np.einsum("ic,ij,jc->c", vecs, g, vecs)
-    if not np.any(norms < -1e-10):
-        raise FluidError("no timelike eigenvector of T^i_j - not a perfect fluid")
-    c = int(np.argmin(norms))
-    mu = -float(lam[c])
-    rest = [float(lam[a]) for a in range(n) if a != c]
-    p = float(np.mean(rest))
-    anisotropy = max(abs(x - p) for x in rest)
-    u_up = vecs[:, c] / np.sqrt(-norms[c])
-    if u_up[0] < 0:
-        u_up = -u_up
-    u = g @ u_up
-    rec = _amax(t - ((mu + p) * np.outer(u, u) + p * g))
-    w = p / mu if abs(mu) > 1e-10 else None
-    return FluidDecomposition(mu, p, PointTensor("l", u, point), anisotropy + rec, w)
-
-
-# --- Einstein condition -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EinsteinCheck:
-    flag: bool
-    residual: float
-    trace_flag: bool
-    trace_residual: float
-
-
 def is_einstein(m: MetricSpec, points, tol: float = 1e-8) -> EinsteinCheck:
-    """Is R_{jk} = (R/n) g_{jk}?  Cross-checked against the W* trace.
-
-    The modified curvature's metric trace equals n/(n-1) times the deviation
-    from the Einstein condition, so the two booleans must agree; both are
-    computed independently and returned.
-    """
-
-    geo = workspace(m)
-    b = ws.wstar_tensor(m)
-    vals = geo.eval_fields(
-        {"ric": geo.ricci, "R": geo.scalar_field, "g": geo.g, "w02": b.wstar02},
-        points,
-    )
-    n = geo.dim
-    dev = vals["ric"] - (vals["R"][:, None, None] / n) * vals["g"]
-    residual = _amax(dev)
-    trace_residual = _amax(vals["w02"])
-    factor = n / (n - 1.0)
-    trace_flag = trace_residual <= factor * tol * (1.0 + _amax(vals["g"]))
-    return EinsteinCheck(residual <= tol, residual, trace_flag, trace_residual)
-
-
-# --- trace-reversed matter distribution ---------------------------------------
-
-
-@dataclass(frozen=True)
-class EMDistributionReport:
-    trace_max: float
-    scalar_max: float
-    literal_sign_residual: float
-    reversed_sign_residual: float
-    symmetry_residual: float
-    nabla_t_max: float
-    conclusion: str
+    """:func:`wstar.checks.einstein_check` at the points."""
+    return einstein_check(CheckContext(m, points, FieldEquationConfig()), tol)
 
 
 def em_distribution_check(
     m: MetricSpec, cfg: FieldEquationConfig, points, tol: float = 1e-8
 ) -> EMDistributionReport:
-    """Diagnostics for the reduced field equation R_{ij} = k T_{ij}.
-
-    Under that reduction the trace gives R = +k T literally; the sign-reversed
-    convention R = -k T is also scored so either reading can be audited (the
-    trace-free conclusion R = 0 is the same under both).  When the modified
-    curvature is covariantly constant the reduced T must be parallel as well;
-    the report says whether that conclusion holds, is violated, or does not
-    apply.
-    """
-
-    geo = workspace(m)
-    vals = geo.eval_fields(
-        {"ric": geo.ricci, "R": geo.scalar_field, "nric": geo.nabla_ricci}, points
-    )
-    k = cfg.k
-    t_trace = vals["R"] / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
-    literal = _amax(vals["R"] - k * t_trace)
-    reversed_ = _amax(vals["R"] + k * t_trace)
-    nabla_t = _amax(vals["nric"]) / abs(k)
-    sym_res, _ = ws.wstar_symmetry_residual(m, points)
-    sym_scale = 1.0 + _amax(vals["ric"])
-    if sym_res <= tol * sym_scale:
-        holds = nabla_t <= tol * sym_scale
-        conclusion = "holds" if holds else "violated"
-    else:
-        conclusion = "not-applicable"
-    return EMDistributionReport(
-        trace_max=_amax(t_trace),
-        scalar_max=_amax(vals["R"]),
-        literal_sign_residual=literal,
-        reversed_sign_residual=reversed_,
-        symmetry_residual=sym_res,
-        nabla_t_max=nabla_t,
-        conclusion=conclusion,
-    )
+    """:func:`wstar.checks.em_distribution` at the points."""
+    return em_distribution(CheckContext(m, points, cfg), tol)
 
 
-# --- Ricci recurrence ---------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class RecurrenceFit:
-    applicable: bool
-    b: Optional[np.ndarray]  # (P, n) fitted covector per usable point
-    fit_residual: float
-    closedness_residual: Optional[float]
-    reason: Optional[str] = None
-
-
-def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
-    # least squares per point and slot: b_m = <nabla_m Ric, Ric> / <Ric, Ric>
-    denom = np.einsum("pjk,pjk->p", ric, ric)
-    return np.einsum("pjkm,pjk->pm", nric, ric) / denom[:, None]
-
-
-def ricci_recurrence_fit(
-    m: MetricSpec, points, fd_step: float = 1e-4
-) -> RecurrenceFit:
-    """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
-
-    Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point.  Points where Ricci
-    vanishes carry no information and are dropped; with no usable points the
-    fit is reported as not applicable rather than as trivially recurrent.
-    """
-
-    geo = workspace(m)
-    pts = np.asarray(points, dtype=float)
-    fields = {"ric": geo.ricci, "nric": geo.nabla_ricci}
-    vals = geo.eval_fields(fields, pts)
-    usable = np.max(np.abs(vals["ric"]), axis=(1, 2)) > 1e-10
-    if not np.any(usable):
-        return RecurrenceFit(False, None, 0.0, None, "Ricci tensor vanishes")
-    ric, nric = vals["ric"][usable], vals["nric"][usable]
-    b = _fit_covector(ric, nric)
-    fit_residual = _amax(nric - np.einsum("pjk,pm->pjkm", ric, b))
-
-    n = geo.dim
-    base = pts[usable]
-    shifts = fd_step * np.eye(n)
-    displaced = np.concatenate(
-        [base + s for s in shifts] + [base - s for s in shifts]
-    )
-    dvals = geo.eval_fields(fields, displaced)
-    bd = _fit_covector(dvals["ric"], dvals["nric"])
-    p_used = base.shape[0]
-    plus = bd[: n * p_used].reshape(n, p_used, n)
-    minus = bd[n * p_used :].reshape(n, p_used, n)
-    grad_b = (plus - minus) / (2.0 * fd_step)  # grad_b[nu, p, mu] = d_nu b_mu
-    curl = grad_b - grad_b.transpose(2, 1, 0)
-    return RecurrenceFit(True, b, fit_residual, _amax(curl))
-
-
-# --- fluid relations over a point sample --------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FluidRelationsReport:
-    n_points: int
-    n_decomposed: int
-    mu: np.ndarray  # (P,), NaN where the decomposition failed
-    p: np.ndarray
-    trace_residual: float
-    scalar_max: float
-    failures: tuple
-    wstar_flat: bool
-    mu_plus_p_max: Optional[float]
-    mu_minus_3p_spread: Optional[float]
-    nabla_t_max: Optional[float]
-
-
-def _wstar_flat(m: MetricSpec, points, atol: float = 1e-9, rtol: float = 1e-6):
-    geo = workspace(m)
-    b = ws.wstar_tensor(m)
-    vals = geo.eval_fields(
-        {"w04": b.wstar04, "r4": ws.swapped_riemann(geo)}, points
-    )
-    res = _amax(vals["w04"])
-    return res <= atol + rtol * _amax(vals["r4"]), res
+def ricci_recurrence_fit(m: MetricSpec, points, fd_step: float = 1e-4) -> RecurrenceFit:
+    """:func:`wstar.checks.recurrence_fit` at the points."""
+    return recurrence_fit(CheckContext(m, points, FieldEquationConfig()), fd_step)
 
 
 def fluid_relation_checks(
     m: MetricSpec, cfg: FieldEquationConfig, points
 ) -> FluidRelationsReport:
-    """Decompose T at every sample point and test the trace relation.
-
-    |R - (4L + k(mu - 3p))| must vanish wherever the decomposition succeeds:
-    it is the metric trace of the field equations, not a special property.
-    When the modified curvature vanishes identically the fluid must behave as
-    a cosmological constant (mu + p = 0, mu - 3p constant, T parallel); those
-    extra figures are reported only in that regime.
-    """
-
-    geo = workspace(m)
-    pts = np.asarray(points, dtype=float)
-    t_field = energy_momentum(m, cfg)
-    vals = geo.eval_fields(
-        {"t": t_field, "g": geo.g, "ginv": geo.ginv, "R": geo.scalar_field}, pts
-    )
-    count = pts.shape[0]
-    mu = np.full(count, np.nan)
-    p = np.full(count, np.nan)
-    failures = []
-    for a in range(count):
-        try:
-            dec = perfect_fluid_decompose(
-                vals["t"][a], vals["g"][a], vals["ginv"][a], pts[a]
-            )
-        except FluidError as err:
-            failures.append(str(err))
-            continue
-        mu[a], p[a] = dec.mu, dec.p
-    ok = ~np.isnan(mu)
-    trace_residual = 0.0
-    if np.any(ok):
-        expected = 4.0 * cfg.lam + cfg.k * (mu[ok] - 3.0 * p[ok])
-        trace_residual = _amax(vals["R"][ok] - expected)
-
-    flat, _ = _wstar_flat(m, pts)
-    mu_plus_p = spread = nabla_t = None
-    if flat:
-        if np.any(ok):
-            mu_plus_p = _amax(mu[ok] + p[ok])
-            combo = mu[ok] - 3.0 * p[ok]
-            spread = float(np.max(combo) - np.min(combo))
-        nabla_t = _amax(geo.eval_field(nabla_energy_momentum(m, cfg), pts))
-    return FluidRelationsReport(
-        n_points=count,
-        n_decomposed=int(np.sum(ok)),
-        mu=mu,
-        p=p,
-        trace_residual=trace_residual,
-        scalar_max=_amax(vals["R"]),
-        failures=tuple(sorted(set(failures))),
-        wstar_flat=flat,
-        mu_plus_p_max=mu_plus_p,
-        mu_minus_3p_spread=spread,
-        nabla_t_max=nabla_t,
-    )
-
-
-@dataclass(frozen=True)
-class DustVacuumReport:
-    status: str  # "holds" | "not-applicable" | "violated"
-    dust: bool
-    wstar_flat: bool
-    p_max: Optional[float]
-    mu_max: Optional[float]
-    detail: str
+    """:func:`wstar.checks.fluid_relations` at the points."""
+    return fluid_relations(CheckContext(m, points, cfg))
 
 
 def dust_vacuum_check(
     m: MetricSpec, cfg: FieldEquationConfig, points, tol: float = 1e-6
 ) -> DustVacuumReport:
-    """Pressureless fluid + vanishing modified curvature must mean vacuum."""
+    """:func:`wstar.checks.dust_vacuum` at the points."""
+    return dust_vacuum(CheckContext(m, points, cfg), tol)
 
-    rep = fluid_relation_checks(m, cfg, points)
-    if rep.n_decomposed == 0:
-        return DustVacuumReport(
-            "not-applicable", False, rep.wstar_flat, None, None,
-            "no perfect-fluid decomposition at the sample points",
-        )
-    ok = ~np.isnan(rep.mu)
-    mu_max = _amax(rep.mu[ok])
-    p_max = _amax(rep.p[ok])
-    dust = p_max <= tol * (1.0 + mu_max)
-    if not dust or not rep.wstar_flat:
-        why = []
-        if not dust:
-            why.append(f"pressure is not negligible (max|p| = {p_max:.3e})")
-        if not rep.wstar_flat:
-            why.append("modified curvature does not vanish")
-        return DustVacuumReport(
-            "not-applicable", dust, rep.wstar_flat, p_max, mu_max, "; ".join(why)
-        )
-    vacuum = mu_max <= tol
-    return DustVacuumReport(
-        "holds" if vacuum else "violated",
-        True,
-        True,
-        p_max,
-        mu_max,
-        f"max|mu| = {mu_max:.3e} with dust and vanishing modified curvature",
-    )
+
+def classify(
+    m: MetricSpec,
+    cfg: FieldEquationConfig,
+    points,
+    atol: float = 1e-9,
+    rtol: float = 1e-6,
+) -> ClassificationRecord:
+    """Every studied curvature/matter condition at the sample points.
+
+    The flags are read off the property checks of one
+    :class:`wstar.checks.CheckContext`; see :func:`wstar.checks.classification`.
+    """
+    return CheckContext(m, points, cfg, atol, rtol).classification
+
+
+def pairing_checks(
+    m: MetricSpec,
+    cfg: FieldEquationConfig,
+    points,
+    atol: float = 1e-9,
+    rtol: float = 1e-6,
+):
+    """The theorem pairings; see :func:`wstar.checks.pairing_results`."""
+    return CheckContext(m, points, cfg, atol, rtol).pairings
 
 
 # --- conformal vector fields and matter inheritance ---------------------------
@@ -548,7 +207,7 @@ def matter_inheritance_check(
     phi_t = np.einsum("pij,pij->p", vals["LT"], vals["t"]) / (2.0 * t_sq)
     residual = _amax(vals["LT"] - 2.0 * phi_t[:, None, None] * vals["t"])
 
-    flat, _ = _wstar_flat(m, points)
+    flat = CheckContext(m, points, cfg).check("wstar_flat").status == "pass"
     gap = _amax(conf.phi - phi_t)
     if not flat:
         equivalence = "not-applicable"
@@ -570,261 +229,3 @@ def matter_inheritance_check(
         equivalence=equivalence,
         phi_gap=gap,
     )
-
-
-# --- classification -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FlagResult:
-    flag: Optional[bool]  # None when the condition does not apply
-    residual: float
-    threshold: float
-    note: str = ""
-
-
-def _flag(residual: float, scale: float, atol: float, rtol: float) -> FlagResult:
-    thr = atol + rtol * scale
-    return FlagResult(residual <= thr, residual, thr)
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationRecord:
-    metric: str
-    ricci_flat: FlagResult
-    einstein: FlagResult
-    constant_scalar_curvature: FlagResult
-    codazzi_ricci: FlagResult
-    ricci_recurrent: FlagResult
-    recurrence_b: Optional[np.ndarray]
-    recurrence_closedness: Optional[float]
-    ricci_semisymmetric: FlagResult
-    wstar_semisymmetric: FlagResult
-    wstar_flat: FlagResult
-    wstar_divergence_free: FlagResult
-    wstar_parallel: FlagResult
-    t_semisymmetric: FlagResult
-    t_codazzi: FlagResult
-    t_parallel: FlagResult
-
-    _ORDER = (
-        ("ricci_flat", "ricci_flat"),
-        ("einstein", "einstein"),
-        ("constant_scalar_curvature", "constant_scalar_curvature"),
-        ("codazzi_ricci", "codazzi_ricci"),
-        ("ricci_recurrent", "ricci_recurrent"),
-        ("ricci_semisymmetric", "ricci_semisymmetric"),
-        ("wstar_semisymmetric", "wstar_semisymmetric"),
-        ("wstar_flat", "wstar_flat"),
-        ("wstar_divergence_free", "wstar_divergence_free"),
-        ("wstar_parallel", "wstar_parallel"),
-        ("t_semisymmetric", "T_semisymmetric"),
-        ("t_codazzi", "T_codazzi"),
-        ("t_parallel", "T_parallel"),
-    )
-
-    def flags(self):
-        """Ordered mapping of public flag name -> FlagResult."""
-        return {public: getattr(self, attr) for attr, public in self._ORDER}
-
-
-def classify(
-    m: MetricSpec,
-    cfg: FieldEquationConfig,
-    points,
-    atol: float = 1e-9,
-    rtol: float = 1e-6,
-) -> ClassificationRecord:
-    """Evaluate every studied curvature/matter condition at the sample points.
-
-    Scales follow the dominant-ingredient rule: a condition saying "tensor X
-    vanishes" is scored against the magnitude of the tensor X is made from
-    (e.g. the Codazzi residual against |nabla Ricci|, flatness of the modified
-    curvature against |curvature|), so the flags stay meaningful across
-    metrics whose curvature differs by orders of magnitude.
-    """
-
-    geo = workspace(m)
-    pts = np.asarray(points, dtype=float)
-    b = ws.wstar_tensor(m)
-    t_field = energy_momentum(m, cfg)
-    nabla_t = nabla_energy_momentum(m, cfg)
-    vals = geo.eval_fields(
-        {
-            "g": geo.g,
-            "ric": geo.ricci,
-            "R": geo.scalar_field,
-            "gradR": geo.grad_scalar,
-            "nric": geo.nabla_ricci,
-            "r13": geo.riemann13,
-            "r4": ws.swapped_riemann(geo),
-            "w04": b.wstar04,
-            "t": t_field,
-            "nt": nabla_t,
-            "dw": ws._nabla_wstar04(geo),
-        },
-        pts,
-    )
-    n = geo.dim
-
-    ric_scale = _amax(vals["ric"])
-    riem_scale = _amax(vals["r4"])
-    curv_op = _amax(vals["r13"])
-
-    ricci_flat = _flag(ric_scale, riem_scale, atol, rtol)
-    dev = vals["ric"] - (vals["R"][:, None, None] / n) * vals["g"]
-    einstein = _flag(_amax(dev), ric_scale + _amax(vals["R"]) * _amax(vals["g"]) / n, atol, rtol)
-    const_r = _flag(_amax(vals["gradR"]), _amax(vals["R"]), atol, rtol)
-    codazzi = _flag(
-        _amax(vals["nric"] - np.einsum("pjlk->pjkl", vals["nric"])),
-        _amax(vals["nric"]),
-        atol,
-        rtol,
-    )
-
-    fit = ricci_recurrence_fit(m, pts)
-    if fit.applicable:
-        rec = _flag(fit.fit_residual, _amax(vals["nric"]), atol, rtol)
-    else:
-        rec = FlagResult(None, 0.0, atol, fit.reason or "not applicable")
-
-    ric_comm = ricci_commutator(vals["ric"], "ll", vals["r13"])
-    ricci_semi = _flag(_amax(ric_comm), curv_op * ric_scale, atol, rtol)
-    w_comm = ricci_commutator(vals["w04"], "llll", vals["r13"])
-    w_semi = _flag(_amax(w_comm), curv_op * _amax(vals["w04"]), atol, rtol)
-
-    w_flat = _flag(_amax(vals["w04"]), riem_scale, atol, rtol)
-    div = np.einsum("phi,pijklh->pjkl", geo.eval_field(geo.ginv, pts), vals["dw"])
-    div_free = _flag(_amax(div), _amax(vals["dw"]), atol, rtol)
-    parallel = _flag(_amax(vals["dw"]), _amax(vals["w04"]), atol, rtol)
-
-    t_comm = ricci_commutator(vals["t"], "ll", vals["r13"])
-    t_semi = _flag(_amax(t_comm), curv_op * _amax(vals["t"]), atol, rtol)
-    t_codazzi = _flag(
-        _amax(vals["nt"] - np.einsum("pjlk->pjkl", vals["nt"])),
-        _amax(vals["nt"]),
-        atol,
-        rtol,
-    )
-    t_parallel = _flag(_amax(vals["nt"]), _amax(vals["t"]), atol, rtol)
-
-    return ClassificationRecord(
-        metric=m.name,
-        ricci_flat=ricci_flat,
-        einstein=einstein,
-        constant_scalar_curvature=const_r,
-        codazzi_ricci=codazzi,
-        ricci_recurrent=rec,
-        recurrence_b=fit.b,
-        recurrence_closedness=fit.closedness_residual,
-        ricci_semisymmetric=ricci_semi,
-        wstar_semisymmetric=w_semi,
-        wstar_flat=w_flat,
-        wstar_divergence_free=div_free,
-        wstar_parallel=parallel,
-        t_semisymmetric=t_semi,
-        t_codazzi=t_codazzi,
-        t_parallel=t_parallel,
-    )
-
-
-# --- theorem-consistency pairings ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    name: str
-    holds: Optional[bool]  # None when the pairing does not apply
-    detail: str
-
-
-def pairing_checks(
-    m: MetricSpec,
-    cfg: FieldEquationConfig,
-    points,
-    atol: float = 1e-9,
-    rtol: float = 1e-6,
-):
-    """Score the studied equivalences/implications with each side independent.
-
-    Every entry compares booleans computed from different routes; a mismatch
-    is reported honestly as a failed pairing rather than being reconciled.
-    """
-
-    rec = classify(m, cfg, points, atol, rtol)
-    ein = is_einstein(m, points, tol=rec.einstein.threshold)
-    fluid = fluid_relation_checks(m, cfg, points)
-
-    def fmt(fr: FlagResult) -> str:
-        return f"residual {fr.residual:.3e} vs threshold {fr.threshold:.3e}"
-
-    out = []
-
-    lhs, rhs = rec.codazzi_ricci.flag, rec.wstar_divergence_free.flag
-    out.append(
-        PairingResult(
-            "codazzi_iff_divergence_free",
-            lhs == rhs,
-            f"codazzi_ricci={lhs} ({fmt(rec.codazzi_ricci)}); "
-            f"wstar_divergence_free={rhs} ({fmt(rec.wstar_divergence_free)})",
-        )
-    )
-
-    out.append(
-        PairingResult(
-            "einstein_iff_trace_vanishes",
-            ein.flag == ein.trace_flag,
-            f"einstein={ein.flag} (residual {ein.residual:.3e}); "
-            f"trace-of-modified-curvature={ein.trace_flag} "
-            f"(residual {ein.trace_residual:.3e})",
-        )
-    )
-
-    holds = (not rec.wstar_parallel.flag) or bool(rec.t_semisymmetric.flag)
-    out.append(
-        PairingResult(
-            "parallel_implies_t_semisymmetric",
-            holds,
-            f"wstar_parallel={rec.wstar_parallel.flag} "
-            f"({fmt(rec.wstar_parallel)}); "
-            f"T_semisymmetric={rec.t_semisymmetric.flag} "
-            f"({fmt(rec.t_semisymmetric)})",
-        )
-    )
-
-    holds = (not rec.wstar_flat.flag) or (
-        bool(rec.constant_scalar_curvature.flag) and bool(rec.t_parallel.flag)
-    )
-    out.append(
-        PairingResult(
-            "flat_implies_constant_scalar_and_parallel_t",
-            holds,
-            f"wstar_flat={rec.wstar_flat.flag} ({fmt(rec.wstar_flat)}); "
-            f"constant_scalar_curvature={rec.constant_scalar_curvature.flag}; "
-            f"T_parallel={rec.t_parallel.flag}",
-        )
-    )
-
-    if not rec.wstar_flat.flag:
-        lam_like: Optional[bool] = True
-        detail = "premise false - holds vacuously"
-    elif fluid.n_decomposed == 0:
-        lam_like = None
-        detail = "no fluid decomposition succeeded at the sample points"
-    else:
-        gap = fluid.mu_plus_p_max if fluid.mu_plus_p_max is not None else 0.0
-        lam_like = gap <= 1e-6 * (1.0 + _amax(fluid.mu[~np.isnan(fluid.mu)]))
-        detail = f"max|mu + p| = {gap:.3e} over {fluid.n_decomposed} points"
-    out.append(PairingResult("flat_implies_lambda_like_fluid", lam_like, detail))
-
-    out.append(
-        PairingResult(
-            "t_semisymmetric_iff_ricci_semisymmetric",
-            rec.t_semisymmetric.flag == rec.ricci_semisymmetric.flag,
-            f"T_semisymmetric={rec.t_semisymmetric.flag} "
-            f"({fmt(rec.t_semisymmetric)}); "
-            f"ricci_semisymmetric={rec.ricci_semisymmetric.flag} "
-            f"({fmt(rec.ricci_semisymmetric)})",
-        )
-    )
-    return tuple(out)

@@ -4,7 +4,8 @@ The JSON payload is built key-by-key in a fixed order and serialized with the
 standard library, so two runs with the same inputs produce byte-identical
 output once the optional timestamp is suppressed.  Floats go through Python's
 shortest round-trip repr via ``json.dumps``; numpy scalars are converted
-first.
+first.  The output is strict JSON: a check that could not be evaluated has
+``max_residual: null``, and serialization refuses NaN and infinities.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class CheckReport:
 
     name: str
     status: str  # "pass" | "fail" | "not-applicable"
-    max_residual: float
+    max_residual: Optional[float]  # None when the check could not be evaluated
     tolerance: float
     worst_point: Optional[Sequence[float]]
     reason: Optional[str] = None
@@ -73,7 +74,7 @@ def payload(report: RunReport) -> dict:
         entry = {
             "name": c.name,
             "status": c.status,
-            "max_residual": _num(c.max_residual),
+            "max_residual": None if c.max_residual is None else _num(c.max_residual),
             "tolerance": _num(c.tolerance),
             "worst_point": (
                 None if c.worst_point is None else [_num(v) for v in c.worst_point]
@@ -88,7 +89,7 @@ def payload(report: RunReport) -> dict:
 
 
 def render_json(report: RunReport) -> str:
-    return json.dumps(payload(report), indent=2)
+    return json.dumps(payload(report), indent=2, allow_nan=False)
 
 
 def _fmt_point(point, coords) -> str:
@@ -110,7 +111,7 @@ def render_table(report: RunReport) -> str:
             (
                 c.name,
                 c.status,
-                f"{c.max_residual:.6e}",
+                "-" if c.max_residual is None else f"{c.max_residual:.6e}",
                 f"{c.tolerance:.3e}",
                 _fmt_point(c.worst_point, report.coords),
             )

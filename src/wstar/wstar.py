@@ -14,10 +14,10 @@ that exactly one effective trace survives:
     W*_{ijkl} = R_{ijkl} − 1/(n−1) [g_{jk} R_{il} − g_{jl} R_{ik}]
 
 For n = 4 the surviving trace is g^{il}W*_{ijkl} = (4/3)(R_{jk} − (R/4)g_{jk}),
-zero precisely on Einstein metrics.  The residual functions below evaluate,
-at caller-supplied sample points, every identity the tensor satisfies
-(divergence, cyclic second-Bianchi analogue, commutator action, trace
-decomposition) together with the closed-form expressions circulated for them;
+zero precisely on Einstein metrics.  The residual formulas below act on
+evaluated field values: the divergence, the cyclic second-Bianchi analogue
+and the trace decomposition, together with the closed-form expressions
+circulated for them.  :mod:`wstar.checks` scores every identity with them;
 where a closed form disagrees with an independent route, the independent
 route is authoritative and the deviation is reported, not hidden.
 """
@@ -36,7 +36,6 @@ from .geometry import (
     MetricSpec,
     TensorField,
     is_zero,
-    ricci_commutator,
     term_sum,
     workspace,
 )
@@ -45,17 +44,16 @@ __all__ = [
     "WStarBundle",
     "KrupkaParts",
     "wstar_tensor",
-    "wstar_contraction",
-    "wstar_trace_residual",
+    "traceless_ricci",
+    "codazzi_defect",
+    "divergence",
+    "divergence_closed_form",
+    "cyclic_identity",
     "wstar_divergence_direct",
     "wstar_divergence_formula",
-    "codazzi_residual",
-    "scalar_gradient_max",
-    "WeylDivergenceReport",
-    "weyl_divergence_crosscheck",
-    "wstar_symmetry_residual",
     "wstar_bianchi_residual",
-    "wstar_semisymmetry_residual",
+    "traces",
+    "trace_combos",
     "krupka_oracle",
     "krupka_closed_forms",
     "krupka_decompose",
@@ -134,24 +132,60 @@ def wstar_tensor(metric: MetricSpec) -> WStarBundle:
     return geo.cached("wstar_bundle", build)
 
 
-def wstar_contraction(bundle: WStarBundle, metric: MetricSpec) -> TensorField:
-    """The single effective trace g^{il}W*_{ijkl} as a symbolic field."""
-    return bundle.wstar02
+# --- identity residuals on evaluated values -----------------------------------
+#
+# One implementation per formula, shared by the check registry and the
+# metric-level helpers below.  Arrays carry the sample point on axis 0 and a
+# derivative slot last: d[p, i, j, k, l, m] = ∇_m X_{ijkl}.
 
 
-def wstar_trace_residual(metric: MetricSpec, points) -> float:
-    """max |g^{il}W*_{ijkl} − (4/3)(R_{jk} − (R/4)g_{jk})| over the points."""
-    geo = workspace(metric)
-    b = wstar_tensor(metric)
-    vals = geo.eval_fields(
-        {"w02": b.wstar02, "ric": geo.ricci, "g": geo.g, "R": geo.scalar_field},
-        points,
+def traceless_ricci(ric: np.ndarray, scal: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """R_{jk} − (R/n) g_{jk}: zero exactly on Einstein metrics."""
+    return ric - (scal[:, None, None] / g.shape[-1]) * g
+
+
+def codazzi_defect(nabla: np.ndarray) -> np.ndarray:
+    """∇_l X_{jk} − ∇_k X_{jl}: zero iff the (0,2) tensor X is Codazzi."""
+    return nabla - np.einsum("pjlk->pjkl", nabla)
+
+
+def divergence(ginv: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """g^{hi} ∇_h X_{ijkl} from the values of the rank-5 derivative."""
+    return np.einsum("phi,pijklh->pjkl", ginv, d)
+
+
+def divergence_closed_form(nric, g, grad_r, coeff: float) -> np.ndarray:
+    """∇_l R_{jk} − ∇_k R_{jl} − c·[g_{jk}∇_l R − g_{jl}∇_k R].
+
+    With c = 1/3 this is the circulated display for the divergence; the value
+    consistent with the contracted Bianchi identity (∇^s R_{sl} = ½∇_l R) is
+    c = 1/6, and only that choice matches the direct route on metrics with
+    non-constant scalar curvature.  Both are exercised by the check suite.
+    """
+    gradient = np.einsum("pjk,pl->pjkl", g, grad_r) - np.einsum("pjl,pk->pjkl", g, grad_r)
+    return codazzi_defect(nric) - coeff * gradient
+
+
+def cyclic_identity(dw: np.ndarray, nric: np.ndarray, g: np.ndarray) -> tuple:
+    """(cyclic sum, its closed form) for the cyclic derivative identity.
+
+    The cyclic sum ∇_m W*_{ijkl} + ∇_k W*_{ijlm} + ∇_l W*_{ijmk} equals
+
+        −1/3 [ g_{jk}(∇_m R_{il} − ∇_l R_{im})
+             + g_{jl}(∇_k R_{im} − ∇_m R_{ik})
+             + g_{jm}(∇_l R_{ik} − ∇_k R_{il}) ]
+
+    identically, so the sum alone vanishes precisely when the Ricci tensor
+    is Codazzi.
+    """
+    cyc = dw + np.einsum("pijlmk->pijklm", dw) + np.einsum("pijmkl->pijklm", dw)
+    x = codazzi_defect(nric)  # x[p, i, a, b] = ∇_b R_ia − ∇_a R_ib
+    rhs = (-1.0 / 3.0) * (
+        np.einsum("pjk,pilm->pijklm", g, x)
+        + np.einsum("pjl,pimk->pijklm", g, x)
+        + np.einsum("pjm,pikl->pijklm", g, x)
     )
-    rho = vals["ric"] - 0.25 * vals["R"][:, None, None] * vals["g"]
-    return float(np.max(np.abs(vals["w02"] - (4.0 / 3.0) * rho)))
-
-
-# --- divergence ---------------------------------------------------------------
+    return cyc, rhs
 
 
 def wstar_divergence_direct(bundle: WStarBundle, metric: MetricSpec, points) -> np.ndarray:
@@ -162,181 +196,32 @@ def wstar_divergence_direct(bundle: WStarBundle, metric: MetricSpec, points) -> 
     """
     geo = workspace(metric)
     vals = geo.eval_fields({"ginv": geo.ginv, "dw": _nabla_wstar04(geo)}, points)
-    return np.einsum("phi,pijklh->pjkl", vals["ginv"], vals["dw"])
+    return divergence(vals["ginv"], vals["dw"])
 
 
 def wstar_divergence_formula(
     metric: MetricSpec, points, scalar_coefficient: float = 1.0 / 3.0
 ) -> np.ndarray:
-    """Closed form ∇_l R_{jk} − ∇_k R_{jl} − c·[g_{jk}∇_l R − g_{jl}∇_k R].
-
-    With c = 1/3 this is the circulated display for the divergence; the value
-    consistent with the contracted Bianchi identity (∇^s R_{sl} = ½∇_l R) is
-    c = 1/6, and only that choice matches the direct route on metrics with
-    non-constant scalar curvature.  Both are exercised by the check suite.
-    """
+    """:func:`divergence_closed_form` evaluated at the points."""
     geo = workspace(metric)
     vals = geo.eval_fields(
         {"g": geo.g, "nric": geo.nabla_ricci, "gr": geo.grad_scalar}, points
     )
-    n = vals["nric"]  # n[p, a, b, m] = nabla_m Ric_ab
-    codazzi = n - np.einsum("pjlk->pjkl", n)  # nabla_l R_jk - nabla_k R_jl
-    gradient_part = np.einsum("pjk,pl->pjkl", vals["g"], vals["gr"]) - np.einsum(
-        "pjl,pk->pjkl", vals["g"], vals["gr"]
-    )
-    return codazzi - scalar_coefficient * gradient_part
-
-
-def codazzi_residual(metric: MetricSpec, points) -> float:
-    """max |∇_l R_{jk} − ∇_k R_{jl}|: zero iff the Ricci tensor is Codazzi."""
-    geo = workspace(metric)
-    n = geo.eval_field(geo.nabla_ricci, points)
-    return float(np.max(np.abs(n - np.einsum("pjlk->pjkl", n))))
-
-
-def scalar_gradient_max(metric: MetricSpec, points) -> float:
-    """max |∂_m R|: zero iff the scalar curvature is constant on the sample."""
-    geo = workspace(metric)
-    return float(np.max(np.abs(geo.eval_field(geo.grad_scalar, points))))
-
-
-# --- conformal curvature cross-check -----------------------------------------
-
-
-@dataclass(frozen=True)
-class WeylDivergenceReport:
-    """Direct conformal-curvature divergence and its closed-form deviation."""
-
-    direct_max: float  # max |∇_h C^h_{jkl}| (ground truth)
-    formula_deviation: float  # max |direct − circulated closed form|
-    codazzi_max: float
-    scalar_gradient_max: float
-
-
-def weyl_divergence_crosscheck(metric: MetricSpec, points) -> WeylDivergenceReport:
-    """Evaluate ∇_h C^h_{jkl} directly and compare the circulated closed form.
-
-    The closed form evaluated here is, in this module's index order,
-
-        ½ [∇_l R_{jk} − ∇_k R_{jl}] + 1/6 [g_{jk}∇_l R − g_{jl}∇_k R]
-
-    whereas the divergence itself works out to the same Codazzi part with
-    −1/12 on the gradient part; the two agree exactly when the scalar
-    curvature is constant, and the deviation is reported otherwise.  The
-    implication "Codazzi Ricci (hence constant R) ⇒ divergence-free conformal
-    curvature" is checked from the returned residuals.
-    """
-    geo = workspace(metric)
-    vals = geo.eval_fields(
-        {
-            "ginv": geo.ginv,
-            "dweyl": geo.nabla_weyl,
-            "g": geo.g,
-            "nric": geo.nabla_ricci,
-            "gr": geo.grad_scalar,
-        },
-        points,
-    )
-    # geometry stores C in the unswapped order; swapping its last two slots
-    # before the trace keeps the whole report in this module's convention
-    dweyl_swapped = np.einsum("pijlkm->pijklm", vals["dweyl"])
-    direct = np.einsum("phi,pijklh->pjkl", vals["ginv"], dweyl_swapped)
-    n = vals["nric"]
-    codazzi = n - np.einsum("pjlk->pjkl", n)
-    gradient_part = np.einsum("pjk,pl->pjkl", vals["g"], vals["gr"]) - np.einsum(
-        "pjl,pk->pjkl", vals["g"], vals["gr"]
-    )
-    formula = 0.5 * codazzi + (1.0 / 6.0) * gradient_part
-    return WeylDivergenceReport(
-        direct_max=float(np.max(np.abs(direct))),
-        formula_deviation=float(np.max(np.abs(direct - formula))),
-        codazzi_max=float(np.max(np.abs(codazzi))),
-        scalar_gradient_max=float(np.max(np.abs(vals["gr"]))),
-    )
-
-
-# --- covariant constancy and the cyclic identity ------------------------------
-
-
-def wstar_symmetry_residual(metric: MetricSpec, points) -> tuple:
-    """(max |∇_m W*_{ijkl}|, max |∇_m R_{jk} − ¼ g_{jk} ∂_m R|).
-
-    The first number measures covariant constancy of the tensor; on metrics
-    where it vanishes the second must vanish too (taking the trace of the
-    constancy equation forces the Ricci derivative onto the metric).
-    """
-    geo = workspace(metric)
-    vals = geo.eval_fields(
-        {
-            "dw": _nabla_wstar04(geo),
-            "nric": geo.nabla_ricci,
-            "g": geo.g,
-            "gr": geo.grad_scalar,
-        },
-        points,
-    )
-    residual = float(np.max(np.abs(vals["dw"])))
-    quarter = 0.25 * np.einsum("pjk,pm->pjkm", vals["g"], vals["gr"])
-    quarter_residual = float(np.max(np.abs(vals["nric"] - quarter)))
-    return residual, quarter_residual
+    return divergence_closed_form(vals["nric"], vals["g"], vals["gr"], scalar_coefficient)
 
 
 def wstar_bianchi_residual(metric: MetricSpec, points) -> tuple:
-    """Residuals of the cyclic derivative identity, as (identity, cyclic-only).
+    """(max |cyclic sum − closed form|, max |cyclic sum|) of :func:`cyclic_identity`.
 
-    The cyclic sum ∇_m W*_{ijkl} + ∇_k W*_{ijlm} + ∇_l W*_{ijmk} equals
-
-        −1/3 [ g_{jk}(∇_m R_{il} − ∇_l R_{im})
-             + g_{jl}(∇_k R_{im} − ∇_m R_{ik})
-             + g_{jm}(∇_l R_{ik} − ∇_k R_{il}) ]
-
-    identically; the first residual is |cyclic sum − right side| (must be
-    numerics-level on every metric), the second is |cyclic sum| alone (zero
-    precisely when the Ricci tensor is Codazzi).
+    The first must be numerics-level on every metric; the second is zero
+    precisely when the Ricci tensor is Codazzi.
     """
     geo = workspace(metric)
     vals = geo.eval_fields(
         {"dw": _nabla_wstar04(geo), "g": geo.g, "nric": geo.nabla_ricci}, points
     )
-    d = vals["dw"]  # d[p, i, j, k, l, m] = nabla_m W*_{ijkl}
-    cyc = (
-        d
-        + np.einsum("pijlmk->pijklm", d)
-        + np.einsum("pijmkl->pijklm", d)
-    )
-    n = vals["nric"]
-    x = n - np.einsum("piba->piab", n)  # x[p, i, a, b] = nabla_b R_ia - nabla_a R_ib
-    g = vals["g"]
-    rhs = (-1.0 / 3.0) * (
-        np.einsum("pjk,pilm->pijklm", g, x)
-        + np.einsum("pjl,pimk->pijklm", g, x)
-        + np.einsum("pjm,pikl->pijklm", g, x)
-    )
-    residual_identity = float(np.max(np.abs(cyc - rhs)))
-    residual_cyclic = float(np.max(np.abs(cyc)))
-    return residual_identity, residual_cyclic
-
-
-def wstar_semisymmetry_residual(metric: MetricSpec, points) -> tuple:
-    """([∇_μ,∇_ν] acting on W*_{ijkl}, and the trace-consistency residual).
-
-    Both commutators are computed algebraically through the curvature action
-    on each slot.  The second number checks the exact proportionality
-    [∇_μ,∇_ν]W*_{jk} = (4/3)[∇_μ,∇_ν]R_{jk} of the (0,2) traces, which holds
-    on every metric because the two tensors differ by a multiple of g.
-    """
-    geo = workspace(metric)
-    b = wstar_tensor(metric)
-    vals = geo.eval_fields(
-        {"w04": b.wstar04, "w02": b.wstar02, "ric": geo.ricci, "r13": geo.riemann13},
-        points,
-    )
-    comm_w04 = ricci_commutator(vals["w04"], "llll", vals["r13"])
-    residual_a = float(np.max(np.abs(comm_w04)))
-    comm_w02 = ricci_commutator(vals["w02"], "ll", vals["r13"])
-    comm_ric = ricci_commutator(vals["ric"], "ll", vals["r13"])
-    residual_b = float(np.max(np.abs(comm_w02 - (4.0 / 3.0) * comm_ric)))
-    return residual_a, residual_b
+    cyc, rhs = cyclic_identity(vals["dw"], vals["nric"], vals["g"])
+    return float(np.max(np.abs(cyc - rhs))), float(np.max(np.abs(cyc)))
 
 
 # --- trace decomposition ------------------------------------------------------
@@ -387,7 +272,7 @@ def _trace_system_matrix(n: int) -> np.ndarray:
 _TRACE_MATRIX_4 = _trace_system_matrix(4)
 
 
-def _traces(w13_vals: np.ndarray):
+def traces(w13_vals: np.ndarray):
     """T1_ab = W^t_{tab}, T2_ab = W^t_{atb}, T3_ab = W^t_{abt} (batched)."""
     t1 = np.einsum("pttab->pab", w13_vals)
     t2 = np.einsum("ptatb->pab", w13_vals)
@@ -407,7 +292,7 @@ def krupka_oracle(w13_vals: np.ndarray):
     n = vals.shape[1]
     if n != 4:
         raise ValueError("trace decomposition implemented for dim 4")
-    t1, t2, t3 = _traces(vals)
+    t1, t2, t3 = traces(vals)
     p = vals.shape[0]
     rhs = np.concatenate(
         [t1.reshape(p, -1), t2.reshape(p, -1), t3.reshape(p, -1)], axis=1
@@ -436,7 +321,7 @@ def krupka_closed_forms(w02_vals: np.ndarray):
     return zero, -w02_vals / 3.0, w02_vals / 3.0
 
 
-def _trace_combos(w13_vals: np.ndarray):
+def trace_combos(w13_vals: np.ndarray):
     """The circulated fixed-weight trace combinations for (C, D, E).
 
     With T1, T2, T3 as in :func:`krupka_oracle`, these are
@@ -448,7 +333,7 @@ def _trace_combos(w13_vals: np.ndarray):
     They are compared against the linear-solve values; where they disagree
     the solve is authoritative.
     """
-    t1, t2, t3 = _traces(w13_vals)
+    t1, t2, t3 = traces(w13_vals)
     t1t = np.einsum("pab->pba", t1)
     t2t = np.einsum("pab->pba", t2)
     t3t = np.einsum("pab->pba", t3)
@@ -488,10 +373,7 @@ class KrupkaParts:
 
     def trace_residual(self) -> float:
         """Largest of the three traces of B (all must vanish)."""
-        t1 = np.einsum("ttab->ab", self.B)
-        t2 = np.einsum("tatb->ab", self.B)
-        t3 = np.einsum("tabt->ab", self.B)
-        return float(max(np.max(np.abs(t)) for t in (t1, t2, t3)))
+        return float(max(np.max(np.abs(t)) for t in traces(self.B[None])))
 
 
 def krupka_decompose(w13_point: np.ndarray) -> KrupkaParts:
@@ -500,7 +382,7 @@ def krupka_decompose(w13_point: np.ndarray) -> KrupkaParts:
         raise ValueError("expected a single point's (n, n, n, n) values")
     vals = w13_point[None]
     c, d, e = krupka_oracle(vals)
-    combo_c, combo_d, combo_e = _trace_combos(vals)
+    combo_c, combo_d, combo_e = trace_combos(vals)
     n = w13_point.shape[0]
     eye = np.eye(n)
     b = (

@@ -23,6 +23,7 @@ from wstar.cli import (
 )
 from wstar.relativity import FieldEquationConfig
 from wstar.report import render_json, render_table
+from wstar.tape import TapeEvalError
 
 
 def report_for(metric, checks=("all",), points=8, **kw):
@@ -236,6 +237,35 @@ class TestTableFormat:
     def test_worst_point_uses_coordinate_names(self):
         rep = report_for("schwarzschild", checks=("ricci_flat",))
         assert "r=" in render_table(rep) and "theta=" in render_table(rep)
+
+
+class TestEvaluationErrors:
+    @pytest.fixture
+    def broken(self, monkeypatch):
+        def fail(ctx):
+            raise TapeEvalError("evaluation left the domain", 2, None)
+
+        monkeypatch.setitem(REGISTRY, "trace_identity", fail)
+
+    def test_json_stays_strict(self, broken, capsys):
+        code = main(["check", "--metric", "minkowski", "--points", "4",
+                     "--no-timestamp"])
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        entry = {c["name"]: c for c in data["checks"]}["trace_identity"]
+        assert code == EXIT_CHECK_FAILED
+        assert entry["status"] == "fail"
+        assert entry["max_residual"] is None
+        assert entry["reason"].startswith("evaluation error: evaluation left the domain")
+
+    def test_table_prints_a_placeholder(self, broken):
+        rep = report_for("minkowski", checks=("trace_identity",), points=4)
+        row = next(line for line in render_table(rep).splitlines()
+                   if line.startswith("trace_identity"))
+        assert row.split()[1:3] == ["fail", "-"]
 
 
 class TestParsePoint:

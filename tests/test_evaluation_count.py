@@ -1,0 +1,54 @@
+"""One analysis layer: every command evaluates each tape once per point set.
+
+``check --checks all`` and ``classify`` read one
+:class:`wstar.checks.CheckContext`; the classification flags and the theorem
+pairings are views over its check outcomes.  These guards count the kernel
+calls and the classification builds of one command.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from wstar import checks
+from wstar.cli import RunConfig, classify_payload, run_checks
+from wstar.tape import Tape
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Counter of (tape, point array) pairs passed to ``Tape.evaluate``."""
+    seen = Counter()
+    real = Tape.evaluate
+
+    def counted(self, points, params=None):
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        seen[(id(self), pts.shape, pts.tobytes())] += 1
+        return real(self, points, params)
+
+    monkeypatch.setattr(Tape, "evaluate", counted)
+    return seen
+
+
+@pytest.fixture
+def classifications(monkeypatch):
+    """Contexts for which the classification record was built."""
+    built = []
+    real = checks.classification
+
+    def counted(ctx):
+        built.append(ctx)
+        return real(ctx)
+
+    monkeypatch.setattr(checks, "classification", counted)
+    return built
+
+
+@pytest.mark.parametrize("command", [run_checks, classify_payload])
+def test_one_evaluation_per_tape_and_point_set(command, evaluations, classifications):
+    command(RunConfig(metric="flrw_dust", timestamp=False))
+    assert evaluations
+    repeated = {key[:2]: n for key, n in evaluations.items() if n > 1}
+    assert not repeated
+    assert len(classifications) == 1

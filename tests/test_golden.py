@@ -1,0 +1,37 @@
+"""Golden outputs: ``check --checks all`` and ``classify`` stay byte-identical.
+
+The files under ``tests/golden/`` are the ``--no-timestamp`` JSON reports of
+both commands on every catalog metric (32 points; ``perturbed_flat`` at 8 to
+bound the suite's run time), together with the exit codes.  Any change to a
+residual, a scale, a threshold, a verdict or the report layout shows up here
+as a byte difference.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from wstar.catalog import CATALOG_NAMES
+from wstar.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+POINTS = {"perturbed_flat": 8}
+
+
+def argv(command, metric):
+    args = [command, "--metric", metric, "--points", str(POINTS.get(metric, 32)),
+            "--no-timestamp"]
+    if command == "check":
+        args += ["--checks", "all"]
+    return args
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_output_matches_golden(command, metric, capsys):
+    stem = f"{command}_{metric}"
+    code = main(argv(command, metric))
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text()
+    assert code == EXIT_CODES[stem]

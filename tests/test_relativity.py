@@ -518,3 +518,17 @@ class TestPairings:
         rec = rel.classify(catalog_metric(name), CFG, sample(name, 6))
         if rec.codazzi_ricci.flag:
             assert rec.wstar_divergence_free.flag is True
+
+    def test_lambda_fluid_branch_uses_the_run_tolerances(self):
+        # atol = 10 makes the dust cosmology's modified curvature count as
+        # vanishing, so the fluid branch must score the real mu + p gap
+        m = catalog_metric("flrw_dust")
+        pts = sample("flrw_dust", 8)
+        assert rel.classify(m, CFG, pts, atol=10.0).wstar_flat.flag is True
+        pairs = {p.name: p for p in rel.pairing_checks(m, CFG, pts, atol=10.0)}
+        fluid = rel.fluid_relation_checks(m, CFG, pts)
+        gap = amax(fluid.mu + fluid.p)
+        assert gap > 1.0
+        lam = pairs["flat_implies_lambda_like_fluid"]
+        assert lam.holds is False
+        assert lam.detail == f"max|mu + p| = {gap:.3e} over 8 points"

@@ -5,14 +5,20 @@ of ``geometry.riemann04``, so one metric trace gives +Ricci.  The closed-form
 routes that circulate for the divergence and for the trace decomposition are
 tested verbatim; on metrics with non-constant scalar curvature two of them
 disagree with the independently computed ground truth, and those tests are
-strict expected failures with the deviation documented.
+strict expected failures with the deviation documented.  Residuals that
+the check registry scores are read from its outcomes (a
+:class:`wstar.checks.CheckContext` over the same sample points), and the
+conformal-curvature cross-check is rebuilt from the shared residual formulas.
 """
 
 import numpy as np
 import pytest
 
 from wstar.catalog import catalog_metric
+from wstar.checks import CheckContext
+from wstar.cli import _field_for
 from wstar.geometry import ricci_commutator, workspace
+from wstar.matter import FieldEquationConfig
 from wstar.sampling import DET_FLOOR, sample_points
 from wstar import wstar as W
 
@@ -38,6 +44,31 @@ def bundle(name):
     return W.wstar_tensor(catalog_metric(name))
 
 
+def context(name, pts):
+    return CheckContext(catalog_metric(name), pts, FieldEquationConfig())
+
+
+def residual(name, check, pts):
+    """The registry's max residual for ``check`` at the points."""
+    return context(name, pts).check(check).max_residual
+
+
+def weyl_divergence(name, pts):
+    """(direct max, closed-form deviation, Codazzi max, max |grad R|).
+
+    The circulated closed form is ½[∇_l R_{jk} − ∇_k R_{jl}] + 1/6
+    [g_{jk}∇_l R − g_{jl}∇_k R]; the geometry stores C in the unswapped
+    order, so its last two slots are swapped before the trace.
+    """
+    ctx = context(name, pts)
+    direct = W.divergence(ctx.get("ginv"), np.einsum("pijlkm->pijklm", ctx.get("nweyl")))
+    printed = 0.5 * W.divergence_closed_form(
+        ctx.get("nric"), ctx.get("g"), ctx.get("gradR"), -1.0 / 3.0
+    )
+    return (amax(direct), amax(direct - printed),
+            amax(W.codazzi_defect(ctx.get("nric"))), amax(ctx.get("gradR")))
+
+
 class TestConstruction:
     def test_bundle_is_cached(self):
         m = catalog_metric("minkowski")
@@ -46,7 +77,8 @@ class TestConstruction:
     def test_contraction_returns_the_trace_field(self):
         m = catalog_metric("minkowski")
         b = W.wstar_tensor(m)
-        assert W.wstar_contraction(b, m) is b.wstar02
+        geo = workspace(m)
+        assert _field_for("wstar_contraction", m, geo, FieldEquationConfig()) is b.wstar02
 
     def test_minkowski_vanishes(self):
         geo = geo_for("minkowski")
@@ -99,7 +131,7 @@ class TestTraceIdentity:
         pts = sample(name, 8)
         vals = geo.eval_fields({"R": geo.scalar_field, "g": geo.g}, pts)
         scale = 1 + amax(vals["R"]) * amax(vals["g"])
-        assert W.wstar_trace_residual(catalog_metric(name), pts) <= 1e-9 * scale
+        assert residual(name, "trace_identity", pts) <= 1e-9 * scale
 
     @pytest.mark.parametrize("name", ["minkowski", "desitter_flat"])
     def test_einstein_metrics_have_zero_trace(self, name):
@@ -211,7 +243,7 @@ class TestDivergence:
         pts = sample("flrw_dust", 6)
         direct = W.wstar_divergence_direct(bundle("flrw_dust"), m, pts)
         assert amax(direct) <= 1e-9
-        assert W.codazzi_residual(m, pts) > 1e-3
+        assert residual("flrw_dust", "codazzi", pts) > 1e-3
 
     @pytest.mark.xfail(
         strict=True,
@@ -227,13 +259,12 @@ class TestDivergence:
 
     @pytest.mark.parametrize("name", ["schwarzschild", "desitter_flat"])
     def test_codazzi_residual_vanishes(self, name):
-        assert W.codazzi_residual(catalog_metric(name), sample(name, 6)) <= 1e-9
+        assert residual(name, "codazzi", sample(name, 6)) <= 1e-9
 
     def test_dust_cosmology_ricci_is_not_codazzi(self):
-        m = catalog_metric("flrw_dust")
         pts = sample("flrw_dust", 6)
-        assert W.codazzi_residual(m, pts) > 1e-3
-        assert W.scalar_gradient_max(m, pts) > 1e-3
+        assert residual("flrw_dust", "codazzi", pts) > 1e-3
+        assert residual("flrw_dust", "constant_scalar_curvature", pts) > 1e-3
 
 
 class TestWeylCrosscheck:
@@ -242,46 +273,48 @@ class TestWeylCrosscheck:
         [("minkowski", 0.0), ("schwarzschild", 1e-8), ("desitter_flat", 1e-9)],
     )
     def test_divergence_free_cases(self, name, tol):
-        rep = W.weyl_divergence_crosscheck(catalog_metric(name), sample(name, 6))
-        assert rep.direct_max <= tol
-        assert rep.formula_deviation <= max(tol, 1e-12)
+        direct_max, formula_deviation, _, _ = weyl_divergence(name, sample(name, 6))
+        assert direct_max <= tol
+        assert formula_deviation <= max(tol, 1e-12)
 
     def test_codazzi_implies_divergence_free(self):
         # premise residuals ~ 0 must force the direct divergence to ~ 0
         for name in CONSTANT_R:
-            rep = W.weyl_divergence_crosscheck(catalog_metric(name), sample(name, 6))
-            if rep.codazzi_max <= 1e-8 and rep.scalar_gradient_max <= 1e-8:
-                assert rep.direct_max <= 1e-8
+            direct_max, _, codazzi_max, gradient_max = weyl_divergence(name, sample(name, 6))
+            if codazzi_max <= 1e-8 and gradient_max <= 1e-8:
+                assert direct_max <= 1e-8
 
     def test_dust_cosmology_formula_deviates_but_direct_vanishes(self):
         # conformally flat: the direct divergence is exactly zero, while the
         # circulated closed form picks up the non-constant scalar curvature
-        rep = W.weyl_divergence_crosscheck(
-            catalog_metric("flrw_dust"), sample("flrw_dust", 6)
+        direct_max, formula_deviation, codazzi_max, _ = weyl_divergence(
+            "flrw_dust", sample("flrw_dust", 6)
         )
-        assert rep.direct_max <= 1e-9
-        assert rep.formula_deviation > 1e-3
-        assert rep.codazzi_max > 1e-3
+        assert direct_max <= 1e-9
+        assert formula_deviation > 1e-3
+        assert codazzi_max > 1e-3
+
+
+def symmetry(name, count):
+    """(max |∇W*|, quarter-trace outcome) from the registry."""
+    ctx = context(name, sample(name, count))
+    return ctx.check("wstar_parallel").max_residual, ctx.check("quarter_rule")
 
 
 class TestSymmetry:
     def test_minkowski(self):
-        res, quarter = W.wstar_symmetry_residual(
-            catalog_metric("minkowski"), sample("minkowski", 4)
-        )
-        assert res == 0.0 and quarter == 0.0
+        res, quarter = symmetry("minkowski", 4)
+        assert quarter.status == "pass"
+        assert res == 0.0 and quarter.max_residual == 0.0
 
     def test_desitter_is_covariantly_constant(self):
-        res, quarter = W.wstar_symmetry_residual(
-            catalog_metric("desitter_flat"), sample("desitter_flat", 6)
-        )
+        res, quarter = symmetry("desitter_flat", 6)
         assert res <= 1e-8
-        assert quarter <= 1e-8  # constancy forces the quarter-trace rule
+        assert quarter.status == "pass"
+        assert quarter.max_residual <= 1e-8  # constancy forces the quarter-trace rule
 
     def test_dust_cosmology_is_not_symmetric(self):
-        res, _ = W.wstar_symmetry_residual(
-            catalog_metric("flrw_dust"), sample("flrw_dust", 6)
-        )
+        res, _ = symmetry("flrw_dust", 6)
         assert res > 1e-3
 
 
@@ -308,32 +341,35 @@ class TestBianchiType:
         pts = sample("flrw_dust", 6)
         _, r2 = W.wstar_bianchi_residual(catalog_metric("flrw_dust"), pts)
         assert r2 > 1e-3
-        assert W.codazzi_residual(catalog_metric("flrw_dust"), pts) > 1e-3
+        assert residual("flrw_dust", "codazzi", pts) > 1e-3
+
+
+def semisymmetry(name, pts):
+    """([∇,∇] acting on W*, the trace-consistency residual) from the registry."""
+    ctx = context(name, pts)
+    return (ctx.check("wstar_semisymmetric").max_residual,
+            ctx.check("semisymmetry_trace_identity").max_residual)
 
 
 class TestSemisymmetry:
     def test_minkowski(self):
-        ra, rb = W.wstar_semisymmetry_residual(
-            catalog_metric("minkowski"), sample("minkowski", 4)
-        )
+        ra, rb = semisymmetry("minkowski", sample("minkowski", 4))
         assert ra == 0.0 and rb == 0.0
 
     def test_desitter_is_semisymmetric(self):
-        ra, _ = W.wstar_semisymmetry_residual(
-            catalog_metric("desitter_flat"), sample("desitter_flat", 6)
-        )
+        ra, _ = semisymmetry("desitter_flat", sample("desitter_flat", 6))
         assert ra <= 1e-8
 
     def test_generic_metrics_are_not_semisymmetric(self):
         for name in ("schwarzschild", "flrw_dust"):
-            ra, _ = W.wstar_semisymmetry_residual(catalog_metric(name), sample(name, 6))
+            ra, _ = semisymmetry(name, sample(name, 6))
             assert ra > 1e-3
 
     @pytest.mark.parametrize("name", ALL)
     def test_trace_commutator_identity(self, name):
         geo = geo_for(name)
         pts = sample(name, 6)
-        _, rb = W.wstar_semisymmetry_residual(catalog_metric(name), pts)
+        _, rb = semisymmetry(name, pts)
         vals = geo.eval_fields({"ric": geo.ricci, "r13": geo.riemann13}, pts)
         scale = 1 + amax(ricci_commutator(vals["ric"], "ll", vals["r13"]))
         assert rb <= 1e-7 * scale
