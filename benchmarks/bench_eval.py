@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Compare the compiled tape kernel against the pure-numpy fallback.
+"""Time the tape kernel on the W*-bundle tape of each catalog metric.
 
-Both kernels share one signature, so each workload compiles its tape once
-and times the two implementations on identical inputs, checking that the
-outputs agree to the last bit before reporting.  The workload is the full
-modified-curvature bundle (the (0,4) tensor, its (0,2) contraction, and the
-rank-5 covariant derivative) for each catalog metric.
+Each workload compiles one tape for the full modified-curvature bundle (the
+(0,4) tensor, its (0,2) contraction, and the rank-5 covariant derivative) and
+times ``wstar.backend.run_tape`` at ``--points`` and at 32 points.  The
+table also gives the tape's instruction count and the size of its level
+schedule: the number of instruction groups (one ufunc call each per chunk of
+points) and the number of depth levels.
 
 Usage::
 
@@ -19,17 +20,12 @@ import time
 
 import numpy as np
 
-from wstar import _evalcore_py
+from wstar import backend
 from wstar import wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.geometry import workspace
 from wstar.sampling import DET_FLOOR, sample_points
 from wstar.tape import compile_tape
-
-try:
-    from wstar import _evalcore
-except ImportError:
-    _evalcore = None
 
 
 def workload(name: str):
@@ -44,15 +40,11 @@ def workload(name: str):
     return m, geo, tape
 
 
-def run(kernel, tape, pts, pvec):
-    return kernel(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
-
-
-def best_of(kernel, tape, pts, pvec, repeat: int) -> float:
+def best_of(tape, pts, pvec, repeat: int) -> float:
     timings = []
     for _ in range(repeat):
         start = time.perf_counter()
-        run(kernel, tape, pts, pvec)
+        backend.run_tape(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
         timings.append(time.perf_counter() - start)
     return min(timings)
 
@@ -66,15 +58,13 @@ def main() -> int:
                         help="benchmark one metric instead of the whole catalog")
     args = parser.parse_args()
 
-    if _evalcore is None:
-        print("compiled extension not built; only the python kernel is available")
-
     names = (args.metric,) if args.metric else CATALOG_NAMES
+    wide = f"{args.points} pts"
     header = (
-        f"{'metric':<16} {'instructions':>12} {'python':>12} "
-        f"{'compiled':>12} {'speedup':>8}"
+        f"{'metric':<16} {'instructions':>12} {'groups':>7} {'depth':>6} "
+        f"{'32 pts':>10} {wide:>10}"
     )
-    print(f"points = {args.points}, repeat = {args.repeat} (best-of)")
+    print(f"kernel = {backend.BACKEND}, repeat = {args.repeat} (best-of)")
     print(header)
     print("-" * len(header))
     for name in names:
@@ -83,30 +73,13 @@ def main() -> int:
         pts = sample_points(m.domain, args.points, args.seed, reject=reject)
         pts = np.ascontiguousarray(pts)
         pvec = tape.param_vector(dict(m.params))
-
-        t_py = best_of(_evalcore_py.run_tape, tape, pts, pvec, args.repeat)
-        if _evalcore is not None:
-            vals_c, err_c = run(_evalcore.run_tape, tape, pts, pvec)
-            vals_p, err_p = run(_evalcore_py.run_tape, tape, pts, pvec)
-            ok = err_p == -1
-            # the kernels round differently at the ulp level (fused multiply-
-            # add, vectorized libm), which cancellation can amplify to about
-            # 1e-13 absolute in near-zero outputs; compare against the scale
-            # of the workload, not elementwise
-            scale = 1.0 + float(np.max(np.abs(vals_p[ok])))
-            gap = float(np.max(np.abs(vals_c[ok] - vals_p[ok])))
-            if not np.array_equal(err_c, err_p) or gap > 1e-12 * scale:
-                raise SystemExit(
-                    f"{name}: kernel outputs disagree (gap {gap:.3e})"
-                )
-            t_c = best_of(_evalcore.run_tape, tape, pts, pvec, args.repeat)
-            ratio = f"{t_py / t_c:7.1f}x"
-            c_col = f"{t_c * 1e3:10.2f}ms"
-        else:
-            ratio, c_col = "      - ", "         - "
+        _, groups = backend.schedule(tape.code, tape.a, tape.b, tape.cval)
+        depth = int(backend.levels(tape.code, tape.a, tape.b).max(initial=-1)) + 1
+        t_narrow = best_of(tape, pts[:32], pvec, args.repeat)
+        t_wide = best_of(tape, pts, pvec, args.repeat)
         print(
-            f"{name:<16} {tape.n_instructions:>12} {t_py * 1e3:>10.2f}ms "
-            f"{c_col} {ratio}"
+            f"{name:<16} {tape.n_instructions:>12} {len(groups):>7} {depth:>6} "
+            f"{t_narrow * 1e3:>8.1f}ms {t_wide * 1e3:>8.1f}ms"
         )
     return 0
 

@@ -403,19 +403,16 @@ def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:
             "modified curvature is not covariantly constant "
             f"(residual {rep.symmetry_residual:.3e}); " + note
         )
-    tol = ctx.tol(1.0 + rep.trace_max)
-    status = "pass" if rep.nabla_t_max <= tol else "fail"
-    return CheckOutcome(status, rep.nabla_t_max, tol, None, note)
+    status = "pass" if rep.conclusion == "holds" else "fail"
+    return CheckOutcome(status, rep.nabla_t_max, ctx.tol(1.0 + rep.trace_max), None, note)
 
 
 def _check_dust_vacuum(ctx: CheckContext) -> CheckOutcome:
     rep = dust_vacuum(ctx)
     if rep.status == "not-applicable":
         return ctx.na(rep.detail)
-    residual = rep.mu_max if rep.mu_max is not None else 0.0
-    tol = ctx.tol(1.0)
-    status = "pass" if residual <= tol else "fail"
-    return CheckOutcome(status, residual, tol, None, rep.detail)
+    status = "pass" if rep.status == "holds" else "fail"
+    return CheckOutcome(status, rep.mu_max, ctx.tol(1.0), None, rep.detail)
 
 
 # --- theorem-consistency pairings ---------------------------------------------
@@ -521,7 +518,7 @@ class EMDistributionReport:
     conclusion: str
 
 
-def em_distribution(ctx: CheckContext, tol: float = 1e-8) -> EMDistributionReport:
+def em_distribution(ctx: CheckContext) -> EMDistributionReport:
     """Diagnostics for the reduced field equation R_{ij} = k T_{ij}.
 
     Under that reduction the trace gives R = +k T literally; the sign-reversed
@@ -529,24 +526,24 @@ def em_distribution(ctx: CheckContext, tol: float = 1e-8) -> EMDistributionRepor
     trace-free conclusion R = 0 is the same under both).  When the modified
     curvature is covariantly constant the reduced T must be parallel as well;
     the report says whether that conclusion holds, is violated, or does not
-    apply.
+    apply.  The premise is the run's ``wstar_parallel`` outcome.
     """
 
     k, scal = ctx.cfg.k, ctx.get("R")
     t_trace = scal / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
+    trace_max = _amax(t_trace)
     nabla_t = ctx.amax("nric") / abs(k)
-    sym_res = ctx.check("wstar_parallel").max_residual
-    sym_scale = 1.0 + ctx.amax("ric")
-    if sym_res <= tol * sym_scale:
-        conclusion = "holds" if nabla_t <= tol * sym_scale else "violated"
+    parallel = ctx.check("wstar_parallel")
+    if parallel.status == "pass":
+        conclusion = "holds" if nabla_t <= ctx.tol(1.0 + trace_max) else "violated"
     else:
         conclusion = "not-applicable"
     return EMDistributionReport(
-        trace_max=_amax(t_trace),
+        trace_max=trace_max,
         scalar_max=_amax(scal),
         literal_sign_residual=_amax(scal - k * t_trace),
         reversed_sign_residual=_amax(scal + k * t_trace),
-        symmetry_residual=sym_res,
+        symmetry_residual=parallel.max_residual,
         nabla_t_max=nabla_t,
         conclusion=conclusion,
     )
@@ -665,7 +662,7 @@ class DustVacuumReport:
     detail: str
 
 
-def dust_vacuum(ctx: CheckContext, tol: float = 1e-6) -> DustVacuumReport:
+def dust_vacuum(ctx: CheckContext) -> DustVacuumReport:
     """Pressureless fluid + vanishing modified curvature must mean vacuum."""
 
     rep = fluid_relations(ctx)
@@ -677,7 +674,7 @@ def dust_vacuum(ctx: CheckContext, tol: float = 1e-6) -> DustVacuumReport:
     ok = ~np.isnan(rep.mu)
     mu_max = _amax(rep.mu[ok])
     p_max = _amax(rep.p[ok])
-    dust = p_max <= tol * (1.0 + mu_max)
+    dust = p_max <= ctx.tol(1.0 + mu_max)
     if not dust or not rep.wstar_flat:
         why = []
         if not dust:
@@ -687,7 +684,7 @@ def dust_vacuum(ctx: CheckContext, tol: float = 1e-6) -> DustVacuumReport:
         return DustVacuumReport(
             "not-applicable", dust, rep.wstar_flat, p_max, mu_max, "; ".join(why)
         )
-    vacuum = mu_max <= tol
+    vacuum = mu_max <= ctx.tol(1.0)
     return DustVacuumReport(
         "holds" if vacuum else "violated",
         True,

@@ -12,7 +12,8 @@ With these choices a round sphere has positive scalar curvature and the
 de Sitter family satisfies R_{ijkl} = H²(g_{ik}g_{jl} − g_{il}g_{jk}).
 Covariant derivatives append one trailing lower index.  All component
 expressions are simplified as they are built and evaluation at sample points
-runs through compiled tapes (see :mod:`wstar.tape`/ :mod:`wstar.backend`).
+runs through compiled tapes and the one numpy tape kernel (see
+:mod:`wstar.tape` / :mod:`wstar.backend`).
 """
 
 from __future__ import annotations

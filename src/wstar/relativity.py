@@ -83,10 +83,10 @@ def is_einstein(m: MetricSpec, points, tol: float = 1e-8) -> EinsteinCheck:
 
 
 def em_distribution_check(
-    m: MetricSpec, cfg: FieldEquationConfig, points, tol: float = 1e-8
+    m: MetricSpec, cfg: FieldEquationConfig, points
 ) -> EMDistributionReport:
     """:func:`wstar.checks.em_distribution` at the points."""
-    return em_distribution(CheckContext(m, points, cfg), tol)
+    return em_distribution(CheckContext(m, points, cfg))
 
 
 def ricci_recurrence_fit(m: MetricSpec, points, fd_step: float = 1e-4) -> RecurrenceFit:
@@ -102,10 +102,10 @@ def fluid_relation_checks(
 
 
 def dust_vacuum_check(
-    m: MetricSpec, cfg: FieldEquationConfig, points, tol: float = 1e-6
+    m: MetricSpec, cfg: FieldEquationConfig, points
 ) -> DustVacuumReport:
     """:func:`wstar.checks.dust_vacuum` at the points."""
-    return dust_vacuum(CheckContext(m, points, cfg), tol)
+    return dust_vacuum(CheckContext(m, points, cfg))
 
 
 def classify(

@@ -6,12 +6,11 @@ for leaf opcodes).  Shared subexpressions across all compiled components are
 emitted once (the interning layer makes sharing visible by object identity),
 so one tape evaluates a whole tensor field per point.
 
-Execution is delegated to a kernel selected in :mod:`wstar.backend`: a
-compiled extension when available, otherwise a vectorized numpy fallback.
-Both kernels flag the first instruction per point whose result is not finite
-(division by zero, log of a non-positive number, fractional power of a
-negative base, overflow, ...) instead of raising, so a bad sample point does
-not abort a batch.
+Execution is delegated to the level-scheduled numpy kernel in
+:mod:`wstar.backend`.  It flags the first instruction per point whose result
+is not finite (division by zero, log of a non-positive number, fractional
+power of a negative base, overflow, ...) instead of raising, so a bad sample
+point does not abort a batch.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .exprlib import Expr, _postorder, to_text
 
 __all__ = ["Tape", "compile_tape", "TapeEvalError"]
 
-# opcode table (kernels mirror these values as literals)
+# opcode table
 OP_CONST = 0
 OP_COORD = 1
 OP_PARAM = 2

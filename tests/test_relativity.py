@@ -7,12 +7,16 @@ eigen-decomposition, least-squares normal equations for the recurrence fit,
 and closed-form Lie derivatives for the conformal/inheritance factors.
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wstar import cli
 from wstar.catalog import builtin_vector_fields, catalog_metric
+from wstar.checks import CheckContext, dust_vacuum, em_distribution
 from wstar.exprlib import coord, const, neg
 from wstar.geometry import VectorFieldSpec, workspace
 from wstar.sampling import DET_FLOOR, sample_points
@@ -214,6 +218,37 @@ class TestEMDistribution:
         rep = rel.em_distribution_check(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 6))
         assert rep.conclusion == "not-applicable"
         assert rep.symmetry_residual > 1e-3
+
+
+class TestRunTolerances:
+    """The em_distribution and dust_vacuum premises follow the run's atol/rtol.
+
+    With atol = 10 the dust cosmology counts as having parallel and vanishing
+    modified curvature, so both premises hold and the conclusions are scored.
+    """
+
+    def test_cli_outcomes_follow_wstar_parallel(self, capsys):
+        code = cli.main(["check", "--metric", "flrw_dust", "--points", "8",
+                         "--atol", "10", "--checks",
+                         "wstar_parallel,em_distribution,dust_vacuum",
+                         "--no-timestamp"])
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert code == cli.EXIT_OK
+        assert checks["wstar_parallel"]["status"] == "pass"
+        em = checks["em_distribution"]
+        assert em["status"] == "pass"
+        assert em["max_residual"] == pytest.approx(4.41, abs=0.01)
+        assert checks["dust_vacuum"]["status"] == "pass"
+
+    def test_reports_agree_with_the_checks(self):
+        ctx = CheckContext(catalog_metric("flrw_dust"), sample("flrw_dust", 8), CFG,
+                           atol=10.0)
+        em = em_distribution(ctx)
+        assert em.conclusion == "holds"
+        assert em.symmetry_residual == ctx.check("wstar_parallel").max_residual
+        dv = dust_vacuum(ctx)
+        assert dv.status == "holds" and dv.dust and dv.wstar_flat
+        assert ctx.check("dust_vacuum").status == "pass"
 
 
 class TestRecurrence:
