@@ -23,8 +23,8 @@ import numpy as np
 from wstar import backend
 from wstar import wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.cli import sample_for
 from wstar.geometry import workspace
-from wstar.sampling import DET_FLOOR, sample_points
 from wstar.tape import compile_tape
 
 
@@ -69,9 +69,7 @@ def main() -> int:
     print("-" * len(header))
     for name in names:
         m, geo, tape = workload(name)
-        reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-        pts = sample_points(m.domain, args.points, args.seed, reject=reject)
-        pts = np.ascontiguousarray(pts)
+        pts = np.ascontiguousarray(sample_for(geo, args.points, args.seed))
         pvec = tape.param_vector(dict(m.params))
         _, groups = backend.schedule(tape.code, tape.a, tape.b, tape.cval)
         depth = int(backend.levels(tape.code, tape.a, tape.b).max(initial=-1)) + 1

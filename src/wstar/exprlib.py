@@ -21,12 +21,19 @@ Precedence: '^' binds tighter than unary minus, which binds tighter than
 '*'/'/', which bind tighter than '+'/'-'.  Exponents are numeric literals;
 rational literals ``a/b`` are recognized in exponent position only (elsewhere
 ``/`` is division, and exact constant folding preserves the rational value).
+
+Nodes are hash-consed into a weak table, so equal subexpressions share one
+object (and one tape instruction), and each node keeps its own
+:func:`simplify` and :func:`differentiate` results: a node and its memos live
+as long as their last user (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006).  Nothing needs clearing.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -61,7 +68,6 @@ __all__ = [
     "to_text",
     "render",
     "node_count",
-    "clear_caches",
 ]
 
 UNARY_FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "sqrt", "sinh", "cosh")
@@ -94,6 +100,9 @@ class EvalDomainError(ExprError):
         super().__init__(f"{message} in '{to_text(expr, max_len=80)}' at {point}")
 
 
+_set = object.__setattr__  # writes past Expr's immutability guard
+
+
 class Expr:
     """Immutable expression node.
 
@@ -102,14 +111,20 @@ class Expr:
     or ``pow`` (child base, constant exponent in ``data``).
     ``data`` holds the constant value (Fraction or float), coordinate index,
     parameter name, or power exponent.
+
+    Private slots memoize :func:`simplify` (``_simplified``) and
+    :func:`differentiate` (``_derivatives``, coordinate index -> result).  A
+    node built with ``Expr(...)`` directly is neither interned nor memoized.
     """
 
-    __slots__ = ("kind", "args", "data")
+    __slots__ = ("kind", "args", "data", "_simplified", "_derivatives", "__weakref__")
 
     def __init__(self, kind: str, args: tuple = (), data=None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "data", data)
+        _set(self, "kind", kind)
+        _set(self, "args", args)
+        _set(self, "data", data)
+        _set(self, "_simplified", None)
+        _set(self, "_derivatives", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr is immutable")
@@ -156,23 +171,17 @@ class Point:
 
 # --- interning constructors ---------------------------------------------------
 
-_intern: dict = {}
-
-
-def _data_key(data):
-    if isinstance(data, Fraction):
-        return ("Q", data.numerator, data.denominator)
-    if isinstance(data, float):
-        return ("F", data)
-    return data
+# (kind, data type, data, child ids) -> live node; the type keeps 1/2 and 0.5
+# apart, a child id stays valid while its parent is alive, and an entry goes
+# when its node does
+_intern = weakref.WeakValueDictionary()
 
 
 def _mk(kind: str, args: tuple = (), data=None) -> Expr:
-    key = (kind, _data_key(data), tuple(id(a) for a in args))
+    key = (kind, type(data), data, tuple(id(a) for a in args))
     node = _intern.get(key)
     if node is None:
-        node = Expr(kind, args, data)
-        _intern[key] = node
+        node = _intern[key] = Expr(kind, args, data)
     return node
 
 
@@ -370,8 +379,6 @@ def evaluate(e: Expr, point: Point) -> float:
 
 # --- differentiation ----------------------------------------------------------
 
-_dcache: dict = {}
-
 
 def differentiate(e: Expr, index: int) -> Expr:
     """Partial derivative with respect to the coordinate at ``index`` (simplified)."""
@@ -381,9 +388,9 @@ def differentiate(e: Expr, index: int) -> Expr:
     while stack:
         node, ready = stack.pop()
         if not ready:
-            hit = _dcache.get((id(node), index))
-            if hit is not None:
-                d[id(node)] = hit[1]
+            memo = node._derivatives
+            if memo is not None and index in memo:
+                d[id(node)] = memo[index]
                 continue
             if id(node) in seen:
                 continue
@@ -433,22 +440,14 @@ def differentiate(e: Expr, index: int) -> Expr:
                 else:  # div
                     res = div(sub(mul(da, b), mul(a, db)), power(b, 2))
         res = simplify(res)
-        _dcache[(id(node), index)] = (node, res)
+        if node._derivatives is None:
+            _set(node, "_derivatives", {})
+        node._derivatives[index] = res
         d[id(node)] = res
     return d[id(e)]
 
 
 # --- simplification -----------------------------------------------------------
-
-_scache: dict = {}
-
-
-def _is_const(e: Expr) -> bool:
-    return e.kind == "const"
-
-
-def _const_value(e: Expr):
-    return e.data
 
 
 def _fold_function(tag: str, v):
@@ -512,16 +511,16 @@ def _simplify_node(kind: str, args: tuple, data) -> Expr:
 
     if kind == "neg":
         (a,) = args
-        if _is_const(a):
-            return const(-_const_value(a))
+        if a.kind == "const":
+            return const(-a.data)
         if a.kind == "neg":
             return a.args[0]
         return neg(a)
 
     if kind in _MATH_FN:
         (a,) = args
-        if _is_const(a):
-            folded = _fold_function(kind, _const_value(a))
+        if a.kind == "const":
+            folded = _fold_function(kind, a.data)
             if folded is not None:
                 return const(folded)
         return _mk(kind, (a,))
@@ -532,15 +531,15 @@ def _simplify_node(kind: str, args: tuple, data) -> Expr:
             return a
         if data == 0:
             return const(_ONE)
-        if _is_const(a):
-            folded = _fold_pow(_const_value(a), data)
+        if a.kind == "const":
+            folded = _fold_pow(a.data, data)
             if folded is not None:
                 return const(folded)
         return _mk("pow", (a,), data)
 
     a, b = args
-    ca = _const_value(a) if _is_const(a) else None
-    cb = _const_value(b) if _is_const(b) else None
+    ca = a.data if a.kind == "const" else None
+    cb = b.data if b.kind == "const" else None
 
     if kind == "add":
         if ca is not None and cb is not None:
@@ -603,9 +602,9 @@ def simplify(e: Expr) -> Expr:
     while stack:
         node, ready = stack.pop()
         if not ready:
-            hit = _scache.get(id(node))
+            hit = node._simplified
             if hit is not None:
-                out[id(node)] = hit[1]
+                out[id(node)] = hit
                 continue
             if id(node) in seen:
                 continue
@@ -616,18 +615,11 @@ def simplify(e: Expr) -> Expr:
             continue
         new_args = tuple(out[id(c)] for c in node.args)
         res = _simplify_node(node.kind, new_args, node.data)
-        _scache[id(node)] = (node, res)
-        if id(res) not in _scache:
-            _scache[id(res)] = (res, res)  # simplified forms are fixed points
+        _set(node, "_simplified", res)
+        if res._simplified is None:
+            _set(res, "_simplified", res)  # simplified forms are fixed points
         out[id(node)] = res
     return out[id(e)]
-
-
-def clear_caches() -> None:
-    """Drop interning and memo tables (mainly for benchmarks)."""
-    _intern.clear()
-    _dcache.clear()
-    _scache.clear()
 
 
 # --- printing -----------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -81,6 +82,11 @@ class MetricSpec:
     @property
     def dim(self) -> int:
         return len(self.coords)
+
+    @cached_property
+    def geometry(self) -> "Geometry":
+        """This metric's workspace, built on first use (see :func:`workspace`)."""
+        return Geometry(self)
 
     def __post_init__(self):
         n = self.dim
@@ -207,7 +213,7 @@ class Geometry:
         if self.dim > 5:
             raise ValueError("symbolic inverse supported for dim <= 5 only")
         self._cache: dict = {}
-        self._tapes: dict = {}
+        self._tapes: dict = {}  # tuple of TensorField (identity-hashed) -> Tape
 
     # --- generic caching -----------------------------------------------------
 
@@ -592,18 +598,21 @@ class Geometry:
 
     # --- numeric evaluation ---------------------------------------------------
 
+    def _compile(self, exprs) -> Tape:
+        return compile_tape(exprs, self.dim, tuple(sorted(self.metric.params)))
+
     def _tape_for(self, fields: Sequence[TensorField]) -> Tape:
-        key = tuple(id(f) for f in fields)
-        hit = self._tapes.get(key)
-        if hit is None:
-            exprs = []
-            for f in fields:
-                exprs.extend(f.expressions())
-            tape = compile_tape(exprs, self.dim, tuple(sorted(self.metric.params)))
-            self._tapes[key] = (tape, tuple(fields))  # keep refs so ids stay valid
-        else:
-            tape = hit[0]
+        key = tuple(fields)
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = self._compile(
+                [e for f in fields for e in f.expressions()]
+            )
         return tape
+
+    @cached_property
+    def _det_tape(self) -> Tape:
+        return self._compile([self.det])
 
     def eval_fields(self, fields: Mapping[str, TensorField], points, params=None):
         """Evaluate several fields on shared points with one tape.
@@ -634,14 +643,8 @@ class Geometry:
     def det_values(self, points, params=None) -> np.ndarray:
         """|det g| at points with failures mapped to 0 (for rejection sampling)."""
         params = dict(self.metric.params) if params is None else params
-        hit = self._tapes.get("det")
-        if hit is None:
-            tape = compile_tape([self.det], self.dim, tuple(sorted(self.metric.params)))
-            self._tapes["det"] = (tape, ())
-        else:
-            tape = hit[0]
         pts = np.asarray(points, dtype=np.float64)
-        vals, err = tape.evaluate(pts, params)
+        vals, err = self._det_tape.evaluate(pts, params)
         out = np.abs(vals[:, 0])
         out[err >= 0] = 0.0
         return out
@@ -669,13 +672,9 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
     return out
 
 
-_workspaces: dict = {}
-
-
 def workspace(metric: MetricSpec) -> Geometry:
-    """Shared Geometry instance per MetricSpec object."""
-    geo = _workspaces.get(id(metric))
-    if geo is None or geo.metric is not metric:
-        geo = Geometry(metric)
-        _workspaces[id(metric)] = geo
-    return geo
+    """The Geometry cached on this MetricSpec object: the workspace, with its
+    symbolic fields, tapes and expression nodes, lives as long as the metric
+    does, and nothing needs clearing.
+    """
+    return metric.geometry

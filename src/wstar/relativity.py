@@ -37,6 +37,7 @@ from .checks import (
     fluid_relations,
     recurrence_fit,
 )
+from .exprlib import to_text
 from .geometry import Geometry, MetricSpec, TensorField, VectorFieldSpec, workspace
 from .matter import (
     FieldEquationConfig,
@@ -143,8 +144,13 @@ class ConformalFit:
     residual: float
 
 
+def _vector_key(xi: VectorFieldSpec) -> str:
+    # the exact component text: a truncated repr lets two fields share a key
+    return f"{xi.name}:" + ", ".join(to_text(c) for c in xi.components)
+
+
 def _lie_metric(geo: Geometry, xi: VectorFieldSpec) -> TensorField:
-    key = f"lie_metric[{xi.name}:{xi.components!r}]"
+    key = f"lie_metric[{_vector_key(xi)}]"
     return geo.cached(key, lambda: geo.lie_derivative_metric(xi))
 
 
@@ -189,7 +195,7 @@ def matter_inheritance_check(
     geo = workspace(m)
     conf = conformal_fit(xi, m, points)
     t_field = energy_momentum(m, cfg)
-    key = f"lie_T[{xi.name}:{xi.components!r},k={cfg.k!r},lam={cfg.lam!r}]"
+    key = f"lie_T[{_vector_key(xi)},k={cfg.k!r},lam={cfg.lam!r}]"
     lie_t = geo.cached(key, lambda: geo.lie_derivative_sym2(xi, t_field))
     vals = geo.eval_fields({"t": t_field, "LT": lie_t, "g": geo.g}, points)
     t_sq = np.einsum("pij,pij->p", vals["t"], vals["t"])

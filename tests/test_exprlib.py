@@ -5,7 +5,9 @@ a plain recursive evaluator (`oracle_eval`) and a central finite-difference
 derivative (`fd_derivative`).
 """
 
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from wstar import exprlib as ex
 from wstar.exprlib import (
     EvalDomainError,
+    Expr,
     ParseError,
     Point,
     add,
@@ -41,6 +44,11 @@ from wstar.exprlib import (
 
 COORDS = ("t", "x", "y", "z")
 PARAMS = ("M", "H")
+
+
+def unshared(e):
+    """A tree copy of ``e`` made of new nodes: not interned, nothing memoized."""
+    return Expr(e.kind, tuple(unshared(c) for c in e.args), e.data)
 
 
 # --- independent oracles ------------------------------------------------------
@@ -532,8 +540,7 @@ class TestProperties:
     @settings(max_examples=150, deadline=None)
     def test_simplify_idempotent(self, e):
         s1 = simplify(e)
-        ex.clear_caches()
-        s2 = simplify(s1)
+        s2 = simplify(unshared(s1))  # a fresh copy: simplify cannot hit a memo
         assert s2 == s1
 
     @given(e=expressions())
@@ -577,10 +584,30 @@ class TestStructure:
 
     def test_structural_equality_across_caches(self):
         a = parse("t^2 + x", COORDS)
-        ex.clear_caches()
-        b = parse("t^2 + x", COORDS)
+        b = unshared(a)
+        assert b is not a and b.args[0] is not a.args[0]
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_memos_are_kept_on_the_node(self):
+        e = parse("sin(t) * x", COORDS)
+        assert differentiate(e, 0) is differentiate(e, 0)
+        s = simplify(e)
+        assert e._simplified is s and s._simplified is s
+        assert e._derivatives[0] is differentiate(e, 0)
+
+    def test_unused_nodes_leave_the_intern_table(self):
+        e = parse("sin(t + 0.123456789) * x^3", COORDS)
+        differentiate(simplify(e), 1)
+        ref = weakref.ref(e)
+        size = len(ex._intern)
+        del e
+        gc.collect()
+        assert ref() is None
+        assert len(ex._intern) < size
+        # a rebuilt node is a new one, equal to the one that died
+        again = parse("sin(t + 0.123456789) * x^3", COORDS)
+        assert again._simplified is None and again._derivatives is None
 
     def test_exact_and_float_constants_differ(self):
         assert const(Fraction(1, 2)) != const(0.5)

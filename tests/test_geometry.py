@@ -7,9 +7,14 @@ and determinant.  Closed-form reference values (Schwarzschild connection
 components, de Sitter and dust-cosmology curvature) are frozen inline.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from wstar import exprlib
 from wstar.catalog import builtin_vector_fields, catalog_metric
 from wstar.exprlib import const, coord
 from wstar.geometry import (
@@ -20,7 +25,9 @@ from wstar.geometry import (
     ricci_commutator,
     workspace,
 )
-from wstar.sampling import DET_FLOOR, sample_points
+from wstar.cli import sample_for
+from wstar.metricfile import parse_metric_text
+from wstar.sampling import DET_FLOOR
 
 
 def geo_for(name: str) -> Geometry:
@@ -28,8 +35,7 @@ def geo_for(name: str) -> Geometry:
 
 
 def sample(geo: Geometry, count: int = 6, seed: int = 42) -> np.ndarray:
-    reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-    return sample_points(geo.metric.domain, count, seed, reject=reject)
+    return sample_for(geo, count, seed)
 
 
 def amax(a) -> float:
@@ -534,11 +540,11 @@ class TestEvaluation:
         assert vals[1] == 0.0
 
     def test_sampling_rejects_failing_points(self):
-        geo = geo_for("schwarzschild")
-        bounds = list(geo.metric.domain)
+        m = catalog_metric("schwarzschild")
+        bounds = list(m.domain)
         bounds[1] = (1.9, 2.1)  # straddles the horizon; most draws still fine
-        reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-        pts = sample_points(bounds, 10, seed=1, reject=reject)
+        geo = workspace(dataclasses.replace(m, domain=tuple(bounds)))
+        pts = sample_for(geo, 10, seed=1)
         assert np.all(geo.det_values(pts) > DET_FLOOR)
 
     def test_workspace_is_cached_per_spec(self):
@@ -548,3 +554,43 @@ class TestEvaluation:
     def test_unknown_field_name(self):
         with pytest.raises(KeyError, match="unknown field"):
             geo_for("minkowski").field("torsion")
+
+
+class TestLifetime:
+    """A workspace and its expression nodes live as long as their metric."""
+
+    @staticmethod
+    def generated_metric(k: int) -> MetricSpec:
+        a, b = 0.01 * (k + 1), 0.003 * (k + 2)
+        text = "\n".join([
+            "dim = 4",
+            "coords = t, x, y, z",
+            *(f"domain {c} = -0.5 .. 0.5" for c in "txyz"),
+            f"g[0][0] = -1 + {a}*x^2",
+            f"g[0][1] = {b}*y*z",
+            f"g[1][1] = exp({b}*t)",
+            f"g[2][2] = 1 + {a}*t*z",
+            f"g[3][3] = 1 + {b}*sin(x)",
+        ])
+        return parse_metric_text(text, f"generated{k}")
+
+    def test_intern_table_does_not_grow_with_the_number_of_metrics(self):
+        sizes = []
+        for k in range(4):
+            geo = workspace(self.generated_metric(k))
+            geo.eval_fields({"weyl": geo.weyl, "nric": geo.nabla_ricci}, sample(geo, 4))
+            del geo
+            # the collector does not see into numpy object arrays, so nodes
+            # that memoize themselves go one collection after their fields
+            gc.collect()
+            gc.collect()
+            sizes.append(len(exprlib._intern))
+        assert max(sizes[1:]) <= sizes[0], sizes
+
+    def test_workspace_dies_with_its_metric(self):
+        m = self.generated_metric(0)
+        ref = weakref.ref(workspace(m))
+        assert workspace(m) is ref()
+        del m
+        gc.collect()
+        assert ref() is None

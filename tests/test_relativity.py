@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 from wstar import cli
 from wstar.catalog import builtin_vector_fields, catalog_metric
 from wstar.checks import CheckContext, dust_vacuum, em_distribution
-from wstar.exprlib import coord, const, neg
+from wstar.exprlib import coord, const, neg, parse
 from wstar.geometry import VectorFieldSpec, workspace
-from wstar.sampling import DET_FLOOR, sample_points
 from wstar import relativity as rel
 
 ALL = ("minkowski", "schwarzschild", "desitter_flat", "flrw_dust", "perturbed_flat")
@@ -34,9 +33,7 @@ def geo_for(name):
 
 
 def sample(name, count=8, seed=42):
-    geo = geo_for(name)
-    reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-    return sample_points(geo.metric.domain, count, seed, reject=reject)
+    return cli.sample_for(geo_for(name), count, seed)
 
 
 def amax(a) -> float:
@@ -392,6 +389,22 @@ class TestConformal:
         )
         assert amax(fit.phi - 0.75) <= 1e-10
         assert fit.residual == pytest.approx(1.5, abs=1e-8)
+
+    def test_fields_with_a_long_shared_prefix_get_their_own_lie_derivative(self):
+        # the components agree in their first few hundred characters, so a
+        # cache key built from truncated text would hand b the field of a
+        m = catalog_metric("minkowski")
+        geo = workspace(m)
+        prefix = " + ".join(["x*y*z"] * 30)
+        zero = const(0)
+        a = VectorFieldSpec("xi", (zero, zero, zero, parse(prefix + " + t", m.coords)))
+        b = VectorFieldSpec("xi", (zero, zero, zero, parse(prefix + " + x", m.coords)))
+        pts = sample("minkowski", 4)
+        for xi, t_z in ((a, 1.0), (b, 0.0)):  # (L g)_{tz} = d_t xi^z
+            cached = geo.eval_field(rel._lie_metric(geo, xi), pts)
+            direct = geo.eval_field(geo.lie_derivative_metric(xi), pts)
+            np.testing.assert_array_equal(cached, direct)
+            assert np.all(cached[:, 0, 3] == t_z)
 
 
 class TestInheritance:

@@ -16,10 +16,9 @@ import pytest
 
 from wstar.catalog import catalog_metric
 from wstar.checks import CheckContext
-from wstar.cli import _field_for
+from wstar.cli import _field_for, sample_for
 from wstar.geometry import ricci_commutator, workspace
 from wstar.matter import FieldEquationConfig
-from wstar.sampling import DET_FLOOR, sample_points
 from wstar import wstar as W
 
 ALL = ("minkowski", "schwarzschild", "desitter_flat", "flrw_dust", "perturbed_flat")
@@ -31,9 +30,7 @@ def geo_for(name):
 
 
 def sample(name, count=8, seed=42):
-    geo = geo_for(name)
-    reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-    return sample_points(geo.metric.domain, count, seed, reject=reject)
+    return sample_for(geo_for(name), count, seed)
 
 
 def amax(a) -> float:
