@@ -5,15 +5,21 @@ Exit codes: 0 all requested checks passed (or output-only commands succeeded),
 error (bad point, singular metric, arithmetic failure).  Reports are
 deterministic for a fixed (metric, seed, points, tolerances) tuple; pass
 ``--no-timestamp`` to make JSON output byte-identical across runs.
+
+``main(argv)`` is the library entry: it returns the exit code and leaves the
+process as it found it.  ``console_entry()`` is the process entry behind the
+``wstar`` script and ``python -m wstar.cli``.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -25,7 +31,8 @@ from .report import CheckReport, RunReport, render_json, render_table, utc_stamp
 from .sampling import DET_FLOOR, SamplingError, sample_points
 from .tape import TapeEvalError
 
-__all__ = ["RunConfig", "load_metric", "run_checks", "compute_at", "main"]
+__all__ = ["RunConfig", "load_metric", "run_checks", "compute_at", "main",
+           "console_entry"]
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -416,5 +423,24 @@ def main(argv=None) -> int:
         return EXIT_EVAL
 
 
-if __name__ == "__main__":  # pragma: no cover - exercised via the console script
-    sys.exit(main())
+def console_entry() -> NoReturn:
+    """Run one command as the whole process, and end the process with it.
+
+    The expression graph a command builds lives until the command is done,
+    so the cyclic collector is paused: its passes would only walk the graph
+    again.  After ``main()`` returns, the process ends with ``os._exit``,
+    which skips the interpreter's teardown of that graph; the operating
+    system frees it at once.  The standard streams are flushed first, and a
+    flush that fails raises as usual, so output that could not be written
+    never exits 0.  An exception or ``SystemExit`` out of ``main()`` takes
+    the usual interpreter exit.
+    """
+    gc.disable()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":  # pragma: no cover - exercised in subprocess tests
+    console_entry()

@@ -19,6 +19,7 @@ numbers).
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 
@@ -41,9 +42,12 @@ class MetricFileError(Exception):
 
 def _float(text: str, lineno: int, what: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise MetricFileError(f"{what} is not a number: {text!r}", lineno) from None
+    if not math.isfinite(value):
+        raise MetricFileError(f"{what} must be finite, got {text!r}", lineno)
+    return value
 
 
 def parse_metric_text(text: str, name: str) -> MetricSpec:

@@ -1,6 +1,11 @@
 """Command-line interface: config validation, check runs, output formats."""
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,3 +484,52 @@ class TestMainEndToEnd:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+class TestProcessEntry:
+    """``python -m wstar.cli`` runs ``console_entry``: same bytes as ``main``."""
+
+    @staticmethod
+    def spawn(args, **kw):
+        env = dict(os.environ)
+        # block-buffered stdout, so a missing flush before os._exit loses output
+        env.pop("PYTHONUNBUFFERED", None)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.Popen([sys.executable, "-m", "wstar.cli", *args],
+                                env=env, stderr=subprocess.DEVNULL, **kw)
+
+    CASES = {
+        EXIT_OK: ["check", "--metric", "minkowski", "--points", "4",
+                  "--no-timestamp"],
+        EXIT_CHECK_FAILED: ["check", "--metric", "flrw_dust", "--points", "4",
+                            "--no-timestamp"],
+        EXIT_USAGE: ["check", "--metric", "nope"],
+        EXIT_EVAL: ["compute", "--metric", "schwarzschild", "--tensor",
+                    "ricci", "--at", "t=1,r=1,theta=1.2,phi=0.5"],
+    }
+
+    def test_same_stdout_and_exit_code_as_main(self, capsys):
+        # all processes start first, so they overlap the in-process runs
+        procs = {code: self.spawn(args, stdout=subprocess.PIPE)
+                 for code, args in self.CASES.items()}
+        try:
+            for code, args in self.CASES.items():
+                collecting = gc.isenabled()
+                assert main(args) == code
+                assert gc.isenabled() == collecting
+                out = capsys.readouterr().out
+                stdout, _ = procs[code].communicate(timeout=120)
+                assert procs[code].returncode == code
+                assert stdout == out.encode()
+        finally:
+            for proc in procs.values():
+                proc.kill()
+                proc.communicate()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_is_a_nonzero_exit(self):
+        with open("/dev/full", "wb") as full, \
+                self.spawn(["catalog", "list"], stdout=full) as proc:
+            assert proc.wait(timeout=60) != 0

@@ -1,8 +1,11 @@
 """Tests for the line-oriented metric file format."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from wstar.exprlib import Point, const, evaluate
+from wstar.exprlib import UNARY_FUNCTIONS, Point, const, evaluate
 from wstar.metricfile import MetricFileError, load_metric, parse_metric_text
 
 GOOD = """\
@@ -99,6 +102,19 @@ class TestParseErrors:
     def test_bad_param_value(self):
         self.check("coords = u\nparam a = one\n", "not a number", 2)
 
+    @pytest.mark.parametrize("line", [
+        "param a = nan",
+        "param a = inf",
+        "param a = -inf",
+        "param a = 1e400",
+        "domain u = -inf .. 0",
+        "domain u = 0 .. inf",
+        "domain u = nan .. 1",
+        "domain u = 0 .. nan",
+    ])
+    def test_non_finite_number(self, line):
+        self.check(f"coords = u\n{line}\ng[0][0] = 1\n", "must be finite", 2)
+
     def test_domain_unknown_coordinate(self):
         self.check("coords = u\ndomain w = 0 .. 1\ng[0][0] = 1\n", "unknown coordinate", 2)
 
@@ -139,3 +155,10 @@ class TestLoadMetric:
     def test_missing_file(self, tmp_path):
         with pytest.raises(MetricFileError, match="cannot read"):
             load_metric(tmp_path / "nope.txt")
+
+
+def test_readme_lists_the_parser_functions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"the functions\s+`([^`]+)`", readme)
+    assert listed is not None
+    assert tuple(listed.group(1).split()) == UNARY_FUNCTIONS
