@@ -2,7 +2,8 @@
 
 Exit codes: 0 all requested checks passed (or output-only commands succeeded),
 1 at least one check failed, 2 usage or input-parsing problem, 3 evaluation
-error (bad point, singular metric, arithmetic failure).  Reports are
+error (bad point, singular metric, arithmetic failure), 4 the output could not
+be written (a full disk, a closed pipe).  Reports are
 deterministic for a fixed (metric, seed, points, tolerances) tuple; pass
 ``--no-timestamp`` to make JSON output byte-identical across runs.
 
@@ -38,6 +39,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_EVAL = 3
+EXIT_OUTPUT = 4
 
 
 class UsageError(Exception):
@@ -361,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_catalog(args) -> int:
-    for name in catalog.CATALOG_NAMES:
-        print(f"{name}: {catalog.describe(name)}")
-    return EXIT_OK
+# each command returns (output text, exit code); main() writes the text
+def _cmd_catalog(args) -> tuple:
+    lines = (f"{name}: {catalog.describe(name)}" for name in catalog.CATALOG_NAMES)
+    return "\n".join(lines), EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> tuple:
     names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     if not names:
         raise UsageError("--checks needs at least one name or 'all'")
@@ -377,19 +379,18 @@ def _cmd_check(args) -> int:
         fmt=args.fmt, timestamp=args.timestamp,
     )
     rep = run_checks(cfg)
-    print(render_json(rep) if cfg.fmt == "json" else render_table(rep))
-    return EXIT_CHECK_FAILED if rep.failed else EXIT_OK
+    text = render_json(rep) if cfg.fmt == "json" else render_table(rep)
+    return text, EXIT_CHECK_FAILED if rep.failed else EXIT_OK
 
 
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple:
     metric = load_metric(args.metric)
     cfg = rel.FieldEquationConfig(k=args.k, lam=args.lam)
     point = parse_point(args.at, metric)
-    print(compute_at(args.tensor, metric, point, cfg))
-    return EXIT_OK
+    return compute_at(args.tensor, metric, point, cfg), EXIT_OK
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple:
     cfg = RunConfig(
         metric=args.metric, points=args.points, seed=args.seed,
         rtol=args.rtol, atol=args.atol, k=args.k, lam=args.lam,
@@ -397,10 +398,19 @@ def _cmd_classify(args) -> int:
     )
     payload, violated = classify_payload(cfg)
     if cfg.fmt == "json":
-        print(json.dumps(payload, indent=2, allow_nan=False))
+        text = json.dumps(payload, indent=2, allow_nan=False)
     else:
-        print(_classify_table(payload))
-    return EXIT_CHECK_FAILED if violated else EXIT_OK
+        text = _classify_table(payload)
+    return text, EXIT_CHECK_FAILED if violated else EXIT_OK
+
+
+def _cannot_write(err: OSError) -> int:
+    """Report output that could not be written, as far as stderr allows."""
+    try:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+    except OSError:
+        pass
+    return EXIT_OUTPUT
 
 
 def main(argv=None) -> int:
@@ -413,7 +423,7 @@ def main(argv=None) -> int:
         "classify": _cmd_classify,
     }[args.command]
     try:
-        return handler(args)
+        text, code = handler(args)
     except (UsageError, MetricFileError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -421,6 +431,11 @@ def main(argv=None) -> int:
             np.linalg.LinAlgError, rel.FluidError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
+    try:
+        print(text)
+    except OSError as err:
+        return _cannot_write(err)
+    return code
 
 
 def console_entry() -> NoReturn:
@@ -430,15 +445,22 @@ def console_entry() -> NoReturn:
     so the cyclic collector is paused: its passes would only walk the graph
     again.  After ``main()`` returns, the process ends with ``os._exit``,
     which skips the interpreter's teardown of that graph; the operating
-    system frees it at once.  The standard streams are flushed first, and a
-    flush that fails raises as usual, so output that could not be written
-    never exits 0.  An exception or ``SystemExit`` out of ``main()`` takes
-    the usual interpreter exit.
+    system frees it at once.  The standard streams are flushed first; output
+    that could not be written exits 4, like a failed write in ``main()``.  An
+    exception or ``SystemExit`` out of ``main()`` takes the usual interpreter
+    exit.
     """
     gc.disable()
     code = main()
-    sys.stdout.flush()
-    sys.stderr.flush()
+    try:
+        sys.stdout.flush()
+    except OSError as err:
+        if code != EXIT_OUTPUT:  # else main() has reported it already
+            code = _cannot_write(err)
+    try:
+        sys.stderr.flush()
+    except OSError:
+        pass
     os._exit(code)
 
 

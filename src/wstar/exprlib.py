@@ -2,7 +2,7 @@
 
 Expressions are formed over a fixed coordinate list (referenced by position) and
 named scalar parameters.  Rational constants stay exact (`fractions.Fraction`)
-through differentiation and simplification; conversion to floating point happens
+through construction and differentiation; conversion to floating point happens
 only at evaluation time (or when a transcendental function of a constant is
 folded).
 
@@ -22,11 +22,13 @@ Precedence: '^' binds tighter than unary minus, which binds tighter than
 rational literals ``a/b`` are recognized in exponent position only (elsewhere
 ``/`` is division, and exact constant folding preserves the rational value).
 
-Nodes are hash-consed into a weak table, so equal subexpressions share one
-object (and one tape instruction), and each node keeps its own
-:func:`simplify` and :func:`differentiate` results: a node and its memos live
-as long as their last user (Filliâtre & Conchon, "Type-safe modular
-hash-consing", 2006).  Nothing needs clearing.
+The constructors (:func:`add`, :func:`mul`, :func:`power`, ...) fold
+constants and prune identities before they intern, so an expression built
+with them alone is already simplified.  Nodes are hash-consed into a weak
+table, so equal subexpressions share one object (and one tape instruction),
+and each node keeps its own :func:`differentiate` results: a node and its
+memos live as long as their last user (Filliâtre & Conchon, "Type-safe
+modular hash-consing", 2006).  Nothing needs clearing.
 """
 
 from __future__ import annotations
@@ -112,18 +114,17 @@ class Expr:
     ``data`` holds the constant value (Fraction or float), coordinate index,
     parameter name, or power exponent.
 
-    Private slots memoize :func:`simplify` (``_simplified``) and
-    :func:`differentiate` (``_derivatives``, coordinate index -> result).  A
-    node built with ``Expr(...)`` directly is neither interned nor memoized.
+    The private slot ``_derivatives`` memoizes :func:`differentiate`
+    (coordinate index -> result).  A node built with ``Expr(...)`` directly is
+    neither interned nor simplified; :func:`simplify` turns it into one that is.
     """
 
-    __slots__ = ("kind", "args", "data", "_simplified", "_derivatives", "__weakref__")
+    __slots__ = ("kind", "args", "data", "_derivatives", "__weakref__")
 
     def __init__(self, kind: str, args: tuple = (), data=None):
         _set(self, "kind", kind)
         _set(self, "args", args)
         _set(self, "data", data)
-        _set(self, "_simplified", None)
         _set(self, "_derivatives", None)
 
     def __setattr__(self, name, value):
@@ -170,6 +171,11 @@ class Point:
 
 
 # --- interning constructors ---------------------------------------------------
+#
+# Every constructor folds constants and prunes identities before it interns:
+# one rewrite step over children that are already normal, so a tree built with
+# the constructors alone is in normal form.  Folds that would leave the domain
+# (``1/0``, ``ln(-1)``) keep the node, so evaluation reports the error.
 
 # (kind, data type, data, child ids) -> live node; the type keeps 1/2 and 0.5
 # apart, a child id stays valid while its parent is alive, and an entry goes
@@ -183,6 +189,12 @@ def _mk(kind: str, args: tuple = (), data=None) -> Expr:
     if node is None:
         node = _intern[key] = Expr(kind, args, data)
     return node
+
+
+def _const_data(a: Expr, b: Expr):
+    """The constant values of two operands, None for a non-constant."""
+    return (a.data if a.kind == "const" else None,
+            b.data if b.kind == "const" else None)
 
 
 def const(value) -> Expr:
@@ -207,11 +219,19 @@ def param(name: str) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
+    if e.kind == "const":
+        return const(-e.data)
+    if e.kind == "neg":
+        return e.args[0]
     return _mk("neg", (e,))
 
 
 def _unary_factory(tag):
     def f(e: Expr) -> Expr:
+        if e.kind == "const":
+            folded = _fold_function(tag, e.data)
+            if folded is not None:
+                return const(folded)
         return _mk(tag, (e,))
 
     f.__name__ = tag
@@ -230,18 +250,57 @@ cosh = _unary_factory("cosh")
 
 
 def add(a: Expr, b: Expr) -> Expr:
+    ca, cb = _const_data(a, b)
+    if ca is not None and cb is not None:
+        return const(ca + cb)
+    if ca == 0:
+        return b
+    if cb == 0:
+        return a
     return _mk("add", (a, b))
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    if a is b:
+        return const(_ZERO)
+    ca, cb = _const_data(a, b)
+    if ca is not None and cb is not None:
+        return const(ca - cb)
+    if cb == 0:
+        return a
+    if ca == 0:
+        return neg(b)
     return _mk("sub", (a, b))
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    ca, cb = _const_data(a, b)
+    if ca is not None and cb is not None:
+        return const(ca * cb)
+    if ca == 0 or cb == 0:
+        return const(_ZERO)
+    if ca == 1:
+        return b
+    if cb == 1:
+        return a
+    if ca == -1:
+        return neg(b)
+    if cb == -1:
+        return neg(a)
     return _mk("mul", (a, b))
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    ca, cb = _const_data(a, b)
+    if cb is not None and cb != 0:
+        if ca is not None:
+            return const(ca / cb)
+        if cb == 1:
+            return a
+        if cb == -1:
+            return neg(a)
+    if ca == 0 and cb != 0:
+        return const(_ZERO)
     return _mk("div", (a, b))
 
 
@@ -260,6 +319,14 @@ def power(base: Expr, exponent) -> Expr:
             exponent = Fraction(int(exponent))
     elif not isinstance(exponent, Fraction):
         raise TypeError("exponent must be a numeric constant")
+    if exponent == 1:
+        return base
+    if exponent == 0:
+        return const(_ONE)
+    if base.kind == "const":
+        folded = _fold_pow(base.data, exponent)
+        if folded is not None:
+            return const(folded)
     return _mk("pow", (base,), exponent)
 
 
@@ -439,7 +506,6 @@ def differentiate(e: Expr, index: int) -> Expr:
                     res = add(mul(da, b), mul(a, db))
                 else:  # div
                     res = div(sub(mul(da, b), mul(a, db)), power(b, 2))
-        res = simplify(res)
         if node._derivatives is None:
             _set(node, "_derivatives", {})
         node._derivatives[index] = res
@@ -504,120 +570,28 @@ def _fold_pow(base, q):
     return None
 
 
-def _simplify_node(kind: str, args: tuple, data) -> Expr:
-    """One rewrite step over a node whose children are already simplified."""
-    if kind in ("const", "coord", "param"):
-        return _mk(kind, (), data)
-
-    if kind == "neg":
-        (a,) = args
-        if a.kind == "const":
-            return const(-a.data)
-        if a.kind == "neg":
-            return a.args[0]
-        return neg(a)
-
-    if kind in _MATH_FN:
-        (a,) = args
-        if a.kind == "const":
-            folded = _fold_function(kind, a.data)
-            if folded is not None:
-                return const(folded)
-        return _mk(kind, (a,))
-
-    if kind == "pow":
-        (a,) = args
-        if data == 1:
-            return a
-        if data == 0:
-            return const(_ONE)
-        if a.kind == "const":
-            folded = _fold_pow(a.data, data)
-            if folded is not None:
-                return const(folded)
-        return _mk("pow", (a,), data)
-
-    a, b = args
-    ca = a.data if a.kind == "const" else None
-    cb = b.data if b.kind == "const" else None
-
-    if kind == "add":
-        if ca is not None and cb is not None:
-            return const(ca + cb)
-        if ca == 0:
-            return b
-        if cb == 0:
-            return a
-        return add(a, b)
-
-    if kind == "sub":
-        if a is b:
-            return const(_ZERO)
-        if ca is not None and cb is not None:
-            return const(ca - cb)
-        if cb == 0:
-            return a
-        if ca == 0:
-            return _simplify_node("neg", (b,), None)
-        return sub(a, b)
-
-    if kind == "mul":
-        if ca is not None and cb is not None:
-            return const(ca * cb)
-        if ca == 0 or cb == 0:
-            return const(_ZERO)
-        if ca == 1:
-            return b
-        if cb == 1:
-            return a
-        if ca == -1:
-            return _simplify_node("neg", (b,), None)
-        if cb == -1:
-            return _simplify_node("neg", (a,), None)
-        return mul(a, b)
-
-    # div
-    if cb is not None and cb != 0:
-        if ca is not None:
-            return const(ca / cb)
-        if cb == 1:
-            return a
-        if cb == -1:
-            return _simplify_node("neg", (a,), None)
-    if ca == 0 and cb != 0:
-        return const(_ZERO)
-    return div(a, b)
+_FUNCTIONS = {f.__name__: f for f in (sin, cos, tan, exp, ln, sqrt, sinh, cosh)}
+_BUILDERS = {"neg": neg, "add": add, "sub": sub, "mul": mul, "div": div, **_FUNCTIONS}
 
 
 def simplify(e: Expr) -> Expr:
-    """Pointwise-equal simplification: constant folding plus identity pruning.
+    """Rebuild a tree through the constructors: constant folding plus identity pruning.
 
-    Idempotent, and never increases the node count.  Exact rationals fold
-    exactly; nodes whose folding would leave the domain (``1/0``, ``ln(-1)``)
-    are kept so evaluation reports the error.
+    One pass over the DAG, with no memo.  Constructor output is already
+    simplified (``simplify(e) is e``), so this only changes trees built with
+    ``Expr(...)`` directly.  Pointwise equal, idempotent, and never increases
+    the node count; folds that would leave the domain (``1/0``, ``ln(-1)``)
+    keep the node, so evaluation reports the error.
     """
     out: dict = {}
-    seen: set = set()
-    stack = [(e, False)]
-    while stack:
-        node, ready = stack.pop()
-        if not ready:
-            hit = node._simplified
-            if hit is not None:
-                out[id(node)] = hit
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for c in node.args:
-                stack.append((c, False))
-            continue
-        new_args = tuple(out[id(c)] for c in node.args)
-        res = _simplify_node(node.kind, new_args, node.data)
-        _set(node, "_simplified", res)
-        if res._simplified is None:
-            _set(res, "_simplified", res)  # simplified forms are fixed points
+    for node in _postorder(e):
+        args = tuple(out[id(c)] for c in node.args)
+        if not args:
+            res = _mk(node.kind, (), node.data)
+        elif node.kind == "pow":
+            res = power(args[0], node.data)
+        else:
+            res = _BUILDERS[node.kind](*args)
         out[id(node)] = res
     return out[id(e)]
 
@@ -841,12 +815,12 @@ class _Parser:
         if tok[0] == "ident":
             name = tok[1]
             if self.peek()[0] == "op" and self.peek()[1] == "(":
-                if name not in _MATH_FN:
+                if name not in _FUNCTIONS:
                     raise ParseError(f"unknown function '{name}'", self.src, tok[2])
                 self.next()
                 arg = self.expr()
                 self.expect_op(")")
-                return _mk(name, (arg,))
+                return _FUNCTIONS[name](arg)
             if name in self.coord_index:
                 return coord(self.coord_index[name])
             if name in self.param_names:

@@ -251,6 +251,7 @@ class Geometry:
             n = self.dim
             comps = np.empty((n, n), dtype=object)
             for i, j in product(range(n), repeat=2):
+                # components may be built outside the constructors
                 comps[i, j] = simplify(self.metric.g[i][j])
             return TensorField("ll", comps, "Metric")
 
@@ -260,7 +261,7 @@ class Geometry:
     def det(self) -> Expr:
         def build():
             mat = [[self.g[i, j] for j in range(self.dim)] for i in range(self.dim)]
-            return simplify(_determinant(mat))
+            return _determinant(mat)
 
         return self.cached("det", build)
 
@@ -282,7 +283,7 @@ class Geometry:
                     cof = _determinant(minor)
                     if (i + j) % 2 == 1:
                         cof = neg(cof)
-                    entry = simplify(div(cof, det))
+                    entry = div(cof, det)
                     comps[i, j] = entry
                     comps[j, i] = entry
             return TensorField("uu", comps, "InverseMetric")
@@ -313,7 +314,7 @@ class Geometry:
                                 continue
                             terms.append(mul(ginv[h, s], inner))
                         total = term_sum(terms)
-                        entry = _ZERO if is_zero(total) else simplify(mul(half, total))
+                        entry = _ZERO if is_zero(total) else mul(half, total)
                         comps[h, i, j] = entry
                         comps[h, j, i] = entry
             return TensorField("ull", comps, "Christoffel")
@@ -336,7 +337,7 @@ class Geometry:
                         terms.append(mul(gam[h, k, s], gam[s, j, l]))
                     if not (is_zero(gam[h, l, s]) or is_zero(gam[s, j, k])):
                         terms.append(neg(mul(gam[h, l, s], gam[s, j, k])))
-                comps[h, j, k, l] = simplify(term_sum(terms))
+                comps[h, j, k, l] = term_sum(terms)
             return TensorField("ulll", comps, "Riemann13")
 
         return self.cached("riemann13", build)
@@ -348,12 +349,10 @@ class Geometry:
             g, r13 = self.g, self.riemann13
             comps = np.empty((n, n, n, n), dtype=object)
             for i, j, k, l in product(range(n), repeat=4):
-                comps[i, j, k, l] = simplify(
-                    term_sum(
-                        mul(g[i, h], r13[h, j, k, l])
-                        for h in range(n)
-                        if not (is_zero(g[i, h]) or is_zero(r13[h, j, k, l]))
-                    )
+                comps[i, j, k, l] = term_sum(
+                    mul(g[i, h], r13[h, j, k, l])
+                    for h in range(n)
+                    if not (is_zero(g[i, h]) or is_zero(r13[h, j, k, l]))
                 )
             return TensorField("llll", comps, "Riemann04")
 
@@ -366,7 +365,7 @@ class Geometry:
             r13 = self.riemann13
             comps = np.empty((n, n), dtype=object)
             for j, k in product(range(n), repeat=2):
-                comps[j, k] = simplify(term_sum(r13[h, j, h, k] for h in range(n)))
+                comps[j, k] = term_sum(r13[h, j, h, k] for h in range(n))
             return TensorField("ll", comps, "Ricci")
 
         return self.cached("ricci", build)
@@ -376,12 +375,10 @@ class Geometry:
         def build():
             n = self.dim
             ginv, ric = self.ginv, self.ricci
-            return simplify(
-                term_sum(
-                    mul(ginv[j, k], ric[j, k])
-                    for j, k in product(range(n), repeat=2)
-                    if not (is_zero(ginv[j, k]) or is_zero(ric[j, k]))
-                )
+            return term_sum(
+                mul(ginv[j, k], ric[j, k])
+                for j, k in product(range(n), repeat=2)
+                if not (is_zero(ginv[j, k]) or is_zero(ric[j, k]))
             )
 
         return self.cached("scalar_expr", build)
@@ -428,7 +425,7 @@ class Geometry:
                     terms.append(neg(mul(c1, ric_part)))
                 if not (is_zero(gg_part) or is_zero(rsc)):
                     terms.append(mul(mul(c2, rsc), gg_part))
-                comps[i, j, k, l] = simplify(term_sum(terms))
+                comps[i, j, k, l] = term_sum(terms)
             return TensorField("llll", comps, "Weyl")
 
         return self.cached("weyl", build)
@@ -466,7 +463,7 @@ class Geometry:
                             if is_zero(gamma):
                                 continue
                             terms.append(neg(mul(gamma, comp)))
-                comps[idx + (m,)] = simplify(term_sum(terms))
+                comps[idx + (m,)] = term_sum(terms)
         return TensorField(t.variance + "l", comps, f"Nabla[{t.label}]")
 
     @property
@@ -511,7 +508,7 @@ class Geometry:
                 if is_zero(m_entry) or is_zero(src):
                     continue
                 terms.append(mul(m_entry, src))
-            comps[idx] = simplify(term_sum(terms))
+            comps[idx] = term_sum(terms)
         var = t.variance[:pos] + new_letter + t.variance[pos + 1 :]
         return TensorField(var, comps, t.label)
 
@@ -536,7 +533,7 @@ class Geometry:
                 comp = t.comps[tuple(full)]
                 if not is_zero(comp):
                     terms.append(comp)
-            comps[idx] = simplify(term_sum(terms))
+            comps[idx] = term_sum(terms)
         var = "".join(v for s, v in enumerate(t.variance) if s not in (a, b))
         if not var:
             return comps[()]
@@ -554,7 +551,7 @@ class Geometry:
             for s in range(n):
                 if not (is_zero(gam[i, m, s]) or is_zero(xi.components[s])):
                     terms.append(mul(gam[i, m, s], xi.components[s]))
-            comps[i, m] = simplify(term_sum(terms))
+            comps[i, m] = term_sum(terms)
         return TensorField("ul", comps, f"Nabla[{xi.name}]")
 
     def lie_derivative_metric(self, xi: VectorFieldSpec) -> TensorField:
@@ -571,7 +568,7 @@ class Geometry:
                         terms.append(mul(g[j, s], dxi[s, i]))
                     if not (is_zero(g[i, s]) or is_zero(dxi[s, j])):
                         terms.append(mul(g[i, s], dxi[s, j]))
-                entry = simplify(term_sum(terms))
+                entry = term_sum(terms)
                 comps[i, j] = entry
                 comps[j, i] = entry
         return TensorField("ll", comps, f"Lie[{xi.name}]Metric")
@@ -593,7 +590,7 @@ class Geometry:
                     terms.append(mul(t[s, j], dxi[s, i]))
                 if not (is_zero(t[i, s]) or is_zero(dxi[s, j])):
                     terms.append(mul(t[i, s], dxi[s, j]))
-            comps[i, j] = simplify(term_sum(terms))
+            comps[i, j] = term_sum(terms)
         return TensorField("ll", comps, f"Lie[{xi.name}]{t.label}")
 
     # --- numeric evaluation ---------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exprlib import const, mul, simplify
+from .exprlib import const, mul
 from .geometry import MetricSpec, PointTensor, TensorField, is_zero, term_sum, workspace
 
 __all__ = [
@@ -70,7 +70,7 @@ def energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
             e = term_sum(terms)
             if cfg.k != 1.0 and not is_zero(e):
                 e = mul(const(1.0 / cfg.k), e)
-            comps[i, j] = simplify(e)
+            comps[i, j] = e
         return TensorField("ll", comps, "EnergyMomentum")
 
     return geo.cached(f"energy_momentum[k={cfg.k!r},lam={cfg.lam!r}]", build)

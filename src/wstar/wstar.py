@@ -30,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from .exprlib import const, mul, neg, simplify, sub
+from .exprlib import const, mul, neg, sub
 from .geometry import (
     Geometry,
     MetricSpec,
@@ -95,9 +95,7 @@ def _wstar04(geo: Geometry) -> TensorField:
             if is_zero(correction):
                 comps[i, j, k, l] = r4[i, j, k, l]
             else:
-                comps[i, j, k, l] = simplify(
-                    sub(r4[i, j, k, l], mul(coeff, correction))
-                )
+                comps[i, j, k, l] = sub(r4[i, j, k, l], mul(coeff, correction))
         return TensorField("llll", comps, "WStar04")
 
     return geo.cached("wstar04", build)

@@ -16,6 +16,7 @@ from wstar.cli import (
     EXIT_CHECK_FAILED,
     EXIT_EVAL,
     EXIT_OK,
+    EXIT_OUTPUT,
     EXIT_USAGE,
     EvalError,
     RunConfig,
@@ -530,6 +531,14 @@ class TestProcessEntry:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_failed_write_is_a_nonzero_exit(self):
+        # a short output fails at the final flush
         with open("/dev/full", "wb") as full, \
                 self.spawn(["catalog", "list"], stdout=full) as proc:
-            assert proc.wait(timeout=60) != 0
+            assert proc.wait(timeout=60) == EXIT_OUTPUT
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_of_a_report_is_not_a_failed_check(self):
+        # a report longer than the stream buffer fails inside print()
+        with open("/dev/full", "wb") as full, \
+                self.spawn(self.CASES[EXIT_OK], stdout=full) as proc:
+            assert proc.wait(timeout=120) == EXIT_OUTPUT

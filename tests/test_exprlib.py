@@ -137,12 +137,8 @@ class TestParse:
         assert e.args[0].kind == "pow"
 
     def test_slash_outside_exponent_is_division(self):
-        e = parse("1/2", COORDS)
-        assert e.kind == "div"
-        s = simplify(e)
-        assert s.kind == "const"
-        assert s.data == Fraction(1, 2)
-        assert isinstance(s.data, Fraction)
+        # division, folded exactly: not the rational exponent of a power
+        assert parse("1/2", COORDS) is const(Fraction(1, 2))
 
     def test_unary_minus_binds_looser_than_power(self):
         e = parse("-t^2", COORDS)
@@ -431,9 +427,26 @@ small_rational = st.fractions(
 )
 
 
+_CONSTRUCTORS = {f.__name__: f for f in (add, sub, mul, div, neg, sin, cos, exp,
+                                          ln, sqrt, ex.tan, ex.sinh, ex.cosh)}
+
+
 @st.composite
-def expressions(draw, depth=3):
-    """Random expression trees over four coordinates and two parameters."""
+def expressions(draw, depth=3, raw=False):
+    """Random expression trees over four coordinates and two parameters.
+
+    The constructors return simplified nodes; with ``raw`` the inner nodes are
+    built with ``Expr(...)`` directly, so they are neither interned nor
+    simplified (``1 * x``, ``x^1``, ``--x`` stay as drawn).
+    """
+
+    def node(kind, *args, data=None):
+        if raw:
+            return Expr(kind, args, data)
+        if kind == "pow":
+            return power(*args, data)
+        return _CONSTRUCTORS[kind](*args)
+
     if depth == 0:
         leaf = draw(st.integers(0, 3))
         if leaf == 0:
@@ -445,18 +458,19 @@ def expressions(draw, depth=3):
         return const(draw(st.integers(-3, 3)))
     op = draw(st.integers(0, 7))
     if op <= 3:
-        a = draw(expressions(depth=depth - 1))
-        b = draw(expressions(depth=depth - 1))
-        return [add, sub, mul, div][op](a, b)
+        a = draw(expressions(depth=depth - 1, raw=raw))
+        b = draw(expressions(depth=depth - 1, raw=raw))
+        return node(["add", "sub", "mul", "div"][op], a, b)
     if op == 4:
-        return neg(draw(expressions(depth=depth - 1)))
+        return node("neg", draw(expressions(depth=depth - 1, raw=raw)))
     if op == 5:
         exponent = draw(
             st.one_of(st.integers(-3, 3), st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(-1, 2)]))
         )
-        return power(draw(expressions(depth=depth - 1)), exponent)
-    fn = draw(st.sampled_from([sin, cos, exp, ln, sqrt, ex.tan, ex.sinh, ex.cosh]))
-    return fn(draw(expressions(depth=depth - 1)))
+        base = draw(expressions(depth=depth - 1, raw=raw))
+        return node("pow", base, data=Fraction(exponent))
+    fn = draw(st.sampled_from(["sin", "cos", "exp", "ln", "sqrt", "tan", "sinh", "cosh"]))
+    return node(fn, draw(expressions(depth=depth - 1, raw=raw)))
 
 
 @st.composite
@@ -519,15 +533,16 @@ class TestProperties:
     def test_power_before_division_round_trips(self):
         # "x^1 / 2" must not re-parse as the rational exponent x^(1/2);
         # the printer parenthesizes the numerator to keep the division
+        # (raw nodes: the constructors would fold x^1 and x^0 away)
         x = coord(0)
         for e in (
-            div(power(x, 1), const(2)),
-            div(power(x, 0), power(const(0), 0)),
+            Expr("div", (Expr("pow", (x,), Fraction(1)), const(2))),
+            Expr("div", (Expr("pow", (x,), Fraction(0)), Expr("pow", (const(0),), Fraction(0)))),
             div(mul(x, power(coord(1), 2)), const(3)),
         ):
-            assert parse(to_text(e), ("x0", "x1")) == e
+            assert parse(to_text(e), ("x0", "x1")) is simplify(e)
 
-    @given(e=expressions(), pt=points)
+    @given(e=expressions(raw=True), pt=points)
     @settings(max_examples=150, deadline=None)
     def test_simplify_preserves_value(self, e, pt):
         """Wherever the original evaluates, the simplified form agrees."""
@@ -536,17 +551,22 @@ class TestProperties:
         s = simplify(e)
         assert evaluate(s, pt) == pytest.approx(got, rel=1e-9, abs=1e-12)
 
-    @given(e=expressions())
+    @given(e=expressions(raw=True))
     @settings(max_examples=150, deadline=None)
     def test_simplify_idempotent(self, e):
         s1 = simplify(e)
-        s2 = simplify(unshared(s1))  # a fresh copy: simplify cannot hit a memo
-        assert s2 == s1
+        assert simplify(unshared(s1)) is s1
 
-    @given(e=expressions())
+    @given(e=expressions(raw=True))
     @settings(max_examples=150, deadline=None)
     def test_simplify_never_grows(self, e):
         assert node_count(simplify(e)) <= node_count(e)
+
+    @given(e=expressions())
+    @settings(max_examples=150, deadline=None)
+    def test_constructor_output_is_an_interned_fixed_point(self, e):
+        """The constructors only return simplified nodes."""
+        assert simplify(unshared(e)) is e
 
     @given(e=smooth_expressions(), pt=points, idx=st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -592,13 +612,11 @@ class TestStructure:
     def test_memos_are_kept_on_the_node(self):
         e = parse("sin(t) * x", COORDS)
         assert differentiate(e, 0) is differentiate(e, 0)
-        s = simplify(e)
-        assert e._simplified is s and s._simplified is s
         assert e._derivatives[0] is differentiate(e, 0)
 
     def test_unused_nodes_leave_the_intern_table(self):
         e = parse("sin(t + 0.123456789) * x^3", COORDS)
-        differentiate(simplify(e), 1)
+        differentiate(e, 1)
         ref = weakref.ref(e)
         size = len(ex._intern)
         del e
@@ -607,7 +625,7 @@ class TestStructure:
         assert len(ex._intern) < size
         # a rebuilt node is a new one, equal to the one that died
         again = parse("sin(t + 0.123456789) * x^3", COORDS)
-        assert again._simplified is None and again._derivatives is None
+        assert again._derivatives is None
 
     def test_exact_and_float_constants_differ(self):
         assert const(Fraction(1, 2)) != const(0.5)

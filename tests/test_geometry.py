@@ -580,12 +580,35 @@ class TestLifetime:
             geo = workspace(self.generated_metric(k))
             geo.eval_fields({"weyl": geo.weyl, "nric": geo.nabla_ricci}, sample(geo, 4))
             del geo
-            # the collector does not see into numpy object arrays, so nodes
-            # that memoize themselves go one collection after their fields
+            # the collector does not see into numpy object arrays, so nodes on
+            # derivative-memo cycles (exp, sin and cos) go one collection after
+            # their fields
             gc.collect()
             gc.collect()
             sizes.append(len(exprlib._intern))
         assert max(sizes[1:]) <= sizes[0], sizes
+
+    def test_polynomial_metric_goes_in_one_collection(self):
+        # no node of a polynomial metric refers to itself through a memo, so
+        # the first full collection after the metric is dropped frees them all
+        gc.collect()
+        before = len(exprlib._intern)
+        m = parse_metric_text("\n".join([
+            "dim = 4",
+            "coords = t, x, y, z",
+            *(f"domain {c} = -0.5 .. 0.5" for c in "txyz"),
+            "g[0][0] = -1 + 0.01*x^2",
+            "g[0][1] = 0.006*y*z",
+            "g[1][1] = 1 + 0.006*t^2",
+            "g[2][2] = 1 + 0.01*t*z",
+            "g[3][3] = 1 + 0.006*x*y",
+        ]), "polynomial")
+        geo = workspace(m)
+        geo.eval_fields({"weyl": geo.weyl, "nric": geo.nabla_ricci}, sample(geo, 4))
+        assert len(exprlib._intern) > before
+        del geo, m
+        gc.collect()
+        assert len(exprlib._intern) <= before
 
     def test_workspace_dies_with_its_metric(self):
         m = self.generated_metric(0)
