@@ -39,7 +39,7 @@ from .matter import (
 from . import wstar as ws
 
 __all__ = [
-    "CheckContext", "CheckOutcome", "REGISTRY", "check_names", "run_check",
+    "CheckContext", "CheckOutcome", "REGISTRY", "run_check",
     "einstein_check", "em_distribution", "recurrence_fit", "fluid_relations",
     "dust_vacuum", "classification", "pairing_results",
 ]
@@ -465,10 +465,6 @@ REGISTRY: "Dict[str, Callable[[CheckContext], CheckOutcome]]" = {
     "pairing_flat_lambda_fluid": _pairing("flat_implies_lambda_like_fluid"),
     "pairing_semisymmetric_t": _pairing("t_semisymmetric_iff_ricci_semisymmetric"),
 }
-
-
-def check_names():
-    return tuple(REGISTRY)
 
 
 def run_check(name: str, ctx: CheckContext) -> CheckOutcome:

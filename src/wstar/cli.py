@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -68,6 +69,10 @@ class RunConfig:
     def __post_init__(self):
         if self.points < 1:
             raise UsageError("--points must be at least 1")
+        for flag, value in (("--rtol", self.rtol), ("--atol", self.atol),
+                            ("--k", self.k), ("--lambda", self.lam)):
+            if not math.isfinite(value):
+                raise UsageError(f"{flag} must be finite")
         if not self.rtol > 0.0:
             raise UsageError("--rtol must be positive")
         if not self.atol > 0.0:
@@ -146,35 +151,27 @@ def run_checks(cfg: RunConfig) -> RunReport:
 
 # --- point evaluation ---------------------------------------------------------
 
-_TENSOR_NAMES = (
-    "metric", "inverse", "christoffel", "riemann", "ricci", "scalar",
-    "weyl", "wstar", "wstar_contraction", "energy_momentum", "krupka",
-)
+# --tensor name -> field getter (metric, geometry, field-equation config)
+_FIELDS = {
+    "metric": lambda m, geo, cfg: geo.g,
+    "inverse": lambda m, geo, cfg: geo.ginv,
+    "christoffel": lambda m, geo, cfg: geo.christoffel,
+    "riemann": lambda m, geo, cfg: geo.riemann04,
+    "ricci": lambda m, geo, cfg: geo.ricci,
+    "scalar": lambda m, geo, cfg: geo.scalar_field,
+    "weyl": lambda m, geo, cfg: geo.weyl,
+    "wstar": lambda m, geo, cfg: ws.wstar_tensor(m).wstar04,
+    "wstar_contraction": lambda m, geo, cfg: ws.wstar_tensor(m).wstar02,
+    "energy_momentum": lambda m, geo, cfg: rel.energy_momentum(m, cfg),
+}
+_TENSOR_NAMES = (*_FIELDS, "krupka")  # krupka is a decomposition, not a field
 
 
 def _field_for(name: str, metric: MetricSpec, geo: Geometry,
                cfg: rel.FieldEquationConfig):
-    if name == "metric":
-        return geo.g
-    if name == "inverse":
-        return geo.ginv
-    if name == "christoffel":
-        return geo.christoffel
-    if name == "riemann":
-        return geo.riemann04
-    if name == "ricci":
-        return geo.ricci
-    if name == "scalar":
-        return geo.scalar_field
-    if name == "weyl":
-        return geo.weyl
-    if name == "wstar":
-        return ws.wstar_tensor(metric).wstar04
-    if name == "wstar_contraction":
-        return ws.wstar_tensor(metric).wstar02
-    if name == "energy_momentum":
-        return rel.energy_momentum(metric, cfg)
-    raise UsageError(f"unknown tensor {name!r}; choose from {', '.join(_TENSOR_NAMES)}")
+    if name not in _FIELDS:
+        raise UsageError(f"unknown tensor {name!r}; choose from {', '.join(_TENSOR_NAMES)}")
+    return _FIELDS[name](metric, geo, cfg)
 
 
 def _entries(values: np.ndarray):

@@ -191,6 +191,11 @@ def _mk(kind: str, args: tuple = (), data=None) -> Expr:
     return node
 
 
+def _finite(value) -> bool:
+    """False for float arithmetic that overflowed: that node is kept, like 1/0."""
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _const_data(a: Expr, b: Expr):
     """The constant values of two operands, None for a non-constant."""
     return (a.data if a.kind == "const" else None,
@@ -251,7 +256,7 @@ cosh = _unary_factory("cosh")
 
 def add(a: Expr, b: Expr) -> Expr:
     ca, cb = _const_data(a, b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and _finite(ca + cb):
         return const(ca + cb)
     if ca == 0:
         return b
@@ -264,7 +269,7 @@ def sub(a: Expr, b: Expr) -> Expr:
     if a is b:
         return const(_ZERO)
     ca, cb = _const_data(a, b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and _finite(ca - cb):
         return const(ca - cb)
     if cb == 0:
         return a
@@ -275,7 +280,7 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     ca, cb = _const_data(a, b)
-    if ca is not None and cb is not None:
+    if ca is not None and cb is not None and _finite(ca * cb):
         return const(ca * cb)
     if ca == 0 or cb == 0:
         return const(_ZERO)
@@ -293,7 +298,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 def div(a: Expr, b: Expr) -> Expr:
     ca, cb = _const_data(a, b)
     if cb is not None and cb != 0:
-        if ca is not None:
+        if ca is not None and _finite(ca / cb):
             return const(ca / cb)
         if cb == 1:
             return a
@@ -333,11 +338,16 @@ def power(base: Expr, exponent) -> Expr:
 # --- traversal helpers --------------------------------------------------------
 
 
-def _postorder(root: Expr) -> list:
-    """Unique nodes of the DAG, children before parents (iterative)."""
+def _postorder(*roots: Expr) -> list:
+    """Unique nodes of the DAG under ``roots``, children before parents.
+
+    Iterative depth-first walk over the roots in order, children left to
+    right; a node shared by several roots is listed once, where the first
+    root that reaches it puts it.
+    """
     seen = set()
     order = []
-    stack = [(root, False)]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, done = stack.pop()
         if done:

@@ -10,7 +10,13 @@ Conventions (signature −+++ throughout):
 
 With these choices a round sphere has positive scalar curvature and the
 de Sitter family satisfies R_{ijkl} = H²(g_{ik}g_{jl} − g_{il}g_{jk}).
-Covariant derivatives append one trailing lower index.  All component
+Covariant derivatives append one trailing lower index.
+
+A field that is one index operation on another is built by the symbolic
+primitives ``lower_index``, ``contract`` and ``covariant_derivative`` of
+:class:`Geometry`, not by a loop of its own: R_{ijkl} lowers slot 0 of
+R^h_{jkl}, R_{jk} contracts its slots 0 and 2, and ∇R, ∇_m ξ^i and the ∇ of
+every curvature field are covariant derivatives.  All component
 expressions are simplified as they are built and evaluation at sample points
 runs through compiled tapes and the one numpy tape kernel (see
 :mod:`wstar.tape` / :mod:`wstar.backend`).
@@ -223,26 +229,6 @@ class Geometry:
             self._cache[name] = builder()
         return self._cache[name]
 
-    def field(self, name: str) -> TensorField:
-        builders = {
-            "metric": lambda: self.g,
-            "inverse_metric": lambda: self.ginv,
-            "christoffel": lambda: self.christoffel,
-            "riemann13": lambda: self.riemann13,
-            "riemann04": lambda: self.riemann04,
-            "ricci": lambda: self.ricci,
-            "scalar": lambda: self.scalar_field,
-            "grad_scalar": lambda: self.grad_scalar,
-            "weyl": lambda: self.weyl,
-            "nabla_ricci": lambda: self.nabla_ricci,
-            "nabla_riemann04": lambda: self.nabla_riemann04,
-            "nabla_weyl": lambda: self.nabla_weyl,
-            "nabla_metric": lambda: self.nabla_metric,
-        }
-        if name not in builders:
-            raise KeyError(f"unknown field '{name}'")
-        return builders[name]()
-
     # --- base fields ---------------------------------------------------------
 
     @property
@@ -344,31 +330,15 @@ class Geometry:
 
     @property
     def riemann04(self) -> TensorField:
-        def build():
-            n = self.dim
-            g, r13 = self.g, self.riemann13
-            comps = np.empty((n, n, n, n), dtype=object)
-            for i, j, k, l in product(range(n), repeat=4):
-                comps[i, j, k, l] = term_sum(
-                    mul(g[i, h], r13[h, j, k, l])
-                    for h in range(n)
-                    if not (is_zero(g[i, h]) or is_zero(r13[h, j, k, l]))
-                )
-            return TensorField("llll", comps, "Riemann04")
-
-        return self.cached("riemann04", build)
+        return self.cached(
+            "riemann04", lambda: _relabel(self.lower_index(self.riemann13, 0), "Riemann04")
+        )
 
     @property
     def ricci(self) -> TensorField:
-        def build():
-            n = self.dim
-            r13 = self.riemann13
-            comps = np.empty((n, n), dtype=object)
-            for j, k in product(range(n), repeat=2):
-                comps[j, k] = term_sum(r13[h, j, h, k] for h in range(n))
-            return TensorField("ll", comps, "Ricci")
-
-        return self.cached("ricci", build)
+        return self.cached(
+            "ricci", lambda: _relabel(self.contract(self.riemann13, 0, 2), "Ricci")
+        )
 
     @property
     def scalar(self) -> Expr:
@@ -394,7 +364,10 @@ class Geometry:
 
     @property
     def grad_scalar(self) -> TensorField:
-        return self.cached("grad_scalar", lambda: self.gradient(self.scalar, "GradScalar"))
+        return self.cached(
+            "grad_scalar",
+            lambda: _relabel(self.covariant_derivative(self.scalar_field), "GradScalar"),
+        )
 
     @property
     def weyl(self) -> TensorField:
@@ -431,13 +404,6 @@ class Geometry:
         return self.cached("weyl", build)
 
     # --- derivatives ---------------------------------------------------------
-
-    def gradient(self, e: Expr, label: str = "Gradient") -> TensorField:
-        n = self.dim
-        comps = np.empty((n,), dtype=object)
-        for m in range(n):
-            comps[m] = differentiate(e, m)
-        return TensorField("l", comps, label)
 
     def covariant_derivative(self, t: TensorField) -> TensorField:
         """∇T with one new trailing lower index: (∇T)_{… m} = ∇_m T_{…}."""
@@ -542,17 +508,11 @@ class Geometry:
     # --- Lie derivatives ------------------------------------------------------
 
     def nabla_vector(self, xi: VectorFieldSpec) -> TensorField:
-        """∇_m ξ^i as a (1,1) field (slot order: upper i, lower m)."""
-        n = self.dim
-        gam = self.christoffel
-        comps = np.empty((n, n), dtype=object)
-        for i, m in product(range(n), repeat=2):
-            terms = [differentiate(xi.components[i], m)]
-            for s in range(n):
-                if not (is_zero(gam[i, m, s]) or is_zero(xi.components[s])):
-                    terms.append(mul(gam[i, m, s], xi.components[s]))
-            comps[i, m] = term_sum(terms)
-        return TensorField("ul", comps, f"Nabla[{xi.name}]")
+        """∇_m ξ^i as a (1,1) field (slot order: upper i, lower m), labelled
+        ``Nabla[<name>]``: the covariant derivative of ξ as a "u" field."""
+        comps = np.empty((self.dim,), dtype=object)
+        comps[:] = xi.components
+        return self.covariant_derivative(TensorField("u", comps, xi.name))
 
     def lie_derivative_metric(self, xi: VectorFieldSpec) -> TensorField:
         """(L_ξ g)_{ij} = ∇_i ξ_j + ∇_j ξ_i."""
@@ -645,6 +605,10 @@ class Geometry:
         out = np.abs(vals[:, 0])
         out[err >= 0] = 0.0
         return out
+
+
+def _relabel(t: TensorField, label: str) -> TensorField:
+    return TensorField(t.variance, t.comps, label)
 
 
 # --- numeric helpers shared by wstar/relativity ------------------------------

@@ -11,6 +11,7 @@ pressure and velocity off T at one point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -43,6 +44,10 @@ class FieldEquationConfig:
     lam: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.k) and math.isfinite(self.lam)):
+            raise ValueError(
+                f"the field-equation constants must be finite (k={self.k!r}, lam={self.lam!r})"
+            )
         if self.k == 0:
             raise ValueError("the gravitational coupling k must be nonzero")
 

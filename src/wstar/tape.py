@@ -126,64 +126,44 @@ def compile_tape(
 ) -> Tape:
     """Compile expressions into one tape, sharing common subexpressions."""
     pidx = {name: k for k, name in enumerate(param_names)}
-    index: dict = {}
+    nodes = _postorder(*exprs)  # instruction i computes nodes[i]
+    index = {id(node): i for i, node in enumerate(nodes)}
     code: list = []
     aa: list = []
     bb: list = []
     cv: list = []
-    nodes: list = []
 
-    def emit(op: int, a: int = 0, b: int = 0, c: float = 0.0, node=None) -> int:
+    def emit(op: int, a: int = 0, b: int = 0, c: float = 0.0):
         code.append(op)
         aa.append(a)
         bb.append(b)
         cv.append(c)
-        nodes.append(node)
-        return len(code) - 1
 
-    pending: set = set()
-    for root in exprs:
-        work = [(root, False)]
-        while work:
-            node, ready = work.pop()
-            if not ready:
-                if id(node) in index or id(node) in pending:
-                    continue
-                pending.add(id(node))
-                work.append((node, True))
-                for c in node.args:
-                    work.append((c, False))
-                continue
-            kind = node.kind
-            if kind == "const":
-                i = emit(OP_CONST, c=float(node.data), node=node)
-            elif kind == "coord":
-                if node.data >= n_coords:
-                    raise ValueError(f"coordinate index {node.data} out of range")
-                i = emit(OP_COORD, a=node.data, node=node)
-            elif kind == "param":
-                if node.data not in pidx:
-                    raise ValueError(f"unknown parameter '{node.data}'")
-                i = emit(OP_PARAM, a=pidx[node.data], node=node)
-            elif kind == "pow":
-                base = index[id(node.args[0])]
-                q = node.data
-                if isinstance(q, Fraction) and q.denominator == 1 and abs(q.numerator) < 2**31:
-                    i = emit(OP_POWI, a=base, b=q.numerator, node=node)
-                else:
-                    i = emit(OP_POWF, a=base, c=float(q), node=node)
-            elif kind in _UNARY_OPS:
-                i = emit(_UNARY_OPS[kind], a=index[id(node.args[0])], node=node)
-            elif kind in _BINARY_OPS:
-                i = emit(
-                    _BINARY_OPS[kind],
-                    a=index[id(node.args[0])],
-                    b=index[id(node.args[1])],
-                    node=node,
-                )
+    for node in nodes:
+        kind = node.kind
+        if kind == "const":
+            emit(OP_CONST, c=float(node.data))
+        elif kind == "coord":
+            if node.data >= n_coords:
+                raise ValueError(f"coordinate index {node.data} out of range")
+            emit(OP_COORD, a=node.data)
+        elif kind == "param":
+            if node.data not in pidx:
+                raise ValueError(f"unknown parameter '{node.data}'")
+            emit(OP_PARAM, a=pidx[node.data])
+        elif kind == "pow":
+            base = index[id(node.args[0])]
+            q = node.data
+            if isinstance(q, Fraction) and q.denominator == 1 and abs(q.numerator) < 2**31:
+                emit(OP_POWI, a=base, b=q.numerator)
             else:
-                raise ValueError(f"cannot compile node kind '{kind}'")
-            index[id(node)] = i
+                emit(OP_POWF, a=base, c=float(q))
+        elif kind in _UNARY_OPS:
+            emit(_UNARY_OPS[kind], a=index[id(node.args[0])])
+        elif kind in _BINARY_OPS:
+            emit(_BINARY_OPS[kind], a=index[id(node.args[0])], b=index[id(node.args[1])])
+        else:
+            raise ValueError(f"cannot compile node kind '{kind}'")
 
     outputs = np.array([index[id(r)] for r in exprs], dtype=np.int64)
     return Tape(

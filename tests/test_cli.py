@@ -73,6 +73,15 @@ class TestRunConfig:
             ({"fmt": "yaml"}, "format"),
             ({"k": 0.0}, "nonzero"),
             ({"checks": ("einstein", "bogus")}, "bogus"),
+            ({"rtol": float("inf")}, "--rtol must be finite"),
+            ({"rtol": float("nan")}, "--rtol must be finite"),
+            ({"atol": float("inf")}, "--atol must be finite"),
+            ({"atol": float("nan")}, "--atol must be finite"),
+            ({"k": float("inf")}, "--k must be finite"),
+            ({"k": float("-inf")}, "--k must be finite"),
+            ({"k": float("nan")}, "--k must be finite"),
+            ({"lam": float("inf")}, "--lambda must be finite"),
+            ({"lam": float("nan")}, "--lambda must be finite"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
@@ -422,6 +431,24 @@ class TestMainEndToEnd:
     def test_bad_points_is_usage_error(self, capsys):
         code = main(["check", "--metric", "minkowski", "--points", "0"])
         assert code == EXIT_USAGE
+
+    def test_infinite_atol_is_usage_error(self, capsys):
+        # an infinite tolerance would pass ricci_flat on de Sitter
+        code = main(["check", "--metric", "desitter_flat", "--points", "4",
+                     "--atol", "inf", "--format", "table", "--no-timestamp",
+                     "--checks", "ricci_flat"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == "" and "--atol must be finite" in err
+
+    def test_compute_infinite_coupling_is_usage_error(self, capsys):
+        # T = (1/k)(...) would print "all components zero"
+        code = main(["compute", "--metric", "desitter_flat", "--tensor",
+                     "energy_momentum", "--at", "t=0.1,x=0.2,y=0.3,z=0.1",
+                     "--k", "inf"])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == "" and "must be finite" in err
 
     def test_bad_tensor_choice_is_argparse_error(self):
         with pytest.raises(SystemExit) as exc:

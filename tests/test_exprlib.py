@@ -393,6 +393,13 @@ class TestSimplify:
         s = simplify(parse("ln(0 - 1)", COORDS))
         assert s.kind == "ln"
 
+    def test_overflowing_folds_are_kept(self):
+        # no finite constant to fold to; the printed text must parse back
+        big, tiny = const(1e308), const(5e-324)
+        for e in (add(big, big), sub(neg(big), big), mul(big, big), div(const(2), tiny)):
+            assert e.kind != "const"
+            assert parse(to_text(e), COORDS) is e
+
     def test_mul_by_minus_one_becomes_negation(self):
         s = simplify(parse("(0 - 1) * t", COORDS))
         assert s == neg(coord(0))

@@ -191,7 +191,7 @@ class TestKnownCurvature:
         geo = geo_for("minkowski")
         pts = sample(geo, 4)
         for fname in ("christoffel", "riemann04", "ricci", "weyl"):
-            assert amax(geo.eval_field(geo.field(fname), pts)) == 0.0
+            assert amax(geo.eval_field(getattr(geo, fname), pts)) == 0.0
         assert amax(geo.eval_field(geo.scalar_field, pts)) == 0.0
 
     def test_schwarzschild_is_ricci_flat_but_curved(self):
@@ -550,10 +550,6 @@ class TestEvaluation:
     def test_workspace_is_cached_per_spec(self):
         spec = catalog_metric("minkowski")
         assert workspace(spec) is workspace(spec)
-
-    def test_unknown_field_name(self):
-        with pytest.raises(KeyError, match="unknown field"):
-            geo_for("minkowski").field("torsion")
 
 
 class TestLifetime:

@@ -48,6 +48,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonzero"):
             rel.FieldEquationConfig(k=0.0)
 
+    @pytest.mark.parametrize(
+        "kw", [{"k": float("inf")}, {"k": float("nan")},
+               {"lam": float("-inf")}, {"lam": float("nan")}],
+    )
+    def test_non_finite_constants_rejected(self, kw):
+        with pytest.raises(ValueError, match="must be finite"):
+            rel.FieldEquationConfig(**kw)
+
 
 class TestEnergyMomentum:
     def test_field_is_cached_per_config(self):

@@ -2,9 +2,11 @@
 
 For each metric one union tape is compiled over the fields of
 ``CheckContext._GROUPS``, in order, with the default field-equation
-configuration, plus the metric determinant.  The sha256 of its
-``code/a/b/cval/outputs`` arrays must match ``tests/golden/tape_digests.json``.
-A change to the symbolic layer that adds, drops or reorders a single node
+configuration, plus the metric determinant.  A second tape, keyed
+``lie:<metric>``, covers the Lie-derivative fields: L_ξ g and L_ξ T for both
+built-in vector fields, in order, with T at the default configuration.  The
+sha256 of each tape's ``code/a/b/cval/outputs`` arrays must match
+``tests/golden/tape_digests.json``.  A change to the symbolic layer that adds, drops or reorders a single node
 shows up here, before it reaches a residual.
 
 Regenerate the file (only for a change that is meant to move the DAG) with::
@@ -18,9 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.catalog import CATALOG_NAMES, builtin_vector_fields, catalog_metric
 from wstar.checks import CheckContext
-from wstar.matter import FieldEquationConfig
+from wstar.geometry import workspace
+from wstar.matter import FieldEquationConfig, energy_momentum
 
 DIGESTS = Path(__file__).parent / "golden" / "tape_digests.json"
 
@@ -30,7 +33,20 @@ def union_tape_digest(name: str) -> str:
     ctx = CheckContext(metric, [], FieldEquationConfig())
     names = [n for group in CheckContext._GROUPS for n in group]
     exprs = [e for f in ctx._fields(names).values() for e in f.expressions()]
-    tape = ctx.geo._compile(exprs + [ctx.geo.det])
+    return _digest(ctx.geo._compile(exprs + [ctx.geo.det]))
+
+
+def lie_tape_digest(name: str) -> str:
+    metric = catalog_metric(name)
+    geo = workspace(metric)
+    t = energy_momentum(metric, FieldEquationConfig())
+    fields = []
+    for xi in builtin_vector_fields(metric):
+        fields += [geo.lie_derivative_metric(xi), geo.lie_derivative_sym2(xi, t)]
+    return _digest(geo._compile([e for f in fields for e in f.expressions()]))
+
+
+def _digest(tape) -> str:
     h = hashlib.sha256()
     for arr in (tape.code, tape.a, tape.b, tape.cval, tape.outputs):
         h.update(f"{arr.dtype.str}{arr.shape}".encode())
@@ -43,5 +59,12 @@ def test_union_tape_matches_golden_digest(metric):
     assert union_tape_digest(metric) == json.loads(DIGESTS.read_text())[metric]
 
 
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_lie_derivative_tape_matches_golden_digest(metric):
+    assert lie_tape_digest(metric) == json.loads(DIGESTS.read_text())[f"lie:{metric}"]
+
+
 if __name__ == "__main__":
-    print(json.dumps({m: union_tape_digest(m) for m in CATALOG_NAMES}, indent=2))
+    digests = {m: union_tape_digest(m) for m in CATALOG_NAMES}
+    digests.update({f"lie:{m}": lie_tape_digest(m) for m in CATALOG_NAMES})
+    print(json.dumps(digests, indent=2))
