@@ -39,7 +39,7 @@ from .matter import (
 from . import wstar as ws
 
 __all__ = [
-    "CheckContext", "CheckOutcome", "REGISTRY", "run_check",
+    "CheckContext", "CheckOutcome", "REGISTRY",
     "einstein_check", "em_distribution", "recurrence_fit", "fluid_relations",
     "dust_vacuum", "classification", "pairing_results",
 ]
@@ -467,12 +467,6 @@ REGISTRY: "Dict[str, Callable[[CheckContext], CheckOutcome]]" = {
 }
 
 
-def run_check(name: str, ctx: CheckContext) -> CheckOutcome:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown check {name!r}")
-    return ctx.check(name)
-
-
 # --- derived reports ----------------------------------------------------------
 #
 # Tolerance semantics: a condition "holds" when its residual is at most
@@ -561,7 +555,10 @@ def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
     return np.einsum("pjkm,pjk->pm", nric, ric) / denom[:, None]
 
 
-def recurrence_fit(ctx: CheckContext, fd_step: float = 1e-4) -> RecurrenceFit:
+_FD_STEP = 1e-4  # central-difference step of the closedness estimate
+
+
+def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
 
     Closedness of b is estimated by central finite differences of the fitted
@@ -581,7 +578,7 @@ def recurrence_fit(ctx: CheckContext, fd_step: float = 1e-4) -> RecurrenceFit:
 
     n = geo.dim
     base = ctx.points[usable]
-    shifts = fd_step * np.eye(n)
+    shifts = _FD_STEP * np.eye(n)
     displaced = np.concatenate(
         [base + s for s in shifts] + [base - s for s in shifts]
     )
@@ -590,7 +587,7 @@ def recurrence_fit(ctx: CheckContext, fd_step: float = 1e-4) -> RecurrenceFit:
     p_used = base.shape[0]
     plus = bd[: n * p_used].reshape(n, p_used, n)
     minus = bd[n * p_used :].reshape(n, p_used, n)
-    grad_b = (plus - minus) / (2.0 * fd_step)  # grad_b[nu, p, mu] = d_nu b_mu
+    grad_b = (plus - minus) / (2.0 * _FD_STEP)  # grad_b[nu, p, mu] = d_nu b_mu
     curl = grad_b - grad_b.transpose(2, 1, 0)
     return RecurrenceFit(
         True, b, float(point_residual.max()), _amax(curl), None, point_residual

@@ -25,9 +25,10 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import catalog, relativity as rel, wstar as ws
-from .checks import CheckContext, REGISTRY, run_check
+from . import catalog, wstar as ws
+from .checks import CheckContext, REGISTRY
 from .geometry import Geometry, MetricSpec, workspace
+from .matter import FieldEquationConfig, FluidError, energy_momentum
 from .metricfile import MetricFileError, load_metric as _load_metric_file
 from .report import CheckReport, RunReport, render_json, render_table, utc_stamp
 from .sampling import DET_FLOOR, SamplingError, sample_points
@@ -88,6 +89,9 @@ class RunConfig:
                 f"unknown check name(s): {', '.join(bad)};"
                 f" available: all, {known}"
             )
+        for i, name in enumerate(self.checks):
+            if name in self.checks[:i]:
+                raise UsageError(f"check {name!r} given twice")
 
 
 def load_metric(source: str) -> MetricSpec:
@@ -115,14 +119,17 @@ def _check_names(cfg: RunConfig) -> tuple:
     return cfg.checks
 
 
-def run_checks(cfg: RunConfig) -> RunReport:
+def _context(cfg: RunConfig) -> CheckContext:
+    """The run's metric at its sample points, ready to be checked."""
     metric = load_metric(cfg.metric)
-    geo = workspace(metric)
-    pts = sample_for(geo, cfg.points, cfg.seed)
-    ctx = CheckContext(
-        metric, pts, rel.FieldEquationConfig(k=cfg.k, lam=cfg.lam),
-        atol=cfg.atol, rtol=cfg.rtol,
-    )
+    pts = sample_for(workspace(metric), cfg.points, cfg.seed)
+    return CheckContext(metric, pts, FieldEquationConfig(k=cfg.k, lam=cfg.lam),
+                        atol=cfg.atol, rtol=cfg.rtol)
+
+
+def run_checks(cfg: RunConfig) -> RunReport:
+    ctx = _context(cfg)
+    metric = ctx.metric
     rep = RunReport(
         metric=metric.name, seed=cfg.seed, points=cfg.points,
         atol=cfg.atol, rtol=cfg.rtol, k=cfg.k, lam=cfg.lam,
@@ -131,9 +138,9 @@ def run_checks(cfg: RunConfig) -> RunReport:
     )
     for name in _check_names(cfg):
         try:
-            out = run_check(name, ctx)
+            out = ctx.check(name)
         except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
-                ZeroDivisionError, rel.FluidError) as err:
+                ZeroDivisionError, FluidError) as err:
             rep.checks.append(
                 CheckReport(name, "fail", None, ctx.tol(0.0), None,
                             f"evaluation error: {err}")
@@ -162,13 +169,13 @@ _FIELDS = {
     "weyl": lambda m, geo, cfg: geo.weyl,
     "wstar": lambda m, geo, cfg: ws.wstar_tensor(m).wstar04,
     "wstar_contraction": lambda m, geo, cfg: ws.wstar_tensor(m).wstar02,
-    "energy_momentum": lambda m, geo, cfg: rel.energy_momentum(m, cfg),
+    "energy_momentum": lambda m, geo, cfg: energy_momentum(m, cfg),
 }
 _TENSOR_NAMES = (*_FIELDS, "krupka")  # krupka is a decomposition, not a field
 
 
 def _field_for(name: str, metric: MetricSpec, geo: Geometry,
-               cfg: rel.FieldEquationConfig):
+               cfg: FieldEquationConfig):
     if name not in _FIELDS:
         raise UsageError(f"unknown tensor {name!r}; choose from {', '.join(_TENSOR_NAMES)}")
     return _FIELDS[name](metric, geo, cfg)
@@ -216,6 +223,8 @@ def parse_point(at: str, metric: MetricSpec) -> np.ndarray:
             given[key] = float(raw)
         except ValueError:
             raise UsageError(f"coordinate {key!r} has non-numeric value {raw!r}")
+        if not math.isfinite(given[key]):
+            raise UsageError(f"coordinate {key!r} must be finite")
     missing = [c for c in metric.coords if c not in given]
     if missing:
         raise UsageError("missing coordinate value(s): " + ", ".join(missing))
@@ -229,7 +238,7 @@ def parse_point(at: str, metric: MetricSpec) -> np.ndarray:
 
 
 def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
-               cfg: rel.FieldEquationConfig) -> str:
+               cfg: FieldEquationConfig) -> str:
     geo = workspace(metric)
     if tensor == "krupka":
         b = ws.wstar_tensor(metric)
@@ -249,13 +258,7 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
 
 def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
-    metric = load_metric(cfg.metric)
-    geo = workspace(metric)
-    pts = sample_for(geo, cfg.points, cfg.seed)
-    ctx = CheckContext(
-        metric, pts, rel.FieldEquationConfig(k=cfg.k, lam=cfg.lam),
-        atol=cfg.atol, rtol=cfg.rtol,
-    )
+    ctx = _context(cfg)
     record, pairs = ctx.classification, ctx.pairings
     flags = {}
     residuals = {}
@@ -266,7 +269,7 @@ def classify_payload(cfg: RunConfig) -> tuple:
             entry["note"] = fr.note
         residuals[name] = entry
     payload = {
-        "metric": metric.name,
+        "metric": ctx.metric.name,
         "seed": cfg.seed,
         "points": cfg.points,
         "tolerances": {"atol": cfg.atol, "rtol": cfg.rtol},
@@ -382,7 +385,7 @@ def _cmd_check(args) -> tuple:
 
 def _cmd_compute(args) -> tuple:
     metric = load_metric(args.metric)
-    cfg = rel.FieldEquationConfig(k=args.k, lam=args.lam)
+    cfg = FieldEquationConfig(k=args.k, lam=args.lam)
     point = parse_point(args.at, metric)
     return compute_at(args.tensor, metric, point, cfg), EXIT_OK
 
@@ -410,9 +413,30 @@ def _cannot_write(err: OSError) -> int:
     return EXIT_OUTPUT
 
 
+_FLOAT_FLAGS = ("--rtol", "--atol", "--k", "--lambda")
+
+
+def _join_negative_values(argv) -> list:
+    """``--k -1e-3`` as ``--k=-1e-3``: after a space, argparse takes a negative
+    value in exponent form, or ``-inf``, for an option and rejects it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_FLAGS and arg[:1] == "-":
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(
+        sys.argv[1:] if argv is None else argv))
     handler = {
         "catalog": _cmd_catalog,
         "check": _cmd_check,
@@ -425,7 +449,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (EvalError, SamplingError, TapeEvalError, FloatingPointError,
-            np.linalg.LinAlgError, rel.FluidError) as err:
+            np.linalg.LinAlgError, FluidError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
     try:

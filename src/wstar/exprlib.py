@@ -68,7 +68,6 @@ __all__ = [
     "differentiate",
     "simplify",
     "to_text",
-    "render",
     "node_count",
 ]
 
@@ -675,16 +674,6 @@ def to_text(e: Expr, max_len: int | None = None) -> str:
     if max_len is not None and len(text) > max_len:
         text = text[: max_len - 3] + "..."
     return text
-
-
-def render(e: Expr, coord_names: Sequence[str]) -> str:
-    """Like :func:`to_text` but with coordinate names instead of x0, x1, ..."""
-
-    def repl(m: re.Match) -> str:
-        i = int(m.group(1))
-        return coord_names[i] if i < len(coord_names) else m.group(0)
-
-    return re.sub(r"\bx(\d+)\b", repl, to_text(e))
 
 
 # --- parsing ------------------------------------------------------------------

@@ -149,46 +149,11 @@ class TensorField:
 
 @dataclass
 class PointTensor:
-    """Numeric tensor values at one point, with index algebra."""
+    """Numeric tensor values at one point."""
 
     variance: str
     values: np.ndarray
     point: tuple
-
-    def _check_slot(self, pos: int, want: str, op: str):
-        if not 0 <= pos < len(self.variance):
-            raise ValueError(f"slot {pos} out of range for rank {len(self.variance)}")
-        if self.variance[pos] != want:
-            raise ValueError(
-                f"variance mismatch: {op} needs a '{want}' slot, "
-                f"got '{self.variance[pos]}' at position {pos}"
-            )
-
-    def raise_index(self, pos: int, ginv: np.ndarray) -> "PointTensor":
-        self._check_slot(pos, "l", "raise")
-        vals = np.tensordot(ginv, np.moveaxis(self.values, pos, 0), axes=(1, 0))
-        vals = np.moveaxis(vals, 0, pos)
-        var = self.variance[:pos] + "u" + self.variance[pos + 1 :]
-        return PointTensor(var, vals, self.point)
-
-    def lower_index(self, pos: int, g: np.ndarray) -> "PointTensor":
-        self._check_slot(pos, "u", "lower")
-        vals = np.tensordot(g, np.moveaxis(self.values, pos, 0), axes=(1, 0))
-        vals = np.moveaxis(vals, 0, pos)
-        var = self.variance[:pos] + "l" + self.variance[pos + 1 :]
-        return PointTensor(var, vals, self.point)
-
-    def contract(self, pos_a: int, pos_b: int) -> "PointTensor | float":
-        if pos_a == pos_b:
-            raise ValueError("cannot contract a slot with itself")
-        a, b = sorted((pos_a, pos_b))
-        if {self.variance[a], self.variance[b]} != {"u", "l"}:
-            raise ValueError("variance mismatch: contraction needs one upper and one lower slot")
-        vals = np.trace(self.values, axis1=a, axis2=b)
-        var = "".join(v for s, v in enumerate(self.variance) if s not in (a, b))
-        if not var:
-            return float(vals)
-        return PointTensor(var, vals, self.point)
 
 
 # --- the workspace ------------------------------------------------------------
@@ -433,18 +398,8 @@ class Geometry:
         return TensorField(t.variance + "l", comps, f"Nabla[{t.label}]")
 
     @property
-    def nabla_metric(self) -> TensorField:
-        return self.cached("nabla_metric", lambda: self.covariant_derivative(self.g))
-
-    @property
     def nabla_ricci(self) -> TensorField:
         return self.cached("nabla_ricci", lambda: self.covariant_derivative(self.ricci))
-
-    @property
-    def nabla_riemann04(self) -> TensorField:
-        return self.cached(
-            "nabla_riemann04", lambda: self.covariant_derivative(self.riemann04)
-        )
 
     @property
     def nabla_weyl(self) -> TensorField:
@@ -571,16 +526,15 @@ class Geometry:
     def _det_tape(self) -> Tape:
         return self._compile([self.det])
 
-    def eval_fields(self, fields: Mapping[str, TensorField], points, params=None):
+    def eval_fields(self, fields: Mapping[str, TensorField], points):
         """Evaluate several fields on shared points with one tape.
 
         Returns a dict name → array of shape (P, *field shape).  Raises
         :class:`wstar.tape.TapeEvalError` if any point fails.
         """
-        params = dict(self.metric.params) if params is None else params
         tape = self._tape_for(list(fields.values()))
         pts = np.asarray(points, dtype=np.float64)
-        flat = tape.evaluate_checked(pts, params)
+        flat = tape.evaluate_checked(pts, dict(self.metric.params))
         out = {}
         offset = 0
         for name, f in fields.items():
@@ -590,18 +544,13 @@ class Geometry:
             offset += size
         return out
 
-    def eval_field(self, f: TensorField, points, params=None) -> np.ndarray:
-        return self.eval_fields({f.label: f}, points, params)[f.label]
+    def eval_field(self, f: TensorField, points) -> np.ndarray:
+        return self.eval_fields({f.label: f}, points)[f.label]
 
-    def eval_point(self, f: TensorField, point_coords, params=None) -> PointTensor:
-        vals = self.eval_field(f, np.asarray(point_coords)[None, :], params)[0]
-        return PointTensor(f.variance, vals, tuple(point_coords))
-
-    def det_values(self, points, params=None) -> np.ndarray:
+    def det_values(self, points) -> np.ndarray:
         """|det g| at points with failures mapped to 0 (for rejection sampling)."""
-        params = dict(self.metric.params) if params is None else params
         pts = np.asarray(points, dtype=np.float64)
-        vals, err = self._det_tape.evaluate(pts, params)
+        vals, err = self._det_tape.evaluate(pts, dict(self.metric.params))
         out = np.abs(vals[:, 0])
         out[err >= 0] = 0.0
         return out

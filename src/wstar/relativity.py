@@ -1,13 +1,12 @@
-"""Matter content and space-time classification from the field equations.
+"""Metric-level entry points to the analysis, and the vector-field fits.
 
-This module is the metric-level face of the analysis.  The field equations
-and the perfect-fluid algebra live in :mod:`wstar.matter`; each diagnostic
-that scores a metric at sample points (Einstein condition, trace-reversed
-matter distribution, Ricci recurrence, fluid relations, classification
-flags, theorem pairings) builds one :class:`wstar.checks.CheckContext` and
-reads it, so these functions report exactly the numbers that the ``check``
-and ``classify`` commands report.  Conformal-factor and matter-inheritance
-fits for vector fields live here as well.
+:func:`is_einstein`, :func:`fluid_relation_checks`, :func:`classify` and
+:func:`pairing_checks` each build one :class:`wstar.checks.CheckContext` and
+read it, so they report exactly the numbers of the ``check`` and ``classify``
+commands.  :func:`conformal_fit` and :func:`matter_inheritance_check` fit the
+conformal and matter-inheritance factors of a vector field.  The field
+equations and the perfect-fluid algebra live in :mod:`wstar.matter` and are
+re-exported here.
 
 Tolerance semantics throughout: a condition "holds" when its residual is at
 most ``atol + rtol * scale`` where ``scale`` is the magnitude of the dominant
@@ -24,18 +23,12 @@ import numpy as np
 from .checks import (
     CheckContext,
     ClassificationRecord,
-    DustVacuumReport,
     EinsteinCheck,
-    EMDistributionReport,
     FlagResult,
     FluidRelationsReport,
     PairingResult,
-    RecurrenceFit,
-    dust_vacuum,
     einstein_check,
-    em_distribution,
     fluid_relations,
-    recurrence_fit,
 )
 from .exprlib import to_text
 from .geometry import Geometry, MetricSpec, TensorField, VectorFieldSpec, workspace
@@ -54,10 +47,7 @@ __all__ = [
     "FluidDecomposition",
     "FluidError",
     "EinsteinCheck",
-    "EMDistributionReport",
-    "RecurrenceFit",
     "FluidRelationsReport",
-    "DustVacuumReport",
     "ConformalFit",
     "InheritanceReport",
     "FlagResult",
@@ -67,10 +57,7 @@ __all__ = [
     "nabla_energy_momentum",
     "perfect_fluid_decompose",
     "is_einstein",
-    "em_distribution_check",
-    "ricci_recurrence_fit",
     "fluid_relation_checks",
-    "dust_vacuum_check",
     "conformal_fit",
     "matter_inheritance_check",
     "classify",
@@ -78,21 +65,9 @@ __all__ = [
 ]
 
 
-def is_einstein(m: MetricSpec, points, tol: float = 1e-8) -> EinsteinCheck:
+def is_einstein(m: MetricSpec, points) -> EinsteinCheck:
     """:func:`wstar.checks.einstein_check` at the points."""
-    return einstein_check(CheckContext(m, points, FieldEquationConfig()), tol)
-
-
-def em_distribution_check(
-    m: MetricSpec, cfg: FieldEquationConfig, points
-) -> EMDistributionReport:
-    """:func:`wstar.checks.em_distribution` at the points."""
-    return em_distribution(CheckContext(m, points, cfg))
-
-
-def ricci_recurrence_fit(m: MetricSpec, points, fd_step: float = 1e-4) -> RecurrenceFit:
-    """:func:`wstar.checks.recurrence_fit` at the points."""
-    return recurrence_fit(CheckContext(m, points, FieldEquationConfig()), fd_step)
+    return einstein_check(CheckContext(m, points, FieldEquationConfig()))
 
 
 def fluid_relation_checks(
@@ -100,13 +75,6 @@ def fluid_relation_checks(
 ) -> FluidRelationsReport:
     """:func:`wstar.checks.fluid_relations` at the points."""
     return fluid_relations(CheckContext(m, points, cfg))
-
-
-def dust_vacuum_check(
-    m: MetricSpec, cfg: FieldEquationConfig, points
-) -> DustVacuumReport:
-    """:func:`wstar.checks.dust_vacuum` at the points."""
-    return dust_vacuum(CheckContext(m, points, cfg))
 
 
 def classify(
@@ -181,7 +149,6 @@ def matter_inheritance_check(
     m: MetricSpec,
     cfg: FieldEquationConfig,
     points,
-    tol: float = 1e-8,
 ) -> InheritanceReport:
     """Fit L_xi T = 2 phi_T T and compare against the metric conformal fit.
 
@@ -218,8 +185,8 @@ def matter_inheritance_check(
     if not flat:
         equivalence = "not-applicable"
     else:
-        conf_ok = conf.residual <= tol * (1.0 + _amax(vals["g"]))
-        inh_ok = residual <= tol * t_scale
+        conf_ok = conf.residual <= 1e-8 * (1.0 + _amax(vals["g"]))
+        inh_ok = residual <= 1e-8 * t_scale
         if conf_ok != inh_ok:
             equivalence = "violated"
         elif conf_ok and gap > 1e-6 * (1.0 + _amax(conf.phi)):

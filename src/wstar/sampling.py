@@ -27,6 +27,7 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 DET_FLOOR = 1e-10  # |det g| at or below this rejects the candidate point
+MAX_ATTEMPTS = 1000  # candidates drawn for one point before giving up
 
 
 class SamplingError(Exception):
@@ -59,7 +60,6 @@ def sample_points(
     count: int,
     seed: int,
     reject: Callable[[np.ndarray], bool] | None = None,
-    max_attempts: int = 1000,
 ) -> np.ndarray:
     """Draw ``count`` accepted points from the box given by ``bounds``.
 
@@ -67,19 +67,19 @@ def sample_points(
     to discard a candidate; each candidate consumes one draw per coordinate
     whether or not it is accepted, so the accepted set is a deterministic
     function of (bounds, count, seed, reject).  Raises :class:`SamplingError`
-    if any single point exhausts ``max_attempts`` candidates.
+    if any single point exhausts ``MAX_ATTEMPTS`` candidates.
     """
     rng = SplitMix64(seed)
     out = np.empty((count, len(bounds)))
     for k in range(count):
-        for attempt in range(max_attempts):
+        for attempt in range(MAX_ATTEMPTS):
             row = np.array([rng.uniform(lo, hi) for lo, hi in bounds])
             if reject is None or not reject(row):
                 out[k] = row
                 break
         else:
             raise SamplingError(
-                f"no acceptable point after {max_attempts} attempts "
+                f"no acceptable point after {MAX_ATTEMPTS} attempts "
                 f"(point {k + 1} of {count}, seed {seed})"
             )
     return out

@@ -281,17 +281,14 @@ def traces(w13_vals: np.ndarray):
 def krupka_oracle(w13_vals: np.ndarray):
     """Solve the trace system exactly for (C, D, E); the ground-truth values.
 
-    ``w13_vals`` has shape (P, n, n, n, n) (or a single point's (n, n, n, n));
-    the tracelessness of the remainder B is imposed through the three trace
-    equations, which determine C, D, E uniquely for n = 4.
+    ``w13_vals`` has shape (P, n, n, n, n); the tracelessness of the remainder
+    B is imposed through the three trace equations, which determine C, D, E
+    uniquely for n = 4.
     """
-    single = w13_vals.ndim == 4
-    vals = w13_vals[None] if single else w13_vals
-    n = vals.shape[1]
+    p, n = w13_vals.shape[:2]
     if n != 4:
         raise ValueError("trace decomposition implemented for dim 4")
-    t1, t2, t3 = traces(vals)
-    p = vals.shape[0]
+    t1, t2, t3 = traces(w13_vals)
     rhs = np.concatenate(
         [t1.reshape(p, -1), t2.reshape(p, -1), t3.reshape(p, -1)], axis=1
     )
@@ -302,8 +299,6 @@ def krupka_oracle(w13_vals: np.ndarray):
     c = sol[:, : n * n].reshape(p, n, n)
     d = sol[:, n * n : 2 * n * n].reshape(p, n, n)
     e = sol[:, 2 * n * n :].reshape(p, n, n)
-    if single:
-        return c[0], d[0], e[0]
     return c, d, e
 
 

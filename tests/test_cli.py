@@ -82,6 +82,7 @@ class TestRunConfig:
             ({"k": float("nan")}, "--k must be finite"),
             ({"lam": float("inf")}, "--lambda must be finite"),
             ({"lam": float("nan")}, "--lambda must be finite"),
+            ({"checks": ("einstein", "codazzi", "einstein")}, "'einstein' given twice"),
         ],
     )
     def test_rejects_bad_values(self, kw, msg):
@@ -303,6 +304,8 @@ class TestParsePoint:
             ("t=1,r=4,theta=1.2,phi=abc", "non-numeric"),
             ("t=1,r=4,theta=1.2,q=0", "unknown coordinate"),
             ("t;1", "name=value"),
+            ("t=nan,r=4,theta=1.2,phi=0.5", "coordinate 't' must be finite"),
+            ("t=1,r=inf,theta=1.2,phi=0.5", "coordinate 'r' must be finite"),
         ],
     )
     def test_usage_errors(self, at, msg):
@@ -512,6 +515,50 @@ class TestMainEndToEnd:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+class TestNegativeFlagValues:
+    """``--k -1e-3`` parses as ``--k=-1e-3``: same stdout, stderr and exit code.
+
+    argparse alone takes a negative value in exponent form, or ``-inf`` and
+    ``-nan``, after a space for an option and exits 2.
+    """
+
+    VALUES = ("-1e-3", "-inf", "-nan")
+    RUN_FLAGS = ("--k", "--lambda", "--rtol", "--atol")
+
+    @staticmethod
+    def both_forms(capsys, argv, flag, value):
+        spaced = main(argv + [flag, value]), capsys.readouterr()
+        joined = main(argv + [f"{flag}={value}"]), capsys.readouterr()
+        assert spaced == joined
+        code, (out, err) = spaced
+        if value == "-1e-3" and flag in ("--k", "--lambda"):
+            assert code != EXIT_USAGE and out
+        else:
+            assert code == EXIT_USAGE and out == ""
+            assert ("must be finite" if value != "-1e-3" else "must be positive") in err
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("flag", RUN_FLAGS)
+    def test_check(self, capsys, flag, value):
+        argv = ["check", "--metric", "desitter_flat", "--points", "4",
+                "--checks", "einstein,field_equation_trace", "--no-timestamp"]
+        self.both_forms(capsys, argv, flag, value)
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("flag", RUN_FLAGS)
+    def test_classify(self, capsys, flag, value):
+        argv = ["classify", "--metric", "desitter_flat", "--points", "4",
+                "--no-timestamp"]
+        self.both_forms(capsys, argv, flag, value)
+
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("flag", ("--k", "--lambda"))
+    def test_compute(self, capsys, flag, value):
+        argv = ["compute", "--metric", "desitter_flat", "--tensor",
+                "energy_momentum", "--at", "t=0.1,x=0.2,y=0.3,z=0.1"]
+        self.both_forms(capsys, argv, flag, value)
 
 
 class TestProcessEntry:

@@ -1,8 +1,8 @@
 """Tests for the scalar expression layer: parsing, printing, calculus, evaluation.
 
 Oracles used here are written independently of the library internals:
-a plain recursive evaluator (`oracle_eval`) and a central finite-difference
-derivative (`fd_derivative`).
+a plain recursive evaluator (`oracle_eval`) and a finite-difference
+derivative with Ridders' extrapolation (`fd_derivative`).
 """
 
 import gc
@@ -11,7 +11,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wstar import exprlib as ex
@@ -34,7 +34,6 @@ from wstar.exprlib import (
     node_count,
     parse,
     power,
-    render,
     simplify,
     sin,
     sqrt,
@@ -84,15 +83,39 @@ def oracle_eval(e, coords, params):
     return fn(vals[0])
 
 
-def fd_derivative(e, point, index, h=1e-5):
-    """Central finite difference of the expression along one coordinate."""
-    up = list(point.coords)
-    dn = list(point.coords)
-    up[index] += h
-    dn[index] -= h
-    fu = evaluate(e, Point(tuple(up), point.params))
-    fd = evaluate(e, Point(tuple(dn), point.params))
-    return (fu - fd) / (2 * h)
+def fd_derivative(e, point, index, h=2.0**-7, steps=21):
+    """Ridders' extrapolation of central differences along one coordinate.
+
+    Central differences at the steps h, h/2, h/4, ... are extrapolated to
+    step zero in a Neville tableau (Ridders, Adv. Eng. Software 4(2), 1982).
+    The entry that agrees best with its two parents, relative to
+    max(1, |entry|), is returned: a smooth expression is resolved at the
+    large steps, a fast-oscillating one only at the small ones.
+    """
+
+    def central(step):
+        up = list(point.coords)
+        dn = list(point.coords)
+        up[index] += step
+        dn[index] -= step
+        fu = evaluate(e, Point(tuple(up), point.params))
+        fd = evaluate(e, Point(tuple(dn), point.params))
+        return (fu - fd) / (2 * step)
+
+    best, best_err = None, math.inf
+    prev = [central(h)]
+    for _ in range(1, steps):
+        h /= 2
+        row = [central(h)]
+        for j, above in enumerate(prev, 1):
+            fac = 4.0**j
+            row.append((fac * row[j - 1] - above) / (fac - 1))
+            err = max(abs(row[j] - row[j - 1]), abs(row[j] - above))
+            err /= max(1.0, abs(row[j]))
+            if err < best_err:
+                best, best_err = row[j], err
+        prev = row
+    return best
 
 
 def P(*coords, **params):
@@ -412,7 +435,6 @@ class TestPrinting:
     def test_rational_exponent_rendering(self):
         e = parse("t^2/3 + x*y", COORDS)
         assert to_text(e) == "x0^(2/3) + x1 * x2"
-        assert render(e, COORDS) == "t^(2/3) + x * y"
 
     def test_parens_preserve_structure(self):
         src = "(t + x) * y - t / (x * y)"
@@ -576,9 +598,12 @@ class TestProperties:
         assert simplify(unshared(e)) is e
 
     @given(e=smooth_expressions(), pt=points, idx=st.integers(0, 3))
+    # fast oscillation: d/dx3 is 4939.7 here, and one central difference at
+    # h = 1e-5 is off by 3
+    @example(e=sin(power(power(coord(3), 2), 3)), pt=P(0, 0, 0, 4, M=1.0, H=0.5), idx=3)
     @settings(max_examples=100, deadline=None)
     def test_derivative_matches_finite_differences(self, e, pt, idx):
-        """Symbolic derivatives agree with a central-difference oracle."""
+        """Symbolic derivatives agree with a finite-difference oracle."""
         v = try_eval(e, pt)
         assume(v is not None and abs(v) < 1e6)
         d = differentiate(e, idx)

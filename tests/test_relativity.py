@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wstar import cli
 from wstar.catalog import builtin_vector_fields, catalog_metric
-from wstar.checks import CheckContext, dust_vacuum, em_distribution
+from wstar.checks import CheckContext, dust_vacuum, em_distribution, recurrence_fit
 from wstar.exprlib import coord, const, neg, parse
 from wstar.geometry import VectorFieldSpec, workspace
 from wstar import relativity as rel
@@ -34,6 +34,10 @@ def geo_for(name):
 
 def sample(name, count=8, seed=42):
     return cli.sample_for(geo_for(name), count, seed)
+
+
+def context(name, count):
+    return CheckContext(catalog_metric(name), sample(name, count), CFG)
 
 
 def amax(a) -> float:
@@ -197,14 +201,12 @@ class TestEinstein:
 
 class TestEMDistribution:
     def test_minkowski(self):
-        rep = rel.em_distribution_check(catalog_metric("minkowski"), CFG, sample("minkowski", 4))
+        rep = em_distribution(context("minkowski", 4))
         assert rep.conclusion == "holds"
         assert rep.trace_max == 0.0 and rep.scalar_max == 0.0
 
     def test_desitter_parallel_conclusion(self):
-        rep = rel.em_distribution_check(
-            catalog_metric("desitter_flat"), CFG, sample("desitter_flat", 6)
-        )
+        rep = em_distribution(context("desitter_flat", 6))
         assert rep.conclusion == "holds"
         assert rep.nabla_t_max <= 1e-8
         assert rep.scalar_max == pytest.approx(12.0, abs=1e-8)
@@ -213,14 +215,12 @@ class TestEMDistribution:
         assert rep.reversed_sign_residual == pytest.approx(24.0, abs=1e-6)
 
     def test_vacuum_reports_zero_but_no_conclusion(self):
-        rep = rel.em_distribution_check(
-            catalog_metric("schwarzschild"), CFG, sample("schwarzschild", 6)
-        )
+        rep = em_distribution(context("schwarzschild", 6))
         assert rep.conclusion == "not-applicable"  # not symmetric
         assert rep.trace_max <= 1e-12 and rep.nabla_t_max <= 1e-12
 
     def test_dust_cosmology_not_applicable(self):
-        rep = rel.em_distribution_check(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 6))
+        rep = em_distribution(context("flrw_dust", 6))
         assert rep.conclusion == "not-applicable"
         assert rep.symmetry_residual > 1e-3
 
@@ -259,19 +259,19 @@ class TestRunTolerances:
 class TestRecurrence:
     @pytest.mark.parametrize("name", ["minkowski", "schwarzschild"])
     def test_vacuum_not_applicable(self, name):
-        fit = rel.ricci_recurrence_fit(catalog_metric(name), sample(name, 4))
+        fit = recurrence_fit(context(name, 4))
         assert not fit.applicable
         assert "vanishes" in fit.reason
 
     def test_desitter_trivially_recurrent(self):
-        fit = rel.ricci_recurrence_fit(catalog_metric("desitter_flat"), sample("desitter_flat", 6))
+        fit = recurrence_fit(context("desitter_flat", 6))
         assert fit.applicable
         assert amax(fit.b) <= 1e-8
         assert fit.fit_residual <= 1e-8
         assert fit.closedness_residual <= 1e-6
 
     def test_dust_cosmology_not_recurrent_but_closed(self):
-        fit = rel.ricci_recurrence_fit(catalog_metric("flrw_dust"), sample("flrw_dust", 6))
+        fit = recurrence_fit(context("flrw_dust", 6))
         assert fit.applicable
         assert fit.fit_residual > 1e-3
         assert fit.closedness_residual <= 1e-6  # b = b(t) dt is closed anyway
@@ -283,7 +283,7 @@ class TestRecurrence:
         geo = geo_for(name)
         pts = sample(name, 6)
         vals = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
-        fit = rel.ricci_recurrence_fit(catalog_metric(name), pts)
+        fit = recurrence_fit(CheckContext(catalog_metric(name), pts, CFG))
         resid = vals["nric"] - np.einsum("pjk,pm->pjkm", vals["ric"], fit.b)
         ortho = np.einsum("pjkm,pjk->pm", resid, vals["ric"])
         scale = amax(vals["nric"]) * amax(vals["ric"])
@@ -350,19 +350,17 @@ class TestFluidRelations:
 
 class TestDustVacuum:
     def test_flat_space_holds(self):
-        rep = rel.dust_vacuum_check(catalog_metric("minkowski"), CFG, sample("minkowski", 4))
+        rep = dust_vacuum(context("minkowski", 4))
         assert rep.status == "holds"
         assert rep.dust and rep.wstar_flat
 
     def test_dust_without_flatness_not_applicable(self):
-        rep = rel.dust_vacuum_check(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 6))
+        rep = dust_vacuum(context("flrw_dust", 6))
         assert rep.status == "not-applicable"
         assert rep.dust and not rep.wstar_flat
 
     def test_flat_without_dust_not_applicable(self):
-        rep = rel.dust_vacuum_check(
-            catalog_metric("desitter_flat"), CFG, sample("desitter_flat", 6)
-        )
+        rep = dust_vacuum(context("desitter_flat", 6))
         assert rep.status == "not-applicable"
         assert not rep.dust and rep.wstar_flat
 

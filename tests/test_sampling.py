@@ -101,8 +101,8 @@ class TestSamplePoints:
         assert np.array_equal(filtered, surviving[:10])
 
     def test_exhaustion_raises(self):
-        with pytest.raises(SamplingError):
-            sample_points(self.BOUNDS, 1, seed=1, reject=lambda row: True, max_attempts=50)
+        with pytest.raises(SamplingError, match=r"after 1000 attempts \(point 1 of 1, seed 1\)"):
+            sample_points(self.BOUNDS, 1, seed=1, reject=lambda row: True)
 
     def test_det_floor_constant(self):
         assert DET_FLOOR == 1e-10
