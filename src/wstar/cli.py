@@ -109,7 +109,7 @@ def load_metric(source: str) -> MetricSpec:
 
 def sample_for(geo: Geometry, count: int, seed: int) -> np.ndarray:
     """Deterministic in-domain sample, rejecting near-degenerate points."""
-    reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
+    reject = lambda rows: geo.det_values(rows) <= DET_FLOOR
     return sample_points(geo.metric.domain, count, seed, reject=reject)
 
 
@@ -413,15 +413,28 @@ def _cannot_write(err: OSError) -> int:
     return EXIT_OUTPUT
 
 
-_FLOAT_FLAGS = ("--rtol", "--atol", "--k", "--lambda")
-
-
-def _join_negative_values(argv) -> list:
+def _join_negative_values(parser: argparse.ArgumentParser, argv) -> list:
     """``--k -1e-3`` as ``--k=-1e-3``: after a space, argparse takes a negative
-    value in exponent form, or ``-inf``, for an option and rejects it."""
+    value in exponent form, or ``-inf``, for an option and rejects it.
+
+    A flag is joined when argparse would read it, whole or as an unambiguous
+    prefix, as a float option of the command being parsed: ``--lam`` is
+    ``--lambda``, and ``--at`` is ``--atol`` in ``check`` and ``classify`` but
+    ``compute``'s own point.
+    """
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    command = commands.get(argv[0]) if argv else None
+    options = command._option_string_actions if command else {}
+
+    def takes_float(flag: str) -> bool:
+        hits = [flag] if flag in options else [
+            s for s in options if flag[:2] == "--" and s.startswith(flag)]
+        return len(hits) == 1 and options[hits[0]].type is float
+
     out = []
     for arg in argv:
-        if out and out[-1] in _FLOAT_FLAGS and arg[:1] == "-":
+        if out and arg[:1] == "-" and takes_float(out[-1]):
             try:
                 float(arg)
             except ValueError:
@@ -436,7 +449,7 @@ def _join_negative_values(argv) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_join_negative_values(
-        sys.argv[1:] if argv is None else argv))
+        parser, sys.argv[1:] if argv is None else argv))
     handler = {
         "catalog": _cmd_catalog,
         "check": _cmd_check,

@@ -23,11 +23,10 @@ import pytest
 from wstar import relativity as rel
 from wstar import wstar as W
 from wstar.catalog import catalog_metric
-from wstar.cli import RunConfig, run_checks
+from wstar.cli import RunConfig, run_checks, sample_for
 from wstar.exprlib import differentiate
 from wstar.geometry import TensorField, ricci_commutator, workspace
 from wstar.report import render_json
-from wstar.sampling import DET_FLOOR, sample_points
 
 ALL = ("minkowski", "schwarzschild", "desitter_flat", "flrw_dust", "perturbed_flat")
 CFG = rel.FieldEquationConfig()
@@ -52,9 +51,7 @@ def geo_for(name):
 
 
 def pts(name, count=32, seed=42):
-    geo = geo_for(name)
-    reject = lambda row: geo.det_values(row[None, :])[0] <= DET_FLOOR
-    return sample_points(geo.metric.domain, count, seed, reject=reject)
+    return sample_for(geo_for(name), count, seed)
 
 
 def amax(a) -> float:

@@ -561,6 +561,46 @@ class TestNegativeFlagValues:
         self.both_forms(capsys, argv, flag, value)
 
 
+class TestAbbreviatedNegativeFlagValues:
+    """An unambiguous prefix of a float flag takes a spaced negative value as
+    the whole flag does after "=", judged among the command's own flags."""
+
+    @staticmethod
+    def same_as_whole_flag(capsys, argv, prefix, flag, value="-1e-3"):
+        spaced = main(argv + [prefix, value]), capsys.readouterr()
+        whole = main(argv + [f"{flag}={value}"]), capsys.readouterr()
+        assert spaced == whole
+        return spaced
+
+    @pytest.mark.parametrize("prefix,flag", [
+        ("--at", "--atol"), ("--r", "--rtol"), ("--lam", "--lambda")])
+    def test_check(self, capsys, prefix, flag):
+        argv = ["check", "--metric", "desitter_flat", "--points", "4",
+                "--checks", "einstein,field_equation_trace", "--no-timestamp"]
+        self.same_as_whole_flag(capsys, argv, prefix, flag)
+
+    @pytest.mark.parametrize("prefix,flag", [
+        ("--at", "--atol"), ("--l", "--lambda")])
+    def test_classify(self, capsys, prefix, flag):
+        argv = ["classify", "--metric", "desitter_flat", "--points", "4",
+                "--no-timestamp"]
+        self.same_as_whole_flag(capsys, argv, prefix, flag)
+
+    def test_compute(self, capsys):
+        argv = ["compute", "--metric", "desitter_flat", "--tensor",
+                "energy_momentum", "--at", "t=0.1,x=0.2,y=0.3,z=0.1"]
+        code, (out, _) = self.same_as_whole_flag(capsys, argv, "--lam", "--lambda")
+        assert code == EXIT_OK and out
+
+    def test_compute_point_flag_is_not_atol(self, capsys):
+        argv = ["compute", "--metric", "desitter_flat", "--tensor",
+                "energy_momentum", "--at", "-1e-3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        assert "argument --at: expected one argument" in capsys.readouterr().err
+
+
 class TestProcessEntry:
     """``python -m wstar.cli`` runs ``console_entry``: same bytes as ``main``."""
 

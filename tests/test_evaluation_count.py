@@ -2,8 +2,10 @@
 
 ``check --checks all`` and ``classify`` read one
 :class:`wstar.checks.CheckContext`; the classification flags and the theorem
-pairings are views over its check outcomes.  These guards count the kernel
-calls and the classification builds of one command.
+pairings are views over its check outcomes.  The sampler tests a block of
+candidates with one det g evaluation.  These guards count the kernel calls
+and the classification builds of one command, and the det g evaluations of
+one sample.
 """
 
 from collections import Counter
@@ -12,7 +14,9 @@ import numpy as np
 import pytest
 
 from wstar import checks
-from wstar.cli import RunConfig, classify_payload, run_checks
+from wstar.catalog import catalog_metric
+from wstar.cli import RunConfig, classify_payload, run_checks, sample_for
+from wstar.geometry import workspace
 from wstar.tape import Tape
 
 
@@ -52,3 +56,10 @@ def test_one_evaluation_per_tape_and_point_set(command, evaluations, classificat
     repeated = {key[:2]: n for key, n in evaluations.items() if n > 1}
     assert not repeated
     assert len(classifications) == 1
+
+
+def test_sampler_evaluates_det_once_per_block(evaluations):
+    geo = workspace(catalog_metric("schwarzschild"))
+    sample_for(geo, 1024, 42)
+    det = id(geo._det_tape)
+    assert sum(n for key, n in evaluations.items() if key[0] == det) == 1
