@@ -11,9 +11,15 @@ being patched over.
 
 :class:`CheckContext` is the one place where a run turns symbolic fields into
 values.  It also memoizes the check outcomes and the results derived from
-several fields (per-point fluid decomposition, Ricci-recurrence fit), and the
+several fields (fluid decomposition, Ricci-recurrence fit), and the
 classification flags and theorem pairings are views over those outcomes, so
 every report of a run reads the same numbers.
+
+Residuals built from a curvature commutator or from the cyclic sum have more
+slots than their inputs (six for [nabla, nabla] W*), so they are built and
+reduced one block of ``_BLOCK`` points at a time and never exist for the
+whole sample.  The fluid decomposition is one batched eigen-decomposition of
+every point's T, not a loop over points.
 
 The registry is ordered; running a subset or everything through one context is
 deterministic for a fixed (metric, seed, points, tolerances) tuple.
@@ -27,16 +33,18 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
+from .backend import _CHUNK
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
 from .matter import (
     FieldEquationConfig,
-    FluidError,
     _amax,
+    decompose_fluids,
     energy_momentum,
     nabla_energy_momentum,
-    perfect_fluid_decompose,
 )
 from . import wstar as ws
+
+_BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 
 __all__ = [
     "CheckContext", "CheckOutcome", "REGISTRY",
@@ -144,18 +152,8 @@ class CheckContext:
     @cached_property
     def fluid(self) -> tuple:
         """(mu, p, failures): T decomposed at every point, NaN where it fails."""
-        t, g, ginv = self.get("t"), self.get("g"), self.get("ginv")
-        mu = np.full(self.points.shape[0], np.nan)
-        p = np.full(self.points.shape[0], np.nan)
-        failures = []
-        for a, point in enumerate(self.points):
-            try:
-                dec = perfect_fluid_decompose(t[a], g[a], ginv[a], point)
-            except FluidError as err:
-                failures.append(str(err))
-                continue
-            mu[a], p[a] = dec.mu, dec.p
-        return mu, p, tuple(failures)
+        fluid = decompose_fluids(self.get("t"), self.get("g"), self.get("ginv"))
+        return fluid.mu, fluid.p, tuple(e for e in fluid.errors if e is not None)
 
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
@@ -173,6 +171,27 @@ class CheckContext:
 def _ptmax(a: np.ndarray) -> np.ndarray:
     """Collapse all but the leading (point) axis with max |.|."""
     return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
+
+
+def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """``_ptmax(residual(*arrays))``, evaluated over blocks of ``_BLOCK`` points.
+
+    ``residual`` is applied to the same slice of the point axis of every
+    array, so a residual with more slots than its inputs only ever exists
+    for one block.
+    """
+    count = arrays[0].shape[0]
+    return np.concatenate([
+        _ptmax(residual(*(a[s:s + _BLOCK] for a in arrays)))
+        for s in range(0, count, _BLOCK)
+    ])
+
+
+def _commutator_ptmax(ctx: CheckContext, name: str, variance: str) -> np.ndarray:
+    """max |[nabla, nabla] X| per point for the lower-index field ``name``."""
+    return _blocked_ptmax(
+        lambda x, r13: ricci_commutator(x, variance, r13), ctx.get(name), ctx.get("r13")
+    )
 
 
 def _traceless_ricci(ctx: CheckContext) -> np.ndarray:
@@ -222,17 +241,28 @@ def _check_divergence_adjusted(ctx: CheckContext) -> CheckOutcome:
     return ctx.outcome(res, 1.0 + _ptmax(direct).max())
 
 
+def _cyclic_gap(dw, nric, g) -> np.ndarray:
+    cyc, rhs = ws.cyclic_identity(dw, nric, g)
+    return cyc - rhs
+
+
 def _check_bianchi_identity(ctx: CheckContext) -> CheckOutcome:
-    cyc, rhs = ws.cyclic_identity(ctx.get("dw"), ctx.get("nric"), ctx.get("g"))
-    return ctx.outcome(_ptmax(cyc - rhs), 1.0 + ctx.amax("dw"))
+    res = _blocked_ptmax(_cyclic_gap, ctx.get("dw"), ctx.get("nric"), ctx.get("g"))
+    return ctx.outcome(res, 1.0 + ctx.amax("dw"))
+
+
+def _semisymmetry_trace_gap(w02, ric, r13) -> np.ndarray:
+    lhs = ricci_commutator(w02, "ll", r13)
+    rhs = (4.0 / 3.0) * ricci_commutator(ric, "ll", r13)
+    return lhs - rhs
 
 
 def _check_semisymmetry_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    r13 = ctx.get("r13")
-    lhs = ricci_commutator(ctx.get("w02"), "ll", r13)
-    rhs = (4.0 / 3.0) * ricci_commutator(ctx.get("ric"), "ll", r13)
+    res = _blocked_ptmax(
+        _semisymmetry_trace_gap, ctx.get("w02"), ctx.get("ric"), ctx.get("r13")
+    )
     scale = ctx.amax("r13") * (ctx.amax("w02") + ctx.amax("ric"))
-    return ctx.outcome(_ptmax(lhs - rhs), scale)
+    return ctx.outcome(res, scale)
 
 
 def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
@@ -345,8 +375,8 @@ def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_ricci_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    comm = ricci_commutator(ctx.get("ric"), "ll", ctx.get("r13"))
-    return ctx.outcome(_ptmax(comm), ctx.amax("r13") * ctx.amax("ric"))
+    res = _commutator_ptmax(ctx, "ric", "ll")
+    return ctx.outcome(res, ctx.amax("r13") * ctx.amax("ric"))
 
 
 def _check_wstar_flat(ctx: CheckContext) -> CheckOutcome:
@@ -362,8 +392,8 @@ def _check_wstar_parallel(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_wstar_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    comm = ricci_commutator(ctx.get("w04"), "llll", ctx.get("r13"))
-    return ctx.outcome(_ptmax(comm), ctx.amax("r13") * ctx.amax("w04"))
+    res = _commutator_ptmax(ctx, "w04", "llll")
+    return ctx.outcome(res, ctx.amax("r13") * ctx.amax("w04"))
 
 
 def _check_quarter_rule(ctx: CheckContext) -> CheckOutcome:
@@ -388,8 +418,8 @@ def _check_t_codazzi(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_t_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    comm = ricci_commutator(ctx.get("t"), "ll", ctx.get("r13"))
-    return ctx.outcome(_ptmax(comm), ctx.amax("r13") * ctx.amax("t"))
+    res = _commutator_ptmax(ctx, "t", "ll")
+    return ctx.outcome(res, ctx.amax("r13") * ctx.amax("t"))
 
 
 def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:

@@ -5,8 +5,9 @@ The energy-momentum tensor is built symbolically from the metric's curvature,
     T_{ij} = (1/k) (R_{ij} - (R/2) g_{ij} + L g_{ij}),
 
 with coupling ``k`` and cosmological constant ``L`` supplied by a
-:class:`FieldEquationConfig`.  :func:`perfect_fluid_decompose` reads density,
-pressure and velocity off T at one point.
+:class:`FieldEquationConfig`.  :func:`decompose_fluids` reads density, pressure
+and velocity off a stack of T values at once; :func:`perfect_fluid_decompose`
+is its one-point case.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ __all__ = [
     "FieldEquationConfig",
     "FluidDecomposition",
     "FluidError",
+    "FluidStack",
+    "decompose_fluids",
     "energy_momentum",
     "nabla_energy_momentum",
     "perfect_fluid_decompose",
@@ -108,14 +111,77 @@ class FluidDecomposition:
     degenerate: bool = False
 
 
-def _timelike_direction(g: np.ndarray) -> np.ndarray:
-    # the eigenvector of g with negative eigenvalue (signature -+++)
-    evals, evecs = np.linalg.eigh(g)
-    c = int(np.argmin(evals))
-    if evals[c] >= 0:
-        raise FluidError("metric has no timelike direction at the point")
-    v = evecs[:, c] / np.sqrt(-evals[c])
-    return -v if v[0] < 0 else v
+_FAILURES = (
+    "metric has no timelike direction at the point",
+    "complex eigenvalues of T^i_j - not a perfect fluid",
+    "no timelike eigenvector of T^i_j - not a perfect fluid",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class FluidStack:
+    """Perfect-fluid readings of a (P, n, n) stack of T, NaN where one fails."""
+
+    mu: np.ndarray  # (P,)
+    p: np.ndarray  # (P,)
+    u_up: np.ndarray  # (P, n) unit timelike velocity
+    anisotropy: np.ndarray  # (P,) max |spacelike eigenvalue - p|, 0 if degenerate
+    degenerate: np.ndarray  # (P,) T proportional to g
+    errors: tuple  # per point: why T has no perfect-fluid form, or None
+
+
+def decompose_fluids(t: np.ndarray, g: np.ndarray, ginv: np.ndarray) -> FluidStack:
+    """Eigen-decompose T^i_j at every point of a stack at once.
+
+    Each point takes the first branch that applies: T proportional to g
+    (degenerate: any unit timelike u of g, failing where g has none), then
+    complex eigenvalues (failing), then no timelike eigenvector (failing);
+    what is left is read off as in :func:`perfect_fluid_decompose`.  Each
+    branch runs as one batched ``eigh`` or ``eig`` over the points that
+    reach it.
+    """
+
+    t = np.asarray(t, dtype=float)
+    count, n = t.shape[:2]
+    scale = 1.0 + np.max(np.abs(t), axis=(1, 2))
+    p0 = np.einsum("pij,pij->p", ginv, t) / n
+    degenerate = np.max(np.abs(t - p0[:, None, None] * g), axis=(1, 2)) <= 1e-10 * scale
+    mu, p = np.full(count, np.nan), np.full(count, np.nan)
+    u_up = np.full((count, n), np.nan)
+    anisotropy = np.zeros(count)
+    failure = np.full(count, -1)  # index into _FAILURES
+
+    # T = p0 g: the eigenvector of g with negative eigenvalue (signature -+++)
+    d = np.flatnonzero(degenerate)
+    evals, evecs = np.linalg.eigh(g[d])
+    c = np.argmin(evals, axis=1)
+    lowest = evals[np.arange(d.size), c]
+    spacelike = lowest >= 0
+    failure[d[spacelike]] = 0
+    ok = np.flatnonzero(~spacelike)
+    u_up[d[ok]] = evecs[ok, :, c[ok]] / np.sqrt(-lowest[ok])[:, None]
+    mu[d[ok]], p[d[ok]] = -p0[d[ok]], p0[d[ok]]
+
+    # otherwise: the unique timelike eigenvector of T^i_j, normalized
+    r = np.flatnonzero(~degenerate)
+    lam, vecs = np.linalg.eig(ginv[r] @ t[r])
+    complex_ = np.max(np.abs(lam.imag), axis=1) > 1e-8 * scale[r]
+    lam, vecs = lam.real, vecs.real
+    norms = np.einsum("pic,pij,pjc->pc", vecs, g[r], vecs)
+    timelike = np.any(norms < -1e-10, axis=1)
+    failure[r[complex_]] = 1
+    failure[r[~complex_ & ~timelike]] = 2
+    ok = np.flatnonzero(~complex_ & timelike)
+    c = np.argmin(norms[ok], axis=1)
+    rest = lam[ok][np.arange(n) != c[:, None]].reshape(ok.size, n - 1)
+    mu[r[ok]] = -lam[ok, c]
+    p[r[ok]] = np.mean(rest, axis=1)
+    anisotropy[r[ok]] = np.max(np.abs(rest - p[r[ok], None]), axis=1)
+    u_up[r[ok]] = vecs[ok, :, c] / np.sqrt(-norms[ok, c])[:, None]
+
+    u_up = np.where(u_up[:, :1] < 0, -u_up, u_up)
+    errors = tuple(_FAILURES[f] if f >= 0 else None for f in failure.tolist())
+    return FluidStack(mu, p, u_up, anisotropy, degenerate, errors)
 
 
 def perfect_fluid_decompose(
@@ -129,38 +195,18 @@ def perfect_fluid_decompose(
     eigenvalues to the reconstruction error of the perfect-fluid form.
     A tensor proportional to the metric has no preferred rest frame; it is
     reported with ``degenerate=True``, mu = -p and any unit timelike u.
+    This is the one-point case of :func:`decompose_fluids`.
     """
 
-    t = np.asarray(t, dtype=float)
-    scale = 1.0 + _amax(t)
-    n = t.shape[0]
-
-    trace = float(np.einsum("ij,ij->", ginv, t))
-    p0 = trace / n
-    if _amax(t - p0 * g) <= 1e-10 * scale:
-        u_up = _timelike_direction(g)
-        u = g @ u_up
-        mu, p = -p0, p0
-        w = p / mu if abs(mu) > 1e-10 else None
-        residual = _amax(t - ((mu + p) * np.outer(u, u) + p * g))
-        return FluidDecomposition(mu, p, PointTensor("l", u, point), residual, w, True)
-
-    lam, vecs = np.linalg.eig(ginv @ t)
-    if _amax(lam.imag) > 1e-8 * scale:
-        raise FluidError("complex eigenvalues of T^i_j - not a perfect fluid")
-    lam, vecs = lam.real, vecs.real
-    norms = np.einsum("ic,ij,jc->c", vecs, g, vecs)
-    if not np.any(norms < -1e-10):
-        raise FluidError("no timelike eigenvector of T^i_j - not a perfect fluid")
-    c = int(np.argmin(norms))
-    mu = -float(lam[c])
-    rest = [float(lam[a]) for a in range(n) if a != c]
-    p = float(np.mean(rest))
-    anisotropy = max(abs(x - p) for x in rest)
-    u_up = vecs[:, c] / np.sqrt(-norms[c])
-    if u_up[0] < 0:
-        u_up = -u_up
-    u = g @ u_up
+    t, g = np.asarray(t, dtype=float), np.asarray(g, dtype=float)
+    fluid = decompose_fluids(t[None], g[None], np.asarray(ginv, dtype=float)[None])
+    if fluid.errors[0] is not None:
+        raise FluidError(fluid.errors[0])
+    mu, p = float(fluid.mu[0]), float(fluid.p[0])
+    u = g @ fluid.u_up[0]
     rec = _amax(t - ((mu + p) * np.outer(u, u) + p * g))
     w = p / mu if abs(mu) > 1e-10 else None
-    return FluidDecomposition(mu, p, PointTensor("l", u, point), anisotropy + rec, w)
+    return FluidDecomposition(
+        mu, p, PointTensor("l", u, point), float(fluid.anisotropy[0]) + rec, w,
+        bool(fluid.degenerate[0]),
+    )

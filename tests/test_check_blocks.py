@@ -1,0 +1,88 @@
+"""The check algebra works over blocks of sample points.
+
+Residuals built from a curvature commutator or the cyclic sum are reduced
+block by block, so these tests pin what the blocking must not change: the
+reports at a point count that spans several blocks, the blocked maxima
+themselves, and the memory a check may allocate on a wide sample.
+"""
+
+import hashlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wstar import checks
+from wstar.catalog import catalog_metric
+from wstar.checks import REGISTRY, CheckContext
+from wstar.cli import main, sample_for
+from wstar.geometry import ricci_commutator, workspace
+from wstar.matter import FieldEquationConfig
+
+# sha256 of the --no-timestamp stdout and the exit code at 130 points: two
+# full 64-point blocks and a 2-point tail.  Recorded before the check algebra
+# was blocked, from the whole-sample computation.
+MULTI_BLOCK = {
+    ("check", "minkowski"):
+        ("ea0c149c2f0c5807a86e02e452dea1cede06f422e4a184ad4abff112899bdd81", 0),
+    ("check", "schwarzschild"):
+        ("685e91b17733eeace2db349cc9d72a26e381fe02fa9c28db94889e35ba32fc17", 1),
+    ("check", "desitter_flat"):
+        ("916db547466f11d7c3eae2092805e7c50325748b87beff497f2877438b6caf0e", 1),
+    ("check", "flrw_dust"):
+        ("cf89ab375eae993f7dc89dbc9a8cab8d7a8da47ee7578763651bc422f256ca3f", 1),
+    ("classify", "minkowski"):
+        ("68b4a1a4807481e28030fe3f7aea48a47ca1a9074365aa90e1c57c99c8ccbc36", 0),
+    ("classify", "schwarzschild"):
+        ("3011014eb14f2f4c4940351f62d3b89f4b8e32ee2f0f065b7c2c2e09689cffcf", 0),
+    ("classify", "desitter_flat"):
+        ("93cffba1c47ba9b23eca1beb1ac146b62b501b3a364ed7d05987ad52c0ba345d", 0),
+    ("classify", "flrw_dust"):
+        ("747f1ffe5f76daac8828b30a711d15748686738b4dd951f2d0468755e89fa34b", 1),
+}
+
+
+@pytest.mark.parametrize("command,metric", sorted(MULTI_BLOCK))
+def test_multi_block_output_is_pinned(command, metric, capsys):
+    args = [command, "--metric", metric, "--points", "130", "--no-timestamp"]
+    if command == "check":
+        args += ["--checks", "all"]
+    code = main(args)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == MULTI_BLOCK[command, metric]
+
+
+def context(metric, points):
+    m = catalog_metric(metric)
+    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig())
+
+
+@pytest.mark.parametrize("points", [1, 63, 64, 65, 130])
+def test_blocked_ptmax_matches_whole_sample(points):
+    ctx = context("schwarzschild", points)
+    w04, r13 = ctx.get("w04"), ctx.get("r13")
+    whole = checks._ptmax(ricci_commutator(w04, "llll", r13))
+    blocked = checks._blocked_ptmax(lambda w, r: ricci_commutator(w, "llll", r), w04, r13)
+    assert blocked.shape == (points,)
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+def test_no_check_allocates_whole_sample_rank6_arrays():
+    # the (P, 4, 4, 4, 4, 4, 4) commutator of W* took +96 MiB at 1024 points
+    # and the cyclic sum +32 MiB; blocked, no check needs more than 12 MiB
+    ctx = context("schwarzschild", 1024)
+    for group in ctx._GROUPS:
+        for name in group:
+            ctx.get(name)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name in REGISTRY:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ctx.check(name)
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    over = {name: round(mib, 1) for name, mib in peaks.items() if mib > 12.0}
+    assert not over, f"tracemalloc peaks above 12 MiB: {over}"
