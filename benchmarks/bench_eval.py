@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Time the tape kernel on the W*-bundle tape of each catalog metric.
+"""Time the tape kernel's tangent mode on the W* tape of each catalog metric.
 
-Each workload compiles one tape for the full modified-curvature bundle (the
-(0,4) tensor, its (0,2) contraction, and the rank-5 covariant derivative) and
-times ``wstar.backend.run_tape`` at ``--points`` and at 32 points.  The
-table also gives the tape's instruction count and the size of its level
-schedule: the number of instruction groups (one ufunc call each per chunk of
-points) and the number of depth levels.
+Each workload compiles one tape for the (0,4) modified curvature and the
+Christoffel symbols, the inputs of its covariant derivative as the commands
+form it, and times ``wstar.backend.run_tangents`` (values of every output,
+coordinate partials of the W* components) at ``--points`` and at 32 points.
+The table also gives the tape's instruction count and the size of its level
+schedule: the number of instruction groups (one value ufunc call and one
+chain rule each per chunk of points) and the number of depth levels.
 
 Usage::
 
@@ -31,20 +32,18 @@ from wstar.tape import compile_tape
 def workload(name: str):
     m = catalog_metric(name)
     geo = workspace(m)
-    bundle = ws.wstar_tensor(m)
-    fields = [bundle.wstar04, bundle.wstar02, ws._nabla_wstar04(geo)]
-    exprs = []
-    for f in fields:
-        exprs.extend(f.expressions())
+    w04 = ws.wstar_tensor(m).wstar04
+    exprs = w04.expressions() + geo.christoffel.expressions()
     tape = compile_tape(exprs, geo.dim, tuple(sorted(m.params)))
-    return m, geo, tape
+    diff = tape.outputs[: len(w04.expressions())]  # partials of W* only
+    return m, geo, tape, diff
 
 
-def best_of(tape, pts, pvec, repeat: int) -> float:
+def best_of(tape, diff, pts, pvec, repeat: int) -> float:
     timings = []
     for _ in range(repeat):
         start = time.perf_counter()
-        backend.run_tape(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
+        backend.run_tangents(tape.schedule, pts, pvec, tape.outputs, diff)
         timings.append(time.perf_counter() - start)
     return min(timings)
 
@@ -64,17 +63,17 @@ def main() -> int:
         f"{'metric':<16} {'instructions':>12} {'groups':>7} {'depth':>6} "
         f"{'32 pts':>10} {wide:>10}"
     )
-    print(f"kernel = {backend.BACKEND}, repeat = {args.repeat} (best-of)")
+    print(f"kernel = {backend.BACKEND} (tangent mode), repeat = {args.repeat} (best-of)")
     print(header)
     print("-" * len(header))
     for name in names:
-        m, geo, tape = workload(name)
+        m, geo, tape, diff = workload(name)
         pts = np.ascontiguousarray(sample_for(geo, args.points, args.seed))
         pvec = tape.param_vector(dict(m.params))
-        _, groups = backend.schedule(tape.code, tape.a, tape.b, tape.cval)
+        _, groups = tape.schedule
         depth = int(backend.levels(tape.code, tape.a, tape.b).max(initial=-1)) + 1
-        t_narrow = best_of(tape, pts[:32], pvec, args.repeat)
-        t_wide = best_of(tape, pts, pvec, args.repeat)
+        t_narrow = best_of(tape, diff, pts[:32], pvec, args.repeat)
+        t_wide = best_of(tape, diff, pts, pvec, args.repeat)
         print(
             f"{name:<16} {tape.n_instructions:>12} {len(groups):>7} {depth:>6} "
             f"{t_narrow * 1e3:>8.1f}ms {t_wide * 1e3:>8.1f}ms"

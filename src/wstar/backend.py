@@ -12,6 +12,15 @@ that keeps them bit-identical to one ``np.power`` call per instruction.
 Per point, ``err`` holds the smallest instruction index whose value is not
 finite (the tape is in topological order, so this is the first failure) and
 that output row stays NaN.
+
+The same kernel body has a tangent mode (forward-mode differentiation;
+Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Next to
+its value, each register then carries its partials along every coordinate.
+A coordinate leaf seeds a unit vector, a constant or parameter seeds zero,
+and each opcode applies its chain rule to all partial lanes of a group in one
+ufunc call.  The value lane makes the same ufunc calls on the same operands
+as in value mode, so values are bit-identical.  A partial that is not finite
+where the value is (``sqrt`` at 0) counts as a failure of its instruction.
 """
 
 from __future__ import annotations
@@ -71,18 +80,116 @@ def schedule(code, a, b, cval):
 
 
 def run_tape(code, a, b, cval, pts, pvec, out_idx):
-    reg, groups = schedule(code, a, b, cval)
-    n, n_points = code.shape[0], pts.shape[0]
+    vals, _, err, _ = _run(schedule(code, a, b, cval), pts, pvec, out_idx)
+    return vals, err
+
+
+def run_tangents(sched, pts, pvec, out_idx, diff_idx):
+    """Values of ``out_idx`` and the coordinate partials of ``diff_idx``.
+
+    ``sched`` is :func:`schedule` of the tape.  Returns ``(vals, partials,
+    err, lane)``: ``partials[p, j, k]`` is the partial of instruction
+    ``diff_idx[j]`` along coordinate ``k``; ``err`` is as in :func:`run_tape`
+    but also counts non-finite partials of the instructions ``diff_idx``
+    depends on, and ``lane[p]`` is the coordinate whose partial failed at
+    ``err[p]`` (-1 where the value failed).
+    """
+    return _run(sched, pts, pvec, out_idx, diff_idx)
+
+
+def _activity(reg, groups, n_lanes, diff_idx):
+    """``(idle, needed)`` for a tangent run.
+
+    A ``sqrt`` or fractional power at 0 has a finite value and an infinite
+    slope, so a lane whose operand partial is 0 would read 0·inf.  For such
+    a group, ``idle[g]`` marks the (row, lane) pairs whose operand depends on
+    no coordinate of that lane: their partial is exactly 0.  ``needed``
+    marks the registers that an instruction of ``diff_idx`` depends on; only
+    their partials can fail a point.
+    """
+    depends = np.zeros((reg.shape[0], n_lanes), dtype=bool)
+    idle = []
+    for op, lo, hi, x, y, _ in groups:
+        if op == OP_COORD:
+            depends[lo:hi] = np.eye(n_lanes, dtype=bool)[x]
+        elif op not in (OP_CONST, OP_PARAM):
+            depends[lo:hi] = depends[x] if y is None else depends[x] | depends[y]
+        zero = ~depends[lo:hi]
+        idle.append(zero if op in (OP_SQRT, OP_POWF) and zero.any() else None)
+    needed = np.zeros(reg.shape[0], dtype=bool)
+    needed[reg[diff_idx]] = True
+    for op, lo, hi, x, y, _ in reversed(groups):
+        if op not in (OP_CONST, OP_COORD, OP_PARAM):
+            use = needed[lo:hi]
+            needed[x[use]] = True
+            if y is not None:
+                needed[y[use]] = True
+    return idle, needed
+
+
+# d(op v)/dv from the operand values v, the result and the exponent
+_SLOPE = {
+    OP_SIN: lambda v, out, e: np.cos(v),
+    OP_COS: lambda v, out, e: -np.sin(v),
+    OP_TAN: lambda v, out, e: 1.0 + out * out,
+    OP_EXP: lambda v, out, e: out,
+    OP_SQRT: lambda v, out, e: 0.5 / out,
+    OP_SINH: lambda v, out, e: np.cosh(v),
+    OP_COSH: lambda v, out, e: np.sinh(v),
+    OP_POWI: lambda v, out, e: e * np.power(v, e - 1),
+    OP_POWF: lambda v, out, e: e * np.power(v, e - 1),
+}
+
+
+def _chain_rule(op, e, out, vx, vy, dx, dy, dout):
+    """Write the partials of one group into ``dout`` from its values ``out``,
+    its operand values ``vx``/``vy`` and operand partials ``dx``/``dy``
+    (lanes on axis 1)."""
+    if op == OP_NEG:
+        np.negative(dx, out=dout)
+    elif op == OP_ADD:
+        np.add(dx, dy, out=dout)
+    elif op == OP_SUB:
+        np.subtract(dx, dy, out=dout)
+    elif op == OP_MUL:
+        np.multiply(dx, vy[:, None], out=dout)
+        dout += vx[:, None] * dy
+    elif op == OP_DIV:
+        np.multiply(out[:, None], dy, out=dout)
+        np.subtract(dx, dout, out=dout)
+        dout /= vy[:, None]
+    elif op == OP_LN:
+        np.divide(dx, vx[:, None], out=dout)
+    else:
+        np.multiply(_SLOPE[op](vx, out, e)[:, None], dx, out=dout)
+
+
+def _run(sched, pts, pvec, out_idx, diff_idx=None):
+    reg, groups = sched
+    n, n_points = reg.shape[0], pts.shape[0]
     vals = np.empty((n_points, out_idx.shape[0]))
     err = np.full(n_points, -1, dtype=np.int64)
     regs = np.empty((n, 0))
+    tangent = diff_idx is not None
+    if tangent:
+        n_lanes = pts.shape[1]
+        partials = np.empty((n_points, diff_idx.shape[0], n_lanes))
+        lane = np.full(n_points, -1, dtype=np.int64)
+        unit = np.eye(n_lanes)[:, :, None]
+        idle, needed = _activity(reg, groups, n_lanes, diff_idx)
+        diff_reg = reg[diff_idx]
+    else:
+        partials = lane = None
     for start in range(0, n_points, _CHUNK):
         chunk = pts[start:start + _CHUNK]
         if regs.shape[1] != chunk.shape[0]:
             regs = np.empty((n, chunk.shape[0]))
+            if tangent:
+                dregs = np.empty((n, n_lanes, chunk.shape[0]))
         with np.errstate(all="ignore"):
-            for op, lo, hi, x, y, e in groups:
+            for g, (op, lo, hi, x, y, e) in enumerate(groups):
                 out = regs[lo:hi]
+                vx = vy = None
                 if op == OP_CONST:
                     out[...] = x
                 elif op == OP_COORD:
@@ -90,15 +197,40 @@ def run_tape(code, a, b, cval, pts, pvec, out_idx):
                 elif op == OP_PARAM:
                     out[...] = pvec[x, None]
                 elif op in _UNARY:
-                    _UNARY[op](regs[x], out=out)
+                    vx = regs[x]
+                    _UNARY[op](vx, out=out)
                 elif op in _BINARY:
-                    _BINARY[op](regs[x], regs[y], out=out)
+                    vx, vy = regs[x], regs[y]
+                    _BINARY[op](vx, vy, out=out)
                 else:  # OP_POWI, OP_POWF
-                    np.power(regs[x], e, out=out)
+                    vx = regs[x]
+                    np.power(vx, e, out=out)
+                if not tangent:
+                    continue
+                dout = dregs[lo:hi]
+                if op == OP_COORD:
+                    dout[...] = unit[x]
+                elif vx is None:
+                    dout[...] = 0.0
+                else:
+                    _chain_rule(op, e, out, vx, vy, dregs[x],
+                                None if vy is None else dregs[y], dout)
+                    if idle[g] is not None:
+                        dout[idle[g]] = 0.0
         bad = ~np.isfinite(regs)
+        if tangent:
+            bad |= ~np.isfinite(dregs).all(axis=1) & needed[:, None]
         hit = np.flatnonzero(bad.any(axis=0))
         vals[start:start + chunk.shape[0]] = regs[reg[out_idx]].T
+        if tangent:
+            partials[start:start + chunk.shape[0]] = dregs[diff_reg].transpose(2, 0, 1)
         if hit.size:
-            err[start + hit] = bad[reg][:, hit].argmax(axis=0)
+            first = bad[reg][:, hit].argmax(axis=0)
+            err[start + hit] = first
             vals[start + hit] = np.nan
-    return vals, err
+            if tangent:
+                partials[start + hit] = np.nan
+                failed = ~np.isfinite(dregs[reg[first], :, hit])
+                lane[start + hit] = np.where(
+                    np.isfinite(regs[reg[first], hit]), failed.argmax(axis=1), -1)
+    return vals, partials, err, lane

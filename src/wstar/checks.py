@@ -40,7 +40,6 @@ from .matter import (
     _amax,
     decompose_fluids,
     energy_momentum,
-    nabla_energy_momentum,
 )
 from . import wstar as ws
 
@@ -72,13 +71,12 @@ class CheckContext:
 
     # evaluation groups: one compiled tape per group actually touched
     _GROUPS = (
-        ("g", "ginv", "ric", "R", "gradR"),
-        ("nric",),
-        ("r13", "r4", "w04", "w13", "w02"),
-        ("dw",),
+        ("g", "ginv", "ric", "R", "gradR", "nric", "r13", "r4", "w04", "w13", "w02",
+         "dw", "t", "nt"),
         ("weyl", "nweyl"),
-        ("t", "nt"),
     )
+    # covariant derivatives: each from the tangents of its own field's outputs
+    _NABLA = {"gradR": "R", "nric": "ric", "dw": "w04", "nweyl": "weyl", "nt": "t"}
 
     def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
                  atol: float = 1e-9, rtol: float = 1e-6):
@@ -98,27 +96,22 @@ class CheckContext:
             "ginv": lambda: geo.ginv,
             "ric": lambda: geo.ricci,
             "R": lambda: geo.scalar_field,
-            "gradR": lambda: geo.grad_scalar,
-            "nric": lambda: geo.nabla_ricci,
             "r13": lambda: geo.riemann13,
             "r4": lambda: ws.swapped_riemann(geo),
             "w04": lambda: b.wstar04,
             "w13": lambda: b.wstar13,
             "w02": lambda: b.wstar02,
-            "dw": lambda: ws._nabla_wstar04(geo),
             "weyl": lambda: geo.weyl,
-            "nweyl": lambda: geo.nabla_weyl,
             "t": lambda: energy_momentum(self.metric, self.cfg),
-            "nt": lambda: nabla_energy_momentum(self.metric, self.cfg),
         }
         return {n: table[n]() for n in names}
 
     def get(self, name: str) -> np.ndarray:
         if name not in self._vals:
             group = next(g for g in self._GROUPS if name in g)
-            self._vals.update(
-                self.geo.eval_fields(self._fields(group), self.points)
-            )
+            nabla = {n: self._NABLA[n] for n in group if n in self._NABLA}
+            fields = self._fields([n for n in group if n not in nabla])
+            self._vals.update(self.geo.eval_fields(fields, self.points, nabla))
         return self._vals[name]
 
     def amax(self, name: str) -> float:
@@ -612,7 +605,7 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     displaced = np.concatenate(
         [base + s for s in shifts] + [base - s for s in shifts]
     )
-    dvals = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, displaced)
+    dvals = geo.eval_fields({"ric": geo.ricci}, displaced, {"nric": "ric"})
     bd = _fit_covector(dvals["ric"], dvals["nric"])
     p_used = base.shape[0]
     plus = bd[: n * p_used].reshape(n, p_used, n)

@@ -120,8 +120,17 @@ def _check_names(cfg: RunConfig) -> tuple:
 
 
 def _context(cfg: RunConfig) -> CheckContext:
-    """The run's metric at its sample points, ready to be checked."""
+    """The run's metric at its sample points, ready to be checked.
+
+    The checks use the constants of four dimensions (the -1/3 and 1/6 of the
+    divergence forms, the trace 4L + k(mu - 3p)), so any other dim is refused
+    before sampling.
+    """
     metric = load_metric(cfg.metric)
+    if metric.dim != 4:
+        raise UsageError(
+            f"metric {metric.name!r} has dim {metric.dim}; check and classify need dim 4"
+        )
     pts = sample_for(workspace(metric), cfg.points, cfg.seed)
     return CheckContext(metric, pts, FieldEquationConfig(k=cfg.k, lam=cfg.lam),
                         atol=cfg.atol, rtol=cfg.rtol)

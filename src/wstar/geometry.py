@@ -20,6 +20,12 @@ every curvature field are covariant derivatives.  All component
 expressions are simplified as they are built and evaluation at sample points
 runs through compiled tapes and the one numpy tape kernel (see
 :mod:`wstar.tape` / :mod:`wstar.backend`).
+
+The symbolic covariant derivatives stay as library fields and oracles.  At
+sample points, :meth:`Geometry.eval_fields` can also form ∇X numerically,
+from the coordinate partials that the kernel's tangent mode gives for X's
+own tape outputs and the values of Γ (:func:`covariant_values`); the
+``check`` and ``classify`` commands take every ∇ field that way.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .exprlib import (
     simplify,
     sub,
 )
+from .backend import _CHUNK
 from .tape import Tape, compile_tape
 
 __all__ = [
@@ -51,6 +58,7 @@ __all__ = [
     "PointTensor",
     "VectorFieldSpec",
     "Geometry",
+    "covariant_values",
     "workspace",
 ]
 
@@ -526,22 +534,45 @@ class Geometry:
     def _det_tape(self) -> Tape:
         return self._compile([self.det])
 
-    def eval_fields(self, fields: Mapping[str, TensorField], points):
+    def eval_fields(self, fields: Mapping[str, TensorField], points,
+                    nabla: Mapping[str, str] | None = None):
         """Evaluate several fields on shared points with one tape.
 
-        Returns a dict name → array of shape (P, *field shape).  Raises
+        Returns a dict name → array of shape (P, *field shape).  ``nabla``
+        maps further result names to names in ``fields``: each such result is
+        the covariant derivative of that field, with the derivative slot
+        last.  It is formed numerically by :func:`covariant_values` from the
+        coordinate partials of the field's own tape outputs (the kernel's
+        tangent mode) and from Γ, which joins the tape.  Raises
         :class:`wstar.tape.TapeEvalError` if any point fails.
         """
-        tape = self._tape_for(list(fields.values()))
+        nabla = dict(nabla or {})
+        tape = self._tape_for(list(fields.values()) + ([self.christoffel] if nabla else []))
         pts = np.asarray(points, dtype=np.float64)
-        flat = tape.evaluate_checked(pts, dict(self.metric.params))
-        out = {}
-        offset = 0
+        params = dict(self.metric.params)
+        spans, offset = {}, 0
         for name, f in fields.items():
-            size = int(np.prod(f.shape, dtype=int)) if f.rank else 1
-            block = flat[:, offset : offset + size]
-            out[name] = block.reshape((pts.shape[0],) + f.shape)
+            size = int(np.prod(f.shape, dtype=int))
+            spans[name] = slice(offset, offset + size)
             offset += size
+        if nabla:
+            diff = np.concatenate([np.arange(offset)[spans[src]] for src in nabla.values()])
+            flat, partials = tape.evaluate_tangents_checked(
+                pts, diff, params, self.metric.coords)
+        else:
+            flat = tape.evaluate_checked(pts, params)
+        count = pts.shape[0]
+        out = {name: flat[:, spans[name]].reshape((count,) + f.shape)
+               for name, f in fields.items()}
+        if nabla:
+            gam = flat[:, offset:].reshape((count,) + self.christoffel.shape)
+            lo = 0
+            for name, src in nabla.items():
+                f = fields[src]
+                hi = lo + spans[src].stop - spans[src].start
+                dx = partials[:, lo:hi].reshape((count,) + f.shape + (self.dim,))
+                out[name] = covariant_values(out[src], dx, f.variance, gam)
+                lo = hi
         return out
 
     def eval_field(self, f: TensorField, points) -> np.ndarray:
@@ -580,6 +611,29 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
         term = np.einsum("p...s,psimn->p...imn", moved, r13_vals)
         out -= np.moveaxis(term, -3, 1 + slot)
     return out
+
+
+def covariant_values(x: np.ndarray, dx: np.ndarray, variance: str,
+                     gam: np.ndarray) -> np.ndarray:
+    """∇_m X at each point from X, its coordinate partials and Γ^h_{ij}.
+
+    ``x`` has shape (P, n, ..., n) with lower slots only, ``dx`` appends the
+    derivative slot m and is overwritten with the result, and ``gam`` is
+    (P, n, n, n).  Per slot, Σ_s Γ^s_{i m} X_{… s …} is subtracted as one
+    batched matrix product over a block of ``_CHUNK`` points; the blocks keep
+    the temporaries small.
+    """
+    if set(variance) - {"l"}:
+        raise ValueError("numeric covariant derivative implemented for lower-index tensors")
+    count, n = gam.shape[:2]
+    for start in range(0, count, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        gam_part = np.ascontiguousarray(gam[part]).reshape(-1, n, n * n)  # [s, (i, m)]
+        for slot in range(len(variance)):
+            moved = np.ascontiguousarray(np.moveaxis(x[part], 1 + slot, -1))
+            term = moved.reshape(moved.shape[0], -1, n) @ gam_part
+            dx[part] -= np.moveaxis(term.reshape(moved.shape[:-1] + (n, n)), -2, 1 + slot)
+    return dx
 
 
 def workspace(metric: MetricSpec) -> Geometry:

@@ -7,15 +7,17 @@ emitted once (the interning layer makes sharing visible by object identity),
 so one tape evaluates a whole tensor field per point.
 
 Execution is delegated to the level-scheduled numpy kernel in
-:mod:`wstar.backend`.  It flags the first instruction per point whose result
-is not finite (division by zero, log of a non-positive number, fractional
-power of a negative base, overflow, ...) instead of raising, so a bad sample
-point does not abort a batch.
+:mod:`wstar.backend`, whose tangent mode also gives the coordinate partials
+of chosen outputs (:meth:`Tape.evaluate_tangents`).  It flags the first
+instruction per point whose result is not finite (division by zero, log of a
+non-positive number, fractional power of a negative base, overflow, ...)
+instead of raising, so a bad sample point does not abort a batch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -61,9 +63,11 @@ _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 class TapeEvalError(Exception):
     """Batch evaluation failed at a specific point and subexpression."""
 
-    def __init__(self, message: str, point_index: int, expr: Expr | None):
+    def __init__(self, message: str, point_index: int, expr: Expr | None,
+                 coordinate: str | None = None):
         self.point_index = point_index
         self.expr = expr
+        self.coordinate = coordinate  # set when a partial failed, not the value
         where = f" in '{to_text(expr, max_len=80)}'" if expr is not None else ""
         super().__init__(f"{message}{where} (point #{point_index})")
 
@@ -95,6 +99,19 @@ class Tape:
         except KeyError as missing:
             raise TapeEvalError(f"missing parameter {missing}", -1, None) from None
 
+    @cached_property
+    def schedule(self):
+        """The kernel's level schedule of this tape (see :func:`wstar.backend.schedule`)."""
+        from .backend import schedule
+
+        return schedule(self.code, self.a, self.b, self.cval)
+
+    def _points(self, points) -> np.ndarray:
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != self.n_coords:
+            raise ValueError(f"points must have shape (P, {self.n_coords})")
+        return pts
+
     def evaluate(self, points: np.ndarray, params: Mapping[str, float] | None = None):
         """Evaluate all outputs at many points.
 
@@ -104,9 +121,7 @@ class Tape:
         """
         from .backend import run_tape
 
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != self.n_coords:
-            raise ValueError(f"points must have shape (P, {self.n_coords})")
+        pts = self._points(points)
         pvec = self.param_vector(params or {})
         return run_tape(self.code, self.a, self.b, self.cval, pts, pvec, self.outputs)
 
@@ -119,6 +134,39 @@ class Tape:
             node = self.nodes[int(err[p])]
             raise TapeEvalError("evaluation left the domain", p, node)
         return vals
+
+    def evaluate_tangents(self, points: np.ndarray, diff: Sequence[int],
+                          params: Mapping[str, float] | None = None):
+        """Evaluate all outputs, and the coordinate partials of outputs ``diff``.
+
+        Returns ``(values, partials, err, lane)``: ``values`` and ``err`` as in
+        :meth:`evaluate`, except that a partial that is not finite also fails
+        its point; ``partials`` has shape (P, len(diff), n_coords), and
+        ``lane[p]`` is the coordinate whose partial failed (-1 if the value did).
+        """
+        from .backend import run_tangents
+
+        pts = self._points(points)
+        pvec = self.param_vector(params or {})
+        diff_idx = self.outputs[np.asarray(diff, dtype=np.int64)]
+        return run_tangents(self.schedule, pts, pvec, self.outputs, diff_idx)
+
+    def evaluate_tangents_checked(self, points: np.ndarray, diff: Sequence[int],
+                                  params, coords: Sequence[str]):
+        """``(values, partials)`` of :meth:`evaluate_tangents`, raising
+        :class:`TapeEvalError` on any failure; it names the coordinate
+        (``coords[k]``) whose partial failed."""
+        vals, partials, err, lane = self.evaluate_tangents(points, diff, params)
+        bad = np.nonzero(err >= 0)[0]
+        if bad.size:
+            p = int(bad[0])
+            node = self.nodes[int(err[p])]
+            k = int(lane[p])
+            if k < 0:
+                raise TapeEvalError("evaluation left the domain", p, node)
+            raise TapeEvalError(f"partial derivative along {coords[k]} is not finite",
+                                p, node, coords[k])
+        return vals, partials
 
 
 def compile_tape(

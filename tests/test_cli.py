@@ -422,6 +422,23 @@ class TestMainEndToEnd:
         assert code == EXIT_USAGE
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize("text,dim", [
+        ("coords = t, x\ng[0][0] = -1\ng[1][1] = t^2 + x^2\n", 2),
+        ("coords = t, x, y\ng[0][0] = -1\ng[1][1] = t^2 + x^2\ng[2][2] = t^2\n", 3),
+    ])
+    def test_metric_of_other_dim_is_refused(self, command, text, dim, tmp_path,
+                                            capsys, monkeypatch):
+        # the checks use four-dimensional constants; refused before sampling
+        path = tmp_path / f"dim{dim}.metric"
+        path.write_text(text)
+        monkeypatch.setattr(cli, "sample_for", None)  # must not be reached
+        assert main([command, "--metric", str(path), "--points", "4"]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: metric 'dim{dim}' has dim {dim}; check and classify need dim 4"]
+
     def test_unknown_metric_is_usage_error(self, capsys):
         assert main(["check", "--metric", "nope"]) == EXIT_USAGE
         assert "neither a catalog name" in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """One analysis layer: every command evaluates each tape once per point set.
 
 ``check --checks all`` and ``classify`` read one
-:class:`wstar.checks.CheckContext`; the classification flags and the theorem
+:class:`wstar.checks.CheckContext`, which takes each tape's values and, for
+the covariant derivatives, its partials from one evaluation; the classification flags and the theorem
 pairings are views over its check outcomes.  The sampler tests a block of
 candidates with one det g evaluation.  These guards count the kernel calls
 and the classification builds of one command, and the det g evaluations of
@@ -22,16 +23,20 @@ from wstar.tape import Tape
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counter of (tape, point array) pairs passed to ``Tape.evaluate``."""
+    """Counter of (tape, point array) pairs passed to ``Tape.evaluate`` or
+    ``Tape.evaluate_tangents``: either mode counts as one evaluation."""
     seen = Counter()
-    real = Tape.evaluate
 
-    def counted(self, points, params=None):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        seen[(id(self), pts.shape, pts.tobytes())] += 1
-        return real(self, points, params)
+    def counting(real):
+        def counted(self, points, *args, **kwargs):
+            pts = np.ascontiguousarray(points, dtype=np.float64)
+            seen[(id(self), pts.shape, pts.tobytes())] += 1
+            return real(self, points, *args, **kwargs)
 
-    monkeypatch.setattr(Tape, "evaluate", counted)
+        return counted
+
+    for name in ("evaluate", "evaluate_tangents"):
+        monkeypatch.setattr(Tape, name, counting(getattr(Tape, name)))
     return seen
 
 

@@ -1,0 +1,236 @@
+"""Covariant derivatives from the kernel's tangent mode.
+
+``check`` and ``classify`` take ∇R, ∇Ricci, ∇W*, ∇Weyl and ∇T from the
+coordinate partials of each field's own tape outputs plus a numeric Γ term.
+The symbolic fields (``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``,
+``nabla_weyl``, ``nabla_energy_momentum``) are the oracle: on every catalog
+metric and on generated perturbations of Minkowski space the two routes agree
+within 1e-10·(1 + max|∇X|).  The kernel tests pin the tangent mode itself:
+its value lanes are bit-identical to value mode, every opcode's chain rule
+matches the symbolic derivative, and a partial that is not finite where its
+value is (``sqrt`` at 0) fails its point with the coordinate named.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wstar import backend, wstar as ws
+from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.checks import CheckContext
+from wstar.cli import main, sample_for
+from wstar.exprlib import differentiate, parse
+from wstar.geometry import workspace
+from wstar.matter import FieldEquationConfig, nabla_energy_momentum
+from wstar.metricfile import parse_metric_text
+from wstar.tape import TapeEvalError, compile_tape
+
+from test_exprlib import PARAMS, expressions, smooth_expressions
+
+COORDS = ("t", "x", "y", "z")
+CFG = FieldEquationConfig()
+
+# context name -> symbolic covariant derivative of the same field
+SYMBOLIC = {
+    "gradR": lambda m, geo: geo.grad_scalar,
+    "nric": lambda m, geo: geo.nabla_ricci,
+    "dw": lambda m, geo: ws._nabla_wstar04(geo),
+    "nweyl": lambda m, geo: geo.nabla_weyl,
+    "nt": lambda m, geo: nabla_energy_momentum(m, CFG),
+}
+
+
+def assert_routes_agree(metric, points):
+    geo = workspace(metric)
+    pts = sample_for(geo, points, 42)
+    ctx = CheckContext(metric, pts, CFG)
+    symbolic = geo.eval_fields({n: f(metric, geo) for n, f in SYMBOLIC.items()}, pts)
+    for name, want in symbolic.items():
+        got = ctx.get(name)
+        assert got.shape == want.shape, name
+        gap = float(np.max(np.abs(got - want)))
+        assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_forward_matches_symbolic_on_the_catalog(metric):
+    assert_routes_agree(catalog_metric(metric), 8)
+
+
+# a perturbation term: a small coefficient times a monomial or an exponential
+_term = st.one_of(
+    st.tuples(st.sampled_from(COORDS), st.integers(1, 2),
+              st.sampled_from(COORDS), st.integers(0, 1)).map(
+        lambda c: f"{c[0]}^{c[1]}*{c[2]}^{c[3]}"),
+    st.tuples(st.sampled_from(["", "-"]), st.sampled_from(COORDS)).map(
+        lambda c: f"(exp({c[0]}{c[1]}) - 1)"),
+)
+_perturbation = st.lists(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0.02, 0.05]), _term),
+    min_size=1, max_size=3, unique_by=lambda e: (min(e[:2]), max(e[:2])),
+)
+
+
+def perturbed_minkowski(terms) -> str:
+    entries = {(i, i): ["-1" if i == 0 else "1"] for i in range(4)}
+    for i, j, eps, term in terms:
+        entries.setdefault((min(i, j), max(i, j)), []).append(f"{eps}*{term}")
+    return "\n".join([
+        "dim = 4",
+        "coords = " + ", ".join(COORDS),
+        *(f"domain {c} = -0.5 .. 0.5" for c in COORDS),
+        *(f"g[{i}][{j}] = " + " + ".join(parts) for (i, j), parts in sorted(entries.items())),
+    ])
+
+
+@given(terms=_perturbation)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_forward_matches_symbolic_on_generated_metrics(terms):
+    metric = parse_metric_text(perturbed_minkowski(terms), "generated")
+    assert_routes_agree(metric, 4)
+    del metric  # its workspace and nodes go with it
+
+
+def union_tape(name):
+    """The tape of the context's first group, with Γ, as the commands use it."""
+    metric = catalog_metric(name)
+    geo = workspace(metric)
+    ctx = CheckContext(metric, [], CFG)
+    group = ctx._GROUPS[0]
+    fields = ctx._fields([n for n in group if n not in ctx._NABLA])
+    return geo, geo._tape_for(list(fields.values()) + [geo.christoffel])
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_value_lanes_equal_value_mode(metric):
+    geo, tape = union_tape(metric)
+    pts = sample_for(geo, 70, 42)  # a full chunk and a tail
+    pvec = tape.param_vector(dict(geo.metric.params))
+    vals, err = backend.run_tape(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
+    diff = tape.outputs[: tape.n_outputs // 2]
+    tvals, partials, terr, _ = backend.run_tangents(tape.schedule, pts, pvec, tape.outputs, diff)
+    assert np.array_equal(tvals.view(np.int64), vals.view(np.int64))
+    assert np.array_equal(terr, err)
+    assert partials.shape == (70, diff.shape[0], 4)
+
+
+def tangents(src, pts, params=None):
+    """(values, partials, err, lane) of one expression's tape."""
+    tape = compile_tape([parse(src, COORDS, PARAMS)], 4, PARAMS)
+    return tape.evaluate_tangents(np.asarray(pts, dtype=float), [0], params or {"M": 1.0, "H": 0.5})
+
+
+OPCODE_SOURCES = [
+    "-t", "t + x", "t - x", "t * x", "t / x", "sin(t)", "cos(t)", "tan(t)",
+    "exp(t)", "ln(t)", "sqrt(t)", "sinh(t)", "cosh(t)", "t^3", "t^(-2)",
+    "t^(2/3)", "M * t * x", "sqrt(H) * y",
+]
+
+
+@pytest.mark.parametrize("src", OPCODE_SOURCES)
+def test_each_chain_rule_matches_the_symbolic_derivative(src):
+    pts = np.random.default_rng(7).uniform(0.2, 1.2, size=(5, 4))
+    params = {"M": 1.0, "H": 0.5}
+    e = parse(src, COORDS, PARAMS)
+    want = compile_tape([differentiate(e, k) for k in range(4)], 4, PARAMS).evaluate_checked(
+        pts, params)
+    _, partials, err, _ = tangents(src, pts, params)
+    assert np.all(err == -1)
+    np.testing.assert_allclose(partials[:, 0, :], want, rtol=1e-13, atol=1e-15)
+
+
+@given(e=smooth_expressions(), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_tangents_match_symbolic_derivatives(e, seed):
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(6, 4))
+    tape = compile_tape([e], 4)
+    want, werr = compile_tape([differentiate(e, k) for k in range(4)], 4).evaluate(pts)
+    _, partials, err, _ = tape.evaluate_tangents(pts, [0])
+    ok = (err == -1) & (werr == -1)
+    got, want = partials[ok, 0, :], want[ok]
+    assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
+
+
+@given(e=expressions(), seed=st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_tangent_mode_fails_no_later_than_value_mode(e, seed):
+    # a point that fails in value mode fails in tangent mode at the same or an
+    # earlier instruction (a partial can fail where the value does not); where
+    # tangent mode succeeds the values are those of value mode, bit for bit
+    tape = compile_tape([e], 4, PARAMS)
+    pts = np.random.default_rng(seed).uniform(-2, 2, size=(8, 4))
+    pts[0] = 0.0
+    params = {"M": 1.0, "H": 0.5}
+    vals, err = tape.evaluate(pts, params)
+    tvals, _, terr, _ = tape.evaluate_tangents(pts, [0], params)
+    failed = err >= 0
+    assert np.all(terr[failed] >= 0) and np.all(terr[failed] <= err[failed])
+    ok = terr == -1
+    assert np.array_equal(tvals[ok].view(np.int64), vals[ok].view(np.int64))
+
+
+class TestNonFinitePartials:
+    def test_sqrt_at_zero_flags_the_point(self):
+        pts = [[0.0, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]]
+        vals, partials, err, lane = tangents("sqrt(t)", pts)
+        tape = compile_tape([parse("sqrt(t)", COORDS)], 4)
+        plain, plain_err = tape.evaluate(np.array(pts))
+        assert plain[0, 0] == 0.0 and plain_err[0] == -1  # the value is fine
+        assert err[0] >= 0 and lane[0] == 0
+        assert np.isnan(vals[0, 0]) and np.all(np.isnan(partials[0]))
+        assert err[1] == -1 and lane[1] == -1
+        assert partials[1, 0, 0] == pytest.approx(0.5 / np.sqrt(0.5))
+
+    def test_error_names_the_expression_and_the_coordinate(self):
+        tape = compile_tape([parse("x * sqrt(y)", COORDS)], 4)
+        pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.0, 0.4]])
+        with pytest.raises(TapeEvalError) as info:
+            tape.evaluate_tangents_checked(pts, [0], {}, COORDS)
+        assert info.value.point_index == 1
+        assert info.value.coordinate == "y"
+        assert info.value.expr.kind == "sqrt"
+        assert "along y" in str(info.value) and "sqrt(x2)" in str(info.value)
+
+    def test_value_failure_has_no_coordinate(self):
+        tape = compile_tape([parse("ln(t)", COORDS)], 4)
+        with pytest.raises(TapeEvalError) as info:
+            tape.evaluate_tangents_checked(np.zeros((1, 4)), [0], {}, COORDS)
+        assert info.value.coordinate is None
+        assert "left the domain" in str(info.value)
+
+    def test_only_partials_of_differentiated_outputs_count(self):
+        # sqrt(t) is an output, but only x is differentiated
+        tape = compile_tape([parse("sqrt(t)", COORDS), parse("x", COORDS)], 4)
+        _, partials, err, _ = tape.evaluate_tangents(np.zeros((1, 4)), [1])
+        assert err[0] == -1
+        assert partials[0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+    def test_parameter_only_subexpressions_have_zero_partials(self):
+        # sqrt(H) at H = 0 has no finite slope, but it depends on no coordinate
+        _, partials, err, _ = tangents("sqrt(H) * y + x", [[0.1, 0.2, 0.3, 0.4]],
+                                       {"M": 1.0, "H": 0.0})
+        assert err[0] == -1
+        assert partials[0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
+
+
+# x*y - y*x is 0 at every point without being folded away, so its square
+# root has a finite value and no finite partial along x or y anywhere; its
+# symbolic derivative folds to 0, so Γ and the curvature carry its value
+SQRT_OF_ZERO = "\n".join([
+    "dim = 4",
+    "coords = t, x, y, z",
+    "g[0][0] = -1",
+    "g[1][1] = (1 + sqrt(x*y - y*x)) * (1 + 0.1*t^2)",
+    "g[2][2] = 1",
+    "g[3][3] = 1",
+])
+
+
+def test_commands_report_a_failed_partial(tmp_path, capsys):
+    path = tmp_path / "sqrt0.metric"
+    path.write_text(SQRT_OF_ZERO)
+    assert main(["classify", "--metric", str(path), "--points", "4", "--no-timestamp"]) == 3
+    err = capsys.readouterr().err
+    assert "partial derivative along x is not finite" in err
+    assert "sqrt(" in err and "(point #0)" in err

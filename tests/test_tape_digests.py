@@ -1,8 +1,12 @@
 """The compiled expression DAG is pinned for every catalog metric.
 
-For each metric one union tape is compiled over the fields of
-``CheckContext._GROUPS``, in order, with the default field-equation
-configuration, plus the metric determinant.  A second tape, keyed
+For each metric one union tape is compiled over the fields listed in
+``UNION_FIELDS``, in order, with the default field-equation configuration,
+plus the metric determinant.  The list is written out here rather than read
+from ``CheckContext``: its names and order are those of the evaluation
+groups the pins were recorded with (the symbolic covariant derivatives
+included), so the digests stay byte-identical when the check layer
+regroups its fields or takes its derivatives another way.  A second tape, keyed
 ``lie:<metric>``, covers the Lie-derivative fields: L_ξ g and L_ξ T for both
 built-in vector fields, in order, with T at the default configuration.  The
 sha256 of each tape's ``code/a/b/cval/outputs`` arrays must match
@@ -20,20 +24,40 @@ from pathlib import Path
 
 import pytest
 
+from wstar import wstar as ws
 from wstar.catalog import CATALOG_NAMES, builtin_vector_fields, catalog_metric
-from wstar.checks import CheckContext
 from wstar.geometry import workspace
-from wstar.matter import FieldEquationConfig, energy_momentum
+from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
 
 DIGESTS = Path(__file__).parent / "golden" / "tape_digests.json"
 
 
+# (name, field of a metric at the default configuration), in tape order
+UNION_FIELDS = (
+    ("g", lambda m, geo: geo.g),
+    ("ginv", lambda m, geo: geo.ginv),
+    ("ric", lambda m, geo: geo.ricci),
+    ("R", lambda m, geo: geo.scalar_field),
+    ("gradR", lambda m, geo: geo.grad_scalar),
+    ("nric", lambda m, geo: geo.nabla_ricci),
+    ("r13", lambda m, geo: geo.riemann13),
+    ("r4", lambda m, geo: ws.swapped_riemann(geo)),
+    ("w04", lambda m, geo: ws.wstar_tensor(m).wstar04),
+    ("w13", lambda m, geo: ws.wstar_tensor(m).wstar13),
+    ("w02", lambda m, geo: ws.wstar_tensor(m).wstar02),
+    ("dw", lambda m, geo: ws._nabla_wstar04(geo)),
+    ("weyl", lambda m, geo: geo.weyl),
+    ("nweyl", lambda m, geo: geo.nabla_weyl),
+    ("t", lambda m, geo: energy_momentum(m, FieldEquationConfig())),
+    ("nt", lambda m, geo: nabla_energy_momentum(m, FieldEquationConfig())),
+)
+
+
 def union_tape_digest(name: str) -> str:
     metric = catalog_metric(name)  # shared with test_golden: fields are cached
-    ctx = CheckContext(metric, [], FieldEquationConfig())
-    names = [n for group in CheckContext._GROUPS for n in group]
-    exprs = [e for f in ctx._fields(names).values() for e in f.expressions()]
-    return _digest(ctx.geo._compile(exprs + [ctx.geo.det]))
+    geo = workspace(metric)
+    exprs = [e for _, field in UNION_FIELDS for e in field(metric, geo).expressions()]
+    return _digest(geo._compile(exprs + [geo.det]))
 
 
 def lie_tape_digest(name: str) -> str:
