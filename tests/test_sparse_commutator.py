@@ -1,0 +1,111 @@
+"""The semi-symmetry commutators skip products that are 0 at every point.
+
+``checks._commutator_ptmax`` forms max |[nabla, nabla] X| per point either
+densely (``geometry.ricci_commutator``, the reference) or from a plan of only
+the products whose two factors have support in the sample.  The route is
+chosen from the share of such products; whichever is taken, the per-point
+maxima must carry the same bits as the dense route's.
+"""
+
+from functools import partial
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from wstar import checks
+from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.checks import CheckContext
+from wstar.cli import sample_for
+from wstar.geometry import ricci_commutator, workspace
+from wstar.matter import FieldEquationConfig
+from wstar.metricfile import parse_metric_text
+
+from test_forward_derivatives import _perturbation, perturbed_minkowski
+
+FIELDS = {"w04": "llll", "ric": "ll", "t": "ll"}
+
+
+def context(metric, points):
+    return CheckContext(metric, sample_for(workspace(metric), points, 42), FieldEquationConfig())
+
+
+def dense_ptmax(x, r13):
+    variance = "l" * (x.ndim - 1)
+    return checks._blocked_ptmax(lambda a, r: ricci_commutator(a, variance, r), x, r13)
+
+
+def sparse_ptmax(x, r13):
+    plan = checks._commutator_plan(checks._support(x), checks._support(r13))
+    if not plan[0]:
+        return np.zeros(x.shape[0])
+    return checks._blocked_ptmax(partial(checks._sparse_commutator, plan), x, r13)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def assert_routes_agree(ctx):
+    r13 = ctx.get("r13")
+    for name, variance in FIELDS.items():
+        x = ctx.get(name)
+        want = dense_ptmax(x, r13)
+        assert_same_bits(sparse_ptmax(x, r13), want)
+        assert_same_bits(checks._commutator_ptmax(ctx, name, variance), want)
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_sparse_route_matches_dense_on_the_catalog(metric):
+    # 130 points: two full blocks and a 2-point tail
+    assert_routes_agree(context(catalog_metric(metric), 130))
+
+
+@given(terms=_perturbation)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_sparse_route_matches_dense_on_generated_metrics(terms):
+    metric = parse_metric_text(perturbed_minkowski(terms), "generated")
+    assert_routes_agree(context(metric, 70))
+    del metric  # its workspace and nodes go with it
+
+
+@given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([2, 4]),
+       points=st.sampled_from([1, 65]), share=st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=20, deadline=None)
+def test_sparse_route_matches_dense_on_arbitrary_supports(seed, rank, points, share):
+    rng = np.random.default_rng(seed)
+
+    def supported(shape):  # normal values on a support shared by every point
+        return np.where(rng.random(shape[1:]) < share, rng.standard_normal(shape), 0.0)
+
+    x, r13 = supported((points,) + (4,) * rank), supported((points, 4, 4, 4, 4))
+    assert_same_bits(sparse_ptmax(x, r13), dense_ptmax(x, r13))
+
+
+def test_minkowski_has_no_products():
+    ctx = context(catalog_metric("minkowski"), 130)
+    rm = checks._support(ctx.get("r13"))
+    for name in FIELDS:
+        xm = checks._support(ctx.get(name))
+        assert checks._takes_sparse_route(xm, rm)
+        assert checks._commutator_plan(xm, rm)[0] == 0
+    for name, variance in FIELDS.items():
+        assert_same_bits(checks._commutator_ptmax(ctx, name, variance), np.zeros(130))
+    out = ctx.check("wstar_semisymmetric")
+    assert out.max_residual == 0.0
+    assert np.array_equal(out.worst_point, ctx.points[0])
+
+
+@pytest.mark.parametrize("metric,sparse", [
+    ("schwarzschild", True),
+    ("desitter_flat", True),
+    ("flrw_dust", True),
+    ("perturbed_flat", False),
+])
+def test_route_follows_the_observed_support(metric, sparse):
+    ctx = context(catalog_metric(metric), 8)
+    rm = checks._support(ctx.get("r13"))
+    for name in FIELDS:
+        assert checks._takes_sparse_route(checks._support(ctx.get(name)), rm) is sparse, name
