@@ -10,6 +10,10 @@ as a byte difference.
 ``schwarzschild`` and ``flrw_dust``, the benchmark's wide sample, where the
 check algebra runs over sixteen blocks and the sparse curvature commutator
 takes over from the dense one.
+
+The ``*_table.txt`` files pin the ``--format table`` output of both commands
+on every catalog metric at 32 points, with their exit codes in
+``exit_codes_table.json``.
 """
 
 import json
@@ -25,6 +29,7 @@ EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 POINTS = {"perturbed_flat": 8}
 WIDE = Path(__file__).parent / "golden_1024"
 WIDE_EXIT_CODES = json.loads((WIDE / "exit_codes.json").read_text())
+TABLE_EXIT_CODES = json.loads((GOLDEN / "exit_codes_table.json").read_text())
 
 
 def argv(command, metric, points=None):
@@ -51,3 +56,12 @@ def test_wide_output_matches_golden(command, metric, capsys):
     code = main(argv(command, metric, 1024))
     assert capsys.readouterr().out == (WIDE / f"{stem}.json").read_text()
     assert code == WIDE_EXIT_CODES[stem]
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_table_matches_golden(command, metric, capsys):
+    stem = f"{command}_{metric}"
+    code = main(argv(command, metric, 32) + ["--format", "table"])
+    assert capsys.readouterr().out == (GOLDEN / f"{stem}_table.txt").read_text()
+    assert code == TABLE_EXIT_CODES[stem]
