@@ -11,9 +11,12 @@ being patched over.
 
 :class:`CheckContext` is the one place where a run turns symbolic fields into
 values.  It also memoizes the check outcomes and the results derived from
-several fields (fluid decomposition, Ricci-recurrence fit), and the
-classification flags and theorem pairings are views over those outcomes, so
-every report of a run reads the same numbers.
+several fields (fluid decomposition, Ricci-recurrence fit).
+
+:class:`CheckOutcome` is the one verdict record, from the registry to both
+commands' output.  The ``classify`` flags are views of it (:data:`FLAGS`
+names the check behind each flag, :func:`holds` reads its value), and so are
+the theorem pairings, so every report of a run reads the same numbers.
 
 Residuals built from a curvature commutator or from the cyclic sum have more
 slots than their inputs (six for [nabla, nabla] W*), so they are built and
@@ -60,17 +63,20 @@ _BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 __all__ = [
     "CheckContext", "CheckOutcome", "REGISTRY",
     "einstein_check", "em_distribution", "recurrence_fit", "fluid_relations",
-    "dust_vacuum", "classification", "pairing_results",
+    "dust_vacuum", "FLAGS", "holds", "classification", "pairing_results",
 ]
 
 
 @dataclass
 class CheckOutcome:
+    """One check's verdict: residual against tolerance, and the worst point."""
+
     status: str  # "pass" | "fail" | "not-applicable"
-    max_residual: float
+    max_residual: Optional[float]  # None when the check could not be evaluated
     tolerance: float
     worst_point: Optional[np.ndarray]
     reason: Optional[str] = None
+    name: str = ""  # the REGISTRY name, set by CheckContext.check
 
 
 class CheckContext:
@@ -155,7 +161,8 @@ class CheckContext:
     def check(self, name: str) -> CheckOutcome:
         """The named check's outcome, computed once per context."""
         if name not in self._outcomes:
-            self._outcomes[name] = REGISTRY[name](self)
+            self._outcomes[name] = out = REGISTRY[name](self)
+            out.name = name
         return self._outcomes[name]
 
     @cached_property
@@ -169,7 +176,7 @@ class CheckContext:
         return recurrence_fit(self)
 
     @cached_property
-    def classification(self) -> "ClassificationRecord":
+    def classification(self) -> "Dict[str, CheckOutcome]":
         return classification(self)
 
     @cached_property
@@ -824,64 +831,31 @@ def dust_vacuum(ctx: CheckContext) -> DustVacuumReport:
 # --- classification and pairings: views over the check outcomes ---------------
 
 
-@dataclass(frozen=True)
-class FlagResult:
-    flag: Optional[bool]  # None when the condition does not apply
-    residual: float
-    threshold: float
-    note: str = ""
+# (public flag name, check it is read from), in report order
+FLAGS = (
+    ("ricci_flat", "ricci_flat"),
+    ("einstein", "einstein"),
+    ("constant_scalar_curvature", "constant_scalar_curvature"),
+    ("codazzi_ricci", "codazzi"),
+    ("ricci_recurrent", "ricci_recurrent"),
+    ("ricci_semisymmetric", "ricci_semisymmetric"),
+    ("wstar_semisymmetric", "wstar_semisymmetric"),
+    ("wstar_flat", "wstar_flat"),
+    ("wstar_divergence_free", "wstar_divergence_free"),
+    ("wstar_parallel", "wstar_parallel"),
+    ("T_semisymmetric", "t_semisymmetric"),
+    ("T_codazzi", "t_codazzi"),
+    ("T_parallel", "t_parallel"),
+)
 
 
-@dataclass(frozen=True, eq=False)
-class ClassificationRecord:
-    metric: str
-    ricci_flat: FlagResult
-    einstein: FlagResult
-    constant_scalar_curvature: FlagResult
-    codazzi_ricci: FlagResult
-    ricci_recurrent: FlagResult
-    recurrence_b: Optional[np.ndarray]
-    recurrence_closedness: Optional[float]
-    ricci_semisymmetric: FlagResult
-    wstar_semisymmetric: FlagResult
-    wstar_flat: FlagResult
-    wstar_divergence_free: FlagResult
-    wstar_parallel: FlagResult
-    t_semisymmetric: FlagResult
-    t_codazzi: FlagResult
-    t_parallel: FlagResult
-
-    # (attribute, public flag name, check it is read from)
-    _ORDER = (
-        ("ricci_flat", "ricci_flat", "ricci_flat"),
-        ("einstein", "einstein", "einstein"),
-        ("constant_scalar_curvature", "constant_scalar_curvature",
-         "constant_scalar_curvature"),
-        ("codazzi_ricci", "codazzi_ricci", "codazzi"),
-        ("ricci_recurrent", "ricci_recurrent", "ricci_recurrent"),
-        ("ricci_semisymmetric", "ricci_semisymmetric", "ricci_semisymmetric"),
-        ("wstar_semisymmetric", "wstar_semisymmetric", "wstar_semisymmetric"),
-        ("wstar_flat", "wstar_flat", "wstar_flat"),
-        ("wstar_divergence_free", "wstar_divergence_free", "wstar_divergence_free"),
-        ("wstar_parallel", "wstar_parallel", "wstar_parallel"),
-        ("t_semisymmetric", "T_semisymmetric", "t_semisymmetric"),
-        ("t_codazzi", "T_codazzi", "t_codazzi"),
-        ("t_parallel", "T_parallel", "t_parallel"),
-    )
-
-    def flags(self):
-        """Ordered mapping of public flag name -> FlagResult."""
-        return {public: getattr(self, attr) for attr, public, _ in self._ORDER}
+def holds(out: CheckOutcome) -> Optional[bool]:
+    """A flag's value: None when the check does not apply, else whether it passed."""
+    return None if out.status == "not-applicable" else out.status == "pass"
 
 
-def _flag(out: CheckOutcome) -> FlagResult:
-    if out.status == "not-applicable":
-        return FlagResult(None, out.max_residual, out.tolerance, out.reason or "")
-    return FlagResult(out.status == "pass", out.max_residual, out.tolerance)
-
-
-def classification(ctx: CheckContext) -> ClassificationRecord:
-    """Every studied curvature/matter condition as a flag, read off the checks.
+def classification(ctx: CheckContext) -> Dict[str, CheckOutcome]:
+    """Every studied curvature/matter condition, as public flag name -> outcome.
 
     Scales follow the dominant-ingredient rule: a condition saying "tensor X
     vanishes" is scored against the magnitude of the tensor X is made from
@@ -890,13 +864,7 @@ def classification(ctx: CheckContext) -> ClassificationRecord:
     metrics whose curvature differs by orders of magnitude.
     """
 
-    flags = {attr: _flag(ctx.check(name)) for attr, _, name in ClassificationRecord._ORDER}
-    return ClassificationRecord(
-        metric=ctx.metric.name,
-        recurrence_b=ctx.recurrence.b,
-        recurrence_closedness=ctx.recurrence.closedness_residual,
-        **flags,
-    )
+    return {flag: ctx.check(name) for flag, name in FLAGS}
 
 
 @dataclass(frozen=True)
@@ -913,15 +881,15 @@ def pairing_results(ctx: CheckContext) -> tuple:
     is reported honestly as a failed pairing rather than being reconciled.
     """
 
-    rec = ctx.classification
-    flags = rec.flags()
-    flag = {name: fr.flag for name, fr in flags.items()}
-    ein = einstein_check(ctx, tol=rec.einstein.threshold)
+    flags = ctx.classification
+    flag = {name: holds(out) for name, out in flags.items()}
+    ein = einstein_check(ctx, tol=flags["einstein"].tolerance)
     fluid = fluid_relations(ctx)
 
     def side(name: str) -> str:
-        fr = flags[name]
-        return f"{name}={fr.flag} (residual {fr.residual:.3e} vs threshold {fr.threshold:.3e})"
+        out = flags[name]
+        return (f"{name}={flag[name]} (residual {out.max_residual:.3e}"
+                f" vs threshold {out.tolerance:.3e})")
 
     if not flag["wstar_flat"]:
         lam_like, lam_detail = True, "premise false - holds vacuously"

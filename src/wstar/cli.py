@@ -26,11 +26,11 @@ from typing import NoReturn
 import numpy as np
 
 from . import catalog, wstar as ws
-from .checks import CheckContext, REGISTRY
+from .checks import CheckContext, CheckOutcome, REGISTRY, holds
 from .geometry import Geometry, MetricSpec, workspace
 from .matter import FieldEquationConfig, FluidError, energy_momentum
 from .metricfile import MetricFileError, load_metric as _load_metric_file
-from .report import CheckReport, RunReport, render_json, render_table, utc_stamp
+from .report import RunReport, render_json, render_table, utc_stamp
 from .sampling import DET_FLOOR, SamplingError, sample_points
 from .tape import TapeEvalError
 
@@ -150,18 +150,9 @@ def run_checks(cfg: RunConfig) -> RunReport:
             out = ctx.check(name)
         except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
                 ZeroDivisionError, FluidError) as err:
-            rep.checks.append(
-                CheckReport(name, "fail", None, ctx.tol(0.0), None,
-                            f"evaluation error: {err}")
-            )
-            continue
-        rep.checks.append(
-            CheckReport(
-                name, out.status, out.max_residual, out.tolerance,
-                None if out.worst_point is None else [float(v) for v in out.worst_point],
-                out.reason,
-            )
-        )
+            out = CheckOutcome("fail", None, ctx.tol(0.0), None,
+                               f"evaluation error: {err}", name=name)
+        rep.checks.append(out)
     return rep
 
 
@@ -268,15 +259,14 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
 def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
     ctx = _context(cfg)
-    record, pairs = ctx.classification, ctx.pairings
-    flags = {}
-    residuals = {}
-    for name, fr in record.flags().items():
-        flags[name] = fr.flag
-        entry = {"residual": float(fr.residual), "threshold": float(fr.threshold)}
-        if fr.note:
-            entry["note"] = fr.note
-        residuals[name] = entry
+    flags, residuals = {}, {}
+    for name, out in ctx.classification.items():
+        flags[name] = holds(out)
+        residuals[name] = {"residual": float(out.max_residual),
+                           "threshold": float(out.tolerance)}
+        if flags[name] is None and out.reason:
+            residuals[name]["note"] = out.reason
+    pairs = ctx.pairings
     payload = {
         "metric": ctx.metric.name,
         "seed": cfg.seed,

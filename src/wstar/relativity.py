@@ -16,15 +16,14 @@ ingredient of that condition (reported alongside the flag).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from .checks import (
     CheckContext,
-    ClassificationRecord,
+    CheckOutcome,
     EinsteinCheck,
-    FlagResult,
     FluidRelationsReport,
     PairingResult,
     einstein_check,
@@ -50,8 +49,6 @@ __all__ = [
     "FluidRelationsReport",
     "ConformalFit",
     "InheritanceReport",
-    "FlagResult",
-    "ClassificationRecord",
     "PairingResult",
     "energy_momentum",
     "nabla_energy_momentum",
@@ -83,11 +80,11 @@ def classify(
     points,
     atol: float = 1e-9,
     rtol: float = 1e-6,
-) -> ClassificationRecord:
+) -> Dict[str, CheckOutcome]:
     """Every studied curvature/matter condition at the sample points.
 
-    The flags are read off the property checks of one
-    :class:`wstar.checks.CheckContext`; see :func:`wstar.checks.classification`.
+    Public flag name -> the :class:`wstar.checks.CheckOutcome` it reads, from
+    one context; see :func:`wstar.checks.classification` and ``holds``.
     """
     return CheckContext(m, points, cfg, atol, rtol).classification
 

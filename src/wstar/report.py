@@ -1,6 +1,7 @@
 """Run reports: stable JSON and aligned-table rendering of check results.
 
-The JSON payload is built key-by-key in a fixed order and serialized with the
+A report holds the run's :class:`wstar.checks.CheckOutcome` records as they
+are, one per requested check.  The JSON payload is built key-by-key in a fixed order and serialized with the
 standard library, so two runs with the same inputs produce byte-identical
 output once the optional timestamp is suppressed.  Floats go through Python's
 shortest round-trip repr via ``json.dumps``; numpy scalars are converted
@@ -15,19 +16,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import List, Optional, Sequence
 
-__all__ = ["CheckReport", "RunReport", "render_json", "render_table"]
+from .checks import CheckOutcome
 
-
-@dataclass
-class CheckReport:
-    """One check's verdict: residual vs tolerance plus the worst point."""
-
-    name: str
-    status: str  # "pass" | "fail" | "not-applicable"
-    max_residual: Optional[float]  # None when the check could not be evaluated
-    tolerance: float
-    worst_point: Optional[Sequence[float]]
-    reason: Optional[str] = None
+__all__ = ["RunReport", "render_json", "render_table"]
 
 
 @dataclass
@@ -43,7 +34,7 @@ class RunReport:
     lam: float
     dim: int
     coords: Sequence[str]
-    checks: List[CheckReport] = field(default_factory=list)
+    checks: List[CheckOutcome] = field(default_factory=list)
     timestamp: Optional[str] = None
 
     @property
@@ -55,29 +46,25 @@ def utc_stamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _num(x) -> float:
-    return float(x)
-
-
 def payload(report: RunReport) -> dict:
     """The dict serialized as JSON, keys in schema order."""
     out = {
         "metric": report.metric,
         "seed": report.seed,
         "points": report.points,
-        "tolerances": {"atol": _num(report.atol), "rtol": _num(report.rtol)},
-        "k": _num(report.k),
-        "lambda": _num(report.lam),
+        "tolerances": {"atol": float(report.atol), "rtol": float(report.rtol)},
+        "k": float(report.k),
+        "lambda": float(report.lam),
         "checks": [],
     }
     for c in report.checks:
         entry = {
             "name": c.name,
             "status": c.status,
-            "max_residual": None if c.max_residual is None else _num(c.max_residual),
-            "tolerance": _num(c.tolerance),
+            "max_residual": None if c.max_residual is None else float(c.max_residual),
+            "tolerance": float(c.tolerance),
             "worst_point": (
-                None if c.worst_point is None else [_num(v) for v in c.worst_point]
+                None if c.worst_point is None else [float(v) for v in c.worst_point]
             ),
         }
         if c.reason:

@@ -128,11 +128,7 @@ class Tape:
     def evaluate_checked(self, points: np.ndarray, params=None) -> np.ndarray:
         """Like :meth:`evaluate` but raises :class:`TapeEvalError` on any failure."""
         vals, err = self.evaluate(points, params)
-        bad = np.nonzero(err >= 0)[0]
-        if bad.size:
-            p = int(bad[0])
-            node = self.nodes[int(err[p])]
-            raise TapeEvalError("evaluation left the domain", p, node)
+        self._raise_first_failure(err)
         return vals
 
     def evaluate_tangents(self, points: np.ndarray, diff: Sequence[int],
@@ -157,16 +153,21 @@ class Tape:
         :class:`TapeEvalError` on any failure; it names the coordinate
         (``coords[k]``) whose partial failed."""
         vals, partials, err, lane = self.evaluate_tangents(points, diff, params)
-        bad = np.nonzero(err >= 0)[0]
-        if bad.size:
-            p = int(bad[0])
-            node = self.nodes[int(err[p])]
-            k = int(lane[p])
-            if k < 0:
-                raise TapeEvalError("evaluation left the domain", p, node)
-            raise TapeEvalError(f"partial derivative along {coords[k]} is not finite",
-                                p, node, coords[k])
+        self._raise_first_failure(err, lane, coords)
         return vals, partials
+
+    def _raise_first_failure(self, err: np.ndarray, lane=None, coords=()):
+        """Raise :class:`TapeEvalError` for the first point ``err`` marks failed."""
+        bad = np.nonzero(err >= 0)[0]
+        if not bad.size:
+            return
+        p = int(bad[0])
+        node = self.nodes[int(err[p])]
+        k = -1 if lane is None else int(lane[p])
+        if k < 0:
+            raise TapeEvalError("evaluation left the domain", p, node)
+        raise TapeEvalError(f"partial derivative along {coords[k]} is not finite",
+                            p, node, coords[k])
 
 
 def compile_tape(

@@ -204,7 +204,7 @@ class TestRunChecks:
     def test_seed_changes_sample(self):
         a = report_for("flrw_dust", checks=("einstein",), seed=1)
         b = report_for("flrw_dust", checks=("einstein",), seed=2)
-        assert a.checks[0].worst_point != b.checks[0].worst_point
+        assert not np.array_equal(a.checks[0].worst_point, b.checks[0].worst_point)
 
 
 class TestJsonShape:

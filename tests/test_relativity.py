@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wstar import cli
 from wstar.catalog import builtin_vector_fields, catalog_metric
-from wstar.checks import CheckContext, dust_vacuum, em_distribution, recurrence_fit
+from wstar.checks import CheckContext, dust_vacuum, em_distribution, holds, recurrence_fit
 from wstar.exprlib import coord, const, neg, parse
 from wstar.geometry import VectorFieldSpec, workspace
 from wstar import relativity as rel
@@ -513,29 +513,29 @@ EXPECTED_FLAGS = {
 class TestClassify:
     @pytest.mark.parametrize("name", ALL)
     def test_flag_table(self, name):
-        rec = rel.classify(catalog_metric(name), CFG, sample(name, 8))
-        got = {k: v.flag for k, v in rec.flags().items()}
+        flags = rel.classify(catalog_metric(name), CFG, sample(name, 8))
+        got = {k: holds(out) for k, out in flags.items()}
         assert got == EXPECTED_FLAGS[name]
 
     def test_every_flag_carries_residual_and_threshold(self):
-        rec = rel.classify(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 6))
-        for fr in rec.flags().values():
-            assert np.isfinite(fr.residual) and fr.threshold > 0.0
+        flags = rel.classify(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 6))
+        for out in flags.values():
+            assert np.isfinite(out.max_residual) and out.tolerance > 0.0
 
     def test_recurrence_extras(self):
-        rec = rel.classify(catalog_metric("desitter_flat"), CFG, sample("desitter_flat", 6))
-        assert rec.recurrence_b is not None
-        assert amax(rec.recurrence_b) <= 1e-8
-        assert rec.recurrence_closedness <= 1e-6
-        vac = rel.classify(catalog_metric("schwarzschild"), CFG, sample("schwarzschild", 6))
-        assert vac.recurrence_b is None and vac.recurrence_closedness is None
-        assert vac.ricci_recurrent.flag is None
+        fit = context("desitter_flat", 6).recurrence
+        assert fit.b is not None
+        assert amax(fit.b) <= 1e-8
+        assert fit.closedness_residual <= 1e-6
+        vac = context("schwarzschild", 6)
+        assert vac.recurrence.b is None and vac.recurrence.closedness_residual is None
+        assert holds(vac.classification["ricci_recurrent"]) is None
 
     def test_flrw_divergence_free_counterexample_in_record(self):
         # the one honest disagreement: divergence-free without Codazzi Ricci
-        rec = rel.classify(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 8))
-        assert rec.wstar_divergence_free.flag is True
-        assert rec.codazzi_ricci.flag is False
+        flags = rel.classify(catalog_metric("flrw_dust"), CFG, sample("flrw_dust", 8))
+        assert holds(flags["wstar_divergence_free"]) is True
+        assert holds(flags["codazzi_ricci"]) is False
 
 
 class TestPairings:
@@ -569,16 +569,16 @@ class TestPairings:
     @pytest.mark.parametrize("name", ALL)
     def test_codazzi_implies_divergence_free_direction(self, name):
         # the implication that does survive scrutiny
-        rec = rel.classify(catalog_metric(name), CFG, sample(name, 6))
-        if rec.codazzi_ricci.flag:
-            assert rec.wstar_divergence_free.flag is True
+        flags = rel.classify(catalog_metric(name), CFG, sample(name, 6))
+        if holds(flags["codazzi_ricci"]):
+            assert holds(flags["wstar_divergence_free"]) is True
 
     def test_lambda_fluid_branch_uses_the_run_tolerances(self):
         # atol = 10 makes the dust cosmology's modified curvature count as
         # vanishing, so the fluid branch must score the real mu + p gap
         m = catalog_metric("flrw_dust")
         pts = sample("flrw_dust", 8)
-        assert rel.classify(m, CFG, pts, atol=10.0).wstar_flat.flag is True
+        assert holds(rel.classify(m, CFG, pts, atol=10.0)["wstar_flat"]) is True
         pairs = {p.name: p for p in rel.pairing_checks(m, CFG, pts, atol=10.0)}
         fluid = rel.fluid_relation_checks(m, CFG, pts)
         gap = amax(fluid.mu + fluid.p)
