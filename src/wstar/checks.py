@@ -14,9 +14,11 @@ values.  It also memoizes the check outcomes and the results derived from
 several fields (fluid decomposition, Ricci-recurrence fit).
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
-commands' output.  The ``classify`` flags are views of it (:data:`FLAGS`
-names the check behind each flag, :func:`holds` reads its value), and so are
-the theorem pairings, so every report of a run reads the same numbers.
+commands' output, and each verdict is computed in its registry function; one
+that reads other checks' outcomes (the perfect-fluid results, the theorem
+pairings) runs only those.  The ``classify`` flags and pairings are views:
+:data:`FLAGS` and :data:`PAIRINGS` name the check behind each public name and
+:func:`holds` reads its value, so every report of a run reads the same numbers.
 
 Residuals built from a curvature commutator or from the cyclic sum have more
 slots than their inputs (six for [nabla, nabla] W*), so they are built and
@@ -61,9 +63,8 @@ from . import wstar as ws
 _BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 
 __all__ = [
-    "CheckContext", "CheckOutcome", "REGISTRY",
-    "einstein_check", "em_distribution", "recurrence_fit", "fluid_relations",
-    "dust_vacuum", "FLAGS", "holds", "classification", "pairing_results",
+    "CheckContext", "CheckOutcome", "REGISTRY", "recurrence_fit",
+    "FLAGS", "PAIRINGS", "holds", "classification", "pairings",
 ]
 
 
@@ -83,8 +84,9 @@ class CheckContext:
     """Shared evaluated-field cache for one (metric, points, config) run.
 
     Each field group is evaluated at most once; check outcomes and the
-    multi-field results (``fluid``, ``recurrence``, ``classification``,
-    ``pairings``) are computed on first use and kept for the run.
+    multi-field results (``fluid``, ``recurrence``) are computed on first use
+    and kept for the run, so a check that reads another check's outcome, or
+    a report that reads many, computes each at most once.
     """
 
     # evaluation groups: one compiled tape per group actually touched
@@ -174,14 +176,6 @@ class CheckContext:
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
         return recurrence_fit(self)
-
-    @cached_property
-    def classification(self) -> "Dict[str, CheckOutcome]":
-        return classification(self)
-
-    @cached_property
-    def pairings(self) -> tuple:
-        return pairing_results(self)
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
@@ -525,40 +519,172 @@ def _check_t_semisymmetric(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:
-    rep = em_distribution(ctx)
+    """The reduced field equation R_{ij} = k T_{ij}: T parallel when W* is.
+
+    Its trace reads R = +k T; the sign-reversed reading R = -k T is scored
+    too, so either convention can be audited.
+    """
+    k, scal = ctx.cfg.k, ctx.get("R")
+    t_trace = scal / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
     note = (
-        f"trace reads R = +kT with residual {rep.literal_sign_residual:.3e}; "
-        f"sign-reversed reading residual {rep.reversed_sign_residual:.3e}"
+        f"trace reads R = +kT with residual {_amax(scal - k * t_trace):.3e}; "
+        f"sign-reversed reading residual {_amax(scal + k * t_trace):.3e}"
     )
-    if rep.conclusion == "not-applicable":
+    parallel = ctx.check("wstar_parallel")
+    if parallel.status != "pass":
         return ctx.na(
             "modified curvature is not covariantly constant "
-            f"(residual {rep.symmetry_residual:.3e}); " + note
+            f"(residual {parallel.max_residual:.3e}); " + note
         )
-    status = "pass" if rep.conclusion == "holds" else "fail"
-    return CheckOutcome(status, rep.nabla_t_max, ctx.tol(1.0 + rep.trace_max), None, note)
+    nabla_t = ctx.amax("nric") / abs(k)
+    tolerance = ctx.tol(1.0 + _amax(t_trace))
+    status = "pass" if nabla_t <= tolerance else "fail"
+    return CheckOutcome(status, nabla_t, tolerance, None, note)
 
 
 def _check_dust_vacuum(ctx: CheckContext) -> CheckOutcome:
-    rep = dust_vacuum(ctx)
-    if rep.status == "not-applicable":
-        return ctx.na(rep.detail)
-    status = "pass" if rep.status == "holds" else "fail"
-    return CheckOutcome(status, rep.mu_max, ctx.tol(1.0), None, rep.detail)
+    """Pressureless fluid + vanishing modified curvature must mean vacuum."""
+    mu, p, _ = ctx.fluid
+    ok = ~np.isnan(mu)
+    if not np.any(ok):
+        return ctx.na("no perfect-fluid decomposition at the sample points")
+    mu_max, p_max = _amax(mu[ok]), _amax(p[ok])
+    dust = p_max <= ctx.tol(1.0 + mu_max)
+    flat = ctx.check("wstar_flat").status == "pass"
+    if not dust or not flat:
+        why = []
+        if not dust:
+            why.append(f"pressure is not negligible (max|p| = {p_max:.3e})")
+        if not flat:
+            why.append("modified curvature does not vanish")
+        return ctx.na("; ".join(why))
+    tolerance = ctx.tol(1.0)
+    status = "pass" if mu_max <= tolerance else "fail"
+    return CheckOutcome(status, mu_max, tolerance, None,
+                        f"max|mu| = {mu_max:.3e} with dust and vanishing modified curvature")
+
+
+# --- classification flags: views over the property checks ---------------------
+
+
+# (public flag name, check it is read from), in report order
+FLAGS = (
+    ("ricci_flat", "ricci_flat"),
+    ("einstein", "einstein"),
+    ("constant_scalar_curvature", "constant_scalar_curvature"),
+    ("codazzi_ricci", "codazzi"),
+    ("ricci_recurrent", "ricci_recurrent"),
+    ("ricci_semisymmetric", "ricci_semisymmetric"),
+    ("wstar_semisymmetric", "wstar_semisymmetric"),
+    ("wstar_flat", "wstar_flat"),
+    ("wstar_divergence_free", "wstar_divergence_free"),
+    ("wstar_parallel", "wstar_parallel"),
+    ("T_semisymmetric", "t_semisymmetric"),
+    ("T_codazzi", "t_codazzi"),
+    ("T_parallel", "t_parallel"),
+)
+
+
+def holds(out: CheckOutcome) -> Optional[bool]:
+    """A flag's value: None when the check does not apply, else whether it passed."""
+    return None if out.status == "not-applicable" else out.status == "pass"
+
+
+def classification(ctx: CheckContext) -> Dict[str, CheckOutcome]:
+    """Every studied curvature/matter condition, as public flag name -> outcome.
+
+    Scales follow the dominant-ingredient rule: a condition saying "tensor X
+    vanishes" is scored against the magnitude of the tensor X is made from
+    (e.g. the Codazzi residual against |nabla Ricci|, flatness of the modified
+    curvature against |curvature|), so the flags stay meaningful across
+    metrics whose curvature differs by orders of magnitude.
+    """
+    return {flag: ctx.check(name) for flag, name in FLAGS}
 
 
 # --- theorem-consistency pairings ---------------------------------------------
+#
+# Each pairing compares flags computed from different routes and reads only
+# the flags it names; a mismatch is reported honestly as a failed pairing
+# rather than being reconciled.
 
 
-def _pairing(name: str):
-    def run(ctx: CheckContext) -> CheckOutcome:
-        p = next(p for p in ctx.pairings if p.name == name)
-        if p.holds is None:
-            return ctx.na(p.detail, tolerance=0.5)
-        status = "pass" if p.holds else "fail"
-        return CheckOutcome(status, 0.0 if p.holds else 1.0, 0.5, None, p.detail)
+def _flag(ctx: CheckContext, flag: str) -> Optional[bool]:
+    return holds(ctx.check(dict(FLAGS)[flag]))
 
-    return run
+
+def _side(ctx: CheckContext, flag: str) -> str:
+    out = ctx.check(dict(FLAGS)[flag])
+    return (f"{flag}={holds(out)} (residual {out.max_residual:.3e}"
+            f" vs threshold {out.tolerance:.3e})")
+
+
+def _pairing(ctx: CheckContext, consistent: Optional[bool], detail: str) -> CheckOutcome:
+    """A pairing's outcome: residual 0 when consistent, 1 when violated."""
+    if consistent is None:
+        return ctx.na(detail, tolerance=0.5)
+    status = "pass" if consistent else "fail"
+    return CheckOutcome(status, 0.0 if consistent else 1.0, 0.5, None, detail)
+
+
+def _check_pairing_codazzi_divergence(ctx: CheckContext) -> CheckOutcome:
+    return _pairing(
+        ctx, _flag(ctx, "codazzi_ricci") == _flag(ctx, "wstar_divergence_free"),
+        f"{_side(ctx, 'codazzi_ricci')}; {_side(ctx, 'wstar_divergence_free')}",
+    )
+
+
+def _trace_vanishes(ctx: CheckContext, tol: float) -> bool:
+    """Does the W* trace vanish, scored as n/(n-1) times an Einstein residual of ``tol``?"""
+    factor = ctx.geo.dim / (ctx.geo.dim - 1.0)
+    return ctx.amax("w02") <= factor * tol * (1.0 + ctx.amax("g"))
+
+
+def _check_pairing_einstein_trace(ctx: CheckContext) -> CheckOutcome:
+    ein = ctx.check("einstein")
+    flag = ein.max_residual <= ein.tolerance
+    trace_flag = _trace_vanishes(ctx, ein.tolerance)
+    return _pairing(
+        ctx, flag == trace_flag,
+        f"einstein={flag} (residual {ein.max_residual:.3e}); "
+        f"trace-of-modified-curvature={trace_flag} (residual {ctx.amax('w02'):.3e})",
+    )
+
+
+def _check_pairing_parallel_semisymmetric(ctx: CheckContext) -> CheckOutcome:
+    return _pairing(
+        ctx, not _flag(ctx, "wstar_parallel") or bool(_flag(ctx, "T_semisymmetric")),
+        f"{_side(ctx, 'wstar_parallel')}; {_side(ctx, 'T_semisymmetric')}",
+    )
+
+
+def _check_pairing_flat_parallel_t(ctx: CheckContext) -> CheckOutcome:
+    constant, parallel = _flag(ctx, "constant_scalar_curvature"), _flag(ctx, "T_parallel")
+    return _pairing(
+        ctx, not _flag(ctx, "wstar_flat") or (bool(constant) and bool(parallel)),
+        f"{_side(ctx, 'wstar_flat')}; "
+        f"constant_scalar_curvature={constant}; T_parallel={parallel}",
+    )
+
+
+def _check_pairing_flat_lambda_fluid(ctx: CheckContext) -> CheckOutcome:
+    """Vanishing W* makes the fluid a cosmological constant: mu + p = 0."""
+    if not _flag(ctx, "wstar_flat"):
+        return _pairing(ctx, True, "premise false - holds vacuously")
+    mu, p, _ = ctx.fluid
+    ok = ~np.isnan(mu)
+    if not np.any(ok):
+        return _pairing(ctx, None, "no fluid decomposition succeeded at the sample points")
+    gap = _amax(mu[ok] + p[ok])
+    return _pairing(ctx, gap <= 1e-6 * (1.0 + _amax(mu[ok])),
+                    f"max|mu + p| = {gap:.3e} over {int(np.sum(ok))} points")
+
+
+def _check_pairing_semisymmetric_t(ctx: CheckContext) -> CheckOutcome:
+    return _pairing(
+        ctx, _flag(ctx, "T_semisymmetric") == _flag(ctx, "ricci_semisymmetric"),
+        f"{_side(ctx, 'T_semisymmetric')}; {_side(ctx, 'ricci_semisymmetric')}",
+    )
 
 
 REGISTRY: "Dict[str, Callable[[CheckContext], CheckOutcome]]" = {
@@ -590,85 +716,36 @@ REGISTRY: "Dict[str, Callable[[CheckContext], CheckOutcome]]" = {
     "em_distribution": _check_em_distribution,
     "dust_vacuum": _check_dust_vacuum,
     # theorem-consistency pairings, each side computed independently
-    "pairing_codazzi_divergence": _pairing("codazzi_iff_divergence_free"),
-    "pairing_einstein_trace": _pairing("einstein_iff_trace_vanishes"),
-    "pairing_parallel_semisymmetric": _pairing("parallel_implies_t_semisymmetric"),
-    "pairing_flat_parallel_t": _pairing("flat_implies_constant_scalar_and_parallel_t"),
-    "pairing_flat_lambda_fluid": _pairing("flat_implies_lambda_like_fluid"),
-    "pairing_semisymmetric_t": _pairing("t_semisymmetric_iff_ricci_semisymmetric"),
+    "pairing_codazzi_divergence": _check_pairing_codazzi_divergence,
+    "pairing_einstein_trace": _check_pairing_einstein_trace,
+    "pairing_parallel_semisymmetric": _check_pairing_parallel_semisymmetric,
+    "pairing_flat_parallel_t": _check_pairing_flat_parallel_t,
+    "pairing_flat_lambda_fluid": _check_pairing_flat_lambda_fluid,
+    "pairing_semisymmetric_t": _check_pairing_semisymmetric_t,
 }
 
 
-# --- derived reports ----------------------------------------------------------
-#
-# Tolerance semantics: a condition "holds" when its residual is at most
-# ``atol + rtol * scale``, ``scale`` being the magnitude of the dominant
-# ingredient of that condition (reported alongside the flag).
+# (public pairing name, check it is read from), in report order
+PAIRINGS = (
+    ("codazzi_iff_divergence_free", "pairing_codazzi_divergence"),
+    ("einstein_iff_trace_vanishes", "pairing_einstein_trace"),
+    ("parallel_implies_t_semisymmetric", "pairing_parallel_semisymmetric"),
+    ("flat_implies_constant_scalar_and_parallel_t", "pairing_flat_parallel_t"),
+    ("flat_implies_lambda_like_fluid", "pairing_flat_lambda_fluid"),
+    ("t_semisymmetric_iff_ricci_semisymmetric", "pairing_semisymmetric_t"),
+)
 
 
-@dataclass(frozen=True)
-class EinsteinCheck:
-    flag: bool
-    residual: float
-    trace_flag: bool
-    trace_residual: float
+def pairings(ctx: CheckContext) -> Dict[str, CheckOutcome]:
+    """The theorem pairings, as public pairing name -> outcome.
 
-
-def einstein_check(ctx: CheckContext, tol: float = 1e-8) -> EinsteinCheck:
-    """Is R_{jk} = (R/n) g_{jk}?  Cross-checked against the W* trace.
-
-    The modified curvature's metric trace equals n/(n-1) times the deviation
-    from the Einstein condition, so the two booleans must agree; both are
-    computed independently and returned.
+    :func:`holds` gives whether a pairing is consistent (None when it does
+    not apply), and the outcome's ``reason`` is its detail.
     """
-
-    residual = ctx.check("einstein").max_residual
-    trace_residual = ctx.amax("w02")
-    factor = ctx.geo.dim / (ctx.geo.dim - 1.0)
-    trace_flag = trace_residual <= factor * tol * (1.0 + ctx.amax("g"))
-    return EinsteinCheck(residual <= tol, residual, trace_flag, trace_residual)
+    return {name: ctx.check(check) for name, check in PAIRINGS}
 
 
-@dataclass(frozen=True)
-class EMDistributionReport:
-    trace_max: float
-    scalar_max: float
-    literal_sign_residual: float
-    reversed_sign_residual: float
-    symmetry_residual: float
-    nabla_t_max: float
-    conclusion: str
-
-
-def em_distribution(ctx: CheckContext) -> EMDistributionReport:
-    """Diagnostics for the reduced field equation R_{ij} = k T_{ij}.
-
-    Under that reduction the trace gives R = +k T literally; the sign-reversed
-    convention R = -k T is also scored so either reading can be audited (the
-    trace-free conclusion R = 0 is the same under both).  When the modified
-    curvature is covariantly constant the reduced T must be parallel as well;
-    the report says whether that conclusion holds, is violated, or does not
-    apply.  The premise is the run's ``wstar_parallel`` outcome.
-    """
-
-    k, scal = ctx.cfg.k, ctx.get("R")
-    t_trace = scal / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
-    trace_max = _amax(t_trace)
-    nabla_t = ctx.amax("nric") / abs(k)
-    parallel = ctx.check("wstar_parallel")
-    if parallel.status == "pass":
-        conclusion = "holds" if nabla_t <= ctx.tol(1.0 + trace_max) else "violated"
-    else:
-        conclusion = "not-applicable"
-    return EMDistributionReport(
-        trace_max=trace_max,
-        scalar_max=_amax(scal),
-        literal_sign_residual=_amax(scal - k * t_trace),
-        reversed_sign_residual=_amax(scal + k * t_trace),
-        symmetry_residual=parallel.max_residual,
-        nabla_t_max=nabla_t,
-        conclusion=conclusion,
-    )
+# --- Ricci recurrence -------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
@@ -731,205 +808,4 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     curl = grad_b - grad_b.transpose(2, 1, 0)
     return RecurrenceFit(
         True, b, float(point_residual.max()), _amax(curl), None, point_residual
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class FluidRelationsReport:
-    n_points: int
-    n_decomposed: int
-    mu: np.ndarray  # (P,), NaN where the decomposition failed
-    p: np.ndarray
-    trace_residual: float
-    scalar_max: float
-    failures: tuple
-    wstar_flat: bool
-    mu_plus_p_max: Optional[float]
-    mu_minus_3p_spread: Optional[float]
-    nabla_t_max: Optional[float]
-
-
-def fluid_relations(ctx: CheckContext) -> FluidRelationsReport:
-    """Decompose T at every sample point and test the trace relation.
-
-    |R - (4L + k(mu - 3p))| must vanish wherever the decomposition succeeds:
-    it is the metric trace of the field equations, not a special property.
-    When the modified curvature vanishes (the run's ``wstar_flat`` check) the
-    fluid must behave as a cosmological constant (mu + p = 0, mu - 3p
-    constant, T parallel); those extra figures are reported only in that
-    regime.
-    """
-
-    mu, p, failures = ctx.fluid
-    ok = ~np.isnan(mu)
-    flat = ctx.check("wstar_flat").status == "pass"
-    mu_plus_p = spread = nabla_t = None
-    if flat:
-        if np.any(ok):
-            mu_plus_p = _amax(mu[ok] + p[ok])
-            combo = mu[ok] - 3.0 * p[ok]
-            spread = float(np.max(combo) - np.min(combo))
-        nabla_t = ctx.amax("nt")
-    return FluidRelationsReport(
-        n_points=mu.shape[0],
-        n_decomposed=int(np.sum(ok)),
-        mu=mu,
-        p=p,
-        trace_residual=_amax(_trace_relation_gap(ctx)[ok]),
-        scalar_max=ctx.amax("R"),
-        failures=tuple(sorted(set(failures))),
-        wstar_flat=flat,
-        mu_plus_p_max=mu_plus_p,
-        mu_minus_3p_spread=spread,
-        nabla_t_max=nabla_t,
-    )
-
-
-@dataclass(frozen=True)
-class DustVacuumReport:
-    status: str  # "holds" | "not-applicable" | "violated"
-    dust: bool
-    wstar_flat: bool
-    p_max: Optional[float]
-    mu_max: Optional[float]
-    detail: str
-
-
-def dust_vacuum(ctx: CheckContext) -> DustVacuumReport:
-    """Pressureless fluid + vanishing modified curvature must mean vacuum."""
-
-    rep = fluid_relations(ctx)
-    if rep.n_decomposed == 0:
-        return DustVacuumReport(
-            "not-applicable", False, rep.wstar_flat, None, None,
-            "no perfect-fluid decomposition at the sample points",
-        )
-    ok = ~np.isnan(rep.mu)
-    mu_max = _amax(rep.mu[ok])
-    p_max = _amax(rep.p[ok])
-    dust = p_max <= ctx.tol(1.0 + mu_max)
-    if not dust or not rep.wstar_flat:
-        why = []
-        if not dust:
-            why.append(f"pressure is not negligible (max|p| = {p_max:.3e})")
-        if not rep.wstar_flat:
-            why.append("modified curvature does not vanish")
-        return DustVacuumReport(
-            "not-applicable", dust, rep.wstar_flat, p_max, mu_max, "; ".join(why)
-        )
-    vacuum = mu_max <= ctx.tol(1.0)
-    return DustVacuumReport(
-        "holds" if vacuum else "violated",
-        True,
-        True,
-        p_max,
-        mu_max,
-        f"max|mu| = {mu_max:.3e} with dust and vanishing modified curvature",
-    )
-
-
-# --- classification and pairings: views over the check outcomes ---------------
-
-
-# (public flag name, check it is read from), in report order
-FLAGS = (
-    ("ricci_flat", "ricci_flat"),
-    ("einstein", "einstein"),
-    ("constant_scalar_curvature", "constant_scalar_curvature"),
-    ("codazzi_ricci", "codazzi"),
-    ("ricci_recurrent", "ricci_recurrent"),
-    ("ricci_semisymmetric", "ricci_semisymmetric"),
-    ("wstar_semisymmetric", "wstar_semisymmetric"),
-    ("wstar_flat", "wstar_flat"),
-    ("wstar_divergence_free", "wstar_divergence_free"),
-    ("wstar_parallel", "wstar_parallel"),
-    ("T_semisymmetric", "t_semisymmetric"),
-    ("T_codazzi", "t_codazzi"),
-    ("T_parallel", "t_parallel"),
-)
-
-
-def holds(out: CheckOutcome) -> Optional[bool]:
-    """A flag's value: None when the check does not apply, else whether it passed."""
-    return None if out.status == "not-applicable" else out.status == "pass"
-
-
-def classification(ctx: CheckContext) -> Dict[str, CheckOutcome]:
-    """Every studied curvature/matter condition, as public flag name -> outcome.
-
-    Scales follow the dominant-ingredient rule: a condition saying "tensor X
-    vanishes" is scored against the magnitude of the tensor X is made from
-    (e.g. the Codazzi residual against |nabla Ricci|, flatness of the modified
-    curvature against |curvature|), so the flags stay meaningful across
-    metrics whose curvature differs by orders of magnitude.
-    """
-
-    return {flag: ctx.check(name) for flag, name in FLAGS}
-
-
-@dataclass(frozen=True)
-class PairingResult:
-    name: str
-    holds: Optional[bool]  # None when the pairing does not apply
-    detail: str
-
-
-def pairing_results(ctx: CheckContext) -> tuple:
-    """Score the studied equivalences/implications with each side independent.
-
-    Every entry compares booleans computed from different routes; a mismatch
-    is reported honestly as a failed pairing rather than being reconciled.
-    """
-
-    flags = ctx.classification
-    flag = {name: holds(out) for name, out in flags.items()}
-    ein = einstein_check(ctx, tol=flags["einstein"].tolerance)
-    fluid = fluid_relations(ctx)
-
-    def side(name: str) -> str:
-        out = flags[name]
-        return (f"{name}={flag[name]} (residual {out.max_residual:.3e}"
-                f" vs threshold {out.tolerance:.3e})")
-
-    if not flag["wstar_flat"]:
-        lam_like, lam_detail = True, "premise false - holds vacuously"
-    elif fluid.n_decomposed == 0:
-        lam_like, lam_detail = None, "no fluid decomposition succeeded at the sample points"
-    else:
-        gap = fluid.mu_plus_p_max
-        lam_like = gap <= 1e-6 * (1.0 + _amax(fluid.mu[~np.isnan(fluid.mu)]))
-        lam_detail = f"max|mu + p| = {gap:.3e} over {fluid.n_decomposed} points"
-
-    return (
-        PairingResult(
-            "codazzi_iff_divergence_free",
-            flag["codazzi_ricci"] == flag["wstar_divergence_free"],
-            f"{side('codazzi_ricci')}; {side('wstar_divergence_free')}",
-        ),
-        PairingResult(
-            "einstein_iff_trace_vanishes",
-            ein.flag == ein.trace_flag,
-            f"einstein={ein.flag} (residual {ein.residual:.3e}); "
-            f"trace-of-modified-curvature={ein.trace_flag} "
-            f"(residual {ein.trace_residual:.3e})",
-        ),
-        PairingResult(
-            "parallel_implies_t_semisymmetric",
-            not flag["wstar_parallel"] or bool(flag["T_semisymmetric"]),
-            f"{side('wstar_parallel')}; {side('T_semisymmetric')}",
-        ),
-        PairingResult(
-            "flat_implies_constant_scalar_and_parallel_t",
-            not flag["wstar_flat"]
-            or (bool(flag["constant_scalar_curvature"]) and bool(flag["T_parallel"])),
-            f"{side('wstar_flat')}; "
-            f"constant_scalar_curvature={flag['constant_scalar_curvature']}; "
-            f"T_parallel={flag['T_parallel']}",
-        ),
-        PairingResult("flat_implies_lambda_like_fluid", lam_like, lam_detail),
-        PairingResult(
-            "t_semisymmetric_iff_ricci_semisymmetric",
-            flag["T_semisymmetric"] == flag["ricci_semisymmetric"],
-            f"{side('T_semisymmetric')}; {side('ricci_semisymmetric')}",
-        ),
     )

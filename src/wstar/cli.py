@@ -26,9 +26,9 @@ from typing import NoReturn
 import numpy as np
 
 from . import catalog, wstar as ws
-from .checks import CheckContext, CheckOutcome, REGISTRY, holds
+from .checks import CheckContext, CheckOutcome, REGISTRY, classification, holds, pairings
 from .geometry import Geometry, MetricSpec, workspace
-from .matter import FieldEquationConfig, FluidError, energy_momentum
+from .matter import FieldEquationConfig, energy_momentum
 from .metricfile import MetricFileError, load_metric as _load_metric_file
 from .report import RunReport, render_json, render_table, utc_stamp
 from .sampling import DET_FLOOR, SamplingError, sample_points
@@ -149,7 +149,7 @@ def run_checks(cfg: RunConfig) -> RunReport:
         try:
             out = ctx.check(name)
         except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
-                ZeroDivisionError, FluidError) as err:
+                ZeroDivisionError) as err:
             out = CheckOutcome("fail", None, ctx.tol(0.0), None,
                                f"evaluation error: {err}", name=name)
         rep.checks.append(out)
@@ -260,13 +260,14 @@ def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
     ctx = _context(cfg)
     flags, residuals = {}, {}
-    for name, out in ctx.classification.items():
+    for name, out in classification(ctx).items():
         flags[name] = holds(out)
         residuals[name] = {"residual": float(out.max_residual),
                            "threshold": float(out.tolerance)}
         if flags[name] is None and out.reason:
             residuals[name]["note"] = out.reason
-    pairs = ctx.pairings
+    pairs = [{"name": name, "holds": holds(out), "detail": out.reason}
+             for name, out in pairings(ctx).items()]
     payload = {
         "metric": ctx.metric.name,
         "seed": cfg.seed,
@@ -276,13 +277,11 @@ def classify_payload(cfg: RunConfig) -> tuple:
         "lambda": cfg.lam,
         "flags": flags,
         "residuals": residuals,
-        "pairings": [
-            {"name": p.name, "holds": p.holds, "detail": p.detail} for p in pairs
-        ],
+        "pairings": pairs,
     }
     if cfg.timestamp:
         payload["timestamp"] = utc_stamp()
-    violated = any(p.holds is False for p in pairs)
+    violated = any(p["holds"] is False for p in pairs)
     return payload, violated
 
 
@@ -461,7 +460,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (EvalError, SamplingError, TapeEvalError, FloatingPointError,
-            np.linalg.LinAlgError, FluidError) as err:
+            np.linalg.LinAlgError) as err:
         print(f"evaluation error: {err}", file=sys.stderr)
         return EXIT_EVAL
     try:

@@ -3,10 +3,11 @@
 :func:`is_einstein`, :func:`fluid_relation_checks`, :func:`classify` and
 :func:`pairing_checks` each build one :class:`wstar.checks.CheckContext` and
 read it, so they report exactly the numbers of the ``check`` and ``classify``
-commands.  :func:`conformal_fit` and :func:`matter_inheritance_check` fit the
-conformal and matter-inheritance factors of a vector field.  The field
-equations and the perfect-fluid algebra live in :mod:`wstar.matter` and are
-re-exported here.
+commands; the Einstein trace cross-check and the fluid figures they return
+are the library's own, and no command prints them.  :func:`conformal_fit`
+and :func:`matter_inheritance_check` fit the conformal and
+matter-inheritance factors of a vector field.  The field equations and the
+perfect-fluid algebra live in :mod:`wstar.matter` and are re-exported here.
 
 Tolerance semantics throughout: a condition "holds" when its residual is at
 most ``atol + rtol * scale`` where ``scale`` is the magnitude of the dominant
@@ -23,11 +24,11 @@ import numpy as np
 from .checks import (
     CheckContext,
     CheckOutcome,
-    EinsteinCheck,
-    FluidRelationsReport,
-    PairingResult,
-    einstein_check,
-    fluid_relations,
+    _trace_relation_gap,
+    _trace_vanishes,
+    classification,
+    holds,
+    pairings,
 )
 from .exprlib import to_text
 from .geometry import Geometry, MetricSpec, TensorField, VectorFieldSpec, workspace
@@ -62,15 +63,87 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class EinsteinCheck:
+    flag: bool
+    residual: float
+    trace_flag: bool
+    trace_residual: float
+
+
+def einstein_check(ctx: CheckContext, tol: float = 1e-8) -> EinsteinCheck:
+    """Is R_{jk} = (R/n) g_{jk}?  Cross-checked against the W* trace.
+
+    The modified curvature's metric trace equals n/(n-1) times the deviation
+    from the Einstein condition, so the two booleans must agree; both are
+    computed independently and returned.
+    """
+
+    residual = ctx.check("einstein").max_residual
+    trace_flag = _trace_vanishes(ctx, tol)
+    return EinsteinCheck(residual <= tol, residual, trace_flag, ctx.amax("w02"))
+
+
 def is_einstein(m: MetricSpec, points) -> EinsteinCheck:
-    """:func:`wstar.checks.einstein_check` at the points."""
+    """:func:`einstein_check` at the points."""
     return einstein_check(CheckContext(m, points, FieldEquationConfig()))
+
+
+@dataclass(frozen=True, eq=False)
+class FluidRelationsReport:
+    n_points: int
+    n_decomposed: int
+    mu: np.ndarray  # (P,), NaN where the decomposition failed
+    p: np.ndarray
+    trace_residual: float
+    scalar_max: float
+    failures: tuple
+    wstar_flat: bool
+    mu_plus_p_max: Optional[float]
+    mu_minus_3p_spread: Optional[float]
+    nabla_t_max: Optional[float]
+
+
+def fluid_relations(ctx: CheckContext) -> FluidRelationsReport:
+    """Decompose T at every sample point and test the trace relation.
+
+    |R - (4L + k(mu - 3p))| must vanish wherever the decomposition succeeds:
+    it is the metric trace of the field equations, not a special property.
+    When the modified curvature vanishes (the run's ``wstar_flat`` check) the
+    fluid must behave as a cosmological constant (mu + p = 0, mu - 3p
+    constant, T parallel); those extra figures are reported only in that
+    regime.
+    """
+
+    mu, p, failures = ctx.fluid
+    ok = ~np.isnan(mu)
+    flat = ctx.check("wstar_flat").status == "pass"
+    mu_plus_p = spread = nabla_t = None
+    if flat:
+        if np.any(ok):
+            mu_plus_p = _amax(mu[ok] + p[ok])
+            combo = mu[ok] - 3.0 * p[ok]
+            spread = float(np.max(combo) - np.min(combo))
+        nabla_t = ctx.amax("nt")
+    return FluidRelationsReport(
+        n_points=mu.shape[0],
+        n_decomposed=int(np.sum(ok)),
+        mu=mu,
+        p=p,
+        trace_residual=_amax(_trace_relation_gap(ctx)[ok]),
+        scalar_max=ctx.amax("R"),
+        failures=tuple(sorted(set(failures))),
+        wstar_flat=flat,
+        mu_plus_p_max=mu_plus_p,
+        mu_minus_3p_spread=spread,
+        nabla_t_max=nabla_t,
+    )
 
 
 def fluid_relation_checks(
     m: MetricSpec, cfg: FieldEquationConfig, points
 ) -> FluidRelationsReport:
-    """:func:`wstar.checks.fluid_relations` at the points."""
+    """:func:`fluid_relations` at the points."""
     return fluid_relations(CheckContext(m, points, cfg))
 
 
@@ -86,7 +159,14 @@ def classify(
     Public flag name -> the :class:`wstar.checks.CheckOutcome` it reads, from
     one context; see :func:`wstar.checks.classification` and ``holds``.
     """
-    return CheckContext(m, points, cfg, atol, rtol).classification
+    return classification(CheckContext(m, points, cfg, atol, rtol))
+
+
+@dataclass(frozen=True)
+class PairingResult:
+    name: str
+    holds: Optional[bool]  # None when the pairing does not apply
+    detail: str
 
 
 def pairing_checks(
@@ -95,9 +175,11 @@ def pairing_checks(
     points,
     atol: float = 1e-9,
     rtol: float = 1e-6,
-):
-    """The theorem pairings; see :func:`wstar.checks.pairing_results`."""
-    return CheckContext(m, points, cfg, atol, rtol).pairings
+) -> tuple:
+    """The theorem pairings, in report order; see :func:`wstar.checks.pairings`."""
+    outcomes = pairings(CheckContext(m, points, cfg, atol, rtol))
+    return tuple(PairingResult(name, holds(out), out.reason)
+                 for name, out in outcomes.items())
 
 
 # --- conformal vector fields and matter inheritance ---------------------------

@@ -5,18 +5,26 @@
 the covariant derivatives, its partials from one evaluation; the classification flags and the theorem
 pairings are views over its check outcomes.  The sampler tests a block of
 candidates with one det g evaluation.  These guards count the kernel calls
-and the classification builds of one command, and the det g evaluations of
-one sample.
+and the check-function runs of one command, and the det g evaluations of one
+sample.
+
+Each check computes its own outcome from the context: a check run alone
+reports the same entry, byte for byte, as in ``--checks all``, and runs only
+the checks whose outcomes it reads.
 """
 
+import contextlib
+import io
+import json
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from wstar import checks
-from wstar.catalog import catalog_metric
-from wstar.cli import RunConfig, classify_payload, run_checks, sample_for
+from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.cli import RunConfig, classify_payload, main, run_checks, sample_for
 from wstar.geometry import workspace
 from wstar.tape import Tape
 
@@ -41,26 +49,30 @@ def evaluations(monkeypatch):
 
 
 @pytest.fixture
-def classifications(monkeypatch):
-    """Contexts for which the classification record was built."""
-    built = []
-    real = checks.classification
+def check_runs(monkeypatch):
+    """Counter of ``REGISTRY`` function runs, by check name."""
+    runs = Counter()
 
-    def counted(ctx):
-        built.append(ctx)
-        return real(ctx)
+    def counting(name, real):
+        def counted(ctx):
+            runs[name] += 1
+            return real(ctx)
 
-    monkeypatch.setattr(checks, "classification", counted)
-    return built
+        return counted
+
+    for name, fn in list(checks.REGISTRY.items()):
+        monkeypatch.setitem(checks.REGISTRY, name, counting(name, fn))
+    return runs
 
 
 @pytest.mark.parametrize("command", [run_checks, classify_payload])
-def test_one_evaluation_per_tape_and_point_set(command, evaluations, classifications):
+def test_one_evaluation_per_tape_and_point_set(command, evaluations, check_runs):
     command(RunConfig(metric="flrw_dust", timestamp=False))
     assert evaluations
     repeated = {key[:2]: n for key, n in evaluations.items() if n > 1}
     assert not repeated
-    assert len(classifications) == 1
+    assert check_runs
+    assert max(check_runs.values()) == 1
 
 
 def test_sampler_evaluates_det_once_per_block(evaluations):
@@ -68,3 +80,42 @@ def test_sampler_evaluates_det_once_per_block(evaluations):
     sample_for(geo, 1024, 42)
     det = id(geo._det_tape)
     assert sum(n for key, n in evaluations.items() if key[0] == det) == 1
+
+
+# the checks whose verdict reads other checks' outcomes, with those checks
+READS = {
+    "em_distribution": {"wstar_parallel"},
+    "dust_vacuum": {"wstar_flat"},
+    "pairing_codazzi_divergence": {"codazzi", "wstar_divergence_free"},
+    "pairing_einstein_trace": {"einstein"},
+    "pairing_parallel_semisymmetric": {"wstar_parallel", "t_semisymmetric"},
+    "pairing_flat_parallel_t": {"wstar_flat", "constant_scalar_curvature", "t_parallel"},
+    "pairing_flat_lambda_fluid": {"wstar_flat"},
+    "pairing_semisymmetric_t": {"t_semisymmetric", "ricci_semisymmetric"},
+}
+
+
+@pytest.mark.parametrize("name", READS)
+def test_a_check_runs_only_what_it_reads(name, check_runs):
+    run_checks(RunConfig(metric="flrw_dust", checks=(name,), points=8, timestamp=False))
+    assert set(check_runs) == READS[name] | {name}
+    assert max(check_runs.values()) == 1
+
+
+def check_entries(metric: str, names: str) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check", "--metric", metric, "--points", "8", "--checks", names,
+              "--no-timestamp"])
+    return {c["name"]: json.dumps(c) for c in json.loads(out.getvalue())["checks"]}
+
+
+@lru_cache(maxsize=None)
+def all_entries(metric: str) -> dict:
+    return check_entries(metric, "all")
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+@pytest.mark.parametrize("name", READS)
+def test_a_check_alone_reports_its_entry_in_all(name, metric):
+    assert check_entries(metric, name) == {name: all_entries(metric)[name]}

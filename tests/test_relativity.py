@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from wstar import cli
 from wstar.catalog import builtin_vector_fields, catalog_metric
-from wstar.checks import CheckContext, dust_vacuum, em_distribution, holds, recurrence_fit
+from wstar.checks import CheckContext, classification, holds, recurrence_fit
 from wstar.exprlib import coord, const, neg, parse
 from wstar.geometry import VectorFieldSpec, workspace
 from wstar import relativity as rel
@@ -199,30 +199,52 @@ class TestEinstein:
         assert chk.flag == chk.trace_flag
 
 
+def readings(reason: str) -> list:
+    """The two trace readings an em_distribution reason reports, as floats."""
+    literal = reason.split("trace reads R = +kT with residual ")[1]
+    return [float(literal.split(";")[0]),
+            float(reason.split("sign-reversed reading residual ")[1])]
+
+
 class TestEMDistribution:
     def test_minkowski(self):
-        rep = em_distribution(context("minkowski", 4))
-        assert rep.conclusion == "holds"
-        assert rep.trace_max == 0.0 and rep.scalar_max == 0.0
+        ctx = context("minkowski", 4)
+        out = ctx.check("em_distribution")
+        assert out.status == "pass"
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(1.0)
+        assert out.reason == ("trace reads R = +kT with residual 0.000e+00; "
+                              "sign-reversed reading residual 0.000e+00")
 
     def test_desitter_parallel_conclusion(self):
-        rep = em_distribution(context("desitter_flat", 6))
-        assert rep.conclusion == "holds"
-        assert rep.nabla_t_max <= 1e-8
-        assert rep.scalar_max == pytest.approx(12.0, abs=1e-8)
+        ctx = context("desitter_flat", 6)
+        out = ctx.check("em_distribution")
+        assert out.status == "pass"
+        assert out.max_residual <= 1e-8
+        # scored against the trace of T = Ric/k, which is R = 12
+        assert out.tolerance == pytest.approx(ctx.tol(1.0 + 12.0), rel=1e-12)
         # literal trace reads R = +kT; the sign-reversed reading differs by 2R
-        assert rep.literal_sign_residual <= 1e-10
-        assert rep.reversed_sign_residual == pytest.approx(24.0, abs=1e-6)
+        literal, reversed_ = readings(out.reason)
+        assert literal <= 1e-10
+        assert reversed_ == pytest.approx(24.0, abs=1e-6)
 
     def test_vacuum_reports_zero_but_no_conclusion(self):
-        rep = em_distribution(context("schwarzschild", 6))
-        assert rep.conclusion == "not-applicable"  # not symmetric
-        assert rep.trace_max <= 1e-12 and rep.nabla_t_max <= 1e-12
+        ctx = context("schwarzschild", 6)
+        out = ctx.check("em_distribution")
+        assert out.status == "not-applicable"  # not symmetric
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(0.0)
+        parallel = ctx.check("wstar_parallel").max_residual
+        assert out.reason.startswith(
+            f"modified curvature is not covariantly constant (residual {parallel:.3e}); ")
+        assert max(readings(out.reason)) <= 1e-12
 
     def test_dust_cosmology_not_applicable(self):
-        rep = em_distribution(context("flrw_dust", 6))
-        assert rep.conclusion == "not-applicable"
-        assert rep.symmetry_residual > 1e-3
+        ctx = context("flrw_dust", 6)
+        out = ctx.check("em_distribution")
+        assert out.status == "not-applicable"
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(0.0)
+        parallel = ctx.check("wstar_parallel").max_residual
+        assert parallel > 1e-3
+        assert f"(residual {parallel:.3e})" in out.reason
 
 
 class TestRunTolerances:
@@ -248,12 +270,22 @@ class TestRunTolerances:
     def test_reports_agree_with_the_checks(self):
         ctx = CheckContext(catalog_metric("flrw_dust"), sample("flrw_dust", 8), CFG,
                            atol=10.0)
-        em = em_distribution(ctx)
-        assert em.conclusion == "holds"
-        assert em.symmetry_residual == ctx.check("wstar_parallel").max_residual
-        dv = dust_vacuum(ctx)
-        assert dv.status == "holds" and dv.dust and dv.wstar_flat
-        assert ctx.check("dust_vacuum").status == "pass"
+        assert ctx.check("wstar_parallel").status == "pass"
+        assert ctx.check("wstar_flat").status == "pass"
+        # em_distribution: |nabla T| = |nabla Ric| / |k| against the trace of T
+        em = ctx.check("em_distribution")
+        assert em.status == "pass"
+        assert em.max_residual == ctx.amax("nric")
+        assert em.tolerance == ctx.tol(1.0 + amax(ctx.get("R")))
+        assert readings(em.reason)[0] == 0.0
+        # dust_vacuum: max|mu| against tol(1), the dust premise holding
+        mu, p, _ = ctx.fluid
+        dv = ctx.check("dust_vacuum")
+        assert amax(p) <= ctx.tol(1.0 + amax(mu))
+        assert dv.status == "pass"
+        assert dv.max_residual == amax(mu) and dv.tolerance == ctx.tol(1.0)
+        assert dv.reason == (f"max|mu| = {amax(mu):.3e} with dust and vanishing "
+                             "modified curvature")
 
 
 class TestRecurrence:
@@ -350,19 +382,30 @@ class TestFluidRelations:
 
 class TestDustVacuum:
     def test_flat_space_holds(self):
-        rep = dust_vacuum(context("minkowski", 4))
-        assert rep.status == "holds"
-        assert rep.dust and rep.wstar_flat
+        ctx = context("minkowski", 4)
+        out = ctx.check("dust_vacuum")
+        assert out.status == "pass"
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(1.0)
+        assert out.reason == ("max|mu| = 0.000e+00 with dust and vanishing "
+                              "modified curvature")
 
     def test_dust_without_flatness_not_applicable(self):
-        rep = dust_vacuum(context("flrw_dust", 6))
-        assert rep.status == "not-applicable"
-        assert rep.dust and not rep.wstar_flat
+        ctx = context("flrw_dust", 6)
+        out = ctx.check("dust_vacuum")
+        assert out.status == "not-applicable"
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(0.0)
+        # the pressure is negligible, so the only missing premise is flatness
+        assert out.reason == "modified curvature does not vanish"
 
     def test_flat_without_dust_not_applicable(self):
-        rep = dust_vacuum(context("desitter_flat", 6))
-        assert rep.status == "not-applicable"
-        assert not rep.dust and rep.wstar_flat
+        ctx = context("desitter_flat", 6)
+        out = ctx.check("dust_vacuum")
+        assert out.status == "not-applicable"
+        assert out.max_residual == 0.0 and out.tolerance == ctx.tol(0.0)
+        # de Sitter's fluid has p = -mu = -3; W* vanishes, so only dust fails
+        _, p, _ = ctx.fluid
+        assert amax(p) == pytest.approx(3.0, abs=1e-8)
+        assert out.reason == f"pressure is not negligible (max|p| = {amax(p):.3e})"
 
 
 class TestConformal:
@@ -529,7 +572,7 @@ class TestClassify:
         assert fit.closedness_residual <= 1e-6
         vac = context("schwarzschild", 6)
         assert vac.recurrence.b is None and vac.recurrence.closedness_residual is None
-        assert holds(vac.classification["ricci_recurrent"]) is None
+        assert holds(classification(vac)["ricci_recurrent"]) is None
 
     def test_flrw_divergence_free_counterexample_in_record(self):
         # the one honest disagreement: divergence-free without Codazzi Ricci
