@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -86,7 +86,8 @@ class CheckContext:
     Each field group is evaluated at most once; check outcomes and the
     multi-field results (``fluid``, ``recurrence``) are computed on first use
     and kept for the run, so a check that reads another check's outcome, or
-    a report that reads many, computes each at most once.
+    a report that reads many, computes each at most once; so does a check
+    that raises.
     """
 
     # evaluation groups: one compiled tape per group actually touched
@@ -108,7 +109,7 @@ class CheckContext:
         self.rtol = rtol
         self._vals: Dict[str, np.ndarray] = {}
         self._amax: Dict[str, float] = {}
-        self._outcomes: Dict[str, CheckOutcome] = {}
+        self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
     def _fields(self, names):
         geo, b = self.geo, ws.wstar_tensor(self.metric)
@@ -161,11 +162,18 @@ class CheckContext:
         )
 
     def check(self, name: str) -> CheckOutcome:
-        """The named check's outcome, computed once per context."""
+        """The named check's outcome, computed once per context (or its error, raised again)."""
         if name not in self._outcomes:
-            self._outcomes[name] = out = REGISTRY[name](self)
-            out.name = name
-        return self._outcomes[name]
+            try:
+                out = REGISTRY[name](self)
+                out.name = name
+            except Exception as err:
+                out = err
+            self._outcomes[name] = out
+        out = self._outcomes[name]
+        if isinstance(out, Exception):
+            raise out
+        return out
 
     @cached_property
     def fluid(self) -> tuple:
@@ -676,7 +684,7 @@ def _check_pairing_flat_lambda_fluid(ctx: CheckContext) -> CheckOutcome:
     if not np.any(ok):
         return _pairing(ctx, None, "no fluid decomposition succeeded at the sample points")
     gap = _amax(mu[ok] + p[ok])
-    return _pairing(ctx, gap <= 1e-6 * (1.0 + _amax(mu[ok])),
+    return _pairing(ctx, gap <= ctx.tol(1.0 + _amax(mu[ok])),
                     f"max|mu + p| = {gap:.3e} over {int(np.sum(ok))} points")
 
 

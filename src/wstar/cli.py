@@ -1,5 +1,9 @@
 """Command-line entry point: catalog listing, check runs, point evaluation.
 
+This module parses the command line into one validated :class:`RunConfig`,
+runs the checks and maps the outcome to an exit code; :mod:`wstar.report`
+owns how the ``check`` and ``classify`` reports print.
+
 Exit codes: 0 all requested checks passed (or output-only commands succeeded),
 1 at least one check failed, 2 usage or input-parsing problem, 3 evaluation
 error (bad point, singular metric, arithmetic failure), 4 the output could not
@@ -16,11 +20,10 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NoReturn
 
 import numpy as np
@@ -30,7 +33,8 @@ from .checks import CheckContext, CheckOutcome, REGISTRY, classification, holds,
 from .geometry import Geometry, MetricSpec, workspace
 from .matter import FieldEquationConfig, energy_momentum
 from .metricfile import MetricFileError, load_metric as _load_metric_file
-from .report import RunReport, render_json, render_table, utc_stamp
+from .report import (RunReport, classification_payload, render_classification_table,
+                     render_json, render_table, stamp, to_json)
 from .sampling import DET_FLOOR, SamplingError, sample_points
 from .tape import TapeEvalError
 
@@ -113,12 +117,6 @@ def sample_for(geo: Geometry, count: int, seed: int) -> np.ndarray:
     return sample_points(geo.metric.domain, count, seed, reject=reject)
 
 
-def _check_names(cfg: RunConfig) -> tuple:
-    if "all" in cfg.checks:
-        return tuple(REGISTRY)
-    return cfg.checks
-
-
 def _context(cfg: RunConfig) -> CheckContext:
     """The run's metric at its sample points, ready to be checked.
 
@@ -138,14 +136,8 @@ def _context(cfg: RunConfig) -> CheckContext:
 
 def run_checks(cfg: RunConfig) -> RunReport:
     ctx = _context(cfg)
-    metric = ctx.metric
-    rep = RunReport(
-        metric=metric.name, seed=cfg.seed, points=cfg.points,
-        atol=cfg.atol, rtol=cfg.rtol, k=cfg.k, lam=cfg.lam,
-        dim=metric.dim, coords=tuple(metric.coords),
-        timestamp=utc_stamp() if cfg.timestamp else None,
-    )
-    for name in _check_names(cfg):
+    rep = RunReport(cfg, ctx.metric, timestamp=stamp(cfg))
+    for name in REGISTRY if "all" in cfg.checks else cfg.checks:
         try:
             out = ctx.check(name)
         except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
@@ -182,9 +174,6 @@ def _field_for(name: str, metric: MetricSpec, geo: Geometry,
 
 
 def _entries(values: np.ndarray):
-    if values.ndim == 0:
-        yield "", float(values)
-        return
     for idx in np.ndindex(values.shape):
         v = float(values[idx])
         if v != 0.0:
@@ -259,54 +248,10 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
 def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
     ctx = _context(cfg)
-    flags, residuals = {}, {}
-    for name, out in classification(ctx).items():
-        flags[name] = holds(out)
-        residuals[name] = {"residual": float(out.max_residual),
-                           "threshold": float(out.tolerance)}
-        if flags[name] is None and out.reason:
-            residuals[name]["note"] = out.reason
-    pairs = [{"name": name, "holds": holds(out), "detail": out.reason}
-             for name, out in pairings(ctx).items()]
-    payload = {
-        "metric": ctx.metric.name,
-        "seed": cfg.seed,
-        "points": cfg.points,
-        "tolerances": {"atol": cfg.atol, "rtol": cfg.rtol},
-        "k": cfg.k,
-        "lambda": cfg.lam,
-        "flags": flags,
-        "residuals": residuals,
-        "pairings": pairs,
-    }
-    if cfg.timestamp:
-        payload["timestamp"] = utc_stamp()
-    violated = any(p["holds"] is False for p in pairs)
-    return payload, violated
-
-
-def _classify_table(payload: dict) -> str:
-    lines = [
-        f"metric: {payload['metric']}   points: {payload['points']}"
-        f"   seed: {payload['seed']}",
-        "",
-    ]
-    word = {True: "yes", False: "no", None: "n/a"}
-    width = max(len(n) for n in payload["flags"])
-    for name, flag in payload["flags"].items():
-        r = payload["residuals"][name]
-        extra = f"   (residual {r['residual']:.3e}, threshold {r['threshold']:.3e})"
-        note = f"   -- {r['note']}" if "note" in r else ""
-        lines.append(f"{name.ljust(width)}  {word[flag].ljust(3)}{extra}{note}")
-    lines.append("")
-    lines.append("theorem pairings:")
-    for p in payload["pairings"]:
-        tag = {True: "consistent", False: "VIOLATED", None: "n/a"}[p["holds"]]
-        lines.append(f"  {p['name']}: {tag} -- {p['detail']}")
-    if "timestamp" in payload:
-        lines.append("")
-        lines.append(f"generated: {payload['timestamp']}")
-    return "\n".join(lines)
+    pairs = pairings(ctx)
+    payload = classification_payload(cfg, ctx.metric, classification(ctx), pairs,
+                                     stamp(cfg))
+    return payload, any(holds(out) is False for out in pairs.values())
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -367,15 +312,17 @@ def _cmd_catalog(args) -> tuple:
     return "\n".join(lines), EXIT_OK
 
 
+def _run_config(args, checks: tuple = ("all",)) -> RunConfig:
+    """The validated run options of a ``check`` or ``classify`` command line."""
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig) if f.name != "checks"}
+    return RunConfig(checks=checks, **given)
+
+
 def _cmd_check(args) -> tuple:
     names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     if not names:
         raise UsageError("--checks needs at least one name or 'all'")
-    cfg = RunConfig(
-        metric=args.metric, checks=names, points=args.points, seed=args.seed,
-        rtol=args.rtol, atol=args.atol, k=args.k, lam=args.lam,
-        fmt=args.fmt, timestamp=args.timestamp,
-    )
+    cfg = _run_config(args, names)
     rep = run_checks(cfg)
     text = render_json(rep) if cfg.fmt == "json" else render_table(rep)
     return text, EXIT_CHECK_FAILED if rep.failed else EXIT_OK
@@ -389,16 +336,9 @@ def _cmd_compute(args) -> tuple:
 
 
 def _cmd_classify(args) -> tuple:
-    cfg = RunConfig(
-        metric=args.metric, points=args.points, seed=args.seed,
-        rtol=args.rtol, atol=args.atol, k=args.k, lam=args.lam,
-        fmt=args.fmt, timestamp=args.timestamp,
-    )
+    cfg = _run_config(args)
     payload, violated = classify_payload(cfg)
-    if cfg.fmt == "json":
-        text = json.dumps(payload, indent=2, allow_nan=False)
-    else:
-        text = _classify_table(payload)
+    text = to_json(payload) if cfg.fmt == "json" else render_classification_table(payload)
     return text, EXIT_CHECK_FAILED if violated else EXIT_OK
 
 

@@ -91,7 +91,6 @@ class MetricSpec:
     g: tuple  # dim × dim nested tuple of Expr, symmetric
     params: Mapping[str, float]
     domain: tuple  # (lo, hi) per coordinate
-    signature_hint: tuple | None = None
 
     @property
     def dim(self) -> int:

@@ -11,7 +11,8 @@ perfect-fluid algebra live in :mod:`wstar.matter` and are re-exported here.
 
 Tolerance semantics throughout: a condition "holds" when its residual is at
 most ``atol + rtol * scale`` where ``scale`` is the magnitude of the dominant
-ingredient of that condition (reported alongside the flag).
+ingredient of that condition (reported alongside the flag); functions that
+take no ``atol``/``rtol`` use the defaults of :class:`wstar.checks.CheckContext`.
 """
 
 from __future__ import annotations
@@ -71,17 +72,16 @@ class EinsteinCheck:
     trace_residual: float
 
 
-def einstein_check(ctx: CheckContext, tol: float = 1e-8) -> EinsteinCheck:
+def einstein_check(ctx: CheckContext) -> EinsteinCheck:
     """Is R_{jk} = (R/n) g_{jk}?  Cross-checked against the W* trace.
 
     The modified curvature's metric trace equals n/(n-1) times the deviation
     from the Einstein condition, so the two booleans must agree; both are
-    computed independently and returned.
+    scored against the run's ``einstein`` tolerance and returned.
     """
-
-    residual = ctx.check("einstein").max_residual
-    trace_flag = _trace_vanishes(ctx, tol)
-    return EinsteinCheck(residual <= tol, residual, trace_flag, ctx.amax("w02"))
+    out = ctx.check("einstein")
+    trace_flag = _trace_vanishes(ctx, out.tolerance)
+    return EinsteinCheck(holds(out), out.max_residual, trace_flag, ctx.amax("w02"))
 
 
 def is_einstein(m: MetricSpec, points) -> EinsteinCheck:
@@ -259,16 +259,16 @@ def matter_inheritance_check(
     phi_t = np.einsum("pij,pij->p", vals["LT"], vals["t"]) / (2.0 * t_sq)
     residual = _amax(vals["LT"] - 2.0 * phi_t[:, None, None] * vals["t"])
 
-    flat = CheckContext(m, points, cfg).check("wstar_flat").status == "pass"
+    ctx = CheckContext(m, points, cfg)
     gap = _amax(conf.phi - phi_t)
-    if not flat:
+    if ctx.check("wstar_flat").status != "pass":
         equivalence = "not-applicable"
     else:
-        conf_ok = conf.residual <= 1e-8 * (1.0 + _amax(vals["g"]))
-        inh_ok = residual <= 1e-8 * t_scale
+        conf_ok = conf.residual <= ctx.tol(1.0 + _amax(vals["g"]))
+        inh_ok = residual <= ctx.tol(t_scale)
         if conf_ok != inh_ok:
             equivalence = "violated"
-        elif conf_ok and gap > 1e-6 * (1.0 + _amax(conf.phi)):
+        elif conf_ok and gap > ctx.tol(1.0 + _amax(conf.phi)):
             equivalence = "violated"
         else:
             equivalence = "holds"

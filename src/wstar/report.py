@@ -1,11 +1,13 @@
-"""Run reports: stable JSON and aligned-table rendering of check results.
+"""Run reports: JSON and table output of the ``check`` and ``classify`` commands.
 
-A report holds the run's :class:`wstar.checks.CheckOutcome` records as they
-are, one per requested check.  The JSON payload is built key-by-key in a fixed order and serialized with the
-standard library, so two runs with the same inputs produce byte-identical
-output once the optional timestamp is suppressed.  Floats go through Python's
-shortest round-trip repr via ``json.dumps``; numpy scalars are converted
-first.  The output is strict JSON: a check that could not be evaluated has
+Both JSON reports open with the six keys of :func:`header`; ``check`` then
+lists the run's :class:`wstar.checks.CheckOutcome` records as they are
+(:class:`RunReport`), ``classify`` its flags and theorem pairings.  Payloads
+are built key-by-key in a fixed order and serialized with the standard
+library, so two runs with the same inputs produce byte-identical output once
+the optional timestamp is suppressed.  Floats go through Python's shortest
+round-trip repr via ``json.dumps``; numpy scalars are converted first.  The
+output is strict JSON: a check that could not be evaluated has
 ``max_residual: null``, and serialization refuses NaN and infinities.
 """
 
@@ -14,26 +16,21 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from .checks import CheckOutcome
+from .checks import CheckOutcome, holds
+from .geometry import MetricSpec
 
-__all__ = ["RunReport", "render_json", "render_table"]
+__all__ = ["RunReport", "header", "payload", "to_json", "render_json", "render_table",
+           "classification_payload", "render_classification_table"]
 
 
 @dataclass
 class RunReport:
-    """All check verdicts for one metric plus the run metadata."""
+    """All check verdicts of one ``check`` run, with the run that made them."""
 
-    metric: str
-    seed: int
-    points: int
-    atol: float
-    rtol: float
-    k: float
-    lam: float
-    dim: int
-    coords: Sequence[str]
+    config: Any  # the run's wstar.cli.RunConfig
+    metric: MetricSpec
     checks: List[CheckOutcome] = field(default_factory=list)
     timestamp: Optional[str] = None
 
@@ -42,41 +39,62 @@ class RunReport:
         return any(c.status == "fail" for c in self.checks)
 
 
-def utc_stamp() -> str:
+def stamp(config) -> Optional[str]:
+    """The time of the run in UTC, or None when the run omits it."""
+    if not config.timestamp:
+        return None
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def payload(report: RunReport) -> dict:
-    """The dict serialized as JSON, keys in schema order."""
-    out = {
-        "metric": report.metric,
-        "seed": report.seed,
-        "points": report.points,
-        "tolerances": {"atol": float(report.atol), "rtol": float(report.rtol)},
-        "k": float(report.k),
-        "lambda": float(report.lam),
-        "checks": [],
+def header(config, metric: MetricSpec) -> dict:
+    """The six keys that open both JSON reports, in schema order."""
+    return {
+        "metric": metric.name,
+        "seed": config.seed,
+        "points": config.points,
+        "tolerances": {"atol": float(config.atol), "rtol": float(config.rtol)},
+        "k": float(config.k),
+        "lambda": float(config.lam),
     }
+
+
+def _stamped(out: dict, timestamp: Optional[str]) -> dict:
+    if timestamp is not None:
+        out["timestamp"] = timestamp
+    return out
+
+
+def payload(report: RunReport) -> dict:
+    """The ``check`` report as a dict, keys in schema order."""
+    out = header(report.config, report.metric)
+    out["checks"] = []
     for c in report.checks:
         entry = {
             "name": c.name,
             "status": c.status,
             "max_residual": None if c.max_residual is None else float(c.max_residual),
             "tolerance": float(c.tolerance),
-            "worst_point": (
-                None if c.worst_point is None else [float(v) for v in c.worst_point]
-            ),
+            "worst_point": None if c.worst_point is None else [float(v) for v in c.worst_point],
         }
         if c.reason:
             entry["reason"] = c.reason
         out["checks"].append(entry)
-    if report.timestamp is not None:
-        out["timestamp"] = report.timestamp
-    return out
+    return _stamped(out, report.timestamp)
+
+
+def to_json(data: dict) -> str:
+    """Either report's payload as strict JSON text."""
+    return json.dumps(data, indent=2, allow_nan=False)
 
 
 def render_json(report: RunReport) -> str:
-    return json.dumps(payload(report), indent=2, allow_nan=False)
+    return to_json(payload(report))
+
+
+def _footer(lines: list, timestamp: Optional[str]) -> str:
+    if timestamp is not None:
+        lines += ["", f"generated: {timestamp}"]
+    return "\n".join(lines)
 
 
 def _fmt_point(point, coords) -> str:
@@ -86,35 +104,58 @@ def _fmt_point(point, coords) -> str:
 
 
 def render_table(report: RunReport) -> str:
+    cfg, metric = report.config, report.metric
     head = (
-        f"metric: {report.metric}   dim: {report.dim}   points: {report.points}"
-        f"   seed: {report.seed}\n"
-        f"atol: {report.atol:g}   rtol: {report.rtol:g}   k: {report.k:g}"
-        f"   lambda: {report.lam:g}"
+        f"metric: {metric.name}   dim: {metric.dim}   points: {cfg.points}"
+        f"   seed: {cfg.seed}\n"
+        f"atol: {cfg.atol:g}   rtol: {cfg.rtol:g}   k: {cfg.k:g}"
+        f"   lambda: {cfg.lam:g}"
     )
     rows = [("check", "status", "max residual", "tolerance", "worst point")]
-    for c in report.checks:
-        rows.append(
-            (
-                c.name,
-                c.status,
-                "-" if c.max_residual is None else f"{c.max_residual:.6e}",
-                f"{c.tolerance:.3e}",
-                _fmt_point(c.worst_point, report.coords),
-            )
-        )
+    rows += [(c.name, c.status, "-" if c.max_residual is None else f"{c.max_residual:.6e}",
+              f"{c.tolerance:.3e}", _fmt_point(c.worst_point, metric.coords))
+             for c in report.checks]
     widths = [max(len(r[i]) for r in rows) for i in range(5)]
     lines = [head, ""]
     for j, r in enumerate(rows):
         lines.append("  ".join(col.ljust(w) for col, w in zip(r, widths)).rstrip())
         if j == 0:
             lines.append("  ".join("-" * w for w in widths))
-    notes = [(c.name, c.reason) for c in report.checks if c.reason]
+    notes = [f"note [{c.name}]: {c.reason}" for c in report.checks if c.reason]
     if notes:
-        lines.append("")
-        for name, reason in notes:
-            lines.append(f"note [{name}]: {reason}")
-    if report.timestamp is not None:
-        lines.append("")
-        lines.append(f"generated: {report.timestamp}")
-    return "\n".join(lines)
+        lines += ["", *notes]
+    return _footer(lines, report.timestamp)
+
+
+def classification_payload(config, metric: MetricSpec, flags: Dict[str, CheckOutcome],
+                           pairings: Dict[str, CheckOutcome],
+                           timestamp: Optional[str] = None) -> dict:
+    """The ``classify`` report as a dict: flags and pairings by public name."""
+    out = header(config, metric)
+    out["flags"], out["residuals"] = {}, {}
+    for name, c in flags.items():
+        out["flags"][name] = holds(c)
+        out["residuals"][name] = {"residual": float(c.max_residual),
+                                  "threshold": float(c.tolerance)}
+        if holds(c) is None and c.reason:
+            out["residuals"][name]["note"] = c.reason
+    out["pairings"] = [{"name": name, "holds": holds(c), "detail": c.reason}
+                       for name, c in pairings.items()]
+    return _stamped(out, timestamp)
+
+
+def render_classification_table(payload: dict) -> str:
+    head = f"metric: {payload['metric']}   points: {payload['points']}   seed: {payload['seed']}"
+    lines = [head, ""]
+    word = {True: "yes", False: "no", None: "n/a"}
+    width = max(len(n) for n in payload["flags"])
+    for name, flag in payload["flags"].items():
+        r = payload["residuals"][name]
+        extra = f"   (residual {r['residual']:.3e}, threshold {r['threshold']:.3e})"
+        note = f"   -- {r['note']}" if "note" in r else ""
+        lines.append(f"{name.ljust(width)}  {word[flag].ljust(3)}{extra}{note}")
+    lines += ["", "theorem pairings:"]
+    for p in payload["pairings"]:
+        tag = {True: "consistent", False: "VIOLATED", None: "n/a"}[p["holds"]]
+        lines.append(f"  {p['name']}: {tag} -- {p['detail']}")
+    return _footer(lines, payload.get("timestamp"))

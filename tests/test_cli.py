@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from wstar import cli
+from wstar.catalog import CATALOG_NAMES
 from wstar.checks import REGISTRY
 from wstar.cli import (
     EXIT_CHECK_FAILED,
@@ -283,6 +284,28 @@ class TestEvaluationErrors:
                    if line.startswith("trace_identity"))
         assert row.split()[1:3] == ["fail", "-"]
 
+    def test_a_raising_check_runs_once_for_all_its_readers(self, monkeypatch, capsys):
+        runs = []
+
+        def fail(ctx):
+            runs.append(ctx)
+            raise TapeEvalError("evaluation left the domain", 2, None)
+
+        monkeypatch.setitem(REGISTRY, "wstar_flat", fail)
+        code = main(["check", "--metric", "minkowski", "--points", "4",
+                     "--no-timestamp"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == EXIT_CHECK_FAILED
+        assert len(runs) == 1
+        errors = [c["name"] for c in data["checks"]
+                  if c.get("reason", "").startswith("evaluation error: ")]
+        assert errors == ["wstar_flat", "dust_vacuum", "pairing_flat_parallel_t",
+                          "pairing_flat_lambda_fluid"]
+        assert all(c["status"] == "fail" and c["max_residual"] is None
+                   for c in data["checks"] if c["name"] in errors)
+        assert main(["classify", "--metric", "minkowski", "--points", "4",
+                     "--no-timestamp"]) == EXIT_EVAL
+
 
 class TestParsePoint:
     def setup_method(self):
@@ -524,6 +547,28 @@ class TestMainEndToEnd:
                                   "k", "lambda"]
         assert set(data["flags"]) == set(data["residuals"])
         assert len(data["pairings"]) == 6
+
+    @pytest.mark.parametrize("metric", CATALOG_NAMES)
+    def test_check_and_classify_open_with_the_same_header(self, metric, capsys):
+        args = ["--metric", metric, "--points", "4", "--seed", "3", "--atol", "1e-8",
+                "--rtol", "1e-5", "--k", "2", "--lambda", "0.5", "--no-timestamp"]
+        heads = {}
+        for cmd in ("check", "classify"):
+            main([cmd, *args])
+            heads[cmd] = list(json.loads(capsys.readouterr().out).items())[:6]
+        assert heads["check"] == heads["classify"]
+        assert [key for key, _ in heads["check"]] == [
+            "metric", "seed", "points", "tolerances", "k", "lambda"]
+        assert heads["check"][3] == ("tolerances", {"atol": 1e-8, "rtol": 1e-5})
+
+        def table_head(cmd):
+            main([cmd, *args, "--format", "table"])
+            first = capsys.readouterr().out.splitlines()[0]
+            fields = dict(item.split(": ") for item in first.split("   "))
+            return {key: fields[key] for key in ("metric", "points", "seed")}
+
+        assert table_head("check") == table_head("classify") == {
+            "metric": metric, "points": "4", "seed": "3"}
 
     def test_byte_identical_reruns(self, capsys):
         args = ["check", "--metric", "desitter_flat", "--checks",
