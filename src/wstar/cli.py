@@ -38,7 +38,7 @@ from .report import (RunReport, classification_payload, render_classification_ta
 from .sampling import DET_FLOOR, SamplingError, sample_points
 from .tape import TapeEvalError
 
-__all__ = ["RunConfig", "load_metric", "run_checks", "compute_at", "main",
+__all__ = ["RunConfig", "EVAL_ERRORS", "load_metric", "run_checks", "compute_at", "main",
            "console_entry"]
 
 EXIT_OK = 0
@@ -54,6 +54,13 @@ class UsageError(Exception):
 
 class EvalError(Exception):
     pass
+
+
+# what evaluating a metric at its sample points can raise: a point where a
+# component or a derivative of one is not finite, a singular metric, float
+# arithmetic.  ``check`` reports it on the check that raised it; a command
+# that stops on it exits 3.
+EVAL_ERRORS = (TapeEvalError, FloatingPointError, np.linalg.LinAlgError, ZeroDivisionError)
 
 
 @dataclass(frozen=True)
@@ -140,8 +147,7 @@ def run_checks(cfg: RunConfig) -> RunReport:
     for name in REGISTRY if "all" in cfg.checks else cfg.checks:
         try:
             out = ctx.check(name)
-        except (TapeEvalError, FloatingPointError, np.linalg.LinAlgError,
-                ZeroDivisionError) as err:
+        except EVAL_ERRORS as err:
             out = CheckOutcome("fail", None, ctx.tol(0.0), None,
                                f"evaluation error: {err}", name=name)
         rep.checks.append(out)
@@ -396,13 +402,13 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         text, code = handler(args)
+    # ahead of ValueError, which LinAlgError subclasses
+    except (EvalError, SamplingError) + EVAL_ERRORS as err:
+        print(f"evaluation error: {err}", file=sys.stderr)
+        return EXIT_EVAL
     except (UsageError, MetricFileError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (EvalError, SamplingError, TapeEvalError, FloatingPointError,
-            np.linalg.LinAlgError) as err:
-        print(f"evaluation error: {err}", file=sys.stderr)
-        return EXIT_EVAL
     try:
         print(text)
     except OSError as err:

@@ -307,6 +307,22 @@ class TestEvaluationErrors:
                      "--no-timestamp"]) == EXIT_EVAL
 
 
+    @pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"),
+                                       np.linalg.LinAlgError("Singular matrix")])
+    def test_classify_and_check_agree_on_what_an_evaluation_error_is(
+            self, error, monkeypatch, capsys):
+        def fail(ctx):
+            raise error
+
+        monkeypatch.setitem(REGISTRY, "einstein", fail)
+        args = ["--metric", "minkowski", "--points", "4", "--no-timestamp"]
+        assert main(["classify", *args]) == EXIT_EVAL
+        assert capsys.readouterr().err == f"evaluation error: {error}\n"
+        assert main(["check", "--checks", "einstein", *args]) == EXIT_CHECK_FAILED
+        entry = json.loads(capsys.readouterr().out)["checks"][0]
+        assert entry["reason"] == f"evaluation error: {error}"
+
+
 class TestParsePoint:
     def setup_method(self):
         self.m = load_metric("schwarzschild")
