@@ -16,9 +16,10 @@ that output row stays NaN.
 The same kernel body has a tangent mode (forward-mode differentiation;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Next to
 its value, each register then carries its partials along every coordinate.
-A coordinate leaf seeds a unit vector, a constant or parameter seeds zero,
-and each opcode applies its chain rule to all partial lanes of a group in one
-ufunc call.  The value lane makes the same ufunc calls on the same operands
+A coordinate leaf seeds a unit vector (or, for a tape whose leaves stand
+for values that vary with the coordinates, the partials it is given per
+point), a constant or parameter seeds zero, and each opcode applies its
+chain rule to all partial lanes of a group in one ufunc call.  The value lane makes the same ufunc calls on the same operands
 as in value mode, so values are bit-identical.  A partial that is not finite
 where the value is (``sqrt`` at 0) counts as a failure of its instruction.
 """
@@ -84,34 +85,41 @@ def run_tape(code, a, b, cval, pts, pvec, out_idx):
     return vals, err
 
 
-def run_tangents(sched, pts, pvec, out_idx, diff_idx):
-    """Values of ``out_idx`` and the coordinate partials of ``diff_idx``.
+def run_tangents(sched, pts, pvec, out_idx, diff_idx, seeds=None):
+    """Values of ``out_idx`` and the partials of ``diff_idx``.
 
     ``sched`` is :func:`schedule` of the tape.  Returns ``(vals, partials,
     err, lane)``: ``partials[p, j, k]`` is the partial of instruction
-    ``diff_idx[j]`` along coordinate ``k``; ``err`` is as in :func:`run_tape`
+    ``diff_idx[j]`` along lane ``k``; ``err`` is as in :func:`run_tape`
     but also counts non-finite partials of the instructions ``diff_idx``
-    depends on, and ``lane[p]`` is the coordinate whose partial failed at
+    depends on, and ``lane[p]`` is the lane whose partial failed at
     ``err[p]`` (-1 where the value failed).
+
+    By default the lanes are the coordinates: coordinate leaf ``c`` seeds
+    the unit vector along ``c``.  ``seeds`` of shape (P, n_coords, lanes)
+    gives every leaf its partials per point instead, so a tape whose leaves
+    are themselves functions of the coordinates is differentiated by the
+    chain rule.
     """
-    return _run(sched, pts, pvec, out_idx, diff_idx)
+    return _run(sched, pts, pvec, out_idx, diff_idx, seeds)
 
 
-def _activity(reg, groups, n_lanes, diff_idx):
+def _activity(reg, groups, n_lanes, diff_idx, seeded):
     """``(idle, needed)`` for a tangent run.
 
     A ``sqrt`` or fractional power at 0 has a finite value and an infinite
     slope, so a lane whose operand partial is 0 would read 0·inf.  For such
     a group, ``idle[g]`` marks the (row, lane) pairs whose operand depends on
-    no coordinate of that lane: their partial is exactly 0.  ``needed``
-    marks the registers that an instruction of ``diff_idx`` depends on; only
-    their partials can fail a point.
+    no coordinate of that lane: their partial is exactly 0.  A seeded leaf
+    may depend on every lane.  ``needed`` marks the registers that an
+    instruction of ``diff_idx`` depends on; only their partials can fail a
+    point.
     """
     depends = np.zeros((reg.shape[0], n_lanes), dtype=bool)
     idle = []
     for op, lo, hi, x, y, _ in groups:
         if op == OP_COORD:
-            depends[lo:hi] = np.eye(n_lanes, dtype=bool)[x]
+            depends[lo:hi] = True if seeded else np.eye(n_lanes, dtype=bool)[x]
         elif op not in (OP_CONST, OP_PARAM):
             depends[lo:hi] = depends[x] if y is None else depends[x] | depends[y]
         zero = ~depends[lo:hi]
@@ -164,7 +172,7 @@ def _chain_rule(op, e, out, vx, vy, dx, dy, dout):
         np.multiply(_SLOPE[op](vx, out, e)[:, None], dx, out=dout)
 
 
-def _run(sched, pts, pvec, out_idx, diff_idx=None):
+def _run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
     reg, groups = sched
     n, n_points = reg.shape[0], pts.shape[0]
     vals = np.empty((n_points, out_idx.shape[0]))
@@ -172,11 +180,11 @@ def _run(sched, pts, pvec, out_idx, diff_idx=None):
     regs = np.empty((n, 0))
     tangent = diff_idx is not None
     if tangent:
-        n_lanes = pts.shape[1]
+        n_lanes = pts.shape[1] if seeds is None else seeds.shape[2]
         partials = np.empty((n_points, diff_idx.shape[0], n_lanes))
         lane = np.full(n_points, -1, dtype=np.int64)
         unit = np.eye(n_lanes)[:, :, None]
-        idle, needed = _activity(reg, groups, n_lanes, diff_idx)
+        idle, needed = _activity(reg, groups, n_lanes, diff_idx, seeds is not None)
         diff_reg = reg[diff_idx]
     else:
         partials = lane = None
@@ -209,7 +217,8 @@ def _run(sched, pts, pvec, out_idx, diff_idx=None):
                     continue
                 dout = dregs[lo:hi]
                 if op == OP_COORD:
-                    dout[...] = unit[x]
+                    dout[...] = unit[x] if seeds is None else (
+                        seeds[start:start + chunk.shape[0], x].transpose(1, 2, 0))
                 elif vx is None:
                     dout[...] = 0.0
                 else:

@@ -51,19 +51,20 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from .backend import _CHUNK
-from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
+from .geometry import (Geometry, MetricSpec, by_symmetry, ricci_commutator, weyl_classes,
+                       workspace)
 from .matter import (
     FieldEquationConfig,
     _amax,
     decompose_fluids,
-    energy_momentum,
+    energy_momentum_values,
 )
 from . import wstar as ws
 
 _BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 
 __all__ = [
-    "CheckContext", "CheckOutcome", "REGISTRY", "recurrence_fit",
+    "CheckContext", "CheckOutcome", "FIELDS", "REGISTRY", "curvature_fields", "recurrence_fit",
     "FLAGS", "PAIRINGS", "holds", "classification", "pairings",
 ]
 
@@ -83,21 +84,13 @@ class CheckOutcome:
 class CheckContext:
     """Shared evaluated-field cache for one (metric, points, config) run.
 
-    Each field group is evaluated at most once; check outcomes and the
+    The first field asked for evaluates every field the checks read, from
+    the metric's 3-jet (:func:`curvature_fields`); check outcomes and the
     multi-field results (``fluid``, ``recurrence``) are computed on first use
     and kept for the run, so a check that reads another check's outcome, or
     a report that reads many, computes each at most once; so does a check
     that raises.
     """
-
-    # evaluation groups: one compiled tape per group actually touched
-    _GROUPS = (
-        ("g", "ginv", "ric", "R", "gradR", "nric", "r13", "r4", "w04", "w13", "w02",
-         "dw", "t", "nt"),
-        ("weyl", "nweyl"),
-    )
-    # covariant derivatives: each from the tangents of its own field's outputs
-    _NABLA = {"gradR": "R", "nric": "ric", "dw": "w04", "nweyl": "weyl", "nt": "t"}
 
     def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
                  atol: float = 1e-9, rtol: float = 1e-6):
@@ -111,29 +104,10 @@ class CheckContext:
         self._amax: Dict[str, float] = {}
         self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
-    def _fields(self, names):
-        geo, b = self.geo, ws.wstar_tensor(self.metric)
-        table = {
-            "g": lambda: geo.g,
-            "ginv": lambda: geo.ginv,
-            "ric": lambda: geo.ricci,
-            "R": lambda: geo.scalar_field,
-            "r13": lambda: geo.riemann13,
-            "r4": lambda: ws.swapped_riemann(geo),
-            "w04": lambda: b.wstar04,
-            "w13": lambda: b.wstar13,
-            "w02": lambda: b.wstar02,
-            "weyl": lambda: geo.weyl,
-            "t": lambda: energy_momentum(self.metric, self.cfg),
-        }
-        return {n: table[n]() for n in names}
-
     def get(self, name: str) -> np.ndarray:
-        if name not in self._vals:
-            group = next(g for g in self._GROUPS if name in g)
-            nabla = {n: self._NABLA[n] for n in group if n in self._NABLA}
-            fields = self._fields([n for n in group if n not in nabla])
-            self._vals.update(self.geo.eval_fields(fields, self.points, nabla))
+        """The values of field ``name`` (a key of :data:`FIELDS`), points first."""
+        if not self._vals:
+            self._vals = curvature_fields(self.geo, self.points, self.cfg)
         return self._vals[name]
 
     def amax(self, name: str) -> float:
@@ -184,6 +158,60 @@ class CheckContext:
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
         return recurrence_fit(self)
+
+
+# the fields CheckContext serves -> their number of slots after the point axis;
+# every slot is lower except the first of r13 and w13, and a derivative slot is last
+FIELDS = {
+    "g": 2, "ginv": 2, "r13": 4, "r4": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
+    "w04": 4, "w13": 4, "w02": 2, "dw": 5, "weyl": 4, "nweyl": 5, "t": 2, "nt": 3,
+}
+
+
+def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """g^{hi} X_{i...}: the first slot of X raised, at each point."""
+    return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
+
+
+def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
+    """Every field of :data:`FIELDS` on one block of points.
+
+    Each is a linear map of R_{ijkl}, g and g^{ij}, here given by the
+    symmetry classes ``rc`` of R_{ijkl} (see :func:`wstar.geometry.by_symmetry`);
+    since ∇g = 0, each ∇ field is its field's map applied to the classes
+    ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
+    """
+    r04, nr04 = by_symmetry(rc), by_symmetry(nrc)
+    r13 = _raise_first(ginv, r04)
+    ric = np.einsum("phjhl->pjl", r13)
+    scal = np.einsum("pjk,pjk->p", ginv, ric)
+    nric = np.einsum("phi,pijhlm->pjlm", ginv, nr04)
+    grad = np.einsum("pjk,pjkm->pm", ginv, nric)
+    r4 = np.swapaxes(r04, 3, 4)  # wstar's index order
+    w04 = ws.wstar_values(r4, g, ric)
+    w13 = _raise_first(ginv, w04)
+    return {
+        "g": g, "ginv": ginv, "r13": r13, "r4": r4, "ric": ric, "R": scal,
+        "gradR": grad, "nric": nric, "w04": w04, "w13": w13,
+        "w02": np.einsum("phjkh->pjk", w13),
+        "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),
+        "weyl": by_symmetry(weyl_classes(rc, g, ric, scal)),
+        "nweyl": by_symmetry(weyl_classes(nrc, g, nric, grad)),
+        "t": energy_momentum_values(ric, scal, g, cfg),
+        "nt": energy_momentum_values(nric, grad, g, cfg),
+    }
+
+
+def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
+    """Every field of :data:`FIELDS` at the points, formed block by block from
+    the metric's 3-jet (see :class:`wstar.geometry.Jet`); ∇R_{ijkl} lives for
+    one block only."""
+    n, count = geo.dim, np.shape(points)[0]
+    vals = {name: np.empty((count,) + (n,) * slots) for name, slots in FIELDS.items()}
+    for part, g, ginv, _, rc, nrc in geo.jet.curvature(points):
+        for name, v in _block_fields(g, ginv, rc, nrc, cfg).items():
+            vals[name][part] = v
+    return vals
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
@@ -789,9 +817,11 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
 
     Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point.  Points where Ricci
-    vanishes carry no information and are dropped; with no usable points the
-    fit is reported as not applicable rather than as trivially recurrent.
+    covector at displaced copies of each sample point.  A copy is displaced
+    only along a coordinate the metric depends on: along any other, b is
+    constant and its difference is exactly 0.  Points where Ricci vanishes
+    carry no information and are dropped; with no usable points the fit is
+    reported as not applicable rather than as trivially recurrent.
     """
 
     geo = ctx.geo
@@ -801,18 +831,18 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     point_residual = np.zeros(ctx.points.shape[0])
     b, point_residual[usable] = _fit_recurrence(ctx.get("ric")[usable], ctx.get("nric")[usable])
 
-    n = geo.dim
+    n, axes = geo.dim, geo.jet.axes
     base = ctx.points[usable]
-    shifts = _FD_STEP * np.eye(n)
+    shifts = _FD_STEP * np.eye(n)[axes]
     displaced = np.concatenate(
         [base + s for s in shifts] + [base - s for s in shifts]
-    )
-    dvals = geo.eval_fields({"ric": geo.ricci}, displaced, {"nric": "ric"})
-    bd = _fit_covector(dvals["ric"], dvals["nric"])
-    p_used = base.shape[0]
-    plus = bd[: n * p_used].reshape(n, p_used, n)
-    minus = bd[n * p_used :].reshape(n, p_used, n)
-    grad_b = (plus - minus) / (2.0 * _FD_STEP)  # grad_b[nu, p, mu] = d_nu b_mu
+    ).reshape(-1, n)
+    bd = _fit_covector(*geo.jet.ricci(displaced))
+    p_used, k = base.shape[0], len(axes)
+    plus = bd[: k * p_used].reshape(k, p_used, n)
+    minus = bd[k * p_used :].reshape(k, p_used, n)
+    grad_b = np.zeros((n, p_used, n))  # grad_b[nu, p, mu] = d_nu b_mu
+    grad_b[axes] = (plus - minus) / (2.0 * _FD_STEP)
     curl = grad_b - grad_b.transpose(2, 1, 0)
     return RecurrenceFit(
         True, b, float(point_residual.max()), _amax(curl), None, point_residual

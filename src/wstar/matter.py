@@ -30,6 +30,7 @@ __all__ = [
     "FluidStack",
     "decompose_fluids",
     "energy_momentum",
+    "energy_momentum_values",
     "nabla_energy_momentum",
     "perfect_fluid_decompose",
 ]
@@ -82,6 +83,19 @@ def energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
         return TensorField("ll", comps, "EnergyMomentum")
 
     return geo.cached(f"energy_momentum[k={cfg.k!r},lam={cfg.lam!r}]", build)
+
+
+def energy_momentum_values(ric: np.ndarray, scal: np.ndarray, g: np.ndarray,
+                           cfg: FieldEquationConfig) -> np.ndarray:
+    """T_{ij} = (1/k)(R_{ij} - (R/2) g_{ij} + L g_{ij}) from values.
+
+    Given ∇Ricci and ∇R, with the derivative slot last, it is ∇_m T_{ij}:
+    ∇g = 0, so the L term drops.
+    """
+    t = ric - 0.5 * np.einsum("pij,p...->pij...", g, scal)
+    if cfg.lam != 0.0 and t.ndim == 3:
+        t = t + cfg.lam * g
+    return t / cfg.k
 
 
 def nabla_energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:

@@ -58,24 +58,35 @@ _UNARY_OPS = {
     "cosh": OP_COSH,
 }
 _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
+_BINARY_CODES = frozenset(_BINARY_OPS.values())
 
 
 class TapeEvalError(Exception):
-    """Batch evaluation failed at a specific point and subexpression."""
+    """Batch evaluation failed at a specific point and subexpression.
+
+    ``label`` names the first labelled output the failing subexpression
+    feeds (``g[1][1]``, ``∂_r g[1][1]``, ...) and ``at`` the point's
+    coordinate values, when the tape and the caller know them.
+    """
 
     def __init__(self, message: str, point_index: int, expr: Expr | None,
-                 coordinate: str | None = None):
+                 coordinate: str | None = None, label: str | None = None,
+                 at: str | None = None):
         self.point_index = point_index
         self.expr = expr
         self.coordinate = coordinate  # set when a partial failed, not the value
+        self.label = label
+        field = f" for {label}" if label else ""
         where = f" in '{to_text(expr, max_len=80)}'" if expr is not None else ""
-        super().__init__(f"{message}{where} (point #{point_index})")
+        point = f" at {at}" if at else ""
+        super().__init__(f"{message}{field}{where}{point} (point #{point_index})")
 
 
 class Tape:
     """Compiled form of a list of scalar expressions over shared coordinates."""
 
-    def __init__(self, code, a, b, cval, outputs, nodes, n_coords, param_names):
+    def __init__(self, code, a, b, cval, outputs, nodes, n_coords, param_names,
+                 labels=None):
         self.code = code
         self.a = a
         self.b = b
@@ -84,6 +95,7 @@ class Tape:
         self.nodes = nodes  # instruction index -> source Expr (error attribution)
         self.n_coords = n_coords
         self.param_names = tuple(param_names)
+        self.labels = labels  # output index -> name, for error attribution
 
     @property
     def n_instructions(self) -> int:
@@ -125,55 +137,81 @@ class Tape:
         pvec = self.param_vector(params or {})
         return run_tape(self.code, self.a, self.b, self.cval, pts, pvec, self.outputs)
 
-    def evaluate_checked(self, points: np.ndarray, params=None) -> np.ndarray:
-        """Like :meth:`evaluate` but raises :class:`TapeEvalError` on any failure."""
+    def evaluate_checked(self, points: np.ndarray, params=None,
+                         coords: Sequence[str] = ()) -> np.ndarray:
+        """Like :meth:`evaluate` but raises :class:`TapeEvalError` on any
+        failure; given the coordinate names, the error gives the point's values."""
         vals, err = self.evaluate(points, params)
-        self._raise_first_failure(err)
+        self._raise_first_failure(err, points, coords)
         return vals
 
     def evaluate_tangents(self, points: np.ndarray, diff: Sequence[int],
-                          params: Mapping[str, float] | None = None):
-        """Evaluate all outputs, and the coordinate partials of outputs ``diff``.
+                          params: Mapping[str, float] | None = None, seeds=None):
+        """Evaluate all outputs, and the partials of outputs ``diff``.
 
         Returns ``(values, partials, err, lane)``: ``values`` and ``err`` as in
         :meth:`evaluate`, except that a partial that is not finite also fails
-        its point; ``partials`` has shape (P, len(diff), n_coords), and
-        ``lane[p]`` is the coordinate whose partial failed (-1 if the value did).
+        its point; ``partials`` has shape (P, len(diff), lanes), and
+        ``lane[p]`` is the lane whose partial failed (-1 if the value did).
+        The lanes are the coordinates, unless ``seeds`` (P, n_coords, lanes)
+        gives each coordinate leaf its own partials per point (see
+        :func:`wstar.backend.run_tangents`).
         """
         from .backend import run_tangents
 
         pts = self._points(points)
         pvec = self.param_vector(params or {})
         diff_idx = self.outputs[np.asarray(diff, dtype=np.int64)]
-        return run_tangents(self.schedule, pts, pvec, self.outputs, diff_idx)
+        return run_tangents(self.schedule, pts, pvec, self.outputs, diff_idx, seeds)
 
     def evaluate_tangents_checked(self, points: np.ndarray, diff: Sequence[int],
-                                  params, coords: Sequence[str]):
+                                  params, coords: Sequence[str], seeds=None):
         """``(values, partials)`` of :meth:`evaluate_tangents`, raising
-        :class:`TapeEvalError` on any failure; it names the coordinate
+        :class:`TapeEvalError` on any failure; it names the lane
         (``coords[k]``) whose partial failed."""
-        vals, partials, err, lane = self.evaluate_tangents(points, diff, params)
-        self._raise_first_failure(err, lane, coords)
+        vals, partials, err, lane = self.evaluate_tangents(points, diff, params, seeds)
+        self._raise_first_failure(err, points, coords, lane, diff)
         return vals, partials
 
-    def _raise_first_failure(self, err: np.ndarray, lane=None, coords=()):
+    def _raise_first_failure(self, err: np.ndarray, points, coords=(), lane=None, diff=None):
         """Raise :class:`TapeEvalError` for the first point ``err`` marks failed."""
         bad = np.nonzero(err >= 0)[0]
         if not bad.size:
             return
-        p = int(bad[0])
-        node = self.nodes[int(err[p])]
+        p, first = int(bad[0]), int(err[bad[0]])
         k = -1 if lane is None else int(lane[p])
+        at = ", ".join(f"{c}={v:.6g}" for c, v in zip(coords, np.asarray(points)[p]))
+        # a failed partial is one of a differentiated output
+        label = self._label_of(first, range(self.n_outputs) if k < 0 else diff)
         if k < 0:
-            raise TapeEvalError("evaluation left the domain", p, node)
+            raise TapeEvalError("evaluation left the domain", p, self.nodes[first],
+                                label=label, at=at)
         raise TapeEvalError(f"partial derivative along {coords[k]} is not finite",
-                            p, node, coords[k])
+                            p, self.nodes[first], coords[k], label, at)
+
+    def _label_of(self, instruction: int, among) -> str | None:
+        """The label of the first output in ``among`` that ``instruction`` feeds."""
+        if self.labels is None:
+            return None
+        feeds = np.zeros(self.n_instructions, dtype=bool)
+        feeds[instruction] = True
+        code, a, b = self.code.tolist(), self.a.tolist(), self.b.tolist()
+        for i in range(instruction + 1, self.n_instructions):
+            if code[i] in (OP_CONST, OP_COORD, OP_PARAM):
+                continue
+            feeds[i] = feeds[a[i]] or (code[i] in _BINARY_CODES and feeds[b[i]])
+        hit = next((j for j in among if feeds[self.outputs[j]]), None)
+        return None if hit is None else self.labels[hit]
 
 
 def compile_tape(
-    exprs: Sequence[Expr], n_coords: int, param_names: Sequence[str] = ()
+    exprs: Sequence[Expr], n_coords: int, param_names: Sequence[str] = (),
+    labels: Sequence[str] | None = None,
 ) -> Tape:
-    """Compile expressions into one tape, sharing common subexpressions."""
+    """Compile expressions into one tape, sharing common subexpressions.
+
+    ``labels``, one per expression, name the outputs in evaluation errors.
+    """
     pidx = {name: k for k, name in enumerate(param_names)}
     nodes = _postorder(*exprs)  # instruction i computes nodes[i]
     index = {id(node): i for i, node in enumerate(nodes)}
@@ -224,4 +262,5 @@ def compile_tape(
         nodes,
         n_coords,
         param_names,
+        None if labels is None else tuple(labels),
     )

@@ -35,7 +35,9 @@ from .geometry import (
     Geometry,
     MetricSpec,
     TensorField,
+    antisymmetrized,
     is_zero,
+    outer,
     term_sum,
     workspace,
 )
@@ -44,6 +46,7 @@ __all__ = [
     "WStarBundle",
     "KrupkaParts",
     "wstar_tensor",
+    "wstar_values",
     "traceless_ricci",
     "codazzi_defect",
     "divergence",
@@ -135,6 +138,17 @@ def wstar_tensor(metric: MetricSpec) -> WStarBundle:
 # One implementation per formula, shared by the check registry and the
 # metric-level helpers below.  Arrays carry the sample point on axis 0 and a
 # derivative slot last: d[p, i, j, k, l, m] = ∇_m X_{ijkl}.
+
+
+def wstar_values(r4: np.ndarray, g: np.ndarray, ric: np.ndarray) -> np.ndarray:
+    """W*_{ijkl} = R_{ijkl} − 1/(n−1) [g_{jk} R_{il} − g_{jl} R_{ik}] from values.
+
+    ``r4`` is the curvature in this module's index order.  Given ∇R_{ijkl}
+    and ∇Ricci, with the derivative slot last, it is ∇_m W*_{ijkl}: ∇g = 0.
+    """
+    n = g.shape[-1]
+    # g_jk R_il − g_jl R_ik is g_ik R_jl − g_il R_jk with i and j swapped
+    return r4 - np.swapaxes(antisymmetrized(outer(g, ric), pair=False), 1, 2) / (n - 1)
 
 
 def traceless_ricci(ric: np.ndarray, scal: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -23,24 +23,25 @@ from wstar.matter import FieldEquationConfig
 # full 64-point blocks and a 2-point tail.  First recorded from the
 # whole-sample computation before the check algebra was blocked; recorded
 # again when the covariant derivatives moved to the kernel's tangent mode,
-# where the whole-sample computation (one block of 130) gave the same bytes.
+# where the whole-sample computation (one block of 130) gave the same bytes,
+# and when the fields moved to the metric's 3-jet, which rounds differently.
 MULTI_BLOCK = {
     ("check", "minkowski"):
         ("ea0c149c2f0c5807a86e02e452dea1cede06f422e4a184ad4abff112899bdd81", 0),
     ("check", "schwarzschild"):
-        ("f4b936dc331b6cdc52db16f1bb9d5409288ee284dd47848a12ca955790b48b97", 1),
+        ("0e27d47f62b5adb81867e34bd0a8f2d46f670632e9cbdeec1f35fbaf1ec85f08", 1),
     ("check", "desitter_flat"):
-        ("563d3de5b6a426e5d4ff92c1592417d318aef49ae3b973bf960c0c1da4033489", 1),
+        ("c27e8725ae648e04d24cf3b9b22286264d08472f1cda689bcb0677465ead74ac", 1),
     ("check", "flrw_dust"):
-        ("0b32a52b9e5a118235b9cd5a1d0780240851c580756747d022cb6588164754ef", 1),
+        ("f8723f6164b4e67ee3e1b4a9905c2002097f610efcee48d8b29467474ea2dcd1", 1),
     ("classify", "minkowski"):
         ("68b4a1a4807481e28030fe3f7aea48a47ca1a9074365aa90e1c57c99c8ccbc36", 0),
     ("classify", "schwarzschild"):
-        ("3ada69474213b70bf4cdc4994c94fe08d896dbeacdb05e60a6973879fa3ebc6c", 0),
+        ("4f17bf8459475c9aa99e65024367909e123e741515d882ac232e1d7059d25138", 0),
     ("classify", "desitter_flat"):
-        ("725534621bc4918257d9586cb30b6a986f723a2455d05c1fd99e5974234d3273", 0),
+        ("05a6064ea0441de153d1258be2ea2cd80d91b91cc16cba0eced0501a9c290530", 0),
     ("classify", "flrw_dust"):
-        ("29500eb1959bd120ec8db8e7c63259e7b259a324fef6a703196d009b1a7e2746", 1),
+        ("d7906ef21d303cf0ce7ecb096b6d88a88bdac0da4ab2cdfb3c1b44480d493b42", 1),
 }
 
 
@@ -73,9 +74,7 @@ def test_no_check_allocates_whole_sample_rank6_arrays():
     # the (P, 4, 4, 4, 4, 4, 4) commutator of W* took +96 MiB at 1024 points
     # and the cyclic sum +32 MiB; blocked, no check needs more than 12 MiB
     ctx = context("schwarzschild", 1024)
-    for group in ctx._GROUPS:
-        for name in group:
-            ctx.get(name)
+    ctx.get("g")  # every field
     peaks = {}
     tracemalloc.start()
     try:

@@ -1,12 +1,16 @@
-"""Covariant derivatives from the kernel's tangent mode.
+"""Curvature from the metric's 3-jet, against the symbolic fields.
 
-``check`` and ``classify`` take ∇R, ∇Ricci, ∇W*, ∇Weyl and ∇T from the
-coordinate partials of each field's own tape outputs plus a numeric Γ term.
-The symbolic fields (``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``,
-``nabla_weyl``, ``nabla_energy_momentum``) are the oracle: on every catalog
-metric and on generated perturbations of Minkowski space the two routes agree
-within 1e-10·(1 + max|∇X|).  The kernel tests pin the tangent mode itself:
-its value lanes are bit-identical to value mode, every opcode's chain rule
+``check`` and ``classify`` read every field from the metric's 3-jet: the jet
+tape gives g, ∂g and ∂²g, its tangent mode ∂³g, and a leaf tape over those
+values and a numeric g^{-1} gives Γ and R_{ijkl} with their partials (see
+:class:`wstar.geometry.Jet`).  The symbolic fields (``geo.ricci``, the W*
+bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
+``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``, ``nabla_weyl``,
+``nabla_energy_momentum``) are the oracle: on every catalog metric and on
+generated perturbations of Minkowski space each field ``CheckContext.get``
+serves agrees within 1e-10·(1 + max|X|).  The kernel tests pin the tangent
+mode itself: its value lanes are bit-identical to value mode, unit seeds
+reproduce the unseeded partials bit for bit, every opcode's chain rule
 matches the symbolic derivative, and a partial that is not finite where its
 value is (``sqrt`` at 0) fails its point with the coordinate named.
 """
@@ -18,11 +22,11 @@ from hypothesis import strategies as st
 
 from wstar import backend, wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
-from wstar.checks import CheckContext
+from wstar.checks import FIELDS, CheckContext
 from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
-from wstar.matter import FieldEquationConfig, nabla_energy_momentum
+from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
 
@@ -31,14 +35,29 @@ from test_exprlib import PARAMS, expressions, smooth_expressions
 COORDS = ("t", "x", "y", "z")
 CFG = FieldEquationConfig()
 
-# context name -> symbolic covariant derivative of the same field
+# context name -> the symbolic field of the same values
 SYMBOLIC = {
+    "g": lambda m, geo: geo.g,
+    "ginv": lambda m, geo: geo.ginv,
+    "r13": lambda m, geo: geo.riemann13,
+    "r4": lambda m, geo: ws.swapped_riemann(geo),
+    "ric": lambda m, geo: geo.ricci,
+    "R": lambda m, geo: geo.scalar_field,
+    "w04": lambda m, geo: ws.wstar_tensor(m).wstar04,
+    "w13": lambda m, geo: ws.wstar_tensor(m).wstar13,
+    "w02": lambda m, geo: ws.wstar_tensor(m).wstar02,
+    "weyl": lambda m, geo: geo.weyl,
+    "t": lambda m, geo: energy_momentum(m, CFG),
     "gradR": lambda m, geo: geo.grad_scalar,
     "nric": lambda m, geo: geo.nabla_ricci,
     "dw": lambda m, geo: ws._nabla_wstar04(geo),
     "nweyl": lambda m, geo: geo.nabla_weyl,
     "nt": lambda m, geo: nabla_energy_momentum(m, CFG),
 }
+
+
+def test_every_served_field_has_an_oracle():
+    assert set(SYMBOLIC) == set(FIELDS)
 
 
 def assert_routes_agree(metric, points):
@@ -93,13 +112,12 @@ def test_forward_matches_symbolic_on_generated_metrics(terms):
 
 
 def union_tape(name):
-    """The tape of the context's first group, with Γ, as the commands use it."""
+    """One tape of every symbolic field the checks read, with Γ."""
     metric = catalog_metric(name)
     geo = workspace(metric)
-    ctx = CheckContext(metric, [], CFG)
-    group = ctx._GROUPS[0]
-    fields = ctx._fields([n for n in group if n not in ctx._NABLA])
-    return geo, geo._tape_for(list(fields.values()) + [geo.christoffel])
+    fields = [SYMBOLIC[n](metric, geo) for n in ("g", "ginv", "ric", "R", "r13", "r4",
+                                                   "w04", "w13", "w02", "t")]
+    return geo, geo._tape_for(fields + [geo.christoffel])
 
 
 @pytest.mark.parametrize("metric", CATALOG_NAMES)
@@ -113,6 +131,18 @@ def test_value_lanes_equal_value_mode(metric):
     assert np.array_equal(tvals.view(np.int64), vals.view(np.int64))
     assert np.array_equal(terr, err)
     assert partials.shape == (70, diff.shape[0], 4)
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_unit_seeds_reproduce_the_coordinate_partials(metric):
+    geo, tape = union_tape(metric)
+    pts = sample_for(geo, 70, 42)
+    params = dict(geo.metric.params)
+    diff = np.arange(tape.n_outputs)
+    want = tape.evaluate_tangents(pts, diff, params)
+    got = tape.evaluate_tangents(pts, diff, params, np.broadcast_to(np.eye(4), (70, 4, 4)))
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def tangents(src, pts, params=None):
