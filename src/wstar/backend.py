@@ -16,12 +16,13 @@ that output row stays NaN.
 The same kernel body has a tangent mode (forward-mode differentiation;
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008).  Next to
 its value, each register then carries its partials along every coordinate.
-A coordinate leaf seeds a unit vector (or, for a tape whose leaves stand
-for values that vary with the coordinates, the partials it is given per
-point), a constant or parameter seeds zero, and each opcode applies its
-chain rule to all partial lanes of a group in one ufunc call.  The value lane makes the same ufunc calls on the same operands
-as in value mode, so values are bit-identical.  A partial that is not finite
-where the value is (``sqrt`` at 0) counts as a failure of its instruction.
+A coordinate leaf seeds a unit vector (or, for a tape whose leaves stand for
+values that vary with the coordinates, the partials it is given per point),
+a constant or parameter seeds zero, and each opcode applies its chain rule
+to all partial lanes of a group in one ufunc call.  The value lane makes the
+same ufunc calls on the same operands as in value mode, so values are
+bit-identical.  A partial that is not finite where the value is (``sqrt`` at
+0) counts as a failure of its instruction.
 """
 
 from __future__ import annotations

@@ -9,9 +9,14 @@ must pass everywhere, and the two circulated closed forms that disagree with
 their independent routes fail with a reason naming the deviation instead of
 being patched over.
 
-:class:`CheckContext` is the one place where a run turns symbolic fields into
-values.  It also memoizes the check outcomes and the results derived from
-several fields (fluid decomposition, Ricci-recurrence fit).
+:class:`CheckContext` is the one place where a run turns a metric into field
+values.  It reads every field from the metric's 3-jet (:func:`curvature_fields`):
+R_{ijkl} and ∇R_{ijkl} come per block of points from the tapes of
+:class:`wstar.geometry.Jet`, and Ricci, R, R^h_{jkl}, W* in its three
+layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are linear maps of
+those, g and g^{ij}, so no symbolic curvature is built.  The context also
+memoizes the check outcomes and the results derived from several fields
+(fluid decomposition, Ricci-recurrence fit).
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function; one

@@ -1,4 +1,4 @@
-"""Levi-Civita connection and curvature of a metric, as symbolic tensor fields.
+"""Levi-Civita connection and curvature of a metric: symbolic fields, and the 3-jet route.
 
 Conventions (signature −+++ throughout):
 
@@ -17,15 +17,18 @@ primitives ``lower_index``, ``contract`` and ``covariant_derivative`` of
 :class:`Geometry`, not by a loop of its own: R_{ijkl} lowers slot 0 of
 R^h_{jkl}, R_{jk} contracts its slots 0 and 2, and ∇R, ∇_m ξ^i and the ∇ of
 every curvature field are covariant derivatives.  All component
-expressions are simplified as they are built and evaluation at sample points
-runs through compiled tapes and the one numpy tape kernel (see
-:mod:`wstar.tape` / :mod:`wstar.backend`).
+expressions are simplified as they are built, and :meth:`Geometry.eval_fields`
+evaluates symbolic fields at sample points through compiled tapes and the
+one numpy tape kernel (see :mod:`wstar.tape` / :mod:`wstar.backend`).
 
-The symbolic covariant derivatives stay as library fields and oracles.  At
-sample points, :meth:`Geometry.eval_fields` can also form ∇X numerically,
-from the coordinate partials that the kernel's tangent mode gives for X's
-own tape outputs and the values of Γ (:func:`covariant_values`); the
-``check`` and ``classify`` commands take every ∇ field that way.
+The ``check`` and ``classify`` commands build none of these fields.  They
+take the curvature from the metric's 3-jet (:class:`Jet`, ``geo.jet``): a
+tape of g, ∂g and ∂²g, whose tangent mode gives ∂³g, and small leaf tapes
+over those values and a numeric g^{ij} that give Γ, R_{ijkl} by symmetry
+class and its partials, from which :func:`by_symmetry` and the numeric
+helpers below form the rest one block of points at a time.  The symbolic
+fields stay as the ``compute`` command's route, as inputs of the
+vector-field fits, and as the tests' oracle.
 """
 
 from __future__ import annotations
