@@ -62,6 +62,7 @@ __all__ = [
     "PointTensor",
     "VectorFieldSpec",
     "Geometry",
+    "Jet",
     "by_symmetry",
     "covariant_values",
     "weyl_classes",
