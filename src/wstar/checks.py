@@ -10,13 +10,13 @@ their independent routes fail with a reason naming the deviation instead of
 being patched over.
 
 :class:`CheckContext` is the one place where a run turns a metric into field
-values.  It reads every field from the metric's 3-jet (:func:`curvature_fields`):
-R_{ijkl} and ∇R_{ijkl} come per block of points from the tapes of
-:class:`wstar.geometry.Jet`, and Ricci, R, R^h_{jkl}, W* in its three
-layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are linear maps of
-those, g and g^{ij}, so no symbolic curvature is built.  The context also
-memoizes the check outcomes and the results derived from several fields
-(fluid decomposition, Ricci-recurrence fit).
+values.  It reads every field from the metric's 3-jet
+(:func:`wstar.jet.curvature_fields`): R_{ijkl} and ∇R_{ijkl} come per block
+of points from the tapes of :class:`wstar.jet.Jet`, and Ricci, R, R^h_{jkl},
+W* in its three layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are
+linear maps of those, g and g^{ij}, so no symbolic curvature is built.  The
+context also memoizes the check outcomes and the results derived from
+several fields (fluid decomposition, Ricci-recurrence fit).
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function; one
@@ -56,20 +56,14 @@ from typing import Callable, Dict, Optional, Union
 import numpy as np
 
 from .backend import _CHUNK
-from .geometry import (Geometry, MetricSpec, by_symmetry, ricci_commutator, weyl_classes,
-                       workspace)
-from .matter import (
-    FieldEquationConfig,
-    _amax,
-    decompose_fluids,
-    energy_momentum_values,
-)
+from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
+from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
 _BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 
 __all__ = [
-    "CheckContext", "CheckOutcome", "FIELDS", "REGISTRY", "curvature_fields", "recurrence_fit",
+    "CheckContext", "CheckOutcome", "REGISTRY", "recurrence_fit",
     "FLAGS", "PAIRINGS", "holds", "classification", "pairings",
 ]
 
@@ -90,7 +84,7 @@ class CheckContext:
     """Shared evaluated-field cache for one (metric, points, config) run.
 
     The first field asked for evaluates every field the checks read, from
-    the metric's 3-jet (:func:`curvature_fields`); check outcomes and the
+    the metric's 3-jet (:func:`wstar.jet.curvature_fields`); check outcomes and the
     multi-field results (``fluid``, ``recurrence``) are computed on first use
     and kept for the run, so a check that reads another check's outcome, or
     a report that reads many, computes each at most once; so does a check
@@ -110,8 +104,10 @@ class CheckContext:
         self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
     def get(self, name: str) -> np.ndarray:
-        """The values of field ``name`` (a key of :data:`FIELDS`), points first."""
+        """The values of field ``name`` (a key of :data:`wstar.jet.FIELDS`), points first."""
         if not self._vals:
+            from .jet import curvature_fields  # loaded by the commands that check
+
             self._vals = curvature_fields(self.geo, self.points, self.cfg)
         return self._vals[name]
 
@@ -163,60 +159,6 @@ class CheckContext:
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
         return recurrence_fit(self)
-
-
-# the fields CheckContext serves -> their number of slots after the point axis;
-# every slot is lower except the first of r13 and w13, and a derivative slot is last
-FIELDS = {
-    "g": 2, "ginv": 2, "r13": 4, "r4": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
-    "w04": 4, "w13": 4, "w02": 2, "dw": 5, "weyl": 4, "nweyl": 5, "t": 2, "nt": 3,
-}
-
-
-def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """g^{hi} X_{i...}: the first slot of X raised, at each point."""
-    return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
-
-
-def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` on one block of points.
-
-    Each is a linear map of R_{ijkl}, g and g^{ij}, here given by the
-    symmetry classes ``rc`` of R_{ijkl} (see :func:`wstar.geometry.by_symmetry`);
-    since ∇g = 0, each ∇ field is its field's map applied to the classes
-    ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
-    """
-    r04, nr04 = by_symmetry(rc), by_symmetry(nrc)
-    r13 = _raise_first(ginv, r04)
-    ric = np.einsum("phjhl->pjl", r13)
-    scal = np.einsum("pjk,pjk->p", ginv, ric)
-    nric = np.einsum("phi,pijhlm->pjlm", ginv, nr04)
-    grad = np.einsum("pjk,pjkm->pm", ginv, nric)
-    r4 = np.swapaxes(r04, 3, 4)  # wstar's index order
-    w04 = ws.wstar_values(r4, g, ric)
-    w13 = _raise_first(ginv, w04)
-    return {
-        "g": g, "ginv": ginv, "r13": r13, "r4": r4, "ric": ric, "R": scal,
-        "gradR": grad, "nric": nric, "w04": w04, "w13": w13,
-        "w02": np.einsum("phjkh->pjk", w13),
-        "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),
-        "weyl": by_symmetry(weyl_classes(rc, g, ric, scal)),
-        "nweyl": by_symmetry(weyl_classes(nrc, g, nric, grad)),
-        "t": energy_momentum_values(ric, scal, g, cfg),
-        "nt": energy_momentum_values(nric, grad, g, cfg),
-    }
-
-
-def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` at the points, formed block by block from
-    the metric's 3-jet (see :class:`wstar.geometry.Jet`); ∇R_{ijkl} lives for
-    one block only."""
-    n, count = geo.dim, np.shape(points)[0]
-    vals = {name: np.empty((count,) + (n,) * slots) for name, slots in FIELDS.items()}
-    for part, g, ginv, _, rc, nrc in geo.jet.curvature(points):
-        for name, v in _block_fields(g, ginv, rc, nrc, cfg).items():
-            vals[name][part] = v
-    return vals
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:

@@ -21,14 +21,10 @@ expressions are simplified as they are built, and :meth:`Geometry.eval_fields`
 evaluates symbolic fields at sample points through compiled tapes and the
 one numpy tape kernel (see :mod:`wstar.tape` / :mod:`wstar.backend`).
 
-The ``check`` and ``classify`` commands build none of these fields.  They
-take the curvature from the metric's 3-jet (:class:`Jet`, ``geo.jet``): a
-tape of g, ∂g and ∂²g, whose tangent mode gives ∂³g, and small leaf tapes
-over those values and a numeric g^{ij} that give Γ, R_{ijkl} by symmetry
-class and its partials, from which :func:`by_symmetry` and the numeric
-helpers below form the rest one block of points at a time.  The symbolic
-fields stay as the ``compute`` command's route, as inputs of the
-vector-field fits, and as the tests' oracle.
+The ``check`` and ``classify`` commands build none of these fields: they
+take the curvature from the metric's 3-jet (``geo.jet``, see
+:mod:`wstar.jet`).  The symbolic fields stay as the ``compute`` command's
+route, as inputs of the vector-field fits, and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -45,7 +41,6 @@ from .exprlib import (
     Expr,
     add,
     const,
-    coord,
     differentiate,
     div,
     mul,
@@ -62,10 +57,7 @@ __all__ = [
     "PointTensor",
     "VectorFieldSpec",
     "Geometry",
-    "Jet",
-    "by_symmetry",
     "covariant_values",
-    "weyl_classes",
     "workspace",
 ]
 
@@ -531,8 +523,10 @@ class Geometry:
         return compile_tape(exprs, self.dim, tuple(sorted(self.metric.params)), labels)
 
     @property
-    def jet(self) -> "Jet":
-        """The metric's 3-jet and the curvature tapes over it (see :class:`Jet`)."""
+    def jet(self):
+        """The metric's 3-jet and the curvature tapes over it (:class:`wstar.jet.Jet`)."""
+        from .jet import Jet  # loaded on first use; it imports this module
+
         return self.cached("jet", lambda: Jet(self))
 
     def _tape_for(self, fields: Sequence[TensorField]) -> Tape:
@@ -574,328 +568,6 @@ class Geometry:
         out = np.abs(vals[:, 0])
         out[err >= 0] = 0.0
         return out
-
-
-# --- curvature from the metric's 3-jet -----------------------------------------
-
-
-def _sym(i: int, j: int) -> tuple:
-    return (i, j) if i <= j else (j, i)
-
-
-class Jet:
-    """Curvature at sample points from the metric's 3-jet.
-
-    The jet tape outputs the nonzero components of g_{ij}, ∂_k g_{ij} and
-    ∂_k ∂_l g_{ij} (i <= j, k <= l), labelled ``g[i][j]``, ``∂_r g[i][j]``
-    and ``∂_r ∂_theta g[i][j]`` so that an evaluation error names the
-    component; its tangent mode gives ∂³g of the nonzero ∂²g outputs.
-
-    A leaf tape then takes as inputs the nonzero ∂g, the nonzero ∂²g and
-    g^{ij} (evaluated numerically, component by component of g's pattern)
-    rather than the coordinates.  It builds
-
-        Γ_{s,ij} = ½(∂_i g_{sj} + ∂_j g_{si} − ∂_s g_{ij}),  Γ^h_{ij} = g^{hs} Γ_{s,ij},
-        R_{ijkl} = ½(∂_j∂_k g_{il} + ∂_i∂_l g_{jk} − ∂_i∂_k g_{jl} − ∂_j∂_l g_{ik})
-                   + Γ_{h,li} Γ^h_{jk} − Γ_{h,ki} Γ^h_{jl}
-
-    (:attr:`Geometry.riemann04`'s convention) with the expression
-    constructors, over one component per symmetry class of R_{ijkl}.  A
-    structurally zero input is the constant 0, so a sparse metric keeps a
-    small leaf tape.  The leaf tape runs in the kernel's tangent mode with
-    each input's partials seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
-    and ∂g⁻¹ = −g⁻¹ ∂g g⁻¹, and the covariant derivative of R_{ijkl}
-    follows from its partials and Γ, per symmetry class.  Everything past
-    the jet tape is formed one block of ``_CHUNK`` points at a time.  A
-    second leaf tape, of Γ and Ricci alone, serves the values and covariant
-    derivative of Ricci where nothing else is needed.
-    """
-
-    def __init__(self, geo: "Geometry"):
-        self.geo = geo
-        n, names, g = geo.dim, geo.metric.coords, geo.g
-        exprs, labels, self._col = [], [], {}  # (derivatives, i, j) -> jet output
-
-        def emit(key, e, label):
-            if not is_zero(e):
-                self._col[key] = len(exprs)
-                exprs.append(e)
-                labels.append(label)
-
-        pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        for i, j in pairs:
-            emit(((), i, j), g[i, j], f"g[{i}][{j}]")
-        first = {(k, i, j): differentiate(g[i, j], k) for k in range(n) for i, j in pairs}
-        for (k, i, j), e in first.items():
-            emit(((k,), i, j), e, f"∂_{names[k]} g[{i}][{j}]")
-        for k in range(n):
-            for l in range(k, n):
-                for i, j in pairs:
-                    emit(((k, l), i, j), differentiate(first[k, i, j], l),
-                         f"∂_{names[k]} ∂_{names[l]} g[{i}][{j}]")
-        self.tape = geo._compile(exprs, labels)
-
-        zero = len(exprs)  # the column of 0 appended to the jet values
-
-        def column(derivs, i, j):
-            return self._col.get((tuple(sorted(derivs)), *_sym(i, j)), zero)
-
-        self._g = np.array([[column((), i, j) for j in range(n)] for i in range(n)])
-        self._dg = np.array([[[column((k,), i, j) for j in range(n)] for i in range(n)]
-                             for k in range(n)])
-        # the coordinates g depends on: every jet value is constant along the others
-        self.axes = sorted({key[0][0] for key in self._col if len(key[0]) == 1})
-        self._d1 = [c for key, c in self._col.items() if len(key[0]) == 1]
-        self._d2 = [c for key, c in self._col.items() if len(key[0]) == 2]
-        # the seeds of a ∂_k g_ij input: ∂_m ∂_k g_ij along each m
-        self._d1_seeds = np.array([[column((derivs[0], m), i, j) for m in range(n)]
-                                   for derivs, i, j in self._col if len(derivs) == 1],
-                                  dtype=np.int64).reshape(-1, n)
-
-        # g^{ij} can be nonzero only within a connected component of g's pattern
-        part = list(range(n))
-        for (derivs, i, j) in self._col:
-            if not derivs:
-                a, b = part[i], part[j]
-                part = [a if p == b else p for p in part]
-        self._components = [np.flatnonzero(np.array(part) == p) for p in sorted(set(part))]
-        self._inv = [(a, b) for a, b in pairs if part[a] == part[b]]
-
-    # --- the leaf tapes ---------------------------------------------------
-
-    @cached_property
-    def _leaf_curvature(self) -> tuple:
-        """(Γ^h_{ij} for i <= j, R_{ijkl} by symmetry class, R_{ijkl}, g^{ab})
-        as expressions of the leaf inputs: the nonzero ∂g, then the nonzero
-        ∂²g, then g^{ab} (a <= b) within a component."""
-        n = self.geo.dim
-        keys = [key for key in self._col if key[0]]
-        leaf = {key: coord(k) for k, key in enumerate(keys)}
-        leaf.update({("inv", a, b): coord(len(keys) + k)
-                     for k, (a, b) in enumerate(self._inv)})
-
-        def dg(k, i, j):
-            return leaf.get(((k,), *_sym(i, j)), _ZERO)
-
-        def ddg(k, l, i, j):
-            return leaf.get((_sym(k, l), *_sym(i, j)), _ZERO)
-
-        def gi(a, b):
-            return leaf.get(("inv", *_sym(a, b)), _ZERO)
-
-        half = const(Fraction(1, 2))
-        low, gam = {}, {}
-        for s in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    inner = term_sum([dg(i, s, j), dg(j, s, i), neg(dg(s, i, j))])
-                    low[s, i, j] = low[s, j, i] = (
-                        _ZERO if is_zero(inner) else mul(half, inner))
-        for h in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    gam[h, i, j] = gam[h, j, i] = term_sum(
-                        mul(gi(h, s), low[s, i, j]) for s in range(n)
-                        if not (is_zero(gi(h, s)) or is_zero(low[s, i, j])))
-
-        def riemann(i, j, k, l):
-            second = term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
-                               neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))])
-            terms = [_ZERO if is_zero(second) else mul(half, second)]
-            for h in range(n):
-                terms.append(mul(low[h, l, i], gam[h, j, k]))
-                terms.append(neg(mul(low[h, k, i], gam[h, j, l])))
-            return term_sum(terms)
-
-        curv = [riemann(*c) for c in _riemann_classes(n)]
-
-        def lookup(i, j, k, l):
-            src, count = _RIEMANN_INDEX[n][i, j, k, l], len(curv)
-            if src == 2 * count:
-                return _ZERO
-            return curv[src] if src < count else neg(curv[src - count])
-
-        gams = [gam[h, i, j] for h in range(n) for i in range(n) for j in range(i, n)]
-        return gams, curv, lookup, gi
-
-    @property
-    def _riemann_tape(self) -> Tape:
-        """Leaf tape of Γ^h_{ij} (i <= j), then R_{ijkl} by symmetry class."""
-
-        def build():
-            gams, curv, _, _ = self._leaf_curvature
-            return self.geo._compile(gams + curv, leaves=self._n_leaves)
-
-        return self.geo.cached("jet_riemann_tape", build)
-
-    @property
-    def _ricci_tape(self) -> Tape:
-        """Leaf tape of Γ^h_{ij} (i <= j), then R_{jk} = g^{hi} R_{ijhk} (j <= k)."""
-
-        def build():
-            n = self.geo.dim
-            gams, _, riem, gi = self._leaf_curvature
-            ric = [term_sum(mul(gi(h, i), riem(i, j, h, k))
-                            for h in range(n) for i in range(n)
-                            if not (is_zero(gi(h, i)) or is_zero(riem(i, j, h, k))))
-                   for j in range(n) for k in range(j, n)]
-            return self.geo._compile(gams + ric, leaves=self._n_leaves)
-
-        return self.geo.cached("jet_ricci_tape", build)
-
-    @property
-    def _n_leaves(self) -> int:
-        return len(self._d1) + len(self._d2) + len(self._inv)
-
-    # --- evaluation -------------------------------------------------------
-
-    def _inverse(self, g: np.ndarray, points) -> np.ndarray:
-        """g^{ij} at every point, inverted one component of g's pattern at a time.
-
-        Raises ``numpy.linalg.LinAlgError`` naming the first point where g is
-        singular.
-        """
-        ginv = np.zeros_like(g)
-        for comp in self._components:
-            sub = g[:, comp[:, None], comp]
-            try:
-                ginv[:, comp[:, None], comp] = np.linalg.inv(sub)
-            except np.linalg.LinAlgError:
-                p = int(np.argmax(np.linalg.det(sub) == 0))
-                at = ", ".join(f"{c}={v:.6g}" for c, v in zip(self.geo.metric.coords, points[p]))
-                raise np.linalg.LinAlgError(
-                    f"the metric is singular at {at} (point #{p})") from None
-        return ginv
-
-    def _blocks(self, points, tape: Tape, diff):
-        """Run a leaf tape per block: yields (slice, g, g⁻¹, values, partials)."""
-        geo = self.geo
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
-        count, n = pts.shape
-        vals, d3 = self.tape.evaluate_tangents_checked(
-            pts, self._d2, dict(geo.metric.params), geo.metric.coords)
-        jet = np.concatenate([vals, np.zeros((count, 1))], axis=1)
-        g = jet[:, self._g]
-        ginv = self._inverse(g, pts)
-        a, b = (np.array(ix, dtype=np.int64) for ix in zip(*self._inv))
-        for start in range(0, count, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            block, gi = jet[part], ginv[part]
-            dginv = -(gi[:, None] @ block[:, self._dg] @ gi[:, None])  # [p, m, a, b]
-            leaves = np.concatenate([block[:, self._d1], block[:, self._d2], gi[:, a, b]],
-                                    axis=1)
-            seeds = np.concatenate([block[:, self._d1_seeds], d3[part],
-                                    dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
-            out, partials = tape.evaluate_tangents_checked(
-                leaves, diff, None, geo.metric.coords, seeds)
-            yield part, g[part], gi, out, partials
-
-    def curvature(self, points):
-        """Per block of points: (slice, g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}),
-        the last two by symmetry class (see :func:`by_symmetry`)."""
-        n = self.geo.dim
-        n_gam, classes = n * _PAIRS[n], _CLASSES[n]
-        diff = np.arange(n_gam, n_gam + classes)
-        for part, g, ginv, out, partials in self._blocks(points, self._riemann_tape, diff):
-            gam = out[:, _GAMMA_INDEX[n]]
-            rc = out[:, n_gam:]
-            yield part, g, ginv, gam, rc, _nabla_classes(by_symmetry(rc), partials, gam)
-
-    def ricci(self, points) -> tuple:
-        """(R_{jk}, ∇_m R_{jk}) at the points, from the leaf tape of Ricci alone."""
-        n = self.geo.dim
-        n_gam = n * _PAIRS[n]
-        count = len(points)
-        ric, nric = np.empty((count, n, n)), np.empty((count, n, n, n))
-        sym = _PAIR_INDEX[n]
-        diff = np.arange(n_gam, n_gam + _PAIRS[n])
-        for part, _, _, out, partials in self._blocks(points, self._ricci_tape, diff):
-            gam = out[:, _GAMMA_INDEX[n]]
-            ric[part] = out[:, n_gam + sym]
-            nric[part] = covariant_values(ric[part], partials[:, sym], "ll", gam)
-        return ric, nric
-
-
-def _riemann_classes(n: int) -> list:
-    """One (i, j, k, l) per symmetry class of R_{ijkl}: i < j, k < l, (i, j) <= (k, l)."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
-
-
-def _riemann_index(n: int) -> np.ndarray:
-    """R_{ijkl} -> its column in [classes, −classes, 0] (see :func:`by_symmetry`)."""
-    classes = {c: k for k, c in enumerate(_riemann_classes(n))}
-    index = np.full((n,) * 4, 2 * len(classes), dtype=np.int64)
-    for i, j, k, l in product(range(n), repeat=4):
-        if i == j or k == l:
-            continue
-        sign = (1 if i < j else -1) * (1 if k < l else -1)
-        p, q = _sym(i, j), _sym(k, l)
-        col = classes[p + q if p <= q else q + p]
-        index[i, j, k, l] = col if sign > 0 else len(classes) + col
-    return index
-
-
-def _pair_index(n: int) -> np.ndarray:
-    """X_{ij} of a symmetric X -> its column among the (i, j) with i <= j."""
-    cols = {p: k for k, p in enumerate((i, j) for i in range(n) for j in range(i, n))}
-    return np.array([[cols[_sym(i, j)] for j in range(n)] for i in range(n)])
-
-
-_PAIRS = {n: n * (n + 1) // 2 for n in range(1, 6)}
-_PAIR_INDEX = {n: _pair_index(n) for n in range(1, 6)}
-# Γ^h_{ij} -> its column among the (h, i <= j)
-_GAMMA_INDEX = {n: _PAIRS[n] * np.arange(n)[:, None, None] + _PAIR_INDEX[n] for n in range(1, 6)}
-_RIEMANN_INDEX = {n: _riemann_index(n) for n in range(2, 6)}
-# the (i, j, k, l) of each symmetry class, as four index arrays
-_CLASS_INDEX = {n: np.array(_riemann_classes(n)).T for n in range(2, 6)}
-_CLASSES = {n: index.shape[1] for n, index in _CLASS_INDEX.items()}
-_DIM_OF_CLASSES = {count: n for n, count in _CLASSES.items()}
-
-
-def by_symmetry(classes: np.ndarray) -> np.ndarray:
-    """X_{ijkl} (and any trailing slots) at each point from its symmetry classes.
-
-    ``classes[p, c, ...]`` holds class ``c`` of a tensor with the symmetries
-    of R_{ijkl}: antisymmetric in (i, j) and in (k, l), symmetric under the
-    swap of the two pairs.  Every other component is a copy, a negated copy
-    or 0, so the symmetries hold exactly.
-    """
-    n = _DIM_OF_CLASSES[classes.shape[1]]
-    full = np.concatenate([classes, -classes, np.zeros_like(classes[:, :1])], axis=1)
-    return full[:, _RIEMANN_INDEX[n]]
-
-
-def weyl_classes(r: np.ndarray, g: np.ndarray, ric: np.ndarray,
-                 scal: np.ndarray) -> np.ndarray:
-    """The symmetry classes of C_{ijkl} (:attr:`Geometry.weyl`) from those of
-    R_{ijkl} and the values of g, Ricci and R.
-
-    Given the classes of ∇R_{ijkl}, and ∇Ricci and ∇R, with the derivative
-    slot last, it gives those of ∇_m C_{ijkl}: ∇g = 0.
-    """
-    n = g.shape[-1]
-    i, j, k, l = _CLASS_INDEX[n]
-    tail = (slice(None), slice(None)) + (None,) * (ric.ndim - 3)
-    ric_part = (g[:, i, k][tail] * ric[:, j, l] - g[:, i, l][tail] * ric[:, j, k]
-                + g[:, j, l][tail] * ric[:, i, k] - g[:, j, k][tail] * ric[:, i, l])
-    gg = g[:, i, k] * g[:, j, l] - g[:, i, l] * g[:, j, k]
-    return r - ric_part / (n - 2) + gg[tail] * scal[:, None] / ((n - 1) * (n - 2))
-
-
-def _nabla_classes(r04: np.ndarray, partials: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """∇_m R_{ijkl} of each symmetry class from R_{ijkl}, the classes' partials and Γ.
-
-    Per slot, Σ_s Γ^s_{m i} R_{… s …} is subtracted for the class
-    components only, as :func:`covariant_values` does for every component.
-    """
-    classes = _CLASS_INDEX[gam.shape[1]]
-    out = partials.copy()
-    for slot in range(4):
-        rest = np.delete(classes, slot, axis=0)
-        x = np.moveaxis(r04, 1 + slot, -1)[:, rest[0], rest[1], rest[2]]  # [p, c, s]
-        out -= np.einsum("pcs,psmc->pcm", x, gam[:, :, :, classes[slot]])
-    return out
 
 
 def _relabel(t: TensorField, label: str) -> TensorField:

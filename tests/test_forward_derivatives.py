@@ -3,7 +3,7 @@
 ``check`` and ``classify`` read every field from the metric's 3-jet: the jet
 tape gives g, ∂g and ∂²g, its tangent mode ∂³g, and a leaf tape over those
 values and a numeric g^{-1} gives Γ and R_{ijkl} with their partials (see
-:class:`wstar.geometry.Jet`).  The symbolic fields (``geo.ricci``, the W*
+:class:`wstar.jet.Jet`).  The symbolic fields (``geo.ricci``, the W*
 bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
 ``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``, ``nabla_weyl``,
 ``nabla_energy_momentum``) are the oracle: on every catalog metric and on
@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 from wstar import backend, wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
-from wstar.checks import FIELDS, CheckContext
+from wstar.checks import CheckContext
 from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
+from wstar.jet import FIELDS
 from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape

@@ -1,4 +1,4 @@
-"""Curvature from the metric's 3-jet (``wstar.geometry.Jet``).
+"""Curvature from the metric's 3-jet (:mod:`wstar.jet`).
 
 ``check`` and ``classify`` build no symbolic curvature: the jet tape holds
 g, ∂g and ∂²g, and leaf tapes over the jet values and a numeric g^{-1} give
@@ -15,7 +15,8 @@ import pytest
 from wstar import cli
 from wstar.catalog import catalog_metric
 from wstar.checks import CheckContext, recurrence_fit
-from wstar.geometry import Jet, by_symmetry, workspace
+from wstar.geometry import workspace
+from wstar.jet import Jet, by_symmetry
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError
