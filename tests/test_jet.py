@@ -18,7 +18,7 @@ from wstar.checks import CheckContext, recurrence_fit
 from wstar.geometry import workspace
 from wstar.jet import Jet, by_symmetry
 from wstar.matter import FieldEquationConfig
-from wstar.metricfile import parse_metric_text
+from wstar.metricfile import load_metric, parse_metric_text
 from wstar.tape import TapeEvalError
 
 CFG = FieldEquationConfig()
@@ -51,9 +51,11 @@ def test_commands_build_no_symbolic_curvature(name, monkeypatch, capsys):
     assert not any(key.startswith(("energy_momentum", "nabla_")) for key in built), built
 
 
-def test_a_failed_derivative_is_named_with_its_point():
+def test_a_failed_derivative_is_named_with_its_point(tmp_path):
     # sqrt(x^2) has a finite value and no finite slope at x = 0
-    metric = parse_metric_text(metric_text(g11="1 + 0.1*sqrt(x^2)"), "kinked")
+    path = tmp_path / "kinked.metric"
+    path.write_text(metric_text(g11="1 + 0.1*sqrt(x^2)"))
+    metric = load_metric(str(path))
     pts = np.array([[0.1, 0.3, 0.2, 0.3], [0.1, 0.0, 0.2, 0.3]])
     with pytest.raises(TapeEvalError) as info:
         CheckContext(metric, pts, CFG).get("ric")
