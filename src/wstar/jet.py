@@ -245,15 +245,15 @@ class Jet:
             yield part, g[part], gi, out, partials
 
     def curvature(self, points):
-        """Per block of points: (slice, g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}),
-        the last two by symmetry class (see :func:`by_symmetry`)."""
+        """Per block of points: (slice, g, g⁻¹, R_{ijkl}, ∇_m R_{ijkl}), the
+        last two by symmetry class (see :func:`by_symmetry`)."""
         n = self.geo.dim
         n_gam, classes = n * _PAIRS[n], _CLASSES[n]
         diff = np.arange(n_gam, n_gam + classes)
         for part, g, ginv, out, partials in self._blocks(points, self._riemann_tape, diff):
-            gam = out[:, _GAMMA_INDEX[n]]
             rc = out[:, n_gam:]
-            yield part, g, ginv, gam, rc, _nabla_classes(by_symmetry(rc), partials, gam)
+            nrc = _nabla_classes(by_symmetry(rc), partials, out[:, _GAMMA_INDEX[n]])
+            yield part, g, ginv, rc, nrc
 
     def ricci(self, points) -> tuple:
         """(R_{jk}, ∇_m R_{jk}) at the points, from the leaf tape of Ricci alone."""
@@ -399,7 +399,7 @@ def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
     the metric's 3-jet (:class:`Jet`); ∇R_{ijkl} lives for one block only."""
     n, count = geo.dim, np.shape(points)[0]
     vals = {name: np.empty((count,) + (n,) * slots) for name, slots in FIELDS.items()}
-    for part, g, ginv, _, rc, nrc in geo.jet.curvature(points):
+    for part, g, ginv, rc, nrc in geo.jet.curvature(points):
         for name, v in _block_fields(g, ginv, rc, nrc, cfg).items():
             vals[name][part] = v
     return vals
