@@ -14,7 +14,9 @@ values.  It reads every field from the metric's 3-jet
 (:func:`wstar.jet.curvature_fields`): R_{ijkl} and ∇R_{ijkl} come per block
 of points from the tapes of :class:`wstar.jet.Jet`, and Ricci, R, R^h_{jkl},
 W* in its three layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are
-linear maps of those, g and g^{ij}, so no symbolic curvature is built.  The
+linear maps of those, g and g^{ij}, so no symbolic curvature is built;
+W*^h_{jkl}, Weyl and ∇Weyl, which ``classify`` does not read, are formed
+only when a check asks for them.  The
 context also memoizes the check outcomes and the results derived from
 several fields (fluid decomposition, Ricci-recurrence fit).
 
@@ -83,9 +85,10 @@ class CheckOutcome:
 class CheckContext:
     """Shared evaluated-field cache for one (metric, points, config) run.
 
-    The first field asked for evaluates every field the checks read, from
-    the metric's 3-jet (:func:`wstar.jet.curvature_fields`); check outcomes and the
-    multi-field results (``fluid``, ``recurrence``) are computed on first use
+    The first field asked for evaluates the fields the checks read, from
+    the metric's 3-jet (:func:`wstar.jet.curvature_fields`), but for
+    W*^h_{jkl}, Weyl and ∇Weyl, which only some checks read and which are
+    formed when first asked for; check outcomes and the multi-field results (``fluid``, ``recurrence``) are computed on first use
     and kept for the run, so a check that reads another check's outcome, or
     a report that reads many, computes each at most once; so does a check
     that raises.

@@ -596,18 +596,6 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
     return out
 
 
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a_{ik} b_{jl...} at each point, with the slots in the order (i, j, k, l, ...)."""
-    a = a.reshape(a.shape[:2] + (1, a.shape[2], 1) + (1,) * (b.ndim - 3))
-    return a * b[:, None, :, None]
-
-
-def antisymmetrized(x: np.ndarray, pair: bool = True) -> np.ndarray:
-    """x_{ijkl} − x_{ijlk}, and with ``pair`` that minus itself with i and j swapped."""
-    y = x - np.swapaxes(x, 3, 4)
-    return y - np.swapaxes(y, 1, 2) if pair else y
-
-
 def covariant_values(x: np.ndarray, dx: np.ndarray, variance: str,
                      gam: np.ndarray) -> np.ndarray:
     """∇_m X at each point from X, its coordinate partials and Γ^h_{ij}.

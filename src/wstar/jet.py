@@ -5,7 +5,8 @@ a tape of the nonzero components of g, ∂g and ∂²g, whose tangent mode gives
 ∂³g, and small leaf tapes over those values and a numeric g^{ij} that give Γ
 and R_{ijkl} by symmetry class, with their partials; :func:`curvature_fields`
 forms every field the checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
-one block of points at a time.  This is truncated-Taylor (jet) evaluation
+one block of points at a time, W*^h_{jkl}, Weyl and ∇Weyl only when first
+read.  This is truncated-Taylor (jet) evaluation
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
 The module is loaded by :attr:`wstar.geometry.Geometry.jet` and
@@ -26,7 +27,7 @@ from .backend import _CHUNK
 from .exprlib import const, coord, differentiate, mul, neg
 from .geometry import Geometry, covariant_values, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
-from .tape import Tape
+from .tape import Tape, TapeEvalError, point_text
 
 __all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "weyl_classes"]
 
@@ -216,7 +217,7 @@ class Jet:
                 ginv[:, comp[:, None], comp] = np.linalg.inv(sub)
             except np.linalg.LinAlgError:
                 p = int(np.argmax(np.linalg.det(sub) == 0))
-                at = ", ".join(f"{c}={v:.6g}" for c, v in zip(self.geo.metric.coords, points[p]))
+                at = point_text(self.geo.metric.coords, points[p])
                 raise np.linalg.LinAlgError(
                     f"the metric is singular at {at} (point #{p})") from None
         return ginv
@@ -235,13 +236,20 @@ class Jet:
         for start in range(0, count, _CHUNK):
             part = slice(start, start + _CHUNK)
             block, gi = jet[part], ginv[part]
-            dginv = -(gi[:, None] @ block[:, self._dg] @ gi[:, None])  # [p, m, a, b]
+            with np.errstate(all="ignore"):  # a seed that is not finite fails its point
+                dginv = -(gi[:, None] @ block[:, self._dg] @ gi[:, None])  # [p, m, a, b]
             leaves = np.concatenate([block[:, self._d1], block[:, self._d2], gi[:, a, b]],
                                     axis=1)
             seeds = np.concatenate([block[:, self._d1_seeds], d3[part],
                                     dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
-            out, partials = tape.evaluate_tangents_checked(
-                leaves, diff, None, geo.metric.coords, seeds)
+            try:  # the lanes are the coordinates; the leaves are jet values
+                out, partials = tape.evaluate_tangents_checked(
+                    leaves, diff, None, geo.metric.coords, seeds)
+            except TapeEvalError as err:  # name the sample point
+                p = start + err.point_index
+                raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
+                                    None, err.coordinate,
+                                    at=point_text(geo.metric.coords, pts[p])) from None
             yield part, g[part], gi, out, partials
 
     def curvature(self, points):
@@ -366,9 +374,10 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` on one block of points.
+    """The fields of :data:`FIELDS` but those of :data:`_DEFERRED`, on one block
+    of points, and the symmetry classes ``rc`` and ``nrc`` they come from.
 
-    Each is a linear map of R_{ijkl}, g and g^{ij}, here given by the
+    Each field is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
     since ∇g = 0, each ∇ field is its field's map applied to the classes
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
@@ -381,24 +390,59 @@ def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
     grad = np.einsum("pjk,pjkm->pm", ginv, nric)
     r4 = np.swapaxes(r04, 3, 4)  # wstar's index order
     w04 = ws.wstar_values(r4, g, ric)
-    w13 = _raise_first(ginv, w04)
     return {
         "g": g, "ginv": ginv, "r13": r13, "r4": r4, "ric": ric, "R": scal,
-        "gradR": grad, "nric": nric, "w04": w04, "w13": w13,
-        "w02": np.einsum("phjkh->pjk", w13),
+        "gradR": grad, "nric": nric, "w04": w04,
+        "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
         "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),
-        "weyl": by_symmetry(weyl_classes(rc, g, ric, scal)),
-        "nweyl": by_symmetry(weyl_classes(nrc, g, nric, grad)),
         "t": energy_momentum_values(ric, scal, g, cfg),
         "nt": energy_momentum_values(nric, grad, g, cfg),
+        "rc": rc, "nrc": nrc,
     }
 
 
+def _weyl(r, g, ric, scal) -> np.ndarray:
+    """C_{ijkl}, or ∇_m C_{ijkl}, as :func:`weyl_classes` has it, every component."""
+    return by_symmetry(weyl_classes(r, g, ric, scal))
+
+
+# fields that only some checks read (classify reads none of them): each is
+# formed from the named held fields when first asked for
+_DEFERRED = {
+    "w13": (_raise_first, ("ginv", "w04")),
+    "weyl": (_weyl, ("rc", "g", "ric", "R")),
+    "nweyl": (_weyl, ("nrc", "g", "nric", "gradR")),
+}
+
+
+class _Fields(dict):
+    """Field values by name; a field of :data:`_DEFERRED` is formed on first
+    lookup, one block of ``_CHUNK`` points at a time."""
+
+    def __missing__(self, name: str) -> np.ndarray:
+        form, names = _DEFERRED[name]
+        args = [self[a] for a in names]
+        g = self["g"]
+        out = np.empty(g.shape[:1] + g.shape[-1:] * FIELDS[name])
+        for start in range(0, len(out), _CHUNK):
+            out[start:start + _CHUNK] = form(*(a[start:start + _CHUNK] for a in args))
+        self[name] = out
+        return out
+
+
 def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` at the points, formed block by block from
-    the metric's 3-jet (:class:`Jet`); ∇R_{ijkl} lives for one block only."""
+    """Every field of :data:`FIELDS` at the points, from the metric's 3-jet
+    (:class:`Jet`).
+
+    The fields are formed block by block, so ∇R_{ijkl} lives for one block
+    only; its symmetry classes and R_{ijkl}'s (``nrc``, ``rc``) are kept, and
+    W*^h_{jkl}, Weyl and ∇Weyl are formed from them and the other fields on
+    first lookup.
+    """
     n, count = geo.dim, np.shape(points)[0]
-    vals = {name: np.empty((count,) + (n,) * slots) for name, slots in FIELDS.items()}
+    shapes = {name: (n,) * slots for name, slots in FIELDS.items() if name not in _DEFERRED}
+    shapes.update(rc=(_CLASSES[n],), nrc=(_CLASSES[n], n))
+    vals = _Fields({name: np.empty((count,) + shape) for name, shape in shapes.items()})
     for part, g, ginv, rc, nrc in geo.jet.curvature(points):
         for name, v in _block_fields(g, ginv, rc, nrc, cfg).items():
             vals[name][part] = v

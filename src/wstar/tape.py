@@ -24,7 +24,7 @@ import numpy as np
 
 from .exprlib import Expr, _postorder, to_text
 
-__all__ = ["Tape", "compile_tape", "TapeEvalError"]
+__all__ = ["Tape", "compile_tape", "TapeEvalError", "point_text"]
 
 # opcode table
 OP_CONST = 0
@@ -61,6 +61,11 @@ _BINARY_OPS = {"add": OP_ADD, "sub": OP_SUB, "mul": OP_MUL, "div": OP_DIV}
 _BINARY_CODES = frozenset(_BINARY_OPS.values())
 
 
+def point_text(coords: Sequence[str], point) -> str:
+    """``t=0.1, x=0, ...``: a point's coordinate values, named."""
+    return ", ".join(f"{c}={v:.6g}" for c, v in zip(coords, point))
+
+
 class TapeEvalError(Exception):
     """Batch evaluation failed at a specific point and subexpression.
 
@@ -72,6 +77,7 @@ class TapeEvalError(Exception):
     def __init__(self, message: str, point_index: int, expr: Expr | None,
                  coordinate: str | None = None, label: str | None = None,
                  at: str | None = None):
+        self.message = message
         self.point_index = point_index
         self.expr = expr
         self.coordinate = coordinate  # set when a partial failed, not the value
@@ -180,7 +186,7 @@ class Tape:
             return
         p, first = int(bad[0]), int(err[bad[0]])
         k = -1 if lane is None else int(lane[p])
-        at = ", ".join(f"{c}={v:.6g}" for c, v in zip(coords, np.asarray(points)[p]))
+        at = point_text(coords, np.asarray(points)[p])
         # a failed partial is one of a differentiated output
         label = self._label_of(first, range(self.n_outputs) if k < 0 else diff)
         if k < 0:

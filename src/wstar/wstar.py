@@ -35,9 +35,7 @@ from .geometry import (
     Geometry,
     MetricSpec,
     TensorField,
-    antisymmetrized,
     is_zero,
-    outer,
     term_sum,
     workspace,
 )
@@ -147,8 +145,8 @@ def wstar_values(r4: np.ndarray, g: np.ndarray, ric: np.ndarray) -> np.ndarray:
     and ∇Ricci, with the derivative slot last, it is ∇_m W*_{ijkl}: ∇g = 0.
     """
     n = g.shape[-1]
-    # g_jk R_il − g_jl R_ik is g_ik R_jl − g_il R_jk with i and j swapped
-    return r4 - np.swapaxes(antisymmetrized(outer(g, ric), pair=False), 1, 2) / (n - 1)
+    gr = np.einsum("pjk,pil...->pijkl...", g, ric)  # g_jk R_il
+    return r4 - (gr - np.swapaxes(gr, 3, 4)) / (n - 1)
 
 
 def traceless_ricci(ric: np.ndarray, scal: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 
 from wstar import cli
 from wstar.catalog import catalog_metric
-from wstar.checks import CheckContext, recurrence_fit
+from wstar.checks import CheckContext, classification, pairings, recurrence_fit
 from wstar.geometry import workspace
 from wstar.jet import Jet, by_symmetry
 from wstar.matter import FieldEquationConfig
@@ -69,6 +69,18 @@ def test_a_failed_derivative_is_named_with_its_point(tmp_path):
         jet.tape.evaluate_checked(pts, {}, metric.coords)
 
 
+def test_a_failed_curvature_partial_is_named_with_its_sample_point():
+    # at x = 1e-110, ∂g^{11} = −2x / x^4 overflows while g, ∂g and ∂²g stay finite,
+    # so the leaf tape fails, in the second block of points
+    metric = parse_metric_text(metric_text(g11="x^2", g22="1 + x^2"), "steep")
+    pts = np.tile([0.1, 0.5, 0.2, 0.3], (70, 1))
+    pts[66, 1] = 1e-110
+    with pytest.raises(TapeEvalError) as info:
+        CheckContext(metric, pts, CFG).get("ric")
+    assert (info.value.point_index, info.value.coordinate) == (66, "x")
+    assert str(info.value).endswith("at t=0.1, x=1e-110, y=0.2, z=0.3 (point #66)")
+
+
 def test_a_singular_metric_is_an_evaluation_error():
     metric = parse_metric_text(metric_text(g11="x^2"), "degenerate")
     pts = np.array([[0.1, 0.5, 0.2, 0.3], [0.1, 0.0, 0.2, 0.3]])
@@ -113,3 +125,17 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
     assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
     assert np.array_equal(displaced[:, 1:], np.tile(ctx.points[:, 1:], (2, 1)))
     assert fit.applicable and fit.closedness_residual is not None
+
+
+def test_classify_forms_no_weyl_field():
+    metric = catalog_metric("schwarzschild")
+    ctx = CheckContext(metric, cli.sample_for(workspace(metric), 8, 42), CFG)
+    classification(ctx)
+    pairings(ctx)
+    deferred = {"w13", "weyl", "nweyl"}
+    assert not deferred & set(ctx._vals)
+    w13 = np.einsum("phi,pijkl->phjkl", ctx.get("ginv"), ctx.get("w04"))
+    assert np.allclose(ctx.get("w13"), w13, rtol=1e-14, atol=0)
+    assert ctx.get("weyl").shape == ctx.get("r13").shape
+    assert ctx.get("nweyl").shape == ctx.get("r13").shape + (4,)
+    assert deferred <= set(ctx._vals)
