@@ -1,13 +1,21 @@
 #!/usr/bin/env python3
-"""Time the tape kernel's tangent mode on the W* tape of each catalog metric.
+"""Time the tape kernel's tangent mode on the tapes ``check`` and ``classify`` run.
 
-Each workload compiles one tape for the (0,4) modified curvature and the
-Christoffel symbols, the inputs of its covariant derivative as the commands
-form it, and times ``wstar.backend.run_tangents`` (values of every output,
-coordinate partials of the W* components) at ``--points`` and at 32 points.
-The table also gives the tape's instruction count and the size of its level
-schedule: the number of instruction groups (one value ufunc call and one
-chain rule each per chunk of points) and the number of depth levels.
+Those commands take every curvature field from the metric's 3-jet
+(:class:`wstar.jet.Jet`), and two tapes do their kernel work:
+
+- ``jet``: the tape of g, ∂g and ∂²g over the coordinates, run once over
+  every point with the partials of the ∂²g outputs (∂³g);
+- ``leaf``: the leaf tape of Γ and R_{ijkl} by symmetry class, whose inputs
+  are jet values and g^{ij}, run once per 64-point block with each input's
+  partials seeded from the jet.
+
+Each workload records the kernel calls one curvature pass makes (points,
+differentiated outputs, seeds) and times them again, at 32 points and at
+``--points``.  The table also gives each tape's instruction count and the
+size of its level schedule: the number of instruction groups (one value
+ufunc call and one chain rule each per chunk of points) and the number of
+depth levels.
 
 Usage::
 
@@ -22,28 +30,37 @@ import time
 import numpy as np
 
 from wstar import backend
-from wstar import wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.cli import sample_for
 from wstar.geometry import workspace
-from wstar.tape import compile_tape
+from wstar.tape import Tape
 
 
-def workload(name: str):
-    m = catalog_metric(name)
-    geo = workspace(m)
-    w04 = ws.wstar_tensor(m).wstar04
-    exprs = w04.expressions() + geo.christoffel.expressions()
-    tape = compile_tape(exprs, geo.dim, tuple(sorted(m.params)))
-    diff = tape.outputs[: len(w04.expressions())]  # partials of W* only
-    return m, geo, tape, diff
+def kernel_calls(jet, pts) -> dict:
+    """tape name -> (tape, the ``evaluate_tangents`` arguments of each kernel
+    call that one curvature pass at ``pts`` makes on it)."""
+    calls = {"jet": (jet.tape, []), "leaf": (jet._riemann_tape, [])}
+    for tape, seen in calls.values():
+        def record(points, diff, params, coords, seeds=None, tape=tape, seen=seen):
+            seen.append((points, diff, params, seeds))
+            return Tape.evaluate_tangents_checked(tape, points, diff, params, coords, seeds)
+
+        tape.evaluate_tangents_checked = record  # shadows the method on this tape only
+    try:
+        for _ in jet.curvature(pts):
+            pass
+    finally:
+        for tape, _ in calls.values():
+            del tape.evaluate_tangents_checked
+    return calls
 
 
-def best_of(tape, diff, pts, pvec, repeat: int) -> float:
+def best_of(tape, calls, repeat: int) -> float:
     timings = []
     for _ in range(repeat):
         start = time.perf_counter()
-        backend.run_tangents(tape.schedule, pts, pvec, tape.outputs, diff)
+        for args in calls:
+            tape.evaluate_tangents(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
 
@@ -60,24 +77,25 @@ def main() -> int:
     names = (args.metric,) if args.metric else CATALOG_NAMES
     wide = f"{args.points} pts"
     header = (
-        f"{'metric':<16} {'instructions':>12} {'groups':>7} {'depth':>6} "
+        f"{'metric':<16} {'tape':<5} {'instructions':>12} {'groups':>7} {'depth':>6} "
         f"{'32 pts':>10} {wide:>10}"
     )
     print(f"kernel = {backend.BACKEND} (tangent mode), repeat = {args.repeat} (best-of)")
     print(header)
     print("-" * len(header))
     for name in names:
-        m, geo, tape, diff = workload(name)
+        geo = workspace(catalog_metric(name))
         pts = np.ascontiguousarray(sample_for(geo, args.points, args.seed))
-        pvec = tape.param_vector(dict(m.params))
-        _, groups = tape.schedule
-        depth = int(backend.levels(tape.code, tape.a, tape.b).max(initial=-1)) + 1
-        t_narrow = best_of(tape, diff, pts[:32], pvec, args.repeat)
-        t_wide = best_of(tape, diff, pts, pvec, args.repeat)
-        print(
-            f"{name:<16} {tape.n_instructions:>12} {len(groups):>7} {depth:>6} "
-            f"{t_narrow * 1e3:>8.1f}ms {t_wide * 1e3:>8.1f}ms"
-        )
+        narrow, full = kernel_calls(geo.jet, pts[:32]), kernel_calls(geo.jet, pts)
+        for label, (tape, calls) in full.items():
+            _, groups = tape.schedule
+            depth = int(backend.levels(tape.code, tape.a, tape.b).max(initial=-1)) + 1
+            t_narrow = best_of(tape, narrow[label][1], args.repeat)
+            t_wide = best_of(tape, calls, args.repeat)
+            print(
+                f"{name:<16} {label:<5} {tape.n_instructions:>12} {len(groups):>7} {depth:>6} "
+                f"{t_narrow * 1e3:>8.1f}ms {t_wide * 1e3:>8.1f}ms"
+            )
     return 0
 
 

@@ -237,11 +237,10 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
     geo = workspace(metric)
     if tensor == "krupka":
         b = ws.wstar_tensor(metric)
-        w13 = geo.eval_field(b.wstar13, point[None, :])[0]
-        parts = ws.krupka_decompose(w13)
+        parts = ws.krupka_parts(geo.eval_field(b.wstar13, point[None, :]))
         lines = []
-        for label in ("B", "C", "D", "E"):
-            lines.extend(_render_values(getattr(parts, label), prefix=f"{label}"))
+        for label, values in zip("BCDE", parts):
+            lines.extend(_render_values(values[0], prefix=label))
         return "\n".join(lines)
     field = _field_for(tensor, metric, geo, cfg)
     values = geo.eval_field(field, point[None, :])[0]

@@ -23,8 +23,11 @@ one numpy tape kernel (see :mod:`wstar.tape` / :mod:`wstar.backend`).
 
 The ``check`` and ``classify`` commands build none of these fields: they
 take the curvature from the metric's 3-jet (``geo.jet``, see
-:mod:`wstar.jet`).  The symbolic fields stay as the ``compute`` command's
-route, as inputs of the vector-field fits, and as the tests' oracle.
+:mod:`wstar.jet`, which also holds the numeric covariant derivative).  The
+symbolic fields stay as the ``compute`` command's route, as inputs of the
+vector-field fits, and as the tests' oracle.  One function here acts on
+values: :func:`ricci_commutator`, the curvature action [∇_μ, ∇_ν] on a
+lower-index tensor, which the semi-symmetry checks read.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from .exprlib import (
     simplify,
     sub,
 )
-from .backend import _CHUNK
 from .tape import Tape, compile_tape
 
 __all__ = [
@@ -57,7 +59,6 @@ __all__ = [
     "PointTensor",
     "VectorFieldSpec",
     "Geometry",
-    "covariant_values",
     "workspace",
 ]
 
@@ -516,10 +517,8 @@ class Geometry:
 
     # --- numeric evaluation ---------------------------------------------------
 
-    def _compile(self, exprs, labels=None, leaves: int | None = None) -> Tape:
-        """A tape over the coordinates and parameters, or over ``leaves`` inputs."""
-        if leaves is not None:
-            return compile_tape(exprs, leaves)
+    def _compile(self, exprs, labels=None) -> Tape:
+        """A tape over the coordinates and parameters."""
         return compile_tape(exprs, self.dim, tuple(sorted(self.metric.params)), labels)
 
     @property
@@ -574,7 +573,7 @@ def _relabel(t: TensorField, label: str) -> TensorField:
     return TensorField(t.variance, t.comps, label)
 
 
-# --- numeric helpers shared by wstar/relativity ------------------------------
+# --- the curvature action on values ---------------------------------------
 
 
 def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) -> np.ndarray:
@@ -586,7 +585,6 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
     if set(variance) != {"l"} and variance != "":
         raise ValueError("curvature commutator implemented for lower-index tensors")
     rank = len(variance)
-    p = t_vals.shape[0]
     n = r13_vals.shape[1]
     out = np.zeros(t_vals.shape + (n, n))
     for slot in range(rank):
@@ -594,29 +592,6 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
         term = np.einsum("p...s,psimn->p...imn", moved, r13_vals)
         out -= np.moveaxis(term, -3, 1 + slot)
     return out
-
-
-def covariant_values(x: np.ndarray, dx: np.ndarray, variance: str,
-                     gam: np.ndarray) -> np.ndarray:
-    """∇_m X at each point from X, its coordinate partials and Γ^h_{ij}.
-
-    ``x`` has shape (P, n, ..., n) with lower slots only, ``dx`` appends the
-    derivative slot m and is overwritten with the result, and ``gam`` is
-    (P, n, n, n).  Per slot, Σ_s Γ^s_{i m} X_{… s …} is subtracted as one
-    batched matrix product over a block of ``_CHUNK`` points; the blocks keep
-    the temporaries small.
-    """
-    if set(variance) - {"l"}:
-        raise ValueError("numeric covariant derivative implemented for lower-index tensors")
-    count, n = gam.shape[:2]
-    for start in range(0, count, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        gam_part = np.ascontiguousarray(gam[part]).reshape(-1, n, n * n)  # [s, (i, m)]
-        for slot in range(len(variance)):
-            moved = np.ascontiguousarray(np.moveaxis(x[part], 1 + slot, -1))
-            term = moved.reshape(moved.shape[0], -1, n) @ gam_part
-            dx[part] -= np.moveaxis(term.reshape(moved.shape[:-1] + (n, n)), -2, 1 + slot)
-    return dx
 
 
 def workspace(metric: MetricSpec) -> Geometry:

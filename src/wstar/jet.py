@@ -6,7 +6,7 @@ a tape of the nonzero components of g, ∂g and ∂²g, whose tangent mode gives
 and R_{ijkl} by symmetry class, with their partials; :func:`curvature_fields`
 forms every field the checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
 one block of points at a time, W*^h_{jkl}, Weyl and ∇Weyl only when first
-read.  This is truncated-Taylor (jet) evaluation
+read.  R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes.  This is truncated-Taylor (jet) evaluation
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
 The module is loaded by :attr:`wstar.geometry.Geometry.jet` and
@@ -22,10 +22,10 @@ from itertools import product
 
 import numpy as np
 
-from . import wstar as ws
+from . import geometry, wstar as ws
 from .backend import _CHUNK
 from .exprlib import const, coord, differentiate, mul, neg
-from .geometry import Geometry, covariant_values, is_zero, term_sum
+from .geometry import Geometry, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
@@ -63,7 +63,8 @@ class Jet:
     follows from its partials and Γ, per symmetry class.  Everything past
     the jet tape is formed one block of ``_CHUNK`` points at a time.  A
     second leaf tape, of Γ and Ricci alone, serves the values and covariant
-    derivative of Ricci where nothing else is needed.
+    derivative of Ricci where nothing else is needed (the recurrence fit's
+    displaced points); both take ∇ with :func:`_nabla_components`.
     """
 
     def __init__(self, geo: Geometry):
@@ -179,7 +180,7 @@ class Jet:
 
         def build():
             gams, curv, _, _ = self._leaf_curvature
-            return self.geo._compile(gams + curv, leaves=self._n_leaves)
+            return geometry.compile_tape(gams + curv, self._n_leaves)
 
         return self.geo.cached("jet_riemann_tape", build)
 
@@ -194,7 +195,7 @@ class Jet:
                             for h in range(n) for i in range(n)
                             if not (is_zero(gi(h, i)) or is_zero(riem(i, j, h, k))))
                    for j in range(n) for k in range(j, n)]
-            return self.geo._compile(gams + ric, leaves=self._n_leaves)
+            return geometry.compile_tape(gams + ric, self._n_leaves)
 
         return self.geo.cached("jet_ricci_tape", build)
 
@@ -222,11 +223,14 @@ class Jet:
                     f"the metric is singular at {at} (point #{p})") from None
         return ginv
 
-    def _blocks(self, points, tape: Tape, diff):
-        """Run a leaf tape per block: yields (slice, g, g⁻¹, values, partials)."""
+    def _blocks(self, points, tape: Tape):
+        """Run a leaf tape per block: yields (slice, g, g⁻¹, Γ^h_{ij}, the
+        outputs after Γ, their partials)."""
         geo = self.geo
         pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
         count, n = pts.shape
+        n_gam = n * _PAIRS[n]
+        diff = np.arange(n_gam, tape.n_outputs)
         vals, d3 = self.tape.evaluate_tangents_checked(
             pts, self._d2, dict(geo.metric.params), geo.metric.coords)
         jet = np.concatenate([vals, np.zeros((count, 1))], axis=1)
@@ -250,31 +254,23 @@ class Jet:
                 raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
                                     None, err.coordinate,
                                     at=point_text(geo.metric.coords, pts[p])) from None
-            yield part, g[part], gi, out, partials
+            yield part, g[part], gi, out[:, _GAMMA_INDEX[n]], out[:, n_gam:], partials
 
     def curvature(self, points):
         """Per block of points: (slice, g, g⁻¹, R_{ijkl}, ∇_m R_{ijkl}), the
         last two by symmetry class (see :func:`by_symmetry`)."""
-        n = self.geo.dim
-        n_gam, classes = n * _PAIRS[n], _CLASSES[n]
-        diff = np.arange(n_gam, n_gam + classes)
-        for part, g, ginv, out, partials in self._blocks(points, self._riemann_tape, diff):
-            rc = out[:, n_gam:]
-            nrc = _nabla_classes(by_symmetry(rc), partials, out[:, _GAMMA_INDEX[n]])
-            yield part, g, ginv, rc, nrc
+        index = _CLASS_INDEX[self.geo.dim]
+        for part, g, ginv, gam, rc, partials in self._blocks(points, self._riemann_tape):
+            yield part, g, ginv, rc, _nabla_components(by_symmetry(rc), partials, gam, index)
 
     def ricci(self, points) -> tuple:
         """(R_{jk}, ∇_m R_{jk}) at the points, from the leaf tape of Ricci alone."""
-        n = self.geo.dim
-        n_gam = n * _PAIRS[n]
-        count = len(points)
+        n, count = self.geo.dim, len(points)
         ric, nric = np.empty((count, n, n)), np.empty((count, n, n, n))
         sym = _PAIR_INDEX[n]
-        diff = np.arange(n_gam, n_gam + _PAIRS[n])
-        for part, _, _, out, partials in self._blocks(points, self._ricci_tape, diff):
-            gam = out[:, _GAMMA_INDEX[n]]
-            ric[part] = out[:, n_gam + sym]
-            nric[part] = covariant_values(ric[part], partials[:, sym], "ll", gam)
+        for part, _, _, gam, pairs, partials in self._blocks(points, self._ricci_tape):
+            ric[part] = pairs[:, sym]
+            nric[part] = _nabla_components(ric[part], partials, gam, _PAIR_IJ[n])[:, sym]
         return ric, nric
 
 
@@ -300,11 +296,15 @@ def _riemann_index(n: int) -> np.ndarray:
 
 def _pair_index(n: int) -> np.ndarray:
     """X_{ij} of a symmetric X -> its column among the (i, j) with i <= j."""
-    cols = {p: k for k, p in enumerate((i, j) for i in range(n) for j in range(i, n))}
-    return np.array([[cols[_sym(i, j)] for j in range(n)] for i in range(n)])
+    index = np.empty((n, n), dtype=np.int64)
+    i, j = _PAIR_IJ[n]
+    index[i, j] = index[j, i] = np.arange(i.size)
+    return index
 
 
 _PAIRS = {n: n * (n + 1) // 2 for n in range(1, 6)}
+# the (i, j) with i <= j in row order, as two index arrays
+_PAIR_IJ = {n: np.array(np.triu_indices(n)) for n in range(1, 6)}
 _PAIR_INDEX = {n: _pair_index(n) for n in range(1, 6)}
 # Γ^h_{ij} -> its column among the (h, i <= j)
 _GAMMA_INDEX = {n: _PAIRS[n] * np.arange(n)[:, None, None] + _PAIR_INDEX[n] for n in range(1, 6)}
@@ -345,25 +345,28 @@ def weyl_classes(r: np.ndarray, g: np.ndarray, ric: np.ndarray,
     return r - ric_part / (n - 2) + gg[tail] * scal[:, None] / ((n - 1) * (n - 2))
 
 
-def _nabla_classes(r04: np.ndarray, partials: np.ndarray, gam: np.ndarray) -> np.ndarray:
-    """∇_m R_{ijkl} of each symmetry class from R_{ijkl}, the classes' partials and Γ.
+def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
+                      index: np.ndarray) -> np.ndarray:
+    """∇_m X of some components of a lower-index X from X, their partials and Γ.
 
-    Per slot, Σ_s Γ^s_{m i} R_{… s …} is subtracted for the class
-    components only, as :func:`covariant_values` does for every component.
+    ``index`` holds one row of component indices per slot of X (column ``c``
+    is component ``c``), ``partials[p, c, m]`` is ∂_m of component ``c`` and
+    ``gam`` is Γ^h_{ij} at each point.  Per slot, Σ_s Γ^s_{m i} X_{… s …} is
+    subtracted for those components only.
     """
-    classes = _CLASS_INDEX[gam.shape[1]]
     out = partials.copy()
-    for slot in range(4):
-        rest = np.delete(classes, slot, axis=0)
-        x = np.moveaxis(r04, 1 + slot, -1)[:, rest[0], rest[1], rest[2]]  # [p, c, s]
-        out -= np.einsum("pcs,psmc->pcm", x, gam[:, :, :, classes[slot]])
+    for slot, own in enumerate(index):
+        rest = np.delete(index, slot, axis=0)
+        moved = np.moveaxis(x, 1 + slot, -1)[(slice(None), *rest)]  # [p, c, s]
+        out -= np.einsum("pcs,psmc->pcm", moved, gam[:, :, :, own])
     return out
 
 
 # the fields CheckContext serves -> their number of slots after the point axis;
-# every slot is lower except the first of r13 and w13, and a derivative slot is last
+# every slot is lower except the first of r13 and w13, and a derivative slot is last.
+# R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
 FIELDS = {
-    "g": 2, "ginv": 2, "r13": 4, "r4": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
+    "g": 2, "ginv": 2, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
     "w04": 4, "w13": 4, "w02": 2, "dw": 5, "weyl": 4, "nweyl": 5, "t": 2, "nt": 3,
 }
 
@@ -388,10 +391,9 @@ def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
     scal = np.einsum("pjk,pjk->p", ginv, ric)
     nric = np.einsum("phi,pijhlm->pjlm", ginv, nr04)
     grad = np.einsum("pjk,pjkm->pm", ginv, nric)
-    r4 = np.swapaxes(r04, 3, 4)  # wstar's index order
-    w04 = ws.wstar_values(r4, g, ric)
+    w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
     return {
-        "g": g, "ginv": ginv, "r13": r13, "r4": r4, "ric": ric, "R": scal,
+        "g": g, "ginv": ginv, "r13": r13, "ric": ric, "R": scal,
         "gradR": grad, "nric": nric, "w04": w04,
         "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
         "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),

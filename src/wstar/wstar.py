@@ -42,7 +42,6 @@ from .geometry import (
 
 __all__ = [
     "WStarBundle",
-    "KrupkaParts",
     "wstar_tensor",
     "wstar_values",
     "traceless_ricci",
@@ -57,7 +56,7 @@ __all__ = [
     "trace_combos",
     "krupka_oracle",
     "krupka_closed_forms",
-    "krupka_decompose",
+    "krupka_parts",
 ]
 
 
@@ -348,60 +347,18 @@ def trace_combos(w13_vals: np.ndarray):
     return c, d, e
 
 
-@dataclass(frozen=True)
-class KrupkaParts:
-    """Trace decomposition of the (1,3) tensor at one point.
+def krupka_parts(w13_vals: np.ndarray) -> tuple:
+    """(B, C, D, E, δC + δD + δE): the trace decomposition at every point.
 
-    ``C``, ``D``, ``E`` come from the exact linear solve and ``B`` is the
-    remainder built from them (traceless by construction of the solve);
-    ``combo_*`` are the circulated fixed-weight combinations reported for
-    comparison.
+    C, D, E come from :func:`krupka_oracle`, the δ-terms are
+    δ^i_k C_{lm} + δ^i_l D_{km} + δ^i_m E_{kl}, and B = W*^i_{klm} minus
+    them is traceless by construction of the solve.
     """
-
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    E: np.ndarray
-    combo_C: np.ndarray
-    combo_D: np.ndarray
-    combo_E: np.ndarray
-
-    def reconstruction(self) -> np.ndarray:
-        n = self.C.shape[0]
-        eye = np.eye(n)
-        return (
-            self.B
-            + np.einsum("ik,lm->iklm", eye, self.C)
-            + np.einsum("il,km->iklm", eye, self.D)
-            + np.einsum("im,kl->iklm", eye, self.E)
-        )
-
-    def trace_residual(self) -> float:
-        """Largest of the three traces of B (all must vanish)."""
-        return float(max(np.max(np.abs(t)) for t in traces(self.B[None])))
-
-
-def krupka_decompose(w13_point: np.ndarray) -> KrupkaParts:
-    """Decompose one point's (1,3) values into traceless part plus δ-terms."""
-    if w13_point.ndim != 4:
-        raise ValueError("expected a single point's (n, n, n, n) values")
-    vals = w13_point[None]
-    c, d, e = krupka_oracle(vals)
-    combo_c, combo_d, combo_e = trace_combos(vals)
-    n = w13_point.shape[0]
-    eye = np.eye(n)
-    b = (
-        w13_point
-        - np.einsum("ik,plm->piklm", eye, c)[0]
-        - np.einsum("il,pkm->piklm", eye, d)[0]
-        - np.einsum("im,pkl->piklm", eye, e)[0]
+    c, d, e = krupka_oracle(w13_vals)
+    eye = np.eye(w13_vals.shape[1])
+    deltas = (
+        np.einsum("ik,plm->piklm", eye, c)
+        + np.einsum("il,pkm->piklm", eye, d)
+        + np.einsum("im,pkl->piklm", eye, e)
     )
-    return KrupkaParts(
-        B=b,
-        C=c[0],
-        D=d[0],
-        E=e[0],
-        combo_C=combo_c[0],
-        combo_D=combo_d[0],
-        combo_E=combo_e[0],
-    )
+    return w13_vals - deltas, c, d, e, deltas

@@ -478,6 +478,30 @@ class TestMainEndToEnd:
         assert err.splitlines() == [
             f"error: metric 'dim{dim}' has dim {dim}; check and classify need dim 4"]
 
+    @pytest.mark.parametrize("text,at", [
+        ("coords = th, ph\ndomain th = 0.3 .. 2.8\ndomain ph = 0 .. 6\n"
+         "g[0][0] = 1\ng[1][1] = sin(th)^2\n", "th=1,ph=0.5"),
+        ("coords = t, x, y\ndomain t = 0.5 .. 2\ndomain x = -1 .. 1\ndomain y = -1 .. 1\n"
+         "g[0][0] = -1\ng[1][1] = t^2\ng[2][2] = t^2 + x^2\n", "t=1,x=0.2,y=0.3"),
+    ], ids=["sphere2", "dim3"])
+    def test_compute_accepts_a_metric_of_other_dim(self, text, at, tmp_path, capsys):
+        # compute evaluates the symbolic fields, which hold in any dim; only
+        # Weyl (dim >= 3) and the trace decomposition (dim 4) refuse
+        path = tmp_path / "metric.txt"
+        path.write_text(text)
+        dim = text.count("domain")
+        for tensor in ("metric", "christoffel", "riemann", "ricci", "scalar", "wstar",
+                       "energy_momentum", "weyl", "krupka"):
+            code = main(["compute", "--metric", str(path), "--tensor", tensor, "--at", at])
+            out, err = capsys.readouterr()
+            if tensor == "krupka" or (tensor == "weyl" and dim < 3):
+                assert (code, out) == (EXIT_USAGE, ""), tensor
+                want = "dim 4" if tensor == "krupka" else "conformal curvature needs dim >= 3"
+                assert want in err, (tensor, err)
+            else:
+                assert (code, err) == (EXIT_OK, ""), (tensor, err)
+                assert out.strip(), tensor
+
     def test_unknown_metric_is_usage_error(self, capsys):
         assert main(["check", "--metric", "nope"]) == EXIT_USAGE
         assert "neither a catalog name" in capsys.readouterr().err

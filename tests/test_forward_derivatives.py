@@ -8,7 +8,8 @@ bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
 ``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``, ``nabla_weyl``,
 ``nabla_energy_momentum``) are the oracle: on every catalog metric and on
 generated perturbations of Minkowski space each field ``CheckContext.get``
-serves agrees within 1e-10·(1 + max|X|).  The kernel tests pin the tangent
+serves, and R_{ijkl} from its symmetry classes ``rc``, agrees within
+1e-10·(1 + max|X|).  The kernel tests pin the tangent
 mode itself: its value lanes are bit-identical to value mode, unit seeds
 reproduce the unseeded partials bit for bit, every opcode's chain rule
 matches the symbolic derivative, and a partial that is not finite where its
@@ -26,7 +27,7 @@ from wstar.checks import CheckContext
 from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
-from wstar.jet import FIELDS
+from wstar.jet import FIELDS, by_symmetry
 from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
@@ -41,7 +42,6 @@ SYMBOLIC = {
     "g": lambda m, geo: geo.g,
     "ginv": lambda m, geo: geo.ginv,
     "r13": lambda m, geo: geo.riemann13,
-    "r4": lambda m, geo: ws.swapped_riemann(geo),
     "ric": lambda m, geo: geo.ricci,
     "R": lambda m, geo: geo.scalar_field,
     "w04": lambda m, geo: ws.wstar_tensor(m).wstar04,
@@ -65,9 +65,11 @@ def assert_routes_agree(metric, points):
     geo = workspace(metric)
     pts = sample_for(geo, points, 42)
     ctx = CheckContext(metric, pts, CFG)
-    symbolic = geo.eval_fields({n: f(metric, geo) for n, f in SYMBOLIC.items()}, pts)
+    fields = {n: f(metric, geo) for n, f in SYMBOLIC.items()}
+    symbolic = geo.eval_fields({**fields, "rc": geo.riemann04}, pts)
     for name, want in symbolic.items():
-        got = ctx.get(name)
+        # R_{ijkl} is served by its symmetry classes
+        got = by_symmetry(ctx.get(name)) if name == "rc" else ctx.get(name)
         assert got.shape == want.shape, name
         gap = float(np.max(np.abs(got - want)))
         assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
@@ -116,9 +118,9 @@ def union_tape(name):
     """One tape of every symbolic field the checks read, with Γ."""
     metric = catalog_metric(name)
     geo = workspace(metric)
-    fields = [SYMBOLIC[n](metric, geo) for n in ("g", "ginv", "ric", "R", "r13", "r4",
+    fields = [SYMBOLIC[n](metric, geo) for n in ("g", "ginv", "ric", "R", "r13",
                                                    "w04", "w13", "w02", "t")]
-    return geo, geo._tape_for(fields + [geo.christoffel])
+    return geo, geo._tape_for(fields + [geo.riemann04, geo.christoffel])
 
 
 @pytest.mark.parametrize("metric", CATALOG_NAMES)

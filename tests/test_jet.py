@@ -6,20 +6,25 @@ g, ∂g and ∂²g, and leaf tapes over the jet values and a numeric g^{-1} give
 values (``test_forward_derivatives.py`` and ``test_sympy_oracle.py`` check
 those): which symbolic fields a command builds, how an evaluation error
 names the metric component and the point, the symmetries of the expanded
-curvature, and where the recurrence fit evaluates.
+curvature, and where the recurrence fit evaluates.  The recurrence fit's
+own Ricci leaf tape is compared here with the full curvature pass and the
+symbolic Ricci and ∇Ricci.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from wstar import cli
-from wstar.catalog import catalog_metric
+from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext, classification, pairings, recurrence_fit
 from wstar.geometry import workspace
 from wstar.jet import Jet, by_symmetry
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
 from wstar.tape import TapeEvalError
+
+from test_forward_derivatives import _perturbation, perturbed_minkowski
 
 CFG = FieldEquationConfig()
 
@@ -125,6 +130,31 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
     assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
     assert np.array_equal(displaced[:, 1:], np.tile(ctx.points[:, 1:], (2, 1)))
     assert fit.applicable and fit.closedness_residual is not None
+
+
+def assert_ricci_leaf_tape_agrees(metric, points):
+    # the recurrence fit's own route (Jet.ricci, the leaf tape of Ricci alone)
+    # against the full curvature pass and the symbolic fields
+    geo = workspace(metric)
+    pts = cli.sample_for(geo, points, 42)
+    ctx = CheckContext(metric, pts, CFG)
+    symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
+    for got, name in zip(geo.jet.ricci(pts), ("ric", "nric")):
+        for want in (ctx.get(name), symbolic[name]):
+            assert got.shape == want.shape, name
+            gap = float(np.max(np.abs(got - want)))
+            assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_ricci_leaf_tape_matches_the_other_routes_on_the_catalog(name):
+    assert_ricci_leaf_tape_agrees(catalog_metric(name), 70)  # a full block and a tail
+
+
+@given(terms=_perturbation)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_ricci_leaf_tape_matches_the_other_routes_on_generated_metrics(terms):
+    assert_ricci_leaf_tape_agrees(parse_metric_text(perturbed_minkowski(terms), "generated"), 4)
 
 
 def test_classify_forms_no_weyl_field():

@@ -422,11 +422,16 @@ class TestKrupka:
         b = bundle(name)
         pts = sample(name, 4)
         vals = geo.eval_field(b.wstar13, pts)
+        b_part, c, d, e, deltas = W.krupka_parts(vals)
+        eye = np.eye(4)
+        # the δ-terms are δ^i_k C_lm + δ^i_l D_km + δ^i_m E_kl
+        assert np.array_equal(deltas, np.einsum("ik,plm->piklm", eye, c)
+                              + np.einsum("il,pkm->piklm", eye, d)
+                              + np.einsum("im,pkl->piklm", eye, e))
         for k in range(vals.shape[0]):
-            parts = W.krupka_decompose(vals[k])
             scale = 1 + amax(vals[k])
-            assert amax(parts.reconstruction() - vals[k]) <= 1e-8 * scale
-            assert parts.trace_residual() <= 1e-8 * scale
+            assert amax(b_part[k] + deltas[k] - vals[k]) <= 1e-8 * scale
+            assert max(amax(t) for t in W.traces(b_part[k : k + 1])) <= 1e-8 * scale
 
     @pytest.mark.parametrize(
         "name",
@@ -457,12 +462,13 @@ class TestKrupka:
     def test_circulated_combos_match_oracle(self, name):
         geo = geo_for(name)
         b = bundle(name)
-        vals = geo.eval_field(b.wstar13, sample(name, 6))
-        parts = W.krupka_decompose(vals[0])
-        scale = 1 + amax(vals[0])
-        assert amax(parts.combo_C - parts.C) <= 1e-8 * scale
-        assert amax(parts.combo_D - parts.D) <= 1e-8 * scale
-        assert amax(parts.combo_E - parts.E) <= 1e-8 * scale
+        vals = geo.eval_field(b.wstar13, sample(name, 6))[:1]
+        _, c, d, e, _ = W.krupka_parts(vals)
+        combo_c, combo_d, combo_e = W.trace_combos(vals)
+        scale = 1 + amax(vals)
+        assert amax(combo_c - c) <= 1e-8 * scale
+        assert amax(combo_d - d) <= 1e-8 * scale
+        assert amax(combo_e - e) <= 1e-8 * scale
 
     @pytest.mark.parametrize(
         "name",
@@ -505,10 +511,6 @@ class TestKrupka:
         scale = 1 + amax(rho)
         assert amax(d - rho / 9.0) <= 1e-8 * scale
         assert amax(e + rho / 9.0) <= 1e-8 * scale
-
-    def test_decompose_input_validation(self):
-        with pytest.raises(ValueError, match="single point"):
-            W.krupka_decompose(np.zeros((2, 4, 4, 4, 4)))
 
     def test_oracle_requires_dim_4(self):
         with pytest.raises(ValueError, match="dim 4"):
