@@ -30,9 +30,11 @@ pairings) runs only those.  The ``classify`` flags and pairings are views:
 Residuals built from a curvature commutator or from the cyclic sum have more
 slots than their inputs (six for [nabla, nabla] W*), so they are built and
 reduced one block of ``_BLOCK`` points at a time and never exist for the
-whole sample; so are the Krupka decomposition's residuals, and every max |.|
-of a field (``_ptmax``, ``CheckContext.amax``).  The fluid decomposition is one batched eigen-decomposition of
-every point's T, not a loop over points.
+whole sample.  So are the Krupka decomposition's residuals, and the max |.|
+of a held field (``CheckContext.amax``, ∇W* in ``wstar_parallel``), whose
+|.| would be a whole-sample temporary (8 MiB for ∇W* at 1024 points).  The
+fluid decomposition is one batched eigen-decomposition of every point's T,
+not a loop over points.
 
 The semi-symmetry commutators R(X, Y)·X of W*, Ricci and T pick their route
 from the sample's supports: the products x * R^s_{imn} whose two factors are
@@ -118,7 +120,7 @@ class CheckContext:
     def amax(self, name: str) -> float:
         """max |field| over every point and component, computed once per name."""
         if name not in self._amax:
-            self._amax[name] = float(np.max(_ptmax(self.get(name))))
+            self._amax[name] = float(np.max(_blocked_ptmax(lambda a: a, self.get(name))))
         return self._amax[name]
 
     def tol(self, scale: float) -> float:
@@ -166,11 +168,8 @@ class CheckContext:
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
-    """Collapse all but the leading (point) axis with max |.|, taking |a| one
-    block of ``_BLOCK`` points at a time (a max is exact: the bits stay)."""
-    flat = a.reshape(a.shape[0], -1)
-    return np.concatenate([np.max(np.abs(flat[s:s + _BLOCK]), axis=1)
-                           for s in range(0, flat.shape[0], _BLOCK)])
+    """Collapse all but the leading (point) axis with max |.|."""
+    return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
 
 
 def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
@@ -468,7 +467,7 @@ def _check_wstar_divergence_free(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_wstar_parallel(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.get("dw")), ctx.amax("w04"))
+    return ctx.outcome(_blocked_ptmax(lambda dw: dw, ctx.get("dw")), ctx.amax("w04"))
 
 
 def _check_wstar_semisymmetric(ctx: CheckContext) -> CheckOutcome:
