@@ -6,8 +6,9 @@ a tape of the nonzero components of g, ∂g and ∂²g, whose tangent mode gives
 and R_{ijkl} by symmetry class, with their partials; :func:`curvature_fields`
 forms every field the checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
 one block of points at a time, W*^h_{jkl}, Weyl and ∇Weyl only when first
-read.  R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes.  This is truncated-Taylor (jet) evaluation
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+read.  R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes.
+This is truncated-Taylor (jet) evaluation (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
 The module is loaded by :attr:`wstar.geometry.Geometry.jet` and
 :meth:`wstar.checks.CheckContext.get` when first needed, so a process that

@@ -9,11 +9,11 @@ bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
 ``nabla_energy_momentum``) are the oracle: on every catalog metric and on
 generated perturbations of Minkowski space each field ``CheckContext.get``
 serves, and R_{ijkl} from its symmetry classes ``rc``, agrees within
-1e-10·(1 + max|X|).  The kernel tests pin the tangent
-mode itself: its value lanes are bit-identical to value mode, unit seeds
-reproduce the unseeded partials bit for bit, every opcode's chain rule
-matches the symbolic derivative, and a partial that is not finite where its
-value is (``sqrt`` at 0) fails its point with the coordinate named.
+1e-10·(1 + max|X|).  The kernel tests pin the tangent mode itself: its value
+lanes are bit-identical to value mode, unit seeds reproduce the unseeded
+partials bit for bit, every opcode's chain rule matches the symbolic
+derivative, and a partial that is not finite where its value is (``sqrt`` at
+0) fails its point with the coordinate named.
 """
 
 import numpy as np
