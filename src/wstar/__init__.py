@@ -1,15 +1,16 @@
 """Symbolic-numeric tensor calculus for W*-curvature analysis of 4D space-times.
 
-The package builds every curvature object of a user-supplied metric
-symbolically (exact rational coefficients, automatic differentiation),
-evaluates them on deterministic point samples through a compiled expression
-tape, and checks identities, space-time properties, and theorem-consistency
+The package differentiates a user-supplied metric symbolically (exact
+rational coefficients) up to its 3-jet, forms every curvature object from
+that jet at deterministic sample points through compiled expression tapes,
+and checks identities, space-time properties, and theorem-consistency
 pairings against independent numerical oracles.
 
 Entry points:
 
 * :mod:`wstar.exprlib` - scalar expression algebra (parse, differentiate).
 * :mod:`wstar.geometry` - metric -> connection -> curvature pipeline.
+* :mod:`wstar.jet` - the curvature from the metric's 3-jet, for every command.
 * :mod:`wstar.wstar` - the modified curvature tensor and its identities.
 * :mod:`wstar.matter` - field equations and perfect-fluid algebra.
 * :mod:`wstar.checks` - the check registry over one evaluated-field context.

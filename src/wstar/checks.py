@@ -62,6 +62,7 @@ import numpy as np
 
 from .backend import _CHUNK
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
+from .jet import curvature_fields
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
@@ -112,8 +113,6 @@ class CheckContext:
     def get(self, name: str) -> np.ndarray:
         """The values of field ``name`` (a key of :data:`wstar.jet.FIELDS`), points first."""
         if not self._vals:
-            from .jet import curvature_fields  # loaded by the commands that check
-
             self._vals = curvature_fields(self.geo, self.points, self.cfg)
         return self._vals[name]
 
@@ -364,20 +363,19 @@ def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
     return ctx.outcome(res, 1.0 + ctx.amax("w13"))
 
 
-def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
-    w13 = ctx.get("w13")
+def _printed_form_gaps(w13, ric, scal, g) -> np.ndarray:
+    """Per point: the gaps of the circulated trace combinations and of the
+    ±1/9 Ricci forms to the solved C, D, E, one column each."""
     c, d, e = ws.krupka_oracle(w13)
     combo_c, combo_d, combo_e = ws.trace_combos(w13)
-    rho = _traceless_ricci(ctx)
-    res = np.stack(
-        [
-            _ptmax(combo_c - c),
-            _ptmax(combo_d - d),
-            _ptmax(combo_e - e),
-            _ptmax(d - rho / 9.0),
-            _ptmax(e + rho / 9.0),
-        ]
-    ).max(axis=0)
+    rho = ws.traceless_ricci(ric, scal, g)
+    gaps = [combo_c - c, combo_d - d, combo_e - e, d - rho / 9.0, e + rho / 9.0]
+    return np.stack([_ptmax(gap) for gap in gaps], axis=1)
+
+
+def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
+    res = _blocked_ptmax(_printed_form_gaps, ctx.get("w13"), ctx.get("ric"), ctx.get("R"),
+                         ctx.get("g"))
     out = ctx.outcome(res, 1.0 + ctx.amax("w13"))
     if out.status == "fail":
         out.reason = (

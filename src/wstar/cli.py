@@ -31,7 +31,8 @@ import numpy as np
 from . import catalog, wstar as ws
 from .checks import CheckContext, CheckOutcome, REGISTRY, classification, holds, pairings
 from .geometry import Geometry, MetricSpec, workspace
-from .matter import FieldEquationConfig, energy_momentum
+from .jet import by_symmetry, curvature_fields
+from .matter import FieldEquationConfig
 from .metricfile import MetricFileError, load_metric as _load_metric_file
 from .report import (RunReport, classification_payload, render_classification_table,
                      render_json, render_table, stamp, to_json)
@@ -156,27 +157,13 @@ def run_checks(cfg: RunConfig) -> RunReport:
 
 # --- point evaluation ---------------------------------------------------------
 
-# --tensor name -> field getter (metric, geometry, field-equation config)
-_FIELDS = {
-    "metric": lambda m, geo, cfg: geo.g,
-    "inverse": lambda m, geo, cfg: geo.ginv,
-    "christoffel": lambda m, geo, cfg: geo.christoffel,
-    "riemann": lambda m, geo, cfg: geo.riemann04,
-    "ricci": lambda m, geo, cfg: geo.ricci,
-    "scalar": lambda m, geo, cfg: geo.scalar_field,
-    "weyl": lambda m, geo, cfg: geo.weyl,
-    "wstar": lambda m, geo, cfg: ws.wstar_tensor(m).wstar04,
-    "wstar_contraction": lambda m, geo, cfg: ws.wstar_tensor(m).wstar02,
-    "energy_momentum": lambda m, geo, cfg: energy_momentum(m, cfg),
+# --tensor name -> the field of jet.FIELDS it prints (riemann: by symmetry class)
+_TENSORS = {
+    "metric": "g", "inverse": "ginv", "christoffel": "gam", "riemann": "rc", "ricci": "ric",
+    "scalar": "R", "weyl": "weyl", "wstar": "w04", "wstar_contraction": "w02",
+    "energy_momentum": "t",
 }
-_TENSOR_NAMES = (*_FIELDS, "krupka")  # krupka is a decomposition, not a field
-
-
-def _field_for(name: str, metric: MetricSpec, geo: Geometry,
-               cfg: FieldEquationConfig):
-    if name not in _FIELDS:
-        raise UsageError(f"unknown tensor {name!r}; choose from {', '.join(_TENSOR_NAMES)}")
-    return _FIELDS[name](metric, geo, cfg)
+_TENSOR_NAMES = (*_TENSORS, "krupka")  # krupka is a decomposition, not a field
 
 
 def _entries(values: np.ndarray):
@@ -234,17 +221,23 @@ def parse_point(at: str, metric: MetricSpec) -> np.ndarray:
 
 def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
                cfg: FieldEquationConfig) -> str:
-    geo = workspace(metric)
+    """One tensor at one point, from the metric's 3-jet as ``check`` reads it."""
+    if tensor not in _TENSOR_NAMES:
+        raise UsageError(f"unknown tensor {tensor!r}; choose from {', '.join(_TENSOR_NAMES)}")
+    if tensor == "weyl" and metric.dim < 3:
+        raise UsageError("conformal curvature needs dim >= 3")
+    if tensor in ("wstar", "wstar_contraction", "krupka") and metric.dim < 2:
+        raise UsageError("the curvature modification needs dim >= 2")
+    fields = curvature_fields(workspace(metric), point[None, :], cfg)
     if tensor == "krupka":
-        b = ws.wstar_tensor(metric)
-        parts = ws.krupka_parts(geo.eval_field(b.wstar13, point[None, :]))
         lines = []
-        for label, values in zip("BCDE", parts):
+        for label, values in zip("BCDE", ws.krupka_parts(fields["w13"])):
             lines.extend(_render_values(values[0], prefix=label))
         return "\n".join(lines)
-    field = _field_for(tensor, metric, geo, cfg)
-    values = geo.eval_field(field, point[None, :])[0]
-    return "\n".join(_render_values(np.asarray(values)))
+    values = fields[_TENSORS[tensor]]
+    if tensor == "riemann":
+        values = by_symmetry(values)
+    return "\n".join(_render_values(values[0]))
 
 
 # --- classify -----------------------------------------------------------------

@@ -21,13 +21,13 @@ expressions are simplified as they are built, and :meth:`Geometry.eval_fields`
 evaluates symbolic fields at sample points through compiled tapes and the
 one numpy tape kernel (see :mod:`wstar.tape` / :mod:`wstar.backend`).
 
-The ``check`` and ``classify`` commands build none of these fields: they
+No command builds these fields: ``check``, ``classify`` and ``compute``
 take the curvature from the metric's 3-jet (``geo.jet``, see
 :mod:`wstar.jet`, which also holds the numeric covariant derivative).  The
-symbolic fields stay as the ``compute`` command's route, as inputs of the
-vector-field fits, and as the tests' oracle.  One function here acts on
-values: :func:`ricci_commutator`, the curvature action [∇_μ, ∇_ν] on a
-lower-index tensor, which the semi-symmetry checks read.
+symbolic fields stay as inputs of the vector-field fits and as the tests'
+oracle.  One function here acts on values: :func:`ricci_commutator`, the
+curvature action [∇_μ, ∇_ν] on a lower-index tensor, which the
+semi-symmetry checks read.
 """
 
 from __future__ import annotations
@@ -167,10 +167,11 @@ class PointTensor:
 
 
 def _determinant(mat) -> Expr:
-    """Laplace expansion along the first row (symbolic, n ≤ 5)."""
+    """Laplace expansion along the first row (symbolic, n ≤ 5); the empty
+    matrix, the minor of a 1×1 matrix's entry, has determinant 1."""
     n = len(mat)
-    if n == 1:
-        return mat[0][0]
+    if n == 0:
+        return const(1)
     terms = []
     for j in range(n):
         entry = mat[0][j]
@@ -407,10 +408,6 @@ class Geometry:
     @property
     def nabla_ricci(self) -> TensorField:
         return self.cached("nabla_ricci", lambda: self.covariant_derivative(self.ricci))
-
-    @property
-    def nabla_weyl(self) -> TensorField:
-        return self.cached("nabla_weyl", lambda: self.covariant_derivative(self.weyl))
 
     # --- index algebra (symbolic) -------------------------------------------
 

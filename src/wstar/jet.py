@@ -1,24 +1,25 @@
 """Curvature at sample points from the metric's 3-jet.
 
-``check`` and ``classify`` build no symbolic curvature.  :class:`Jet` holds
-a tape of the nonzero components of g, ∂g and ∂²g, whose tangent mode gives
-∂³g, and small leaf tapes over those values and a numeric g^{ij} that give Γ
-and R_{ijkl} by symmetry class, with their partials; :func:`curvature_fields`
-forms every field the checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
-one block of points at a time, W*^h_{jkl}, Weyl and ∇Weyl only when first
-read.  R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes.
-This is truncated-Taylor (jet) evaluation (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+Every command reads its curvature here and builds no symbolic curvature:
+``check`` and ``classify`` at their sample points, ``compute`` at its one
+point.  :class:`Jet` holds a tape of the nonzero components of g, ∂g and
+∂²g, whose tangent mode gives ∂³g, and small leaf tapes over those values
+and a numeric g^{ij} that give Γ and R_{ijkl} by symmetry class, with their
+partials; :func:`curvature_fields` forms Γ and every field the checks read
+from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}, one block of points at a time,
+W*^h_{jkl}, Weyl and ∇Weyl only when first read.  R_{ijkl} and ∇R_{ijkl}
+are held only as their symmetry classes.  This is truncated-Taylor (jet)
+evaluation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
+2008, ch. 13).
 
-The module is loaded by :attr:`wstar.geometry.Geometry.jet` and
-:meth:`wstar.checks.CheckContext.get` when first needed, so a process that
-only evaluates symbolic fields (``compute``) does not load it.
+A point is evaluated when g is non-singular there and its 3-jet is finite;
+anywhere else :class:`Jet` raises an error that names the point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -167,7 +168,7 @@ class Jet:
         curv = [riemann(*c) for c in _riemann_classes(n)]
 
         def lookup(i, j, k, l):
-            src, count = _RIEMANN_INDEX[n][i, j, k, l], len(curv)
+            src, count = _riemann_index(n)[i, j, k, l], len(curv)
             if src == 2 * count:
                 return _ZERO
             return curv[src] if src < count else neg(curv[src - count])
@@ -230,7 +231,7 @@ class Jet:
         geo = self.geo
         pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
         count, n = pts.shape
-        n_gam = n * _PAIRS[n]
+        n_gam = n * _pair_ij(n).shape[1]
         diff = np.arange(n_gam, tape.n_outputs)
         vals, d3 = self.tape.evaluate_tangents_checked(
             pts, self._d2, dict(geo.metric.params), geo.metric.coords)
@@ -255,23 +256,24 @@ class Jet:
                 raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
                                     None, err.coordinate,
                                     at=point_text(geo.metric.coords, pts[p])) from None
-            yield part, g[part], gi, out[:, _GAMMA_INDEX[n]], out[:, n_gam:], partials
+            yield part, g[part], gi, out[:, _gamma_index(n)], out[:, n_gam:], partials
 
     def curvature(self, points):
-        """Per block of points: (slice, g, g⁻¹, R_{ijkl}, ∇_m R_{ijkl}), the
-        last two by symmetry class (see :func:`by_symmetry`)."""
-        index = _CLASS_INDEX[self.geo.dim]
+        """Per block of points: (slice, g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}),
+        the last two by symmetry class (see :func:`by_symmetry`)."""
+        index = _class_index(self.geo.dim)
         for part, g, ginv, gam, rc, partials in self._blocks(points, self._riemann_tape):
-            yield part, g, ginv, rc, _nabla_components(by_symmetry(rc), partials, gam, index)
+            yield (part, g, ginv, gam, rc,
+                   _nabla_components(by_symmetry(rc), partials, gam, index))
 
     def ricci(self, points) -> tuple:
         """(R_{jk}, ∇_m R_{jk}) at the points, from the leaf tape of Ricci alone."""
         n, count = self.geo.dim, len(points)
         ric, nric = np.empty((count, n, n)), np.empty((count, n, n, n))
-        sym = _PAIR_INDEX[n]
+        sym = _pair_index(n)
         for part, _, _, gam, pairs, partials in self._blocks(points, self._ricci_tape):
             ric[part] = pairs[:, sym]
-            nric[part] = _nabla_components(ric[part], partials, gam, _PAIR_IJ[n])[:, sym]
+            nric[part] = _nabla_components(ric[part], partials, gam, _pair_ij(n))[:, sym]
         return ric, nric
 
 
@@ -281,6 +283,7 @@ def _riemann_classes(n: int) -> list:
     return [p + q for a, p in enumerate(pairs) for q in pairs[a:]]
 
 
+@cache
 def _riemann_index(n: int) -> np.ndarray:
     """R_{ijkl} -> its column in [classes, −classes, 0] (see :func:`by_symmetry`)."""
     classes = {c: k for k, c in enumerate(_riemann_classes(n))}
@@ -295,25 +298,31 @@ def _riemann_index(n: int) -> np.ndarray:
     return index
 
 
+@cache
+def _pair_ij(n: int) -> np.ndarray:
+    """The (i, j) with i <= j in row order, as two index arrays."""
+    return np.array(np.triu_indices(n))
+
+
+@cache
 def _pair_index(n: int) -> np.ndarray:
     """X_{ij} of a symmetric X -> its column among the (i, j) with i <= j."""
     index = np.empty((n, n), dtype=np.int64)
-    i, j = _PAIR_IJ[n]
+    i, j = _pair_ij(n)
     index[i, j] = index[j, i] = np.arange(i.size)
     return index
 
 
-_PAIRS = {n: n * (n + 1) // 2 for n in range(1, 6)}
-# the (i, j) with i <= j in row order, as two index arrays
-_PAIR_IJ = {n: np.array(np.triu_indices(n)) for n in range(1, 6)}
-_PAIR_INDEX = {n: _pair_index(n) for n in range(1, 6)}
-# Γ^h_{ij} -> its column among the (h, i <= j)
-_GAMMA_INDEX = {n: _PAIRS[n] * np.arange(n)[:, None, None] + _PAIR_INDEX[n] for n in range(1, 6)}
-_RIEMANN_INDEX = {n: _riemann_index(n) for n in range(2, 6)}
-# the (i, j, k, l) of each symmetry class, as four index arrays
-_CLASS_INDEX = {n: np.array(_riemann_classes(n)).T for n in range(2, 6)}
-_CLASSES = {n: index.shape[1] for n, index in _CLASS_INDEX.items()}
-_DIM_OF_CLASSES = {count: n for n, count in _CLASSES.items()}
+@cache
+def _gamma_index(n: int) -> np.ndarray:
+    """Γ^h_{ij} -> its column among the (h, i <= j)."""
+    return _pair_ij(n).shape[1] * np.arange(n)[:, None, None] + _pair_index(n)
+
+
+@cache
+def _class_index(n: int) -> np.ndarray:
+    """The (i, j, k, l) of each symmetry class of R_{ijkl}, as four index arrays."""
+    return np.array(_riemann_classes(n), dtype=np.int64).reshape(-1, 4).T
 
 
 def by_symmetry(classes: np.ndarray) -> np.ndarray:
@@ -324,9 +333,12 @@ def by_symmetry(classes: np.ndarray) -> np.ndarray:
     swap of the two pairs.  Every other component is a copy, a negated copy
     or 0, so the symmetries hold exactly.
     """
-    n = _DIM_OF_CLASSES[classes.shape[1]]
-    full = np.concatenate([classes, -classes, np.zeros_like(classes[:, :1])], axis=1)
-    return full[:, _RIEMANN_INDEX[n]]
+    n = 1  # the dim whose R_{ijkl} has that many classes
+    while _class_index(n).shape[1] < classes.shape[1]:
+        n += 1
+    zero = np.zeros(classes.shape[:1] + (1,) + classes.shape[2:])
+    full = np.concatenate([classes, -classes, zero], axis=1)
+    return full[:, _riemann_index(n)]
 
 
 def weyl_classes(r: np.ndarray, g: np.ndarray, ric: np.ndarray,
@@ -338,7 +350,7 @@ def weyl_classes(r: np.ndarray, g: np.ndarray, ric: np.ndarray,
     slot last, it gives those of ∇_m C_{ijkl}: ∇g = 0.
     """
     n = g.shape[-1]
-    i, j, k, l = _CLASS_INDEX[n]
+    i, j, k, l = _class_index(n)
     tail = (slice(None), slice(None)) + (None,) * (ric.ndim - 3)
     ric_part = (g[:, i, k][tail] * ric[:, j, l] - g[:, i, l][tail] * ric[:, j, k]
                 + g[:, j, l][tail] * ric[:, i, k] - g[:, j, k][tail] * ric[:, i, l])
@@ -364,10 +376,11 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
 
 
 # the fields CheckContext serves -> their number of slots after the point axis;
-# every slot is lower except the first of r13 and w13, and a derivative slot is last.
+# every slot is lower except the first of gam (Γ^h_{ij}), r13 and w13, and a
+# derivative slot is last.
 # R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
 FIELDS = {
-    "g": 2, "ginv": 2, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
+    "g": 2, "ginv": 2, "gam": 3, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
     "w04": 4, "w13": 4, "w02": 2, "dw": 5, "weyl": 4, "nweyl": 5, "t": 2, "nt": 3,
 }
 
@@ -377,11 +390,11 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
 
 
-def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
+def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
     """The fields of :data:`FIELDS` but those of :data:`_DEFERRED`, on one block
     of points, and the symmetry classes ``rc`` and ``nrc`` they come from.
 
-    Each field is a linear map of R_{ijkl}, g and g^{ij}, here given by the
+    Each field but Γ is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
     since ∇g = 0, each ∇ field is its field's map applied to the classes
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
@@ -394,7 +407,7 @@ def _block_fields(g, ginv, rc, nrc, cfg: FieldEquationConfig) -> dict:
     grad = np.einsum("pjk,pjkm->pm", ginv, nric)
     w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
     return {
-        "g": g, "ginv": ginv, "r13": r13, "ric": ric, "R": scal,
+        "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric, "R": scal,
         "gradR": grad, "nric": nric, "w04": w04,
         "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
         "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),
@@ -444,9 +457,10 @@ def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
     """
     n, count = geo.dim, np.shape(points)[0]
     shapes = {name: (n,) * slots for name, slots in FIELDS.items() if name not in _DEFERRED}
-    shapes.update(rc=(_CLASSES[n],), nrc=(_CLASSES[n], n))
+    classes = _class_index(n).shape[1]
+    shapes.update(rc=(classes,), nrc=(classes, n))
     vals = _Fields({name: np.empty((count,) + shape) for name, shape in shapes.items()})
-    for part, g, ginv, rc, nrc in geo.jet.curvature(points):
-        for name, v in _block_fields(g, ginv, rc, nrc, cfg).items():
+    for part, *block in geo.jet.curvature(points):
+        for name, v in _block_fields(*block, cfg).items():
             vals[name][part] = v
     return vals

@@ -31,7 +31,6 @@ __all__ = [
     "decompose_fluids",
     "energy_momentum",
     "energy_momentum_values",
-    "nabla_energy_momentum",
     "perfect_fluid_decompose",
 ]
 
@@ -96,14 +95,6 @@ def energy_momentum_values(ric: np.ndarray, scal: np.ndarray, g: np.ndarray,
     if cfg.lam != 0.0 and t.ndim == 3:
         t = t + cfg.lam * g
     return t / cfg.k
-
-
-def nabla_energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
-    geo = workspace(m)
-    return geo.cached(
-        f"nabla_energy_momentum[k={cfg.k!r},lam={cfg.lam!r}]",
-        lambda: geo.covariant_derivative(energy_momentum(m, cfg)),
-    )
 
 
 # --- perfect fluids -----------------------------------------------------------

@@ -39,7 +39,6 @@ from .matter import (
     FluidError,
     _amax,
     energy_momentum,
-    nabla_energy_momentum,
     perfect_fluid_decompose,
 )
 
@@ -53,7 +52,6 @@ __all__ = [
     "InheritanceReport",
     "PairingResult",
     "energy_momentum",
-    "nabla_energy_momentum",
     "perfect_fluid_decompose",
     "is_einstein",
     "fluid_relation_checks",

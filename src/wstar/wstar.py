@@ -142,10 +142,11 @@ def wstar_values(r4: np.ndarray, g: np.ndarray, ric: np.ndarray) -> np.ndarray:
 
     ``r4`` is the curvature in this module's index order.  Given ∇R_{ijkl}
     and ∇Ricci, with the derivative slot last, it is ∇_m W*_{ijkl}: ∇g = 0.
+    In dim 1 the bracket is identically 0 (j = k = l) and is not divided.
     """
     n = g.shape[-1]
     gr = np.einsum("pjk,pil...->pijkl...", g, ric)  # g_jk R_il
-    return r4 - (gr - np.swapaxes(gr, 3, 4)) / (n - 1)
+    return r4 - (gr - np.swapaxes(gr, 3, 4)) / max(n - 1, 1)
 
 
 def traceless_ricci(ric: np.ndarray, scal: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -485,7 +485,7 @@ class TestMainEndToEnd:
          "g[0][0] = -1\ng[1][1] = t^2\ng[2][2] = t^2 + x^2\n", "t=1,x=0.2,y=0.3"),
     ], ids=["sphere2", "dim3"])
     def test_compute_accepts_a_metric_of_other_dim(self, text, at, tmp_path, capsys):
-        # compute evaluates the symbolic fields, which hold in any dim; only
+        # compute reads the 3-jet fields, which hold in any dim; only
         # Weyl (dim >= 3) and the trace decomposition (dim 4) refuse
         path = tmp_path / "metric.txt"
         path.write_text(text)

@@ -5,8 +5,8 @@ tape gives g, ∂g and ∂²g, its tangent mode ∂³g, and a leaf tape over tho
 values and a numeric g^{-1} gives Γ and R_{ijkl} with their partials (see
 :class:`wstar.jet.Jet`).  The symbolic fields (``geo.ricci``, the W*
 bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
-``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04``, ``nabla_weyl``,
-``nabla_energy_momentum``) are the oracle: on every catalog metric and on
+``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04`` and those of Weyl and
+T) are the oracle: on every catalog metric and on
 generated perturbations of Minkowski space each field ``CheckContext.get``
 serves, and R_{ijkl} from its symmetry classes ``rc``, agrees within
 1e-10·(1 + max|X|).  The kernel tests pin the tangent mode itself: its value
@@ -28,7 +28,7 @@ from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
 from wstar.jet import FIELDS, by_symmetry
-from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
+from wstar.matter import FieldEquationConfig, energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
 
@@ -37,10 +37,21 @@ from test_exprlib import PARAMS, expressions, smooth_expressions
 COORDS = ("t", "x", "y", "z")
 CFG = FieldEquationConfig()
 
+def nabla_weyl(geo):
+    return geo.cached("nabla_weyl", lambda: geo.covariant_derivative(geo.weyl))
+
+
+def nabla_energy_momentum(m, geo):
+    """∇T at the default configuration, under the cache key of that configuration."""
+    return geo.cached(f"nabla_energy_momentum[k={CFG.k!r},lam={CFG.lam!r}]",
+                      lambda: geo.covariant_derivative(energy_momentum(m, CFG)))
+
+
 # context name -> the symbolic field of the same values
 SYMBOLIC = {
     "g": lambda m, geo: geo.g,
     "ginv": lambda m, geo: geo.ginv,
+    "gam": lambda m, geo: geo.christoffel,
     "r13": lambda m, geo: geo.riemann13,
     "ric": lambda m, geo: geo.ricci,
     "R": lambda m, geo: geo.scalar_field,
@@ -52,8 +63,8 @@ SYMBOLIC = {
     "gradR": lambda m, geo: geo.grad_scalar,
     "nric": lambda m, geo: geo.nabla_ricci,
     "dw": lambda m, geo: ws._nabla_wstar04(geo),
-    "nweyl": lambda m, geo: geo.nabla_weyl,
-    "nt": lambda m, geo: nabla_energy_momentum(m, CFG),
+    "nweyl": lambda m, geo: nabla_weyl(geo),
+    "nt": lambda m, geo: nabla_energy_momentum(m, geo),
 }
 
 

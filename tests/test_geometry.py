@@ -150,6 +150,15 @@ class TestMetricAlgebra:
             gvals = geo.eval_field(geo.g, pts)
             assert np.all(np.linalg.det(gvals) < 0)
 
+    def test_one_dimensional_inverse_and_connection(self):
+        # the cofactor of a 1×1 matrix is 1, so g^{00} = 1/x^2 and Γ^0_{00} = 1/x
+        metric = parse_metric_text("coords = x\ndomain x = 0.5 .. 2\ng[0][0] = x^2\n", "line")
+        geo = workspace(metric)
+        pts = np.array([[0.7], [1.5]])
+        vals = geo.eval_fields({"g": geo.g, "ginv": geo.ginv, "gam": geo.christoffel}, pts)
+        assert amax(vals["ginv"][:, 0, 0] * vals["g"][:, 0, 0] - 1.0) <= 1e-15
+        assert amax(vals["gam"][:, 0, 0, 0] - 1.0 / pts[:, 0]) <= 1e-15
+
 
 # --- connection ---------------------------------------------------------------
 

@@ -27,7 +27,9 @@ import pytest
 from wstar import wstar as ws
 from wstar.catalog import CATALOG_NAMES, builtin_vector_fields, catalog_metric
 from wstar.geometry import workspace
-from wstar.matter import FieldEquationConfig, energy_momentum, nabla_energy_momentum
+from wstar.matter import FieldEquationConfig, energy_momentum
+
+from test_forward_derivatives import nabla_energy_momentum, nabla_weyl
 
 DIGESTS = Path(__file__).parent / "golden" / "tape_digests.json"
 
@@ -47,9 +49,9 @@ UNION_FIELDS = (
     ("w02", lambda m, geo: ws.wstar_tensor(m).wstar02),
     ("dw", lambda m, geo: ws._nabla_wstar04(geo)),
     ("weyl", lambda m, geo: geo.weyl),
-    ("nweyl", lambda m, geo: geo.nabla_weyl),
+    ("nweyl", lambda m, geo: nabla_weyl(geo)),
     ("t", lambda m, geo: energy_momentum(m, FieldEquationConfig())),
-    ("nt", lambda m, geo: nabla_energy_momentum(m, FieldEquationConfig())),
+    ("nt", lambda m, geo: nabla_energy_momentum(m, geo)),
 )
 
 

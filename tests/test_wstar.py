@@ -16,7 +16,7 @@ import pytest
 
 from wstar.catalog import catalog_metric
 from wstar.checks import CheckContext
-from wstar.cli import _field_for, sample_for
+from wstar.cli import compute_at, sample_for
 from wstar.geometry import ricci_commutator, workspace
 from wstar.matter import FieldEquationConfig
 from wstar import wstar as W
@@ -72,10 +72,16 @@ class TestConstruction:
         assert W.wstar_tensor(m) is W.wstar_tensor(m)
 
     def test_contraction_returns_the_trace_field(self):
-        m = catalog_metric("minkowski")
-        b = W.wstar_tensor(m)
-        geo = workspace(m)
-        assert _field_for("wstar_contraction", m, geo, FieldEquationConfig()) is b.wstar02
+        # compute's wstar_contraction prints the trace g^{il} W*_{ijkl}
+        m = catalog_metric("flrw_dust")
+        pt = sample("flrw_dust", 1)
+        want = geo_for("flrw_dust").eval_field(bundle("flrw_dust").wstar02, pt)[0]
+        out = compute_at("wstar_contraction", m, pt[0], FieldEquationConfig())
+        got = np.zeros_like(want)
+        for line in out.splitlines():
+            key, value = line.split(": ")
+            got[tuple(int(i) for i in key.strip("()").split(","))] = float(value)
+        assert amax(got - want) <= 1e-12 * (1.0 + amax(want))
 
     def test_minkowski_vanishes(self):
         geo = geo_for("minkowski")
