@@ -18,23 +18,33 @@ Entry points:
 * :mod:`wstar.cli` - the ``wstar`` command (checks, compute, classify).
 """
 
-from .catalog import CATALOG_NAMES, catalog_metric
-from .geometry import MetricSpec, workspace
-from .metricfile import load_metric as load_metric_file
-from .relativity import FieldEquationConfig, classify, pairing_checks
-from .wstar import wstar_tensor
+from importlib import import_module
+
+# public name -> (module that defines it, its name there).  ``import wstar``
+# loads no submodule and not numpy: each name is imported on first use
+# (PEP 562), so a command process loads only the modules it runs.
+_EXPORTS = {
+    "CATALOG_NAMES": ("catalog", "CATALOG_NAMES"),
+    "FieldEquationConfig": ("matter", "FieldEquationConfig"),
+    "MetricSpec": ("geometry", "MetricSpec"),
+    "catalog_metric": ("catalog", "catalog_metric"),
+    "classify": ("relativity", "classify"),
+    "load_metric_file": ("metricfile", "load_metric"),
+    "pairing_checks": ("relativity", "pairing_checks"),
+    "wstar_tensor": ("wstar", "wstar_tensor"),
+    "workspace": ("geometry", "workspace"),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CATALOG_NAMES",
-    "FieldEquationConfig",
-    "MetricSpec",
-    "catalog_metric",
-    "classify",
-    "load_metric_file",
-    "pairing_checks",
-    "wstar_tensor",
-    "workspace",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module, attr = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), attr)
+    globals()[name] = value  # later lookups skip this hook
+    return value

@@ -17,8 +17,9 @@ W* in its three layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are
 linear maps of those, g and g^{ij}, so no symbolic curvature is built;
 W*^h_{jkl}, Weyl and ∇Weyl, which ``classify`` does not read, are formed
 only when a check asks for them.  The
-context also memoizes the check outcomes and the results derived from
-several fields (fluid decomposition, Ricci-recurrence fit).
+context also memoizes the check outcomes and the results that several
+checks read (fluid decomposition, Ricci-recurrence fit, the Krupka C, D, E,
+the divergence of W* and its gap to the Bianchi-consistent closed form).
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function; one
@@ -92,10 +93,11 @@ class CheckContext:
     The first field asked for evaluates the fields the checks read, from
     the metric's 3-jet (:func:`wstar.jet.curvature_fields`), but for
     W*^h_{jkl}, Weyl and ∇Weyl, which only some checks read and which are
-    formed when first asked for; check outcomes and the multi-field results (``fluid``, ``recurrence``) are computed on first use
-    and kept for the run, so a check that reads another check's outcome, or
-    a report that reads many, computes each at most once; so does a check
-    that raises.
+    formed when first asked for; check outcomes and the multi-field results
+    (``fluid``, ``recurrence``, ``krupka``, ``divergence``,
+    ``divergence_adjusted_gap``) are computed on first use and kept for the
+    run, so a check that reads another check's outcome, or a report that
+    reads many, computes each at most once; so does a check that raises.
     """
 
     def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
@@ -164,6 +166,28 @@ class CheckContext:
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
         return recurrence_fit(self)
+
+    @cached_property
+    def krupka(self) -> tuple:
+        """(C, D, E) of the trace decomposition of W*^h_{jkl} at every point.
+
+        The trace system is solved one block of ``_BLOCK`` points at a time,
+        the blocks of :func:`_blocked_ptmax`, and shared by both Krupka checks.
+        """
+        w13 = self.get("w13")
+        blocks = [ws.krupka_oracle(w13[s:s + _BLOCK]) for s in range(0, w13.shape[0], _BLOCK)]
+        return tuple(np.concatenate(part) for part in zip(*blocks))
+
+    @cached_property
+    def divergence(self) -> np.ndarray:
+        """g^{hi} ∇_h W*_{ijkl}: the direct route to the divergence of W*."""
+        return ws.divergence(self.get("ginv"), self.get("dw"))
+
+    @cached_property
+    def divergence_adjusted_gap(self) -> np.ndarray:
+        """max |.| per point of the direct divergence minus its closed form with
+        the 1/6 the contracted Bianchi identity forces."""
+        return _ptmax(self.divergence - _divergence_formula(self, 1.0 / 6.0))
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
@@ -301,14 +325,10 @@ def _check_trace_identity(ctx: CheckContext) -> CheckOutcome:
     return ctx.outcome(res, 1.0 + ctx.amax("R") * ctx.amax("g"))
 
 
-def _divergence_direct(ctx: CheckContext) -> np.ndarray:
-    return ws.divergence(ctx.get("ginv"), ctx.get("dw"))
-
-
 def _check_divergence_formula(ctx: CheckContext) -> CheckOutcome:
-    direct = _divergence_direct(ctx)
+    direct = ctx.divergence
     res = _ptmax(direct - _divergence_formula(ctx, 1.0 / 3.0))
-    adj = float(np.max(_ptmax(direct - _divergence_formula(ctx, 1.0 / 6.0))))
+    adj = float(np.max(ctx.divergence_adjusted_gap))
     out = ctx.outcome(res, 1.0 + _ptmax(direct).max())
     if out.status == "fail":
         out.reason = (
@@ -320,9 +340,7 @@ def _check_divergence_formula(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_divergence_adjusted(ctx: CheckContext) -> CheckOutcome:
-    direct = _divergence_direct(ctx)
-    res = _ptmax(direct - _divergence_formula(ctx, 1.0 / 6.0))
-    return ctx.outcome(res, 1.0 + _ptmax(direct).max())
+    return ctx.outcome(ctx.divergence_adjusted_gap, 1.0 + _ptmax(ctx.divergence).max())
 
 
 def _cyclic_gap(dw, nric, g) -> np.ndarray:
@@ -349,24 +367,23 @@ def _check_semisymmetry_trace_identity(ctx: CheckContext) -> CheckOutcome:
     return ctx.outcome(res, scale)
 
 
-def _krupka_gaps(w13, w02) -> np.ndarray:
+def _krupka_gaps(w13, w02, c, d, e) -> np.ndarray:
     """Per point: the traces of B, the gaps to the closed forms and the
     reconstruction gap of :func:`wstar.krupka_parts`, one column each."""
-    b, c, d, e, deltas = ws.krupka_parts(w13)
+    b, c, d, e, deltas = ws.krupka_parts(w13, (c, d, e))
     cc, cd, ce = ws.krupka_closed_forms(w02)
     gaps = [*ws.traces(b), c - cc, d - cd, e - ce, w13 - (b + deltas)]
     return np.stack([_ptmax(gap) for gap in gaps], axis=1)
 
 
 def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
-    res = _blocked_ptmax(_krupka_gaps, ctx.get("w13"), ctx.get("w02"))
+    res = _blocked_ptmax(_krupka_gaps, ctx.get("w13"), ctx.get("w02"), *ctx.krupka)
     return ctx.outcome(res, 1.0 + ctx.amax("w13"))
 
 
-def _printed_form_gaps(w13, ric, scal, g) -> np.ndarray:
+def _printed_form_gaps(w13, ric, scal, g, c, d, e) -> np.ndarray:
     """Per point: the gaps of the circulated trace combinations and of the
     ±1/9 Ricci forms to the solved C, D, E, one column each."""
-    c, d, e = ws.krupka_oracle(w13)
     combo_c, combo_d, combo_e = ws.trace_combos(w13)
     rho = ws.traceless_ricci(ric, scal, g)
     gaps = [combo_c - c, combo_d - d, combo_e - e, d - rho / 9.0, e + rho / 9.0]
@@ -375,7 +392,7 @@ def _printed_form_gaps(w13, ric, scal, g) -> np.ndarray:
 
 def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
     res = _blocked_ptmax(_printed_form_gaps, ctx.get("w13"), ctx.get("ric"), ctx.get("R"),
-                         ctx.get("g"))
+                         ctx.get("g"), *ctx.krupka)
     out = ctx.outcome(res, 1.0 + ctx.amax("w13"))
     if out.status == "fail":
         out.reason = (
@@ -461,7 +478,7 @@ def _check_wstar_flat(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_wstar_divergence_free(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(_divergence_direct(ctx)), ctx.amax("dw"))
+    return ctx.outcome(_ptmax(ctx.divergence), ctx.amax("dw"))
 
 
 def _check_wstar_parallel(ctx: CheckContext) -> CheckOutcome:

@@ -14,6 +14,11 @@ deterministic for a fixed (metric, seed, points, tolerances) tuple; pass
 ``main(argv)`` is the library entry: it returns the exit code and leaves the
 process as it found it.  ``console_entry()`` is the process entry behind the
 ``wstar`` script and ``python -m wstar.cli``.
+
+A command loads only what it runs: the check stack (:mod:`wstar.checks`) is
+imported on the ``check`` and ``classify`` paths, so ``compute`` and
+``catalog list`` never load it.  Importing this module before numpy sets
+``OPENBLAS_NUM_THREADS=1`` unless the caller has set it (see below).
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
+
+# A command process runs OpenBLAS with one thread unless its caller sets
+# OPENBLAS_NUM_THREADS: the largest BLAS or LAPACK call here is a 48 x 48
+# solve over 64 points, and the worker thread OpenBLAS starts when numpy is
+# imported costs more CPU than that.  It takes effect only before the first
+# numpy import of the process, so it comes before any of this module's.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import catalog, wstar as ws
-from .checks import CheckContext, CheckOutcome, REGISTRY, classification, holds, pairings
 from .geometry import Geometry, MetricSpec, workspace
 from .jet import by_symmetry, curvature_fields
 from .matter import FieldEquationConfig
@@ -38,6 +49,9 @@ from .report import (RunReport, classification_payload, render_classification_ta
                      render_json, render_table, stamp, to_json)
 from .sampling import DET_FLOOR, SamplingError, sample_points
 from .tape import TapeEvalError
+
+if TYPE_CHECKING:
+    from .checks import CheckContext
 
 __all__ = ["RunConfig", "EVAL_ERRORS", "load_metric", "run_checks", "compute_at", "main",
            "console_entry"]
@@ -94,6 +108,7 @@ class RunConfig:
             raise UsageError("--format must be 'json' or 'table'")
         if self.k == 0.0:
             raise UsageError("--k must be nonzero")
+        from .checks import REGISTRY
         bad = [c for c in self.checks if c != "all" and c not in REGISTRY]
         if bad:
             known = ", ".join(REGISTRY)
@@ -132,6 +147,7 @@ def _context(cfg: RunConfig) -> CheckContext:
     divergence forms, the trace 4L + k(mu - 3p)), so any other dim is refused
     before sampling.
     """
+    from .checks import CheckContext
     metric = load_metric(cfg.metric)
     if metric.dim != 4:
         raise UsageError(
@@ -143,6 +159,7 @@ def _context(cfg: RunConfig) -> CheckContext:
 
 
 def run_checks(cfg: RunConfig) -> RunReport:
+    from .checks import CheckOutcome, REGISTRY
     ctx = _context(cfg)
     rep = RunReport(cfg, ctx.metric, timestamp=stamp(cfg))
     for name in REGISTRY if "all" in cfg.checks else cfg.checks:
@@ -245,6 +262,7 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
 
 def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
+    from .checks import classification, holds, pairings
     ctx = _context(cfg)
     pairs = pairings(ctx)
     payload = classification_payload(cfg, ctx.metric, classification(ctx), pairs,

@@ -16,10 +16,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .checks import CheckOutcome, holds
 from .geometry import MetricSpec
+
+if TYPE_CHECKING:
+    from .checks import CheckOutcome
 
 __all__ = ["RunReport", "header", "payload", "to_json", "render_json", "render_table",
            "classification_payload", "render_classification_table"]
@@ -131,6 +133,7 @@ def classification_payload(config, metric: MetricSpec, flags: Dict[str, CheckOut
                            pairings: Dict[str, CheckOutcome],
                            timestamp: Optional[str] = None) -> dict:
     """The ``classify`` report as a dict: flags and pairings by public name."""
+    from .checks import holds  # not at load: compute does not load the check stack
     out = header(config, metric)
     out["flags"], out["residuals"] = {}, {}
     for name, c in flags.items():

@@ -348,14 +348,15 @@ def trace_combos(w13_vals: np.ndarray):
     return c, d, e
 
 
-def krupka_parts(w13_vals: np.ndarray) -> tuple:
+def krupka_parts(w13_vals: np.ndarray, cde: tuple | None = None) -> tuple:
     """(B, C, D, E, δC + δD + δE): the trace decomposition at every point.
 
-    C, D, E come from :func:`krupka_oracle`, the δ-terms are
-    δ^i_k C_{lm} + δ^i_l D_{km} + δ^i_m E_{kl}, and B = W*^i_{klm} minus
-    them is traceless by construction of the solve.
+    C, D, E come from :func:`krupka_oracle`, or are ``cde`` when the caller
+    has solved it already; the δ-terms are δ^i_k C_{lm} + δ^i_l D_{km}
+    + δ^i_m E_{kl}, and B = W*^i_{klm} minus them is traceless by
+    construction of the solve.
     """
-    c, d, e = krupka_oracle(w13_vals)
+    c, d, e = krupka_oracle(w13_vals) if cde is None else cde
     eye = np.eye(w13_vals.shape[1])
     deltas = (
         np.einsum("ik,plm->piklm", eye, c)

@@ -5,8 +5,8 @@
 the covariant derivatives, its partials from one evaluation; the classification flags and the theorem
 pairings are views over its check outcomes.  The sampler tests a block of
 candidates with one det g evaluation.  These guards count the kernel calls
-and the check-function runs of one command, and the det g evaluations of one
-sample.
+and the check-function runs of one command, the det g evaluations of one
+sample, and the trace-system solves and W* divergences of one context.
 
 Each check computes its own outcome from the context: a check run alone
 reports the same entry, byte for byte, as in ``--checks all``, and runs only
@@ -24,8 +24,10 @@ import pytest
 
 from wstar import checks
 from wstar.catalog import CATALOG_NAMES, catalog_metric
+from wstar.checks import CheckContext
 from wstar.cli import RunConfig, classify_payload, main, run_checks, sample_for
 from wstar.geometry import workspace
+from wstar.matter import FieldEquationConfig
 from wstar.tape import Tape
 
 
@@ -119,3 +121,38 @@ def all_entries(metric: str) -> dict:
 @pytest.mark.parametrize("name", READS)
 def test_a_check_alone_reports_its_entry_in_all(name, metric):
     assert check_entries(metric, name) == {name: all_entries(metric)[name]}
+
+
+def counting(monkeypatch, name):
+    """Record the arguments of every call to ``wstar.wstar.<name>`` from the checks."""
+    calls, fn = [], getattr(checks.ws, name)
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(checks.ws, name, spy)
+    return calls
+
+
+def context(metric, points):
+    m = catalog_metric(metric)
+    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig())
+
+
+def test_krupka_trace_system_is_solved_once_per_block(monkeypatch):
+    calls = counting(monkeypatch, "krupka_oracle")
+    ctx = context("flrw_dust", 130)
+    for name in ("krupka_oracle_match", "krupka_printed_forms"):
+        ctx.check(name)
+    assert [w13.shape[0] for (w13,) in calls] == [64, 64, 2]
+
+
+def test_divergence_of_wstar_is_formed_once(monkeypatch):
+    direct = counting(monkeypatch, "divergence")
+    forms = counting(monkeypatch, "divergence_closed_form")
+    ctx = context("flrw_dust", 8)
+    for name in ("divergence_formula", "divergence_adjusted", "wstar_divergence_free"):
+        ctx.check(name)
+    assert len(direct) == 1
+    assert sorted(coeff for *_, coeff in forms) == [1.0 / 6.0, 1.0 / 3.0]
