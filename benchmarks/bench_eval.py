@@ -37,21 +37,22 @@ from wstar.tape import Tape
 
 
 def kernel_calls(jet, pts) -> dict:
-    """tape name -> (tape, the ``evaluate_tangents`` arguments of each kernel
-    call that one curvature pass at ``pts`` makes on it)."""
+    """tape name -> (tape, the :meth:`Tape.run` arguments of each kernel call
+    that one curvature pass at ``pts`` makes on it, without ``coords``)."""
     calls = {"jet": (jet.tape, []), "leaf": (jet._riemann_tape, [])}
     for tape, seen in calls.values():
-        def record(points, diff, params, coords, seeds=None, tape=tape, seen=seen):
-            seen.append((points, diff, params, seeds))
-            return Tape.evaluate_tangents_checked(tape, points, diff, params, coords, seeds)
+        def record(points, params=None, diff=None, seeds=None, coords=None, tape=tape,
+                   seen=seen):
+            seen.append((points, params, diff, seeds))
+            return Tape.run(tape, points, params, diff, seeds, coords)
 
-        tape.evaluate_tangents_checked = record  # shadows the method on this tape only
+        tape.run = record  # shadows the method on this tape only
     try:
         for _ in jet.curvature(pts):
             pass
     finally:
         for tape, _ in calls.values():
-            del tape.evaluate_tangents_checked
+            del tape.run
     return calls
 
 
@@ -60,7 +61,7 @@ def best_of(tape, calls, repeat: int) -> float:
     for _ in range(repeat):
         start = time.perf_counter()
         for args in calls:
-            tape.evaluate_tangents(*args)
+            tape.run(*args)
         timings.append(time.perf_counter() - start)
     return min(timings)
 

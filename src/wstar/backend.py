@@ -3,11 +3,12 @@
 An instruction's depth is 0 for a leaf and 1 + the largest operand depth
 otherwise, so all operands of a depth-d instruction are ready once the smaller
 depths are done.  Instructions are grouped by (depth, opcode, exponent) and
-each group runs as one fancy-indexed ufunc call over a chunk of 64 points,
-keeping the register file at (instructions x 64) (level scheduling, Anderson
-& Saad, 1989).  Registers are laid out in schedule order, so a group writes
-one contiguous block.  Powers are grouped by exponent and get it as a scalar:
-that keeps them bit-identical to one ``np.power`` call per instruction.
+each group runs as one fancy-indexed ufunc call over a block of 64 points
+(:func:`blocks`), keeping the register file at (instructions x 64) (level
+scheduling, Anderson & Saad, 1989).  Registers are laid out in schedule order,
+so a group writes one contiguous range of registers.  Powers are grouped by
+exponent and get it as a scalar: that keeps them bit-identical to one
+``np.power`` call per instruction.
 
 Per point, ``err`` holds the smallest instruction index whose value is not
 finite (the tape is in topological order, so this is the first failure) and
@@ -81,28 +82,18 @@ def schedule(code, a, b, cval):
     return reg, groups
 
 
+def blocks(count: int) -> list:
+    """The blocks of ``count`` points, in order: slices of at most 64 points.
+
+    The kernel runs one block at a time, and so does every whole-sample step
+    whose temporaries would otherwise grow with the number of points."""
+    return [slice(start, min(start + _CHUNK, count)) for start in range(0, count, _CHUNK)]
+
+
 def run_tape(code, a, b, cval, pts, pvec, out_idx):
-    vals, _, err, _ = _run(schedule(code, a, b, cval), pts, pvec, out_idx)
+    """``(vals, err)`` of :func:`run` in value mode, scheduling the tape per call."""
+    vals, _, err, _ = run(schedule(code, a, b, cval), pts, pvec, out_idx)
     return vals, err
-
-
-def run_tangents(sched, pts, pvec, out_idx, diff_idx, seeds=None):
-    """Values of ``out_idx`` and the partials of ``diff_idx``.
-
-    ``sched`` is :func:`schedule` of the tape.  Returns ``(vals, partials,
-    err, lane)``: ``partials[p, j, k]`` is the partial of instruction
-    ``diff_idx[j]`` along lane ``k``; ``err`` is as in :func:`run_tape`
-    but also counts non-finite partials of the instructions ``diff_idx``
-    depends on, and ``lane[p]`` is the lane whose partial failed at
-    ``err[p]`` (-1 where the value failed).
-
-    By default the lanes are the coordinates: coordinate leaf ``c`` seeds
-    the unit vector along ``c``.  ``seeds`` of shape (P, n_coords, lanes)
-    gives every leaf its partials per point instead, so a tape whose leaves
-    are themselves functions of the coordinates is differentiated by the
-    chain rule.
-    """
-    return _run(sched, pts, pvec, out_idx, diff_idx, seeds)
 
 
 def _activity(reg, groups, n_lanes, diff_idx, seeded):
@@ -173,7 +164,24 @@ def _chain_rule(op, e, out, vx, vy, dx, dy, dout):
         np.multiply(_SLOPE[op](vx, out, e)[:, None], dx, out=dout)
 
 
-def _run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
+def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
+    """Values of ``out_idx`` and, given ``diff_idx``, the partials of ``diff_idx``.
+
+    ``sched`` is :func:`schedule` of the tape.  Returns ``(vals, partials,
+    err, lane)``: ``err[p]`` is -1 for success or the first instruction whose
+    value is not finite at point ``p``.  In tangent mode ``partials[p, j,
+    k]`` is the partial of instruction ``diff_idx[j]`` along lane ``k``;
+    ``err`` then also counts non-finite partials of the instructions
+    ``diff_idx`` depends on, and ``lane[p]`` is the lane whose partial failed
+    at ``err[p]`` (-1 where the value failed).  Without ``diff_idx``,
+    ``partials`` and ``lane`` are None.
+
+    By default the lanes are the coordinates: coordinate leaf ``c`` seeds
+    the unit vector along ``c``.  ``seeds`` of shape (P, n_coords, lanes)
+    gives every leaf its partials per point instead, so a tape whose leaves
+    are themselves functions of the coordinates is differentiated by the
+    chain rule.
+    """
     reg, groups = sched
     n, n_points = reg.shape[0], pts.shape[0]
     vals = np.empty((n_points, out_idx.shape[0]))
@@ -189,8 +197,8 @@ def _run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
         diff_reg = reg[diff_idx]
     else:
         partials = lane = None
-    for start in range(0, n_points, _CHUNK):
-        chunk = pts[start:start + _CHUNK]
+    for part in blocks(n_points):
+        chunk = pts[part]
         if regs.shape[1] != chunk.shape[0]:
             regs = np.empty((n, chunk.shape[0]))
             if tangent:
@@ -219,7 +227,7 @@ def _run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
                 dout = dregs[lo:hi]
                 if op == OP_COORD:
                     dout[...] = unit[x] if seeds is None else (
-                        seeds[start:start + chunk.shape[0], x].transpose(1, 2, 0))
+                        seeds[part, x].transpose(1, 2, 0))
                 elif vx is None:
                     dout[...] = 0.0
                 else:
@@ -231,16 +239,16 @@ def _run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
         if tangent:
             bad |= ~np.isfinite(dregs).all(axis=1) & needed[:, None]
         hit = np.flatnonzero(bad.any(axis=0))
-        vals[start:start + chunk.shape[0]] = regs[reg[out_idx]].T
+        vals[part] = regs[reg[out_idx]].T
         if tangent:
-            partials[start:start + chunk.shape[0]] = dregs[diff_reg].transpose(2, 0, 1)
+            partials[part] = dregs[diff_reg].transpose(2, 0, 1)
         if hit.size:
-            first = bad[reg][:, hit].argmax(axis=0)
-            err[start + hit] = first
-            vals[start + hit] = np.nan
+            first, rows = bad[reg][:, hit].argmax(axis=0), part.start + hit
+            err[rows] = first
+            vals[rows] = np.nan
             if tangent:
-                partials[start + hit] = np.nan
+                partials[rows] = np.nan
                 failed = ~np.isfinite(dregs[reg[first], :, hit])
-                lane[start + hit] = np.where(
+                lane[rows] = np.where(
                     np.isfinite(regs[reg[first], hit]), failed.argmax(axis=1), -1)
     return vals, partials, err, lane

@@ -30,12 +30,12 @@ pairings) runs only those.  The ``classify`` flags and pairings are views:
 
 Residuals built from a curvature commutator or from the cyclic sum have more
 slots than their inputs (six for [nabla, nabla] W*), so they are built and
-reduced one block of ``_BLOCK`` points at a time and never exist for the
-whole sample.  So are the Krupka decomposition's residuals, and the max |.|
-of a held field (``CheckContext.amax``, ∇W* in ``wstar_parallel``), whose
-|.| would be a whole-sample temporary (8 MiB for ∇W* at 1024 points).  The
-fluid decomposition is one batched eigen-decomposition of every point's T,
-not a loop over points.
+reduced one 64-point block at a time (:func:`wstar.backend.blocks`) and
+never exist for the whole sample.  So are the Krupka decomposition's
+residuals, and the max |.| of a held field (``CheckContext.amax``, ∇W* in
+``wstar_parallel``), whose |.| would be a whole-sample temporary (8 MiB for
+∇W* at 1024 points).  The fluid decomposition is one batched
+eigen-decomposition of every point's T, not a loop over points.
 
 The semi-symmetry commutators R(X, Y)·X of W*, Ricci and T pick their route
 from the sample's supports: the products x * R^s_{imn} whose two factors are
@@ -61,13 +61,11 @@ from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
-from .backend import _CHUNK
+from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
 from .jet import curvature_fields
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
-
-_BLOCK = _CHUNK  # points per block of a blocked residual, as in the tape kernel
 
 __all__ = [
     "CheckContext", "CheckOutcome", "REGISTRY", "recurrence_fit",
@@ -171,12 +169,12 @@ class CheckContext:
     def krupka(self) -> tuple:
         """(C, D, E) of the trace decomposition of W*^h_{jkl} at every point.
 
-        The trace system is solved one block of ``_BLOCK`` points at a time,
-        the blocks of :func:`_blocked_ptmax`, and shared by both Krupka checks.
+        The trace system is solved one block of points at a time, the blocks
+        of :func:`_blocked_ptmax`, and shared by both Krupka checks.
         """
         w13 = self.get("w13")
-        blocks = [ws.krupka_oracle(w13[s:s + _BLOCK]) for s in range(0, w13.shape[0], _BLOCK)]
-        return tuple(np.concatenate(part) for part in zip(*blocks))
+        solved = [ws.krupka_oracle(w13[part]) for part in blocks(w13.shape[0])]
+        return tuple(np.concatenate(parts) for parts in zip(*solved))
 
     @cached_property
     def divergence(self) -> np.ndarray:
@@ -196,17 +194,14 @@ def _ptmax(a: np.ndarray) -> np.ndarray:
 
 
 def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """``_ptmax(residual(*arrays))``, evaluated over blocks of ``_BLOCK`` points.
+    """``_ptmax(residual(*arrays))``, evaluated over blocks of points.
 
     ``residual`` is applied to the same slice of the point axis of every
     array, so a residual with more slots than its inputs only ever exists
     for one block.
     """
-    count = arrays[0].shape[0]
-    return np.concatenate([
-        _ptmax(residual(*(a[s:s + _BLOCK] for a in arrays)))
-        for s in range(0, count, _BLOCK)
-    ])
+    return np.concatenate([_ptmax(residual(*(a[part] for a in arrays)))
+                           for part in blocks(arrays[0].shape[0])])
 
 
 # The sparse commutator costs about 3x the dense one per product it forms

@@ -546,7 +546,7 @@ class Geometry:
         """
         tape = self._tape_for(list(fields.values()))
         pts = np.asarray(points, dtype=np.float64)
-        flat = tape.evaluate_checked(pts, dict(self.metric.params), self.metric.coords)
+        flat = tape.run(pts, dict(self.metric.params), coords=self.metric.coords)[0]
         out, offset = {}, 0
         for name, f in fields.items():
             size = int(np.prod(f.shape, dtype=int))
@@ -560,7 +560,7 @@ class Geometry:
     def det_values(self, points) -> np.ndarray:
         """|det g| at points with failures mapped to 0 (for rejection sampling)."""
         pts = np.asarray(points, dtype=np.float64)
-        vals, err = self._det_tape.evaluate(pts, dict(self.metric.params))
+        vals, _, err, _ = self._det_tape.run(pts, dict(self.metric.params))
         out = np.abs(vals[:, 0])
         out[err >= 0] = 0.0
         return out

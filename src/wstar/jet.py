@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from . import geometry, wstar as ws
-from .backend import _CHUNK
+from .backend import blocks
 from .exprlib import const, coord, differentiate, mul, neg
 from .geometry import Geometry, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
@@ -63,10 +63,11 @@ class Jet:
     each input's partials seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
     and ∂g⁻¹ = −g⁻¹ ∂g g⁻¹, and the covariant derivative of R_{ijkl}
     follows from its partials and Γ, per symmetry class.  Everything past
-    the jet tape is formed one block of ``_CHUNK`` points at a time.  A
-    second leaf tape, of Γ and Ricci alone, serves the values and covariant
-    derivative of Ricci where nothing else is needed (the recurrence fit's
-    displaced points); both take ∇ with :func:`_nabla_components`.
+    the jet tape is formed one block of points at a time
+    (:func:`wstar.backend.blocks`).  A second leaf tape, of Γ and Ricci
+    alone, serves the values and covariant derivative of Ricci where nothing
+    else is needed (the recurrence fit's displaced points); both take ∇ with
+    :func:`_nabla_components`.
     """
 
     def __init__(self, geo: Geometry):
@@ -233,14 +234,13 @@ class Jet:
         count, n = pts.shape
         n_gam = n * _pair_ij(n).shape[1]
         diff = np.arange(n_gam, tape.n_outputs)
-        vals, d3 = self.tape.evaluate_tangents_checked(
-            pts, self._d2, dict(geo.metric.params), geo.metric.coords)
+        vals, d3, _, _ = self.tape.run(pts, dict(geo.metric.params), self._d2,
+                                       coords=geo.metric.coords)
         jet = np.concatenate([vals, np.zeros((count, 1))], axis=1)
         g = jet[:, self._g]
         ginv = self._inverse(g, pts)
         a, b = (np.array(ix, dtype=np.int64) for ix in zip(*self._inv))
-        for start in range(0, count, _CHUNK):
-            part = slice(start, start + _CHUNK)
+        for part in blocks(count):
             block, gi = jet[part], ginv[part]
             with np.errstate(all="ignore"):  # a seed that is not finite fails its point
                 dginv = -(gi[:, None] @ block[:, self._dg] @ gi[:, None])  # [p, m, a, b]
@@ -249,10 +249,9 @@ class Jet:
             seeds = np.concatenate([block[:, self._d1_seeds], d3[part],
                                     dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
             try:  # the lanes are the coordinates; the leaves are jet values
-                out, partials = tape.evaluate_tangents_checked(
-                    leaves, diff, None, geo.metric.coords, seeds)
+                out, partials, _, _ = tape.run(leaves, None, diff, seeds, geo.metric.coords)
             except TapeEvalError as err:  # name the sample point
-                p = start + err.point_index
+                p = part.start + err.point_index
                 raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
                                     None, err.coordinate,
                                     at=point_text(geo.metric.coords, pts[p])) from None
@@ -433,15 +432,15 @@ _DEFERRED = {
 
 class _Fields(dict):
     """Field values by name; a field of :data:`_DEFERRED` is formed on first
-    lookup, one block of ``_CHUNK`` points at a time."""
+    lookup, one block of points at a time (:func:`wstar.backend.blocks`)."""
 
     def __missing__(self, name: str) -> np.ndarray:
         form, names = _DEFERRED[name]
         args = [self[a] for a in names]
         g = self["g"]
         out = np.empty(g.shape[:1] + g.shape[-1:] * FIELDS[name])
-        for start in range(0, len(out), _CHUNK):
-            out[start:start + _CHUNK] = form(*(a[start:start + _CHUNK] for a in args))
+        for part in blocks(len(out)):
+            out[part] = form(*(a[part] for a in args))
         self[name] = out
         return out
 

@@ -8,7 +8,7 @@ so one tape evaluates a whole tensor field per point.
 
 Execution is delegated to the level-scheduled numpy kernel in
 :mod:`wstar.backend`, whose tangent mode also gives the coordinate partials
-of chosen outputs (:meth:`Tape.evaluate_tangents`).  It flags the first
+of chosen outputs; :meth:`Tape.run` is the one entry.  It flags the first
 instruction per point whose result is not finite (division by zero, log of a
 non-positive number, fractional power of a negative base, overflow, ...)
 instead of raising, so a bad sample point does not abort a batch.
@@ -130,56 +130,43 @@ class Tape:
             raise ValueError(f"points must have shape (P, {self.n_coords})")
         return pts
 
-    def evaluate(self, points: np.ndarray, params: Mapping[str, float] | None = None):
-        """Evaluate all outputs at many points.
+    def run(self, points: np.ndarray, params: Mapping[str, float] | None = None,
+            diff: Sequence[int] | None = None, seeds=None,
+            coords: Sequence[str] | None = None):
+        """Evaluate all outputs at many points, and the partials of outputs ``diff``.
 
-        ``points`` has shape (P, n_coords).  Returns ``(values, err)`` where
-        ``values`` has shape (P, n_outputs) and ``err[p]`` is -1 for success or
-        the index of the first failing instruction (that row is left as NaN).
+        ``points`` has shape (P, n_coords).  Returns ``(values, partials, err,
+        lane)``: ``values`` has shape (P, n_outputs) and ``err[p]`` is -1 for
+        success or the index of the first failing instruction (that row is
+        left as NaN).  Without ``diff``, ``partials`` and ``lane`` are None.
+        With it, a partial that is not finite also fails its point,
+        ``partials`` has shape (P, len(diff), lanes) and ``lane[p]`` is the
+        lane whose partial failed (-1 if the value did).  The lanes are the
+        coordinates, unless ``seeds`` (P, n_coords, lanes) gives each
+        coordinate leaf its own partials per point (see
+        :func:`wstar.backend.run`).
+
+        Given the coordinate names ``coords`` (even ``()``), a failure raises
+        :class:`TapeEvalError` for the first failed point, with the point's
+        values and the lane (``coords[k]``) whose partial failed.
         """
-        from .backend import run_tape
+        from . import backend
 
         pts = self._points(points)
         pvec = self.param_vector(params or {})
-        return run_tape(self.code, self.a, self.b, self.cval, pts, pvec, self.outputs)
+        if diff is None:  # looked up per call: perfbench/tracer.py wraps backend.run_tape
+            vals, err = backend.run_tape(self.code, self.a, self.b, self.cval, pts, pvec,
+                                         self.outputs)
+            partials = lane = None
+        else:
+            vals, partials, err, lane = backend.run(
+                self.schedule, pts, pvec, self.outputs,
+                self.outputs[np.asarray(diff, dtype=np.int64)], seeds)
+        if coords is not None:
+            self._raise_first_failure(err, pts, coords, lane, diff)
+        return vals, partials, err, lane
 
-    def evaluate_checked(self, points: np.ndarray, params=None,
-                         coords: Sequence[str] = ()) -> np.ndarray:
-        """Like :meth:`evaluate` but raises :class:`TapeEvalError` on any
-        failure; given the coordinate names, the error gives the point's values."""
-        vals, err = self.evaluate(points, params)
-        self._raise_first_failure(err, points, coords)
-        return vals
-
-    def evaluate_tangents(self, points: np.ndarray, diff: Sequence[int],
-                          params: Mapping[str, float] | None = None, seeds=None):
-        """Evaluate all outputs, and the partials of outputs ``diff``.
-
-        Returns ``(values, partials, err, lane)``: ``values`` and ``err`` as in
-        :meth:`evaluate`, except that a partial that is not finite also fails
-        its point; ``partials`` has shape (P, len(diff), lanes), and
-        ``lane[p]`` is the lane whose partial failed (-1 if the value did).
-        The lanes are the coordinates, unless ``seeds`` (P, n_coords, lanes)
-        gives each coordinate leaf its own partials per point (see
-        :func:`wstar.backend.run_tangents`).
-        """
-        from .backend import run_tangents
-
-        pts = self._points(points)
-        pvec = self.param_vector(params or {})
-        diff_idx = self.outputs[np.asarray(diff, dtype=np.int64)]
-        return run_tangents(self.schedule, pts, pvec, self.outputs, diff_idx, seeds)
-
-    def evaluate_tangents_checked(self, points: np.ndarray, diff: Sequence[int],
-                                  params, coords: Sequence[str], seeds=None):
-        """``(values, partials)`` of :meth:`evaluate_tangents`, raising
-        :class:`TapeEvalError` on any failure; it names the lane
-        (``coords[k]``) whose partial failed."""
-        vals, partials, err, lane = self.evaluate_tangents(points, diff, params, seeds)
-        self._raise_first_failure(err, points, coords, lane, diff)
-        return vals, partials
-
-    def _raise_first_failure(self, err: np.ndarray, points, coords=(), lane=None, diff=None):
+    def _raise_first_failure(self, err: np.ndarray, points, coords, lane, diff):
         """Raise :class:`TapeEvalError` for the first point ``err`` marks failed."""
         bad = np.nonzero(err >= 0)[0]
         if not bad.size:

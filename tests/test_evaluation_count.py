@@ -33,20 +33,18 @@ from wstar.tape import Tape
 
 @pytest.fixture
 def evaluations(monkeypatch):
-    """Counter of (tape, point array) pairs passed to ``Tape.evaluate`` or
-    ``Tape.evaluate_tangents``: either mode counts as one evaluation."""
+    """Counter of (tape, point array) pairs passed to ``Tape.run``: value
+    and tangent mode each count as one evaluation."""
     seen = Counter()
 
-    def counting(real):
-        def counted(self, points, *args, **kwargs):
-            pts = np.ascontiguousarray(points, dtype=np.float64)
-            seen[(id(self), pts.shape, pts.tobytes())] += 1
-            return real(self, points, *args, **kwargs)
+    real = Tape.run
 
-        return counted
+    def counted(self, points, *args, **kwargs):
+        pts = np.ascontiguousarray(points, dtype=np.float64)
+        seen[(id(self), pts.shape, pts.tobytes())] += 1
+        return real(self, points, *args, **kwargs)
 
-    for name in ("evaluate", "evaluate_tangents"):
-        monkeypatch.setattr(Tape, name, counting(getattr(Tape, name)))
+    monkeypatch.setattr(Tape, "run", counted)
     return seen
 
 

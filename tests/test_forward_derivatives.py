@@ -141,7 +141,7 @@ def test_value_lanes_equal_value_mode(metric):
     pvec = tape.param_vector(dict(geo.metric.params))
     vals, err = backend.run_tape(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
     diff = tape.outputs[: tape.n_outputs // 2]
-    tvals, partials, terr, _ = backend.run_tangents(tape.schedule, pts, pvec, tape.outputs, diff)
+    tvals, partials, terr, _ = backend.run(tape.schedule, pts, pvec, tape.outputs, diff)
     assert np.array_equal(tvals.view(np.int64), vals.view(np.int64))
     assert np.array_equal(terr, err)
     assert partials.shape == (70, diff.shape[0], 4)
@@ -153,8 +153,8 @@ def test_unit_seeds_reproduce_the_coordinate_partials(metric):
     pts = sample_for(geo, 70, 42)
     params = dict(geo.metric.params)
     diff = np.arange(tape.n_outputs)
-    want = tape.evaluate_tangents(pts, diff, params)
-    got = tape.evaluate_tangents(pts, diff, params, np.broadcast_to(np.eye(4), (70, 4, 4)))
+    want = tape.run(pts, params, diff)
+    got = tape.run(pts, params, diff, np.broadcast_to(np.eye(4), (70, 4, 4)))
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
@@ -162,7 +162,7 @@ def test_unit_seeds_reproduce_the_coordinate_partials(metric):
 def tangents(src, pts, params=None):
     """(values, partials, err, lane) of one expression's tape."""
     tape = compile_tape([parse(src, COORDS, PARAMS)], 4, PARAMS)
-    return tape.evaluate_tangents(np.asarray(pts, dtype=float), [0], params or {"M": 1.0, "H": 0.5})
+    return tape.run(np.asarray(pts, dtype=float), params or {"M": 1.0, "H": 0.5}, [0])
 
 
 OPCODE_SOURCES = [
@@ -177,8 +177,8 @@ def test_each_chain_rule_matches_the_symbolic_derivative(src):
     pts = np.random.default_rng(7).uniform(0.2, 1.2, size=(5, 4))
     params = {"M": 1.0, "H": 0.5}
     e = parse(src, COORDS, PARAMS)
-    want = compile_tape([differentiate(e, k) for k in range(4)], 4, PARAMS).evaluate_checked(
-        pts, params)
+    want = compile_tape([differentiate(e, k) for k in range(4)], 4, PARAMS).run(
+        pts, params, coords=())[0]
     _, partials, err, _ = tangents(src, pts, params)
     assert np.all(err == -1)
     np.testing.assert_allclose(partials[:, 0, :], want, rtol=1e-13, atol=1e-15)
@@ -189,8 +189,8 @@ def test_each_chain_rule_matches_the_symbolic_derivative(src):
 def test_tangents_match_symbolic_derivatives(e, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, size=(6, 4))
     tape = compile_tape([e], 4)
-    want, werr = compile_tape([differentiate(e, k) for k in range(4)], 4).evaluate(pts)
-    _, partials, err, _ = tape.evaluate_tangents(pts, [0])
+    want, _, werr, _ = compile_tape([differentiate(e, k) for k in range(4)], 4).run(pts)
+    _, partials, err, _ = tape.run(pts, diff=[0])
     ok = (err == -1) & (werr == -1)
     got, want = partials[ok, 0, :], want[ok]
     assert np.all(np.abs(got - want) <= 1e-9 * (1.0 + np.abs(want)))
@@ -206,8 +206,8 @@ def test_tangent_mode_fails_no_later_than_value_mode(e, seed):
     pts = np.random.default_rng(seed).uniform(-2, 2, size=(8, 4))
     pts[0] = 0.0
     params = {"M": 1.0, "H": 0.5}
-    vals, err = tape.evaluate(pts, params)
-    tvals, _, terr, _ = tape.evaluate_tangents(pts, [0], params)
+    vals, _, err, _ = tape.run(pts, params)
+    tvals, _, terr, _ = tape.run(pts, params, [0])
     failed = err >= 0
     assert np.all(terr[failed] >= 0) and np.all(terr[failed] <= err[failed])
     ok = terr == -1
@@ -219,7 +219,7 @@ class TestNonFinitePartials:
         pts = [[0.0, 1.0, 0.0, 0.0], [0.5, 1.0, 0.0, 0.0]]
         vals, partials, err, lane = tangents("sqrt(t)", pts)
         tape = compile_tape([parse("sqrt(t)", COORDS)], 4)
-        plain, plain_err = tape.evaluate(np.array(pts))
+        plain, _, plain_err, _ = tape.run(np.array(pts))
         assert plain[0, 0] == 0.0 and plain_err[0] == -1  # the value is fine
         assert err[0] >= 0 and lane[0] == 0
         assert np.isnan(vals[0, 0]) and np.all(np.isnan(partials[0]))
@@ -230,7 +230,7 @@ class TestNonFinitePartials:
         tape = compile_tape([parse("x * sqrt(y)", COORDS)], 4)
         pts = np.array([[0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.0, 0.4]])
         with pytest.raises(TapeEvalError) as info:
-            tape.evaluate_tangents_checked(pts, [0], {}, COORDS)
+            tape.run(pts, {}, [0], coords=COORDS)
         assert info.value.point_index == 1
         assert info.value.coordinate == "y"
         assert info.value.expr.kind == "sqrt"
@@ -239,14 +239,14 @@ class TestNonFinitePartials:
     def test_value_failure_has_no_coordinate(self):
         tape = compile_tape([parse("ln(t)", COORDS)], 4)
         with pytest.raises(TapeEvalError) as info:
-            tape.evaluate_tangents_checked(np.zeros((1, 4)), [0], {}, COORDS)
+            tape.run(np.zeros((1, 4)), {}, [0], coords=COORDS)
         assert info.value.coordinate is None
         assert "left the domain" in str(info.value)
 
     def test_only_partials_of_differentiated_outputs_count(self):
         # sqrt(t) is an output, but only x is differentiated
         tape = compile_tape([parse("sqrt(t)", COORDS), parse("x", COORDS)], 4)
-        _, partials, err, _ = tape.evaluate_tangents(np.zeros((1, 4)), [1])
+        _, partials, err, _ = tape.run(np.zeros((1, 4)), diff=[1])
         assert err[0] == -1
         assert partials[0, 0].tolist() == [0.0, 1.0, 0.0, 0.0]
 

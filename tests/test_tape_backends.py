@@ -10,7 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wstar import backend
+from wstar.catalog import catalog_metric
 from wstar.exprlib import EvalDomainError, Point, evaluate, parse
+from wstar.geometry import workspace
 from wstar.tape import Tape, TapeEvalError, compile_tape
 
 from test_exprlib import PARAMS, expressions, smooth_expressions
@@ -135,7 +137,7 @@ class TestKernels:
         pts = np.random.default_rng(seed).uniform(-2, 2, size=(8, 4))
         pts[0] = 0.0  # zeros reach division-by-zero and log/power domain edges
         params = {"M": 1.0, "H": 0.5}
-        _, err = tape.evaluate(pts, params)
+        _, _, err, _ = tape.run(pts, params)
         for p in np.flatnonzero(err >= 0):
             pt, first = Point(tuple(pts[p]), params), int(err[p])
             assert all(oracle_evaluates(tape.nodes[i], pt) for i in range(first))
@@ -147,7 +149,7 @@ class TestKernels:
         tape = compile_tape([e], 4)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1.5, 1.5, size=(6, 4))
-        vals, err = tape.evaluate(pts)
+        vals, _, err, _ = tape.run(pts)
         want, ok = tree_walk_rows([e], pts, {})
         assume(ok.all() and np.all(np.abs(want) < 1e12))
         assert np.all(err == -1)
@@ -155,30 +157,54 @@ class TestKernels:
 
 
 class TestTapeApi:
-    def test_evaluate_checked_raises_with_context(self):
+    def test_run_with_coords_raises_with_context(self):
         tape = compile_tape([parse("sqrt(t)", COORDS)], 4)
         pts = np.zeros((2, 4))
         pts[1, 0] = -4.0
         with pytest.raises(TapeEvalError) as err:
-            tape.evaluate_checked(pts)
+            tape.run(pts, coords=())
         assert err.value.point_index == 1
         assert err.value.expr.kind == "sqrt"
 
     def test_missing_parameter(self):
         tape = compile_tape([parse("M * t", COORDS, PARAMS)], 4, PARAMS)
         with pytest.raises(TapeEvalError):
-            tape.evaluate(np.zeros((1, 4)), {"M": 1.0})
+            tape.run(np.zeros((1, 4)), {"M": 1.0})
 
     def test_bad_point_shape(self):
         tape = compile_tape([parse("t", COORDS)], 4)
         with pytest.raises(ValueError):
-            tape.evaluate(np.zeros((3, 2)))
+            tape.run(np.zeros((3, 2)))
 
     def test_empty_output_list(self):
         tape = compile_tape([], 4)
-        vals, err = tape.evaluate(np.zeros((3, 4)))
+        vals, _, err, _ = tape.run(np.zeros((3, 4)))
         assert vals.shape == (3, 0)
         assert np.all(err == -1)
+
+    def test_value_mode_calls_run_tape_looked_up_per_call(self, monkeypatch):
+        # perfbench/tracer.py counts the value-mode kernel by wrapping
+        # backend.run_tape in place; tangent mode does not go through it
+        calls, real = [], backend.run_tape
+
+        def counted(*args):
+            calls.append(len(args))
+            return real(*args)
+
+        monkeypatch.setattr(backend, "run_tape", counted)
+        pts = np.array([[0.0, 4.0, 1.2, 0.5], [1.0, 6.0, 0.4, 2.0]])
+        workspace(catalog_metric("schwarzschild")).det_values(pts)
+        assert calls == [7]
+        compile_tape([parse("t * sqrt(x)", COORDS)], 4).run(pts, diff=[0])
+        assert calls == [7]
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 130, 1024])
+def test_blocks_cover_each_point_once(count):
+    parts = backend.blocks(count)
+    assert all(part.step is None and 0 < part.stop - part.start <= 64 for part in parts)
+    assert [i for part in parts for i in range(part.start, part.stop)] == list(range(count))
+    assert (parts == []) == (count == 0)
 
 
 class TestBackendSelection:
