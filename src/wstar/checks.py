@@ -13,13 +13,14 @@ being patched over.
 values.  It reads every field from the metric's 3-jet
 (:func:`wstar.jet.curvature_fields`): R_{ijkl} and ∇R_{ijkl} come per block
 of points from the tapes of :class:`wstar.jet.Jet`, and Ricci, R, R^h_{jkl},
-W* in its three layouts, Weyl and T, and ∇ of Ricci, R, W*, Weyl and T, are
-linear maps of those, g and g^{ij}, so no symbolic curvature is built;
-W*^h_{jkl}, Weyl and ∇Weyl, which ``classify`` does not read, are formed
-only when a check asks for them.  The
+W* and its trace, T, and ∇ of Ricci, R, W* and T, are linear maps of those,
+g and g^{ij}, so no symbolic curvature is built.  The context holds those
+fields only; W*^h_{jkl} and ∇Weyl, each read by the checks of one result of
+the paper, are formed by those checks one block of points at a time.  The
 context also memoizes the check outcomes and the results that several
-checks read (fluid decomposition, Ricci-recurrence fit, the Krupka C, D, E,
-the divergence of W* and its gap to the Bianchi-consistent closed form).
+checks read (fluid decomposition, Ricci-recurrence fit, the per-point
+Krupka residuals, the divergence of W* and its gap to the
+Bianchi-consistent closed form).
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function; one
@@ -30,9 +31,10 @@ pairings) runs only those.  The ``classify`` flags and pairings are views:
 
 Residuals built from a curvature commutator or from the cyclic sum have more
 slots than their inputs (six for [nabla, nabla] W*), so they are built and
-reduced one 64-point block at a time (:func:`wstar.backend.blocks`) and
-never exist for the whole sample.  So are the Krupka decomposition's
-residuals, and the max |.| of a held field (``CheckContext.amax``, ∇W* in
+reduced one 64-point block at a time (:func:`_blocked`, over
+:func:`wstar.backend.blocks`) and never exist for the whole sample.  So are
+W*^h_{jkl} with the Krupka decomposition's residuals, ∇Weyl, and the max
+|.| of a held field (``CheckContext.amax``, ∇W* in
 ``wstar_parallel``), whose |.| would be a whole-sample temporary (8 MiB for
 ∇W* at 1024 points).  The fluid decomposition is one batched
 eigen-decomposition of every point's T, not a loop over points.
@@ -63,7 +65,7 @@ import numpy as np
 
 from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import curvature_fields
+from .jet import _raise_first, _weyl, curvature_fields
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
@@ -89,13 +91,12 @@ class CheckContext:
     """Shared evaluated-field cache for one (metric, points, config) run.
 
     The first field asked for evaluates the fields the checks read, from
-    the metric's 3-jet (:func:`wstar.jet.curvature_fields`), but for
-    W*^h_{jkl}, Weyl and ∇Weyl, which only some checks read and which are
-    formed when first asked for; check outcomes and the multi-field results
-    (``fluid``, ``recurrence``, ``krupka``, ``divergence``,
-    ``divergence_adjusted_gap``) are computed on first use and kept for the
-    run, so a check that reads another check's outcome, or a report that
-    reads many, computes each at most once; so does a check that raises.
+    the metric's 3-jet (:func:`wstar.jet.curvature_fields`); check outcomes
+    and the multi-field results (``fluid``, ``recurrence``, ``krupka``,
+    ``divergence``, ``divergence_adjusted_gap``) are computed on first use
+    and kept for the run, so a check that reads another check's outcome, or
+    a report that reads many, computes each at most once; so does a check
+    that raises.
     """
 
     def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
@@ -111,7 +112,8 @@ class CheckContext:
         self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
     def get(self, name: str) -> np.ndarray:
-        """The values of field ``name`` (a key of :data:`wstar.jet.FIELDS`), points first."""
+        """The values of field ``name`` (a key of :data:`wstar.jet.FIELDS`, or
+        ``rc`` or ``nrc``), points first."""
         if not self._vals:
             self._vals = curvature_fields(self.geo, self.points, self.cfg)
         return self._vals[name]
@@ -166,15 +168,14 @@ class CheckContext:
         return recurrence_fit(self)
 
     @cached_property
-    def krupka(self) -> tuple:
-        """(C, D, E) of the trace decomposition of W*^h_{jkl} at every point.
+    def krupka(self) -> np.ndarray:
+        """Per point: max |W*^h_{jkl}| and the residuals of
+        ``krupka_oracle_match`` and ``krupka_printed_forms``, one column each.
 
-        The trace system is solved one block of points at a time, the blocks
-        of :func:`_blocked_ptmax`, and shared by both Krupka checks.
+        W*^h_{jkl} is formed and its trace system solved one block of points
+        at a time, once for both Krupka checks.
         """
-        w13 = self.get("w13")
-        solved = [ws.krupka_oracle(w13[part]) for part in blocks(w13.shape[0])]
-        return tuple(np.concatenate(parts) for parts in zip(*solved))
+        return _blocked(_krupka_block, *map(self.get, ("ginv", "w04", "w02", "ric", "R", "g")))
 
     @cached_property
     def divergence(self) -> np.ndarray:
@@ -193,15 +194,20 @@ def _ptmax(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
 
 
-def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """``_ptmax(residual(*arrays))``, evaluated over blocks of points.
+def _blocked(form: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """``form(*arrays)``, formed over blocks of points and concatenated.
 
-    ``residual`` is applied to the same slice of the point axis of every
-    array, so a residual with more slots than its inputs only ever exists
-    for one block.
+    ``form`` is applied to the same slice of the point axis of every array
+    (:func:`wstar.backend.blocks`), so what it forms on the way, with more
+    slots than its inputs or its result, only ever exists for one block.
     """
-    return np.concatenate([_ptmax(residual(*(a[part] for a in arrays)))
+    return np.concatenate([form(*(a[part] for a in arrays))
                            for part in blocks(arrays[0].shape[0])])
+
+
+def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
+    """``_ptmax(residual(*arrays))``, evaluated over blocks of points."""
+    return _blocked(lambda *block: _ptmax(residual(*block)), *arrays)
 
 
 # The sparse commutator costs about 3x the dense one per product it forms
@@ -372,8 +378,7 @@ def _krupka_gaps(w13, w02, c, d, e) -> np.ndarray:
 
 
 def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
-    res = _blocked_ptmax(_krupka_gaps, ctx.get("w13"), ctx.get("w02"), *ctx.krupka)
-    return ctx.outcome(res, 1.0 + ctx.amax("w13"))
+    return ctx.outcome(ctx.krupka[:, 1], 1.0 + float(np.max(ctx.krupka[:, 0])))
 
 
 def _printed_form_gaps(w13, ric, scal, g, c, d, e) -> np.ndarray:
@@ -385,10 +390,16 @@ def _printed_form_gaps(w13, ric, scal, g, c, d, e) -> np.ndarray:
     return np.stack([_ptmax(gap) for gap in gaps], axis=1)
 
 
+def _krupka_block(ginv, w04, w02, ric, scal, g) -> np.ndarray:
+    """The columns of :attr:`CheckContext.krupka` on one block of points."""
+    w13 = _raise_first(ginv, w04)
+    cde = ws.krupka_oracle(w13)
+    return np.stack([_ptmax(w13), _ptmax(_krupka_gaps(w13, w02, *cde)),
+                     _ptmax(_printed_form_gaps(w13, ric, scal, g, *cde))], axis=1)
+
+
 def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
-    res = _blocked_ptmax(_printed_form_gaps, ctx.get("w13"), ctx.get("ric"), ctx.get("R"),
-                         ctx.get("g"), *ctx.krupka)
-    out = ctx.outcome(res, 1.0 + ctx.amax("w13"))
+    out = ctx.outcome(ctx.krupka[:, 2], 1.0 + float(np.max(ctx.krupka[:, 0])))
     if out.status == "fail":
         out.reason = (
             "circulated trace combinations (1/33 weights, +-1/9 Ricci forms) "
@@ -410,9 +421,13 @@ def _check_field_equation_trace(ctx: CheckContext) -> CheckOutcome:
     return out
 
 
+def _weyl_divergence(ginv, nrc, g, nric, grad) -> np.ndarray:
+    """g^{hi} ∇_h C_{ijkl} on one block, ∇Weyl's last two slots in W*'s order."""
+    return ws.divergence(ginv, np.einsum("pijlkm->pijklm", _weyl(nrc, g, nric, grad)))
+
+
 def _check_weyl_divergence(ctx: CheckContext) -> CheckOutcome:
-    nweyl = np.einsum("pijlkm->pijklm", ctx.get("nweyl"))
-    direct = ws.divergence(ctx.get("ginv"), nweyl)
+    direct = _blocked(_weyl_divergence, *map(ctx.get, ("ginv", "nrc", "g", "nric", "gradR")))
     printed = 0.5 * _divergence_formula(ctx, -1.0 / 3.0)  # codazzi/2 + grad/6
     deviation = float(np.max(_ptmax(direct - printed)))
     codazzi = float(np.max(_ptmax(_divergence_formula(ctx, 0.0))))

@@ -42,7 +42,7 @@ import numpy as np
 
 from . import catalog, wstar as ws
 from .geometry import Geometry, MetricSpec, workspace
-from .jet import by_symmetry, curvature_fields
+from .jet import _raise_first, _weyl, by_symmetry, curvature_fields
 from .matter import FieldEquationConfig
 from .metricfile import MetricFileError, load_metric as _load_metric_file
 from .report import (RunReport, classification_payload, render_classification_table,
@@ -174,10 +174,11 @@ def run_checks(cfg: RunConfig) -> RunReport:
 
 # --- point evaluation ---------------------------------------------------------
 
-# --tensor name -> the field of jet.FIELDS it prints (riemann: by symmetry class)
+# --tensor name -> the field it prints or, for riemann and weyl, the symmetry
+# classes of R_{ijkl} it is formed from
 _TENSORS = {
     "metric": "g", "inverse": "ginv", "christoffel": "gam", "riemann": "rc", "ricci": "ric",
-    "scalar": "R", "weyl": "weyl", "wstar": "w04", "wstar_contraction": "w02",
+    "scalar": "R", "weyl": "rc", "wstar": "w04", "wstar_contraction": "w02",
     "energy_momentum": "t",
 }
 _TENSOR_NAMES = (*_TENSORS, "krupka")  # krupka is a decomposition, not a field
@@ -248,11 +249,14 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
     fields = curvature_fields(workspace(metric), point[None, :], cfg)
     if tensor == "krupka":
         lines = []
-        for label, values in zip("BCDE", ws.krupka_parts(fields["w13"])):
+        w13 = _raise_first(fields["ginv"], fields["w04"])
+        for label, values in zip("BCDE", ws.krupka_parts(w13)):
             lines.extend(_render_values(values[0], prefix=label))
         return "\n".join(lines)
     values = fields[_TENSORS[tensor]]
-    if tensor == "riemann":
+    if tensor == "weyl":
+        values = _weyl(values, fields["g"], fields["ric"], fields["R"])
+    elif tensor == "riemann":
         values = by_symmetry(values)
     return "\n".join(_render_values(values[0]))
 

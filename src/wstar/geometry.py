@@ -189,8 +189,6 @@ class Geometry:
     def __init__(self, metric: MetricSpec):
         self.metric = metric
         self.dim = metric.dim
-        if self.dim > 5:
-            raise ValueError("symbolic inverse supported for dim <= 5 only")
         self._cache: dict = {}
         self._tapes: dict = {}  # tuple of TensorField (identity-hashed) -> Tape
 
@@ -228,6 +226,8 @@ class Geometry:
     def ginv(self) -> TensorField:
         def build():
             n = self.dim
+            if n > 5:
+                raise ValueError("symbolic inverse supported for dim <= 5 only")
             det = self.det
             mat = [[self.g[i, j] for j in range(n)] for i in range(n)]
             comps = np.empty((n, n), dtype=object)

@@ -5,10 +5,11 @@ Every command reads its curvature here and builds no symbolic curvature:
 point.  :class:`Jet` holds a tape of the nonzero components of g, ∂g and
 ∂²g, whose tangent mode gives ∂³g, and small leaf tapes over those values
 and a numeric g^{ij} that give Γ and R_{ijkl} by symmetry class, with their
-partials; :func:`curvature_fields` forms Γ and every field the checks read
-from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}, one block of points at a time,
-W*^h_{jkl}, Weyl and ∇Weyl only when first read.  R_{ijkl} and ∇R_{ijkl}
-are held only as their symmetry classes.  This is truncated-Taylor (jet)
+partials; :func:`curvature_fields` forms Γ and the fields several checks
+read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}, one block of points at a time.
+R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes; a reader of
+W*^h_{jkl}, Weyl or ∇Weyl forms it from the held fields with
+:func:`_raise_first` or :func:`_weyl`.  This is truncated-Taylor (jet)
 evaluation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
 2008, ch. 13).
 
@@ -375,12 +376,12 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
 
 
 # the fields CheckContext serves -> their number of slots after the point axis;
-# every slot is lower except the first of gam (Γ^h_{ij}), r13 and w13, and a
+# every slot is lower except the first of gam (Γ^h_{ij}) and r13, and a
 # derivative slot is last.
 # R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
 FIELDS = {
     "g": 2, "ginv": 2, "gam": 3, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
-    "w04": 4, "w13": 4, "w02": 2, "dw": 5, "weyl": 4, "nweyl": 5, "t": 2, "nt": 3,
+    "w04": 4, "w02": 2, "dw": 5, "t": 2, "nt": 3,
 }
 
 
@@ -390,8 +391,8 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
-    """The fields of :data:`FIELDS` but those of :data:`_DEFERRED`, on one block
-    of points, and the symmetry classes ``rc`` and ``nrc`` they come from.
+    """The fields of :data:`FIELDS` on one block of points, and the symmetry
+    classes ``rc`` and ``nrc`` they come from.
 
     Each field but Γ is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
@@ -421,44 +422,18 @@ def _weyl(r, g, ric, scal) -> np.ndarray:
     return by_symmetry(weyl_classes(r, g, ric, scal))
 
 
-# fields that only some checks read (classify reads none of them): each is
-# formed from the named held fields when first asked for
-_DEFERRED = {
-    "w13": (_raise_first, ("ginv", "w04")),
-    "weyl": (_weyl, ("rc", "g", "ric", "R")),
-    "nweyl": (_weyl, ("nrc", "g", "nric", "gradR")),
-}
-
-
-class _Fields(dict):
-    """Field values by name; a field of :data:`_DEFERRED` is formed on first
-    lookup, one block of points at a time (:func:`wstar.backend.blocks`)."""
-
-    def __missing__(self, name: str) -> np.ndarray:
-        form, names = _DEFERRED[name]
-        args = [self[a] for a in names]
-        g = self["g"]
-        out = np.empty(g.shape[:1] + g.shape[-1:] * FIELDS[name])
-        for part in blocks(len(out)):
-            out[part] = form(*(a[part] for a in args))
-        self[name] = out
-        return out
-
-
 def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` at the points, from the metric's 3-jet
-    (:class:`Jet`).
+    """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``,
+    from the metric's 3-jet (:class:`Jet`).
 
     The fields are formed block by block, so ∇R_{ijkl} lives for one block
-    only; its symmetry classes and R_{ijkl}'s (``nrc``, ``rc``) are kept, and
-    W*^h_{jkl}, Weyl and ∇Weyl are formed from them and the other fields on
-    first lookup.
+    only; its symmetry classes and R_{ijkl}'s (``nrc``, ``rc``) are kept.
     """
     n, count = geo.dim, np.shape(points)[0]
-    shapes = {name: (n,) * slots for name, slots in FIELDS.items() if name not in _DEFERRED}
+    shapes = {name: (n,) * slots for name, slots in FIELDS.items()}
     classes = _class_index(n).shape[1]
     shapes.update(rc=(classes,), nrc=(classes, n))
-    vals = _Fields({name: np.empty((count,) + shape) for name, shape in shapes.items()})
+    vals = {name: np.empty((count,) + shape) for name, shape in shapes.items()}
     for part, *block in geo.jet.curvature(points):
         for name, v in _block_fields(*block, cfg).items():
             vals[name][part] = v

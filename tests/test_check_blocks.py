@@ -72,7 +72,10 @@ def test_blocked_ptmax_matches_whole_sample(points):
 
 def test_no_check_allocates_whole_sample_rank6_arrays():
     # the (P, 4, 4, 4, 4, 4, 4) commutator of W* took +96 MiB at 1024 points
-    # and the cyclic sum +32 MiB; blocked, no check needs more than 12 MiB
+    # and the cyclic sum +32 MiB; blocked, no check needs more than 4 MiB.
+    # W*^h_{jkl}, ∇Weyl and the Krupka C, D, E are formed per block and
+    # dropped, so what the checks leave held is small next to the fields
+    # (11 MiB when those three were held for the whole sample)
     ctx = context("schwarzschild", 1024)
     ctx.get("g")  # every field
     peaks = {}
@@ -83,7 +86,9 @@ def test_no_check_allocates_whole_sample_rank6_arrays():
             tracemalloc.reset_peak()
             ctx.check(name)
             peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        held = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
-    over = {name: round(mib, 1) for name, mib in peaks.items() if mib > 12.0}
-    assert not over, f"tracemalloc peaks above 12 MiB: {over}"
+    over = {name: round(mib, 1) for name, mib in peaks.items() if mib > 4.0}
+    assert not over, f"tracemalloc peaks above 4 MiB: {over}"
+    assert held <= 2.0, f"the checks left {held:.1f} MiB held besides the fields"

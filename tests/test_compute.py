@@ -136,12 +136,26 @@ def test_dim_one_prints_or_refuses_as_the_symbolic_fields_do(tmp_path, capsys):
             assert (code, err) == (EXIT_OK, ""), (tensor, err)
 
 
-def test_dim_six_is_refused(tmp_path, capsys):
-    text = "coords = a, b, c, d, e, f\n" + "".join(f"g[{i}][{i}] = 1\n" for i in range(6))
+def test_dim_six_is_computed_from_the_jet(tmp_path, capsys):
+    # da^2 + a^2 (db^2 + ... + df^2): R = -(5 * 4) / a^2
+    text = ("coords = a, b, c, d, e, f\ndomain a = 1 .. 3\ng[0][0] = 1\n"
+            + "".join(f"g[{i}][{i}] = a^2\n" for i in range(1, 6)))
     source = metric_file(tmp_path, text)
-    code = main(["compute", "--metric", source, "--tensor", "metric",
-                 "--at", "a=0,b=0,c=0,d=0,e=0,f=0"])
-    assert (code, capsys.readouterr().out) == (EXIT_USAGE, "")
+    for a in (1.5, 2.0, 3.0):
+        code = main(["compute", "--metric", source, "--tensor", "scalar",
+                     "--at", f"a={a},b=0,c=0,d=0,e=0,f=0"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        assert float(out) == pytest.approx(-20.0 / a**2, rel=1e-14)
+    for tensor in _TENSOR_NAMES:  # the trace decomposition alone is for dim 4
+        code = main(["compute", "--metric", source, "--tensor", tensor,
+                     "--at", "a=2,b=0,c=0,d=0,e=0,f=0"])
+        out, err = capsys.readouterr()
+        if tensor == "krupka":
+            assert (code, out, err) == (
+                EXIT_USAGE, "", "error: trace decomposition implemented for dim 4\n")
+        else:
+            assert (code, err) == (EXIT_OK, ""), (tensor, err)
 
 
 @pytest.mark.parametrize("tensor", ["metric", "christoffel", "riemann", "wstar"])

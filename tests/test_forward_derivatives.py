@@ -8,7 +8,8 @@ bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
 ``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04`` and those of Weyl and
 T) are the oracle: on every catalog metric and on
 generated perturbations of Minkowski space each field ``CheckContext.get``
-serves, and R_{ijkl} from its symmetry classes ``rc``, agrees within
+serves, R_{ijkl} from its symmetry classes ``rc``, and W*^h_{jkl}, Weyl and
+∇Weyl as the checks form them from the served fields, agree within
 1e-10·(1 + max|X|).  The kernel tests pin the tangent mode itself: its value
 lanes are bit-identical to value mode, unit seeds reproduce the unseeded
 partials bit for bit, every opcode's chain rule matches the symbolic
@@ -27,7 +28,7 @@ from wstar.checks import CheckContext
 from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
-from wstar.jet import FIELDS, by_symmetry
+from wstar.jet import FIELDS, _raise_first, _weyl, by_symmetry
 from wstar.matter import FieldEquationConfig, energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
@@ -68,8 +69,17 @@ SYMBOLIC = {
 }
 
 
+# fields no context serves -> how the checks that read them form them
+FORMED = {
+    "w13": lambda get: _raise_first(get("ginv"), get("w04")),
+    "weyl": lambda get: _weyl(get("rc"), get("g"), get("ric"), get("R")),
+    "nweyl": lambda get: _weyl(get("nrc"), get("g"), get("nric"), get("gradR")),
+}
+
+
 def test_every_served_field_has_an_oracle():
-    assert set(SYMBOLIC) == set(FIELDS)
+    assert set(SYMBOLIC) == set(FIELDS) | set(FORMED)
+    assert not set(FIELDS) & set(FORMED)
 
 
 def assert_routes_agree(metric, points):
@@ -80,7 +90,8 @@ def assert_routes_agree(metric, points):
     symbolic = geo.eval_fields({**fields, "rc": geo.riemann04}, pts)
     for name, want in symbolic.items():
         # R_{ijkl} is served by its symmetry classes
-        got = by_symmetry(ctx.get(name)) if name == "rc" else ctx.get(name)
+        got = (by_symmetry(ctx.get(name)) if name == "rc" else
+               FORMED[name](ctx.get) if name in FORMED else ctx.get(name))
         assert got.shape == want.shape, name
         gap = float(np.max(np.abs(got - want)))
         assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)

@@ -162,10 +162,13 @@ def test_classify_forms_no_weyl_field():
     ctx = CheckContext(metric, cli.sample_for(workspace(metric), 8, 42), CFG)
     classification(ctx)
     pairings(ctx)
-    deferred = {"w13", "weyl", "nweyl"}
-    assert not deferred & set(ctx._vals)
+    formed = {"w13", "weyl", "nweyl"}
+    assert not formed & set(ctx._vals)
+    assert "krupka" not in vars(ctx)
+    # the two checks that read W*^h_{jkl} and ∇Weyl form them, and hold none
+    for name in ("krupka_oracle_match", "weyl_divergence"):
+        ctx.check(name)
+    assert not formed & set(ctx._vals)
     w13 = np.einsum("phi,pijkl->phjkl", ctx.get("ginv"), ctx.get("w04"))
-    assert np.allclose(ctx.get("w13"), w13, rtol=1e-14, atol=0)
-    assert ctx.get("weyl").shape == ctx.get("r13").shape
-    assert ctx.get("nweyl").shape == ctx.get("r13").shape + (4,)
-    assert deferred <= set(ctx._vals)
+    assert np.allclose(ctx.krupka[:, 0], np.max(np.abs(w13), axis=(1, 2, 3, 4)),
+                       rtol=1e-14, atol=0)

@@ -18,6 +18,7 @@ from wstar.catalog import catalog_metric
 from wstar.checks import CheckContext
 from wstar.cli import compute_at, sample_for
 from wstar.geometry import ricci_commutator, workspace
+from wstar.jet import _weyl
 from wstar.matter import FieldEquationConfig
 from wstar import wstar as W
 
@@ -55,10 +56,12 @@ def weyl_divergence(name, pts):
 
     The circulated closed form is ½[∇_l R_{jk} − ∇_k R_{jl}] + 1/6
     [g_{jk}∇_l R − g_{jl}∇_k R]; the geometry stores C in the unswapped
-    order, so its last two slots are swapped before the trace.
+    order, so its last two slots are swapped before the trace.  ∇C is formed
+    from the classes of ∇R_{ijkl}, ∇Ricci and ∇R, as the check forms it.
     """
     ctx = context(name, pts)
-    direct = W.divergence(ctx.get("ginv"), np.einsum("pijlkm->pijklm", ctx.get("nweyl")))
+    nweyl = _weyl(ctx.get("nrc"), ctx.get("g"), ctx.get("nric"), ctx.get("gradR"))
+    direct = W.divergence(ctx.get("ginv"), np.einsum("pijlkm->pijklm", nweyl))
     printed = 0.5 * W.divergence_closed_form(
         ctx.get("nric"), ctx.get("g"), ctx.get("gradR"), -1.0 / 3.0
     )
