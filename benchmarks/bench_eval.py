@@ -6,9 +6,11 @@ Those commands take every curvature field from the metric's 3-jet
 
 - ``jet``: the tape of g, ∂g and ∂²g over the coordinates, run once over
   every point with the partials of the ∂²g outputs (∂³g);
-- ``leaf``: the leaf tape of Γ and R_{ijkl} by symmetry class, whose inputs
-  are jet values and g^{ij}, run once per 64-point block with each input's
-  partials seeded from the jet.
+- ``leaf``: the leaf tape of Γ, R_{ijkl} by symmetry class and Ricci, whose
+  inputs are jet values and g^{ij}, run once per 64-point block with each
+  input's partials seeded from the jet.  The curvature pass differentiates
+  the classes; the recurrence fit's displaced pass (not timed here) runs the
+  same tape and differentiates Ricci.
 
 Each workload records the kernel calls one curvature pass makes (points,
 differentiated outputs, seeds) and times them again, at 32 points and at
@@ -39,7 +41,7 @@ from wstar.tape import Tape
 def kernel_calls(jet, pts) -> dict:
     """tape name -> (tape, the :meth:`Tape.run` arguments of each kernel call
     that one curvature pass at ``pts`` makes on it, without ``coords``)."""
-    calls = {"jet": (jet.tape, []), "leaf": (jet._riemann_tape, [])}
+    calls = {"jet": (jet.tape, []), "leaf": (jet._leaf_tape, [])}
     for tape, seen in calls.values():
         def record(points, params=None, diff=None, seeds=None, coords=None, tape=tape,
                    seen=seen):

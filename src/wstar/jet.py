@@ -3,10 +3,11 @@
 Every command reads its curvature here and builds no symbolic curvature:
 ``check`` and ``classify`` at their sample points, ``compute`` at its one
 point.  :class:`Jet` holds a tape of the nonzero components of g, ∂g and
-∂²g, whose tangent mode gives ∂³g, and small leaf tapes over those values
-and a numeric g^{ij} that give Γ and R_{ijkl} by symmetry class, with their
-partials; :func:`curvature_fields` forms Γ and the fields several checks
-read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}, one block of points at a time.
+∂²g, whose tangent mode gives ∂³g, and one leaf tape over those values and
+a numeric g^{ij} that gives Γ, R_{ijkl} by symmetry class and Ricci, with
+the partials of the classes or of Ricci; :func:`curvature_fields` forms Γ
+and the fields several checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
+one block of points at a time.
 R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes; a reader of
 W*^h_{jkl}, Weyl or ∇Weyl forms it from the held fields with
 :func:`_raise_first` or :func:`_weyl`.  This is truncated-Taylor (jet)
@@ -20,7 +21,7 @@ anywhere else :class:`Jet` raises an error that names the point.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -49,7 +50,7 @@ class Jet:
     and ``∂_r ∂_theta g[i][j]`` so that an evaluation error names the
     component; its tangent mode gives ∂³g of the nonzero ∂²g outputs.
 
-    A leaf tape then takes as inputs the nonzero ∂g, the nonzero ∂²g and
+    The leaf tape then takes as inputs the nonzero ∂g, the nonzero ∂²g and
     g^{ij} (evaluated numerically, component by component of g's pattern)
     rather than the coordinates.  It builds
 
@@ -58,17 +59,17 @@ class Jet:
                    + Γ_{h,li} Γ^h_{jk} − Γ_{h,ki} Γ^h_{jl}
 
     (:attr:`Geometry.riemann04`'s convention) with the expression
-    constructors, over one component per symmetry class of R_{ijkl}.  A
+    constructors, over one component per symmetry class of R_{ijkl}, and
+    R_{jk} = g^{hi} R_{ijhk}; the classes and Ricci share their nodes.  A
     structurally zero input is the constant 0, so a sparse metric keeps a
     small leaf tape.  The leaf tape runs in the kernel's tangent mode with
     each input's partials seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
     and ∂g⁻¹ = −g⁻¹ ∂g g⁻¹, and the covariant derivative of R_{ijkl}
     follows from its partials and Γ, per symmetry class.  Everything past
     the jet tape is formed one block of points at a time
-    (:func:`wstar.backend.blocks`).  A second leaf tape, of Γ and Ricci
-    alone, serves the values and covariant derivative of Ricci where nothing
-    else is needed (the recurrence fit's displaced points); both take ∇ with
-    :func:`_nabla_components`.
+    (:func:`wstar.backend.blocks`).  :meth:`curvature` differentiates the
+    classes; :meth:`ricci` differentiates Ricci alone, for the recurrence
+    fit's displaced points.  Both take ∇ with :func:`_nabla_components`.
     """
 
     def __init__(self, geo: Geometry):
@@ -121,18 +122,19 @@ class Jet:
         self._components = [np.flatnonzero(np.array(part) == p) for p in sorted(set(part))]
         self._inv = [(a, b) for a, b in pairs if part[a] == part[b]]
 
-    # --- the leaf tapes ---------------------------------------------------
+    # --- the leaf tape ----------------------------------------------------
 
-    @cached_property
-    def _leaf_curvature(self) -> tuple:
-        """(Γ^h_{ij} for i <= j, R_{ijkl} by symmetry class, R_{ijkl}, g^{ab})
-        as expressions of the leaf inputs: the nonzero ∂g, then the nonzero
-        ∂²g, then g^{ab} (a <= b) within a component."""
+    @property
+    def _leaf_tape(self) -> Tape:
+        """Γ^h_{ij} (i <= j), then R_{ijkl} by symmetry class, then
+        R_{jk} = g^{hi} R_{ijhk} (j <= k), over the leaf inputs: the nonzero
+        ∂g, then the nonzero ∂²g, then g^{ab} (a <= b) within a component."""
+        return self.geo.cached("jet_leaf_tape", self._compile_leaf_tape)
+
+    def _compile_leaf_tape(self) -> Tape:
         n = self.geo.dim
-        keys = [key for key in self._col if key[0]]
+        keys = [key for key in self._col if key[0]] + [("inv", *ab) for ab in self._inv]
         leaf = {key: coord(k) for k, key in enumerate(keys)}
-        leaf.update({("inv", a, b): coord(len(keys) + k)
-                     for k, (a, b) in enumerate(self._inv)})
 
         def dg(k, i, j):
             return leaf.get(((k,), *_sym(i, j)), _ZERO)
@@ -148,64 +150,29 @@ class Jet:
         for s in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    inner = term_sum([dg(i, s, j), dg(j, s, i), neg(dg(s, i, j))])
-                    low[s, i, j] = low[s, j, i] = (
-                        _ZERO if is_zero(inner) else mul(half, inner))
+                    low[s, i, j] = low[s, j, i] = mul(half, term_sum(
+                        [dg(i, s, j), dg(j, s, i), neg(dg(s, i, j))]))
         for h in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    gam[h, i, j] = gam[h, j, i] = term_sum(
-                        mul(gi(h, s), low[s, i, j]) for s in range(n)
-                        if not (is_zero(gi(h, s)) or is_zero(low[s, i, j])))
+                    gam[h, i, j] = gam[h, j, i] = term_sum(  # a zero product is skipped
+                        mul(gi(h, s), low[s, i, j]) for s in range(n))
 
         def riemann(i, j, k, l):
-            second = term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
-                               neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))])
-            terms = [_ZERO if is_zero(second) else mul(half, second)]
+            terms = [mul(half, term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
+                                         neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))]))]
             for h in range(n):
                 terms.append(mul(low[h, l, i], gam[h, j, k]))
                 terms.append(neg(mul(low[h, k, i], gam[h, j, l])))
             return term_sum(terms)
 
         curv = [riemann(*c) for c in _riemann_classes(n)]
-
-        def lookup(i, j, k, l):
-            src, count = _riemann_index(n)[i, j, k, l], len(curv)
-            if src == 2 * count:
-                return _ZERO
-            return curv[src] if src < count else neg(curv[src - count])
-
+        full, index = curv + [neg(c) for c in curv] + [_ZERO], _riemann_index(n)
+        ric = [term_sum(mul(gi(h, i), full[index[i, j, h, k]])
+                        for h in range(n) for i in range(n))
+               for j in range(n) for k in range(j, n)]
         gams = [gam[h, i, j] for h in range(n) for i in range(n) for j in range(i, n)]
-        return gams, curv, lookup, gi
-
-    @property
-    def _riemann_tape(self) -> Tape:
-        """Leaf tape of Γ^h_{ij} (i <= j), then R_{ijkl} by symmetry class."""
-
-        def build():
-            gams, curv, _, _ = self._leaf_curvature
-            return geometry.compile_tape(gams + curv, self._n_leaves)
-
-        return self.geo.cached("jet_riemann_tape", build)
-
-    @property
-    def _ricci_tape(self) -> Tape:
-        """Leaf tape of Γ^h_{ij} (i <= j), then R_{jk} = g^{hi} R_{ijhk} (j <= k)."""
-
-        def build():
-            n = self.geo.dim
-            gams, _, riem, gi = self._leaf_curvature
-            ric = [term_sum(mul(gi(h, i), riem(i, j, h, k))
-                            for h in range(n) for i in range(n)
-                            if not (is_zero(gi(h, i)) or is_zero(riem(i, j, h, k))))
-                   for j in range(n) for k in range(j, n)]
-            return geometry.compile_tape(gams + ric, self._n_leaves)
-
-        return self.geo.cached("jet_ricci_tape", build)
-
-    @property
-    def _n_leaves(self) -> int:
-        return len(self._d1) + len(self._d2) + len(self._inv)
+        return geometry.compile_tape(gams + curv + ric, len(keys))
 
     # --- evaluation -------------------------------------------------------
 
@@ -227,14 +194,12 @@ class Jet:
                     f"the metric is singular at {at} (point #{p})") from None
         return ginv
 
-    def _blocks(self, points, tape: Tape):
-        """Run a leaf tape per block: yields (slice, g, g⁻¹, Γ^h_{ij}, the
-        outputs after Γ, their partials)."""
-        geo = self.geo
+    def _blocks(self, points, diff: range):
+        """Run the leaf tape per block with the partials of its outputs ``diff``:
+        yields (slice, g, g⁻¹, Γ^h_{ij}, the outputs ``diff``, their partials)."""
+        geo, tape = self.geo, self._leaf_tape
         pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
         count, n = pts.shape
-        n_gam = n * _pair_ij(n).shape[1]
-        diff = np.arange(n_gam, tape.n_outputs)
         vals, d3, _, _ = self.tape.run(pts, dict(geo.metric.params), self._d2,
                                        coords=geo.metric.coords)
         jet = np.concatenate([vals, np.zeros((count, 1))], axis=1)
@@ -256,25 +221,35 @@ class Jet:
                 raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
                                     None, err.coordinate,
                                     at=point_text(geo.metric.coords, pts[p])) from None
-            yield part, g[part], gi, out[:, _gamma_index(n)], out[:, n_gam:], partials
+            yield (part, g[part], gi, out[:, _gamma_index(n)],
+                   out[:, diff.start:diff.stop], partials)
 
     def curvature(self, points):
         """Per block of points: (slice, g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}),
         the last two by symmetry class (see :func:`by_symmetry`)."""
-        index = _class_index(self.geo.dim)
-        for part, g, ginv, gam, rc, partials in self._blocks(points, self._riemann_tape):
+        n = self.geo.dim
+        index = _class_index(n)
+        for part, g, ginv, gam, rc, partials in self._blocks(points, _leaf_outputs(n)[0]):
             yield (part, g, ginv, gam, rc,
                    _nabla_components(by_symmetry(rc), partials, gam, index))
 
     def ricci(self, points) -> tuple:
-        """(R_{jk}, ∇_m R_{jk}) at the points, from the leaf tape of Ricci alone."""
+        """(R_{jk}, ∇_m R_{jk}) at the points, differentiating the leaf tape's Ricci only."""
         n, count = self.geo.dim, len(points)
         ric, nric = np.empty((count, n, n)), np.empty((count, n, n, n))
         sym = _pair_index(n)
-        for part, _, _, gam, pairs, partials in self._blocks(points, self._ricci_tape):
+        for part, _, _, gam, pairs, partials in self._blocks(points, _leaf_outputs(n)[1]):
             ric[part] = pairs[:, sym]
             nric[part] = _nabla_components(ric[part], partials, gam, _pair_ij(n))[:, sym]
         return ric, nric
+
+
+@cache
+def _leaf_outputs(n: int) -> tuple:
+    """The leaf tape's outputs of R_{ijkl} by symmetry class, and of R_{jk}."""
+    pairs = _pair_ij(n).shape[1]
+    ric = n * pairs + _class_index(n).shape[1]
+    return range(n * pairs, ric), range(ric, ric + pairs)
 
 
 def _riemann_classes(n: int) -> list:

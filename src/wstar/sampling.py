@@ -5,7 +5,10 @@ increment 0x9E3779B97F4A7C15, output-mixed by two xor-shift-multiply rounds
 (0xBF58476D1CE4E5B9, 0x94D049BB133111EB) and a final 31-bit xor-shift.
 Doubles in [0, 1) take the top 53 bits: (z >> 11) * 2^-53.  The full algorithm
 is documented in the README so the point stream is reproducible from any
-language.
+language.  The generator is counter-based: draw k (from 0) is the mix of
+seed + (k + 1)·γ mod 2^64, so :func:`sample_points` draws a block of
+candidates as one uint64 array expression; :class:`SplitMix64` is the
+one-draw-at-a-time reference.
 
 Candidate points are drawn coordinate by coordinate from the sampling box and
 rejected (stream keeps advancing) when the caller's predicate says the point
@@ -60,6 +63,20 @@ class SplitMix64:
         return lo + self.next_double() * (hi - lo)
 
 
+def _doubles(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start`` to ``start + count - 1`` of ``SplitMix64(seed).next_double()``.
+
+    uint64 array arithmetic wraps modulo 2^64 without a warning (numpy
+    scalar arithmetic would warn), so every step is an array operation.
+    """
+    z = (np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+         + np.uint64(seed & _MASK))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 def sample_points(
     bounds: Sequence[tuple],
     count: int,
@@ -76,13 +93,15 @@ def sample_points(
     seed, reject).  Raises :class:`SamplingError` if any single point meets
     ``MAX_ATTEMPTS`` consecutive rejections.
     """
-    rng = SplitMix64(seed)
-    out = np.empty((count, len(bounds)))
-    k = attempts = 0
+    n = len(bounds)
+    low = np.array([lo for lo, _ in bounds], dtype=np.float64)
+    span = np.array([hi - lo for lo, hi in bounds], dtype=np.float64)  # as uniform has it
+    out = np.empty((count, n))
+    k = attempts = drawn = 0
     while k < count:
         # one candidate per missing point: none is drawn past the last accept
-        rows = np.array([[rng.uniform(lo, hi) for lo, hi in bounds]
-                         for _ in range(count - k)])
+        rows = low + _doubles(seed, drawn, (count - k) * n).reshape(count - k, n) * span
+        drawn += rows.size
         mask = np.zeros(len(rows), dtype=bool) if reject is None else reject(rows)
         if not (isinstance(mask, np.ndarray) and mask.dtype == bool
                 and mask.shape == (len(rows),)):

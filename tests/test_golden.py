@@ -2,9 +2,9 @@
 
 The files under ``tests/golden/`` are the ``--no-timestamp`` JSON reports of
 both commands on every catalog metric (32 points; ``perturbed_flat`` at 8 to
-bound the suite's run time), together with the exit codes.  Any change to a
-residual, a scale, a threshold, a verdict or the report layout shows up here
-as a byte difference.
+bound the suite's run time), together with the exit codes; nothing may be
+written to stderr.  Any change to a residual, a scale, a threshold, a verdict
+or the report layout shows up here as a byte difference.
 
 ``tests/golden_1024/`` holds the same pins at 1024 points on
 ``schwarzschild`` and ``flrw_dust``, the benchmark's wide sample, where the
@@ -45,8 +45,9 @@ def argv(command, metric, points=None):
 def test_output_matches_golden(command, metric, capsys):
     stem = f"{command}_{metric}"
     code = main(argv(command, metric))
-    assert capsys.readouterr().out == (GOLDEN / f"{stem}.json").read_text()
-    assert code == EXIT_CODES[stem]
+    out, err = capsys.readouterr()
+    assert out == (GOLDEN / f"{stem}.json").read_text()
+    assert (code, err) == (EXIT_CODES[stem], "")
 
 
 @pytest.mark.parametrize("metric", ["schwarzschild", "flrw_dust"])

@@ -1,28 +1,29 @@
 """Curvature from the metric's 3-jet (:mod:`wstar.jet`).
 
 ``check`` and ``classify`` build no symbolic curvature: the jet tape holds
-g, ∂g and ∂²g, and leaf tapes over the jet values and a numeric g^{-1} give
-Γ, R_{ijkl} and Ricci.  These tests pin what that route promises besides its
-values (``test_forward_derivatives.py`` and ``test_sympy_oracle.py`` check
-those): which symbolic fields a command builds, how an evaluation error
-names the metric component and the point, the symmetries of the expanded
-curvature, and where the recurrence fit evaluates.  The recurrence fit's
-own Ricci leaf tape is compared here with the full curvature pass and the
-symbolic Ricci and ∇Ricci.
+g, ∂g and ∂²g, and one leaf tape over the jet values and a numeric g^{-1}
+gives Γ, R_{ijkl} and Ricci.  These tests pin what that route promises
+besides its values (``test_forward_derivatives.py`` and
+``test_sympy_oracle.py`` check those): which symbolic fields a command
+builds, which tapes it compiles, how an evaluation error names the metric
+component and the point, the symmetries of the expanded curvature, and
+where the recurrence fit evaluates.  The recurrence fit's own pass, which
+differentiates the leaf tape's Ricci outputs, is compared here with the
+full curvature pass and the symbolic Ricci and ∇Ricci.
 """
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from wstar import cli
+from wstar import cli, geometry
 from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext, classification, pairings, recurrence_fit
 from wstar.geometry import workspace
 from wstar.jet import Jet, by_symmetry
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
-from wstar.tape import TapeEvalError
+from wstar.tape import Tape, TapeEvalError
 
 from test_forward_derivatives import _perturbation, perturbed_minkowski
 
@@ -54,6 +55,43 @@ def test_commands_build_no_symbolic_curvature(name, monkeypatch, capsys):
     assert "jet" in built
     assert not built & set(SYMBOLIC_CURVATURE), built
     assert not any(key.startswith(("energy_momentum", "nabla_")) for key in built), built
+
+
+def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
+    text = cli.catalog._TEXTS["flrw_dust"]
+    metric = parse_metric_text(text, "flrw_dust")  # a fresh workspace, not the catalog's
+    monkeypatch.setattr(cli, "load_metric", lambda source: metric)
+    compiled, seeded, where = [], [], ["curvature"]
+    compile_tape, run, ricci = geometry.compile_tape, Tape.run, Jet.ricci
+
+    def counting(*args, **kwargs):
+        compiled.append(compile_tape(*args, **kwargs))
+        return compiled[-1]
+
+    def spy_run(self, points, params=None, diff=None, seeds=None, coords=None):
+        if seeds is not None:  # a leaf tape run: its inputs are jet values
+            seeded.append((where[-1], self))
+        return run(self, points, params, diff, seeds, coords)
+
+    def spy_ricci(self, points):
+        where.append("ricci")
+        try:
+            return ricci(self, points)
+        finally:
+            where.pop()
+
+    monkeypatch.setattr(geometry, "compile_tape", counting)
+    monkeypatch.setattr(Tape, "run", spy_run)
+    monkeypatch.setattr(Jet, "ricci", spy_ricci)
+    for command in (["check", "--checks", "all"], ["classify"]):
+        cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
+    capsys.readouterr()
+    geo = workspace(metric)
+    assert len(compiled) == 3  # det g, the jet and the leaf tape
+    assert compiled[1] is geo.jet.tape
+    assert {place for place, _ in seeded} == {"curvature", "ricci"}
+    assert {id(tape) for _, tape in seeded} == {id(compiled[2])}
+    assert [key for key in geo._cache if "tape" in key] == ["jet_leaf_tape"]
 
 
 def test_a_failed_derivative_is_named_with_its_point(tmp_path):
@@ -133,8 +171,8 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
 
 
 def assert_ricci_leaf_tape_agrees(metric, points):
-    # the recurrence fit's own route (Jet.ricci, the leaf tape of Ricci alone)
-    # against the full curvature pass and the symbolic fields
+    # the recurrence fit's own route (Jet.ricci, which differentiates the leaf
+    # tape's Ricci outputs) against the full curvature pass and the symbolic fields
     geo = workspace(metric)
     pts = cli.sample_for(geo, points, 42)
     ctx = CheckContext(metric, pts, CFG)

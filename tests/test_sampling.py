@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from wstar import cli
 from wstar.catalog import catalog_metric
 from wstar.geometry import workspace
-from wstar.sampling import (DET_FLOOR, MAX_ATTEMPTS, SamplingError, SplitMix64,
+from wstar.sampling import (DET_FLOOR, MAX_ATTEMPTS, SamplingError, SplitMix64, _doubles,
                             sample_points)
 
 # Frozen reference outputs, checked against an independent implementation of
@@ -66,6 +67,18 @@ class TestSplitMix64:
 
     def test_streams_differ_across_seeds(self):
         assert SplitMix64(1).next_u64() != SplitMix64(2).next_u64()
+
+    @pytest.mark.parametrize("start", [0, 37])
+    @pytest.mark.parametrize("seed", [0, 42, -1, (1 << 64) + 5])
+    def test_array_draws_match_the_reference(self, seed, start):
+        rng = SplitMix64(seed)
+        for _ in range(start):
+            rng.next_u64()
+        want = [rng.next_double() for _ in range(300)]
+        with warnings.catch_warnings():  # uint64 array arithmetic wraps silently
+            warnings.simplefilter("error")
+            got = _doubles(seed, start, 300)
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 class TestSamplePoints:
