@@ -97,7 +97,7 @@ def run_tape(code, a, b, cval, pts, pvec, out_idx):
 
 
 def _activity(reg, groups, n_lanes, diff_idx, seeded):
-    """``(idle, needed)`` for a tangent run.
+    """``(idle, needed, active)`` for a tangent run.
 
     A ``sqrt`` or fractional power at 0 has a finite value and an infinite
     slope, so a lane whose operand partial is 0 would read 0·inf.  For such
@@ -105,7 +105,8 @@ def _activity(reg, groups, n_lanes, diff_idx, seeded):
     no coordinate of that lane: their partial is exactly 0.  A seeded leaf
     may depend on every lane.  ``needed`` marks the registers that an
     instruction of ``diff_idx`` depends on; only their partials can fail a
-    point.
+    point or be read, so ``active[g]`` says whether group ``g`` writes any
+    of them, and the chain rule of the others is skipped.
     """
     depends = np.zeros((reg.shape[0], n_lanes), dtype=bool)
     idle = []
@@ -124,7 +125,8 @@ def _activity(reg, groups, n_lanes, diff_idx, seeded):
             needed[x[use]] = True
             if y is not None:
                 needed[y[use]] = True
-    return idle, needed
+    active = [bool(needed[lo:hi].any()) for _, lo, hi, *_ in groups]
+    return idle, needed, active
 
 
 # d(op v)/dv from the operand values v, the result and the exponent
@@ -164,7 +166,7 @@ def _chain_rule(op, e, out, vx, vy, dx, dy, dout):
         np.multiply(_SLOPE[op](vx, out, e)[:, None], dx, out=dout)
 
 
-def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
+def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None, activity=None):
     """Values of ``out_idx`` and, given ``diff_idx``, the partials of ``diff_idx``.
 
     ``sched`` is :func:`schedule` of the tape.  Returns ``(vals, partials,
@@ -180,7 +182,8 @@ def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
     the unit vector along ``c``.  ``seeds`` of shape (P, n_coords, lanes)
     gives every leaf its partials per point instead, so a tape whose leaves
     are themselves functions of the coordinates is differentiated by the
-    chain rule.
+    chain rule.  In tangent mode ``activity`` is :func:`_activity` of the
+    run, which :meth:`wstar.tape.Tape.activity` keeps per tape.
     """
     reg, groups = sched
     n, n_points = reg.shape[0], pts.shape[0]
@@ -193,7 +196,7 @@ def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
         partials = np.empty((n_points, diff_idx.shape[0], n_lanes))
         lane = np.full(n_points, -1, dtype=np.int64)
         unit = np.eye(n_lanes)[:, :, None]
-        idle, needed = _activity(reg, groups, n_lanes, diff_idx, seeds is not None)
+        idle, needed, active = activity
         diff_reg = reg[diff_idx]
     else:
         partials = lane = None
@@ -222,7 +225,7 @@ def run(sched, pts, pvec, out_idx, diff_idx=None, seeds=None):
                 else:  # OP_POWI, OP_POWF
                     vx = regs[x]
                     np.power(vx, e, out=out)
-                if not tangent:
+                if not tangent or not active[g]:
                     continue
                 dout = dregs[lo:hi]
                 if op == OP_COORD:

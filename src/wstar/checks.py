@@ -10,46 +10,42 @@ their independent routes fail with a reason naming the deviation instead of
 being patched over.
 
 :class:`CheckContext` is the one place where a run turns a metric into field
-values.  It reads every field from the metric's 3-jet
-(:func:`wstar.jet.curvature_fields`): R_{ijkl} and ∇R_{ijkl} come per block
-of points from the tapes of :class:`wstar.jet.Jet`, and Ricci, R, R^h_{jkl},
-W* and its trace, T, and ∇ of Ricci, R, W* and T, are linear maps of those,
-g and g^{ij}, so no symbolic curvature is built.  The context holds those
-fields only; W*^h_{jkl} and ∇Weyl, each read by the checks of one result of
-the paper, are formed by those checks one block of points at a time.  The
-context also memoizes the check outcomes and the results that several
-checks read (fluid decomposition, Ricci-recurrence fit, the per-point
-Krupka residuals, the divergence of W* and its gap to the
-Bianchi-consistent closed form).
+values, and it holds none of them.  Every verdict is a max over sample
+points, so no check needs a field for the whole sample at once: the context
+walks the blocks of points once (:func:`wstar.jet.field_blocks`, 64 points
+each, from the metric's 3-jet; no symbolic curvature is built) and reduces
+each block's fields at once to per-point columns, the *steps* of
+:data:`_STEPS`: max |.| of every field (behind ``CheckContext.amax``), R,
+each check's residuals, the fluid's mu and p, and the Ricci-recurrence fit's
+covector and residual.  Then the block's fields are dropped.  One walk covers
+the checks the run names and the checks they read (:data:`_STEP_OF`,
+:data:`_READS`); a check outside them, asked for later, walks again for its
+own steps.  Residuals with more slots than their inputs (six for
+[nabla, nabla] W*), W*^h_{jkl} with the Krupka decomposition, and ∇Weyl so
+exist for one block only.  This is strip-mining and loop fusion (M. Wolfe,
+*High Performance Compilers for Parallel Computing*, 1996).  The context
+memoizes the check outcomes; an evaluation error is kept too and raised
+again for every check that reads a step.
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
-commands' output, and each verdict is computed in its registry function; one
-that reads other checks' outcomes (the perfect-fluid results, the theorem
-pairings) runs only those.  The ``classify`` flags and pairings are views:
-:data:`FLAGS` and :data:`PAIRINGS` name the check behind each public name and
-:func:`holds` reads its value, so every report of a run reads the same numbers.
-
-Residuals built from a curvature commutator or from the cyclic sum have more
-slots than their inputs (six for [nabla, nabla] W*), so they are built and
-reduced one 64-point block at a time (:func:`_blocked`, over
-:func:`wstar.backend.blocks`) and never exist for the whole sample.  So are
-W*^h_{jkl} with the Krupka decomposition's residuals, ∇Weyl, and the max
-|.| of a held field (``CheckContext.amax``, ∇W* in
-``wstar_parallel``), whose |.| would be a whole-sample temporary (8 MiB for
-∇W* at 1024 points).  The fluid decomposition is one batched
-eigen-decomposition of every point's T, not a loop over points.
+commands' output, and each verdict is computed in its registry function from
+the steps' columns; one that reads other checks' outcomes (the
+perfect-fluid results, the theorem pairings) runs only those.  The
+``classify`` flags and pairings are views: :data:`FLAGS` and
+:data:`PAIRINGS` name the check behind each public name and :func:`holds`
+reads its value, so every report of a run reads the same numbers.
 
 The semi-symmetry commutators R(X, Y)·X of W*, Ricci and T pick their route
-from the sample's supports: the products x * R^s_{imn} whose two factors are
+per block from its supports: the products x * R^s_{imn} whose two factors are
 nonzero at some point are counted from the two masks, and below
 ``_SPARSE_SHARE`` of the dense count (Schwarzschild, de Sitter and FLRW keep
-under 7%, ``perturbed_flat`` over half) a plan of only those products runs
-block by block; otherwise ``geometry.ricci_commutator`` forms every product.
-The sparse route keeps the dense route's bits: per slot it sums the products
-in increasing s with elementwise multiply and add, as the dense ``einsum``
-does, and subtracts the slot terms in slot order.  A skipped product is an
-exact ±0, x ± 0 = x for finite x, and the max |.| per point erases the sign
-of a zero.
+under 7%, ``perturbed_flat`` over half) a plan of only those products runs;
+otherwise ``geometry.ricci_commutator`` forms every product.  A plan is built
+once per distinct pair of masks in a run.  The sparse route keeps the dense
+route's bits: per slot it sums the products in increasing s with elementwise
+multiply and add, as the dense ``einsum`` does, and subtracts the slot terms
+in slot order.  A skipped product is an exact ±0, x ± 0 = x for finite x,
+and the max |.| per point erases the sign of a zero.
 
 The registry is ordered; running a subset or everything through one context is
 deterministic for a fixed (metric, seed, points, tolerances) tuple.
@@ -58,14 +54,13 @@ deterministic for a fixed (metric, seed, points, tolerances) tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Dict, Optional, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
-from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import _raise_first, _weyl, curvature_fields
+from .jet import _raise_first, _weyl, field_blocks
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
@@ -88,41 +83,88 @@ class CheckOutcome:
 
 
 class CheckContext:
-    """Shared evaluated-field cache for one (metric, points, config) run.
+    """Per-point reductions and verdicts of one (metric, points, config) run.
 
-    The first field asked for evaluates the fields the checks read, from
-    the metric's 3-jet (:func:`wstar.jet.curvature_fields`); check outcomes
-    and the multi-field results (``fluid``, ``recurrence``, ``krupka``,
-    ``divergence``, ``divergence_adjusted_gap``) are computed on first use
-    and kept for the run, so a check that reads another check's outcome, or
-    a report that reads many, computes each at most once; so does a check
-    that raises.
+    ``checks`` names the checks the run will ask for (every check by
+    default).  The first step read walks the blocks of points once for the
+    steps of those checks and of the checks they read; check outcomes, and
+    ``recurrence``, are formed from the steps' columns on first use and kept
+    for the run, so a check that reads another check's outcome, or a report
+    that reads many, computes each at most once; so does a check that
+    raises.  The context holds per-point columns and scalars only.
     """
 
     def __init__(self, metric: MetricSpec, points, cfg: FieldEquationConfig,
-                 atol: float = 1e-9, rtol: float = 1e-6):
+                 atol: float = 1e-9, rtol: float = 1e-6,
+                 checks: Optional[Iterable[str]] = None):
         self.metric = metric
         self.geo: Geometry = workspace(metric)
         self.points = np.asarray(points, dtype=float)
         self.cfg = cfg
         self.atol = atol
         self.rtol = rtol
-        self._vals: Dict[str, np.ndarray] = {}
-        self._amax: Dict[str, float] = {}
+        self._planned = _steps_of(REGISTRY if checks is None else checks)
+        self._columns: Dict[str, object] = {}  # step -> its columns, or its error
+        self._commutator_plans: dict = {}  # support masks -> sparse commutator plan
         self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
-    def get(self, name: str) -> np.ndarray:
-        """The values of field ``name`` (a key of :data:`wstar.jet.FIELDS`, or
-        ``rc`` or ``nrc``), points first."""
-        if not self._vals:
-            self._vals = curvature_fields(self.geo, self.points, self.cfg)
-        return self._vals[name]
+    def reduced(self, step: str):
+        """The columns of ``step`` (a key of :data:`_STEPS`) over the whole sample."""
+        if step not in self._columns:
+            self._walk(self._planned | {step})
+        out = self._columns[step]
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    def _walk(self, steps: set):
+        """Reduce every block of points to the columns of ``steps`` not yet kept.
+
+        A step that raises keeps its error, and so does every step when the
+        fields cannot be formed (the jet pass, a singular g, the leaf tape).
+        """
+        todo = [step for step in _STEPS if step in steps and step not in self._columns]
+        parts: Dict[str, object] = {step: [] for step in todo}
+        try:
+            for fields in field_blocks(self.geo, self.points, self.cfg):
+                for step in todo:
+                    if isinstance(parts[step], list):
+                        try:
+                            parts[step].append(_STEPS[step](self, fields))
+                        except Exception as err:
+                            parts[step] = err
+        except Exception as err:
+            parts = dict.fromkeys(todo, err)
+        for step, part in parts.items():
+            self._columns[step] = _join(part) if isinstance(part, list) else part
 
     def amax(self, name: str) -> float:
-        """max |field| over every point and component, computed once per name."""
-        if name not in self._amax:
-            self._amax[name] = float(np.max(_blocked_ptmax(lambda a: a, self.get(name))))
-        return self._amax[name]
+        """max |field| over every point and component (a key of ``reduced("scales")``)."""
+        return float(np.max(self.reduced("scales")[name]))
+
+    @property
+    def scalar(self) -> np.ndarray:
+        """R at every point."""
+        return self.reduced("R")
+
+    @property
+    def fluid(self) -> tuple:
+        """(mu, p, failures): T decomposed at every point, NaN where it fails."""
+        mu, p, errors = self.reduced("fluid")
+        return mu, p, tuple(e for e in errors if e is not None)
+
+    @cached_property
+    def recurrence(self) -> "RecurrenceFit":
+        return recurrence_fit(self)
+
+    def commutator_plan(self, xm: np.ndarray, rm: np.ndarray):
+        """The sparse plan of the commutator for these support masks, or None
+        where the dense route is taken; decided once per distinct pair of masks."""
+        key = (xm.shape, xm.tobytes(), rm.tobytes())
+        plans = self._commutator_plans
+        if key not in plans:
+            plans[key] = _commutator_plan(xm, rm) if _takes_sparse_route(xm, rm) else None
+        return plans[key]
 
     def tol(self, scale: float) -> float:
         return self.atol + self.rtol * scale
@@ -157,57 +199,19 @@ class CheckContext:
             raise out
         return out
 
-    @cached_property
-    def fluid(self) -> tuple:
-        """(mu, p, failures): T decomposed at every point, NaN where it fails."""
-        fluid = decompose_fluids(self.get("t"), self.get("g"), self.get("ginv"))
-        return fluid.mu, fluid.p, tuple(e for e in fluid.errors if e is not None)
 
-    @cached_property
-    def recurrence(self) -> "RecurrenceFit":
-        return recurrence_fit(self)
-
-    @cached_property
-    def krupka(self) -> np.ndarray:
-        """Per point: max |W*^h_{jkl}| and the residuals of
-        ``krupka_oracle_match`` and ``krupka_printed_forms``, one column each.
-
-        W*^h_{jkl} is formed and its trace system solved one block of points
-        at a time, once for both Krupka checks.
-        """
-        return _blocked(_krupka_block, *map(self.get, ("ginv", "w04", "w02", "ric", "R", "g")))
-
-    @cached_property
-    def divergence(self) -> np.ndarray:
-        """g^{hi} ∇_h W*_{ijkl}: the direct route to the divergence of W*."""
-        return ws.divergence(self.get("ginv"), self.get("dw"))
-
-    @cached_property
-    def divergence_adjusted_gap(self) -> np.ndarray:
-        """max |.| per point of the direct divergence minus its closed form with
-        the 1/6 the contracted Bianchi identity forces."""
-        return _ptmax(self.divergence - _divergence_formula(self, 1.0 / 6.0))
+def _join(parts: list):
+    """The blocks' columns of one step, concatenated along the point axis."""
+    if isinstance(parts[0], dict):
+        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(cols) for cols in zip(*parts))
+    return np.concatenate(parts)
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
     """Collapse all but the leading (point) axis with max |.|."""
     return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
-
-
-def _blocked(form: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """``form(*arrays)``, formed over blocks of points and concatenated.
-
-    ``form`` is applied to the same slice of the point axis of every array
-    (:func:`wstar.backend.blocks`), so what it forms on the way, with more
-    slots than its inputs or its result, only ever exists for one block.
-    """
-    return np.concatenate([form(*(a[part] for a in arrays))
-                           for part in blocks(arrays[0].shape[0])])
-
-
-def _blocked_ptmax(residual: Callable[..., np.ndarray], *arrays: np.ndarray) -> np.ndarray:
-    """``_ptmax(residual(*arrays))``, evaluated over blocks of points."""
-    return _blocked(lambda *block: _ptmax(residual(*block)), *arrays)
 
 
 # The sparse commutator costs about 3x the dense one per product it forms
@@ -219,9 +223,9 @@ _SPARSE_SHARE = 0.125
 
 
 def _support(a: np.ndarray) -> np.ndarray:
-    """Components that are nonzero at some sample point.
+    """Components that are nonzero at some point of the block.
 
-    Two reductions over the point axis, so no whole-sample mask is formed.
+    Two reductions over the point axis, so no mask of every point is formed.
     """
     return (np.max(a, axis=0) != 0) | (np.min(a, axis=0) != 0)
 
@@ -291,57 +295,38 @@ def _sparse_commutator(plan, x: np.ndarray, r13: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def _commutator_ptmax(ctx: CheckContext, name: str, variance: str) -> np.ndarray:
-    """max |[nabla, nabla] X| per point for the lower-index field ``name``."""
-    x, r13 = ctx.get(name), ctx.get("r13")
-    xm, rm = _support(x), _support(r13)
-    if not _takes_sparse_route(xm, rm):
-        return _blocked_ptmax(lambda x, r13: ricci_commutator(x, variance, r13), x, r13)
-    plan = _commutator_plan(xm, rm)
+# The dense route forms n^(rank + 2) components per point, 2 MiB per 64 points
+# for W*, and a few such temporaries at once; it runs on this many points at a time.
+_DENSE_POINTS = 16
+
+
+def _commutator_ptmax(ctx: CheckContext, x: np.ndarray, variance: str,
+                      r13: np.ndarray) -> np.ndarray:
+    """max |[nabla, nabla] X| per point of one block, for a lower-index X."""
+    plan = ctx.commutator_plan(_support(x), _support(r13))
+    if plan is None:
+        return np.concatenate([
+            _ptmax(ricci_commutator(x[a:a + _DENSE_POINTS], variance, r13[a:a + _DENSE_POINTS]))
+            for a in range(0, x.shape[0], _DENSE_POINTS)])
     if not plan[0]:
         return np.zeros(x.shape[0])  # every product is 0 at every point
-    return _blocked_ptmax(partial(_sparse_commutator, plan), x, r13)
+    return _ptmax(_sparse_commutator(plan, x, r13))
 
 
-def _traceless_ricci(ctx: CheckContext) -> np.ndarray:
-    return ws.traceless_ricci(ctx.get("ric"), ctx.get("R"), ctx.get("g"))
-
-
-def _divergence_formula(ctx: CheckContext, coeff: float) -> np.ndarray:
-    return ws.divergence_closed_form(ctx.get("nric"), ctx.get("g"), ctx.get("gradR"), coeff)
+def _divergence_formula(f: dict, coeff: float) -> np.ndarray:
+    return ws.divergence_closed_form(f["nric"], f["g"], f["gradR"], coeff)
 
 
 def _trace_relation_gap(ctx: CheckContext) -> np.ndarray:
     """|R - (4L + k(mu - 3p))| per point; NaN where T has no fluid form."""
     mu, p, _ = ctx.fluid
-    return np.abs(ctx.get("R") - (4.0 * ctx.cfg.lam + ctx.cfg.k * (mu - 3.0 * p)))
+    return np.abs(ctx.scalar - (4.0 * ctx.cfg.lam + ctx.cfg.k * (mu - 3.0 * p)))
 
 
-# --- identity checks ----------------------------------------------------------
-
-
-def _check_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    n = ctx.geo.dim
-    res = _ptmax(ctx.get("w02") - n / (n - 1.0) * _traceless_ricci(ctx))
-    return ctx.outcome(res, 1.0 + ctx.amax("R") * ctx.amax("g"))
-
-
-def _check_divergence_formula(ctx: CheckContext) -> CheckOutcome:
-    direct = ctx.divergence
-    res = _ptmax(direct - _divergence_formula(ctx, 1.0 / 3.0))
-    adj = float(np.max(ctx.divergence_adjusted_gap))
-    out = ctx.outcome(res, 1.0 + _ptmax(direct).max())
-    if out.status == "fail":
-        out.reason = (
-            "circulated form carries 1/3 on the scalar-gradient term where the "
-            "contracted Bianchi identity forces 1/6; the direct route is "
-            f"authoritative (adjusted-coefficient gap {adj:.3e})"
-        )
-    return out
-
-
-def _check_divergence_adjusted(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(ctx.divergence_adjusted_gap, 1.0 + _ptmax(ctx.divergence).max())
+# --- the per-block steps --------------------------------------------------------
+#
+# Each step reduces one block's fields (a dict of :func:`wstar.jet._block_fields`)
+# to per-point columns: an array, or a tuple or dict of arrays.
 
 
 def _cyclic_gap(dw, nric, g) -> np.ndarray:
@@ -349,23 +334,10 @@ def _cyclic_gap(dw, nric, g) -> np.ndarray:
     return cyc - rhs
 
 
-def _check_bianchi_identity(ctx: CheckContext) -> CheckOutcome:
-    res = _blocked_ptmax(_cyclic_gap, ctx.get("dw"), ctx.get("nric"), ctx.get("g"))
-    return ctx.outcome(res, 1.0 + ctx.amax("dw"))
-
-
 def _semisymmetry_trace_gap(w02, ric, r13) -> np.ndarray:
     lhs = ricci_commutator(w02, "ll", r13)
     rhs = (4.0 / 3.0) * ricci_commutator(ric, "ll", r13)
     return lhs - rhs
-
-
-def _check_semisymmetry_trace_identity(ctx: CheckContext) -> CheckOutcome:
-    res = _blocked_ptmax(
-        _semisymmetry_trace_gap, ctx.get("w02"), ctx.get("ric"), ctx.get("r13")
-    )
-    scale = ctx.amax("r13") * (ctx.amax("w02") + ctx.amax("ric"))
-    return ctx.outcome(res, scale)
 
 
 def _krupka_gaps(w13, w02, c, d, e) -> np.ndarray:
@@ -377,10 +349,6 @@ def _krupka_gaps(w13, w02, c, d, e) -> np.ndarray:
     return np.stack([_ptmax(gap) for gap in gaps], axis=1)
 
 
-def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(ctx.krupka[:, 1], 1.0 + float(np.max(ctx.krupka[:, 0])))
-
-
 def _printed_form_gaps(w13, ric, scal, g, c, d, e) -> np.ndarray:
     """Per point: the gaps of the circulated trace combinations and of the
     ±1/9 Ricci forms to the solved C, D, E, one column each."""
@@ -390,16 +358,160 @@ def _printed_form_gaps(w13, ric, scal, g, c, d, e) -> np.ndarray:
     return np.stack([_ptmax(gap) for gap in gaps], axis=1)
 
 
-def _krupka_block(ginv, w04, w02, ric, scal, g) -> np.ndarray:
-    """The columns of :attr:`CheckContext.krupka` on one block of points."""
-    w13 = _raise_first(ginv, w04)
+def _krupka(ctx: CheckContext, f: dict) -> tuple:
+    """Per point: max |W*^h_{jkl}| and the residuals of ``krupka_oracle_match``
+    and ``krupka_printed_forms``.  The trace system is solved once for both."""
+    w13 = _raise_first(f["ginv"], f["w04"])
     cde = ws.krupka_oracle(w13)
-    return np.stack([_ptmax(w13), _ptmax(_krupka_gaps(w13, w02, *cde)),
-                     _ptmax(_printed_form_gaps(w13, ric, scal, g, *cde))], axis=1)
+    return (_ptmax(w13), _ptmax(_krupka_gaps(w13, f["w02"], *cde)),
+            _ptmax(_printed_form_gaps(w13, f["ric"], f["R"], f["g"], *cde)))
+
+
+def _divergence(ctx: CheckContext, f: dict) -> tuple:
+    """Per point: max |g^{hi} ∇_h W*_{ijkl}|, the direct divergence of W*, and
+    its gaps to the closed forms with 1/3 and with the 1/6 that the
+    contracted Bianchi identity forces."""
+    direct = ws.divergence(f["ginv"], f["dw"])
+    return (_ptmax(direct), _ptmax(direct - _divergence_formula(f, 1.0 / 3.0)),
+            _ptmax(direct - _divergence_formula(f, 1.0 / 6.0)))
+
+
+def _weyl_divergence(ctx: CheckContext, f: dict) -> tuple:
+    """Per point: max |g^{hi} ∇_h C_{ijkl}|, its gap to the printed closed
+    form codazzi/2 + grad/6, and max |codazzi| of Ricci.  ∇Weyl's last two
+    slots are put in W*'s order."""
+    nweyl = _weyl(f["nrc"], f["g"], f["nric"], f["gradR"])
+    direct = ws.divergence(f["ginv"], np.einsum("pijlkm->pijklm", nweyl))
+    printed = 0.5 * _divergence_formula(f, -1.0 / 3.0)
+    return (_ptmax(direct), _ptmax(direct - printed), _ptmax(_divergence_formula(f, 0.0)))
+
+
+def _fluid(ctx: CheckContext, f: dict) -> tuple:
+    """(mu, p, why T has no fluid form or None) per point."""
+    fluid = decompose_fluids(f["t"], f["g"], f["ginv"])
+    return fluid.mu, fluid.p, np.array(fluid.errors, dtype=object)
+
+
+def _recurrence(ctx: CheckContext, f: dict) -> tuple:
+    """(b, max |nabla Ric - b Ric|) per point, both 0 where Ricci vanishes."""
+    ric = f["ric"]
+    usable = _ptmax(ric) > _RICCI_FLOOR
+    b, res = np.zeros(ric.shape[:2]), np.zeros(ric.shape[0])
+    if np.any(usable):
+        b[usable], res[usable] = _fit_recurrence(ric[usable], f["nric"][usable])
+    return b, res
+
+
+def _traceless_ricci(f: dict) -> np.ndarray:
+    return ws.traceless_ricci(f["ric"], f["R"], f["g"])
+
+
+_STEPS: "Dict[str, Callable[[CheckContext, dict], object]]" = {
+    "scales": lambda ctx, f: {name: _ptmax(v) for name, v in f.items()},
+    "R": lambda ctx, f: f["R"],
+    "trace_identity": lambda ctx, f: _ptmax(
+        f["w02"] - ctx.geo.dim / (ctx.geo.dim - 1.0) * _traceless_ricci(f)),
+    "divergence": _divergence,
+    "bianchi_identity": lambda ctx, f: _ptmax(_cyclic_gap(f["dw"], f["nric"], f["g"])),
+    "semisymmetry_trace_identity": lambda ctx, f: _ptmax(
+        _semisymmetry_trace_gap(f["w02"], f["ric"], f["r13"])),
+    "krupka": _krupka,
+    "fluid": _fluid,
+    "weyl_divergence": _weyl_divergence,
+    "einstein": lambda ctx, f: _ptmax(_traceless_ricci(f)),
+    "codazzi": lambda ctx, f: _ptmax(ws.codazzi_defect(f["nric"])),
+    "recurrence": _recurrence,
+    "ricci_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, f["ric"], "ll", f["r13"]),
+    "wstar_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, f["w04"], "llll", f["r13"]),
+    "quarter_rule": lambda ctx, f: _ptmax(
+        f["nric"] - np.einsum("pjk,pm->pjkm", f["g"], f["gradR"]) / ctx.geo.dim),
+    "t_codazzi": lambda ctx, f: _ptmax(ws.codazzi_defect(f["nt"])),
+    "t_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, f["t"], "ll", f["r13"]),
+}
+
+# check -> the step its verdict reads besides "scales" and "R", where that step
+# is not named after the check
+_STEP_OF = {
+    "divergence_formula": "divergence",
+    "divergence_adjusted": "divergence",
+    "wstar_divergence_free": "divergence",
+    "krupka_oracle_match": "krupka",
+    "krupka_printed_forms": "krupka",
+    "field_equation_trace": "fluid",
+    "dust_vacuum": "fluid",
+    "pairing_flat_lambda_fluid": "fluid",
+    "ricci_recurrent": "recurrence",
+}
+
+# check -> the checks whose outcomes its verdict reads
+_READS = {
+    "quarter_rule": ("wstar_parallel",),
+    "em_distribution": ("wstar_parallel",),
+    "dust_vacuum": ("wstar_flat",),
+    "pairing_codazzi_divergence": ("codazzi", "wstar_divergence_free"),
+    "pairing_einstein_trace": ("einstein",),
+    "pairing_parallel_semisymmetric": ("wstar_parallel", "t_semisymmetric"),
+    "pairing_flat_parallel_t": ("wstar_flat", "constant_scalar_curvature", "t_parallel"),
+    "pairing_flat_lambda_fluid": ("wstar_flat",),
+    "pairing_semisymmetric_t": ("t_semisymmetric", "ricci_semisymmetric"),
+}
+
+
+def _steps_of(names: Iterable[str]) -> set:
+    """The steps that the checks ``names``, and the checks they read, reduce to."""
+    seen, todo = set(), list(names)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_READS.get(name, ()))
+    return {"scales", "R"} | ({_STEP_OF.get(name, name) for name in seen} & _STEPS.keys())
+
+
+# --- identity checks ----------------------------------------------------------
+
+
+def _check_trace_identity(ctx: CheckContext) -> CheckOutcome:
+    res = ctx.reduced("trace_identity")
+    return ctx.outcome(res, 1.0 + ctx.amax("R") * ctx.amax("g"))
+
+
+def _check_divergence_formula(ctx: CheckContext) -> CheckOutcome:
+    direct, third, sixth = ctx.reduced("divergence")
+    adj = float(np.max(sixth))
+    out = ctx.outcome(third, 1.0 + direct.max())
+    if out.status == "fail":
+        out.reason = (
+            "circulated form carries 1/3 on the scalar-gradient term where the "
+            "contracted Bianchi identity forces 1/6; the direct route is "
+            f"authoritative (adjusted-coefficient gap {adj:.3e})"
+        )
+    return out
+
+
+def _check_divergence_adjusted(ctx: CheckContext) -> CheckOutcome:
+    direct, _, sixth = ctx.reduced("divergence")
+    return ctx.outcome(sixth, 1.0 + direct.max())
+
+
+def _check_bianchi_identity(ctx: CheckContext) -> CheckOutcome:
+    return ctx.outcome(ctx.reduced("bianchi_identity"), 1.0 + ctx.amax("dw"))
+
+
+def _check_semisymmetry_trace_identity(ctx: CheckContext) -> CheckOutcome:
+    res = ctx.reduced("semisymmetry_trace_identity")
+    scale = ctx.amax("r13") * (ctx.amax("w02") + ctx.amax("ric"))
+    return ctx.outcome(res, scale)
+
+
+def _check_krupka_oracle_match(ctx: CheckContext) -> CheckOutcome:
+    w13, oracle, _ = ctx.reduced("krupka")
+    return ctx.outcome(oracle, 1.0 + float(np.max(w13)))
 
 
 def _check_krupka_printed_forms(ctx: CheckContext) -> CheckOutcome:
-    out = ctx.outcome(ctx.krupka[:, 2], 1.0 + float(np.max(ctx.krupka[:, 0])))
+    w13, _, printed = ctx.reduced("krupka")
+    out = ctx.outcome(printed, 1.0 + float(np.max(w13)))
     if out.status == "fail":
         out.reason = (
             "circulated trace combinations (1/33 weights, +-1/9 Ricci forms) "
@@ -421,16 +533,9 @@ def _check_field_equation_trace(ctx: CheckContext) -> CheckOutcome:
     return out
 
 
-def _weyl_divergence(ginv, nrc, g, nric, grad) -> np.ndarray:
-    """g^{hi} ∇_h C_{ijkl} on one block, ∇Weyl's last two slots in W*'s order."""
-    return ws.divergence(ginv, np.einsum("pijlkm->pijklm", _weyl(nrc, g, nric, grad)))
-
-
 def _check_weyl_divergence(ctx: CheckContext) -> CheckOutcome:
-    direct = _blocked(_weyl_divergence, *map(ctx.get, ("ginv", "nrc", "g", "nric", "gradR")))
-    printed = 0.5 * _divergence_formula(ctx, -1.0 / 3.0)  # codazzi/2 + grad/6
-    deviation = float(np.max(_ptmax(direct - printed)))
-    codazzi = float(np.max(_ptmax(_divergence_formula(ctx, 0.0))))
+    direct, deviation, codazzi = ctx.reduced("weyl_divergence")
+    deviation, codazzi = float(np.max(deviation)), float(np.max(codazzi))
     grad = ctx.amax("gradR")
     note = f"printed closed form deviates from the direct route by {deviation:.3e}"
     scale = 1.0 + ctx.amax("nric")
@@ -439,32 +544,31 @@ def _check_weyl_divergence(ctx: CheckContext) -> CheckOutcome:
             "Ricci tensor is not Codazzi at the sample points, so the "
             "vanishing conclusion does not apply; " + note
         )
-    return ctx.outcome(_ptmax(direct), scale, note)
+    return ctx.outcome(direct, scale, note)
 
 
 # --- property checks ----------------------------------------------------------
 
 
 def _check_ricci_flat(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.get("ric")), ctx.amax("rc"))
+    return ctx.outcome(ctx.reduced("scales")["ric"], ctx.amax("rc"))
 
 
 def _check_einstein(ctx: CheckContext) -> CheckOutcome:
     n = ctx.geo.dim
     scale = ctx.amax("ric") + ctx.amax("R") * ctx.amax("g") / n
-    out = ctx.outcome(_ptmax(_traceless_ricci(ctx)), scale)
+    out = ctx.outcome(ctx.reduced("einstein"), scale)
     trace_res = ctx.amax("w02")
     out.reason = f"independent trace route residual {trace_res:.3e}"
     return out
 
 
 def _check_constant_scalar(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.get("gradR")[:, None]), ctx.amax("R"))
+    return ctx.outcome(ctx.reduced("scales")["gradR"], ctx.amax("R"))
 
 
 def _check_codazzi(ctx: CheckContext) -> CheckOutcome:
-    res = _ptmax(ws.codazzi_defect(ctx.get("nric")))
-    return ctx.outcome(res, ctx.amax("nric"))
+    return ctx.outcome(ctx.reduced("codazzi"), ctx.amax("nric"))
 
 
 def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
@@ -479,24 +583,24 @@ def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_ricci_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    res = _commutator_ptmax(ctx, "ric", "ll")
+    res = ctx.reduced("ricci_semisymmetric")
     return ctx.outcome(res, ctx.amax("r13") * ctx.amax("ric"))
 
 
 def _check_wstar_flat(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.get("w04")), ctx.amax("rc"))
+    return ctx.outcome(ctx.reduced("scales")["w04"], ctx.amax("rc"))
 
 
 def _check_wstar_divergence_free(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.divergence), ctx.amax("dw"))
+    return ctx.outcome(ctx.reduced("divergence")[0], ctx.amax("dw"))
 
 
 def _check_wstar_parallel(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_blocked_ptmax(lambda dw: dw, ctx.get("dw")), ctx.amax("w04"))
+    return ctx.outcome(ctx.reduced("scales")["dw"], ctx.amax("w04"))
 
 
 def _check_wstar_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    res = _commutator_ptmax(ctx, "w04", "llll")
+    res = ctx.reduced("wstar_semisymmetric")
     return ctx.outcome(res, ctx.amax("r13") * ctx.amax("w04"))
 
 
@@ -508,21 +612,19 @@ def _check_quarter_rule(ctx: CheckContext) -> CheckOutcome:
             f"(residual {parallel.max_residual:.3e}); the quarter-trace rule "
             "only applies in that regime"
         )
-    n = ctx.geo.dim
-    pred = np.einsum("pjk,pm->pjkm", ctx.get("g"), ctx.get("gradR")) / n
-    return ctx.outcome(_ptmax(ctx.get("nric") - pred), 1.0 + ctx.amax("nric"))
+    return ctx.outcome(ctx.reduced("quarter_rule"), 1.0 + ctx.amax("nric"))
 
 
 def _check_t_parallel(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ctx.get("nt")), ctx.amax("t"))
+    return ctx.outcome(ctx.reduced("scales")["nt"], ctx.amax("t"))
 
 
 def _check_t_codazzi(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(_ptmax(ws.codazzi_defect(ctx.get("nt"))), ctx.amax("nt"))
+    return ctx.outcome(ctx.reduced("t_codazzi"), ctx.amax("nt"))
 
 
 def _check_t_semisymmetric(ctx: CheckContext) -> CheckOutcome:
-    res = _commutator_ptmax(ctx, "t", "ll")
+    res = ctx.reduced("t_semisymmetric")
     return ctx.outcome(res, ctx.amax("r13") * ctx.amax("t"))
 
 
@@ -532,7 +634,7 @@ def _check_em_distribution(ctx: CheckContext) -> CheckOutcome:
     Its trace reads R = +k T; the sign-reversed reading R = -k T is scored
     too, so either convention can be audited.
     """
-    k, scal = ctx.cfg.k, ctx.get("R")
+    k, scal = ctx.cfg.k, ctx.scalar
     t_trace = scal / k  # g^{ij} T_{ij} with T_{ij} = R_{ij}/k
     note = (
         f"trace reads R = +kT with residual {_amax(scal - k * t_trace):.3e}; "
@@ -773,35 +875,35 @@ def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
 
 
 def _fit_recurrence(ric: np.ndarray, nric: np.ndarray) -> tuple:
-    """(b, max |nabla Ric - b Ric| per point) at the usable points.
-
-    The usable points' copies of Ricci and its derivative die on return, so
-    they are not held through the displaced evaluation.
-    """
+    """(b, max |nabla Ric - b Ric| per point) at the usable points."""
     b = _fit_covector(ric, nric)
     return b, _ptmax(nric - np.einsum("pjk,pm->pjkm", ric, b))
 
 
+_RICCI_FLOOR = 1e-10  # max |Ric| at a point whose recurrence is fitted
 _FD_STEP = 1e-4  # central-difference step of the closedness estimate
 
 
 def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
 
+    The fit at the sample points is the context's ``recurrence`` step.
     Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point.  A copy is displaced
-    only along a coordinate the metric depends on: along any other, b is
-    constant and its difference is exactly 0.  Points where Ricci vanishes
-    carry no information and are dropped; with no usable points the fit is
-    reported as not applicable rather than as trivially recurrent.
+    covector at displaced copies of each sample point, each block of them
+    reduced to b as it is evaluated (:meth:`wstar.jet.Jet.ricci`).  A copy is
+    displaced only along a coordinate the metric depends on: along any
+    other, b is constant and its difference is exactly 0.  Points where
+    Ricci vanishes carry no information and are dropped; with no usable
+    points the fit is reported as not applicable rather than as trivially
+    recurrent.
     """
 
     geo = ctx.geo
-    usable = np.max(np.abs(ctx.get("ric")), axis=(1, 2)) > 1e-10
+    usable = ctx.reduced("scales")["ric"] > _RICCI_FLOOR
     if not np.any(usable):
         return RecurrenceFit(False, None, 0.0, None, "Ricci tensor vanishes")
-    point_residual = np.zeros(ctx.points.shape[0])
-    b, point_residual[usable] = _fit_recurrence(ctx.get("ric")[usable], ctx.get("nric")[usable])
+    b, point_residual = ctx.reduced("recurrence")
+    b = b[usable]
 
     n, axes = geo.dim, geo.jet.axes
     base = ctx.points[usable]
@@ -809,7 +911,7 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     displaced = np.concatenate(
         [base + s for s in shifts] + [base - s for s in shifts]
     ).reshape(-1, n)
-    bd = _fit_covector(*geo.jet.ricci(displaced))
+    bd = geo.jet.ricci(displaced, _fit_covector)
     p_used, k = base.shape[0], len(axes)
     plus = bd[: k * p_used].reshape(k, p_used, n)
     minus = bd[k * p_used :].reshape(k, p_used, n)

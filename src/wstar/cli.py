@@ -140,8 +140,8 @@ def sample_for(geo: Geometry, count: int, seed: int) -> np.ndarray:
     return sample_points(geo.metric.domain, count, seed, reject=reject)
 
 
-def _context(cfg: RunConfig) -> CheckContext:
-    """The run's metric at its sample points, ready to be checked.
+def _context(cfg: RunConfig, checks) -> CheckContext:
+    """The run's metric at its sample points, ready for the checks ``checks``.
 
     The checks use the constants of four dimensions (the -1/3 and 1/6 of the
     divergence forms, the trace 4L + k(mu - 3p)), so any other dim is refused
@@ -155,14 +155,15 @@ def _context(cfg: RunConfig) -> CheckContext:
         )
     pts = sample_for(workspace(metric), cfg.points, cfg.seed)
     return CheckContext(metric, pts, FieldEquationConfig(k=cfg.k, lam=cfg.lam),
-                        atol=cfg.atol, rtol=cfg.rtol)
+                        atol=cfg.atol, rtol=cfg.rtol, checks=checks)
 
 
 def run_checks(cfg: RunConfig) -> RunReport:
     from .checks import CheckOutcome, REGISTRY
-    ctx = _context(cfg)
+    names = tuple(REGISTRY) if "all" in cfg.checks else cfg.checks
+    ctx = _context(cfg, names)
     rep = RunReport(cfg, ctx.metric, timestamp=stamp(cfg))
-    for name in REGISTRY if "all" in cfg.checks else cfg.checks:
+    for name in names:
         try:
             out = ctx.check(name)
         except EVAL_ERRORS as err:
@@ -266,8 +267,8 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
 
 def classify_payload(cfg: RunConfig) -> tuple:
     """(payload dict, any-pairing-violated flag)."""
-    from .checks import classification, holds, pairings
-    ctx = _context(cfg)
+    from .checks import FLAGS, PAIRINGS, classification, holds, pairings
+    ctx = _context(cfg, [name for _, name in FLAGS + PAIRINGS])
     pairs = pairings(ctx)
     payload = classification_payload(cfg, ctx.metric, classification(ctx), pairs,
                                      stamp(cfg))

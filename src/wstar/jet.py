@@ -5,11 +5,15 @@ Every command reads its curvature here and builds no symbolic curvature:
 point.  :class:`Jet` holds a tape of the nonzero components of g, ∂g and
 ∂²g, whose tangent mode gives ∂³g, and one leaf tape over those values and
 a numeric g^{ij} that gives Γ, R_{ijkl} by symmetry class and Ricci, with
-the partials of the classes or of Ricci; :func:`curvature_fields` forms Γ
-and the fields several checks read from R_{ijkl}, ∇R_{ijkl}, g and g^{ij},
-one block of points at a time.
-R_{ijkl} and ∇R_{ijkl} are held only as their symmetry classes; a reader of
-W*^h_{jkl}, Weyl or ∇Weyl forms it from the held fields with
+the partials of the classes or of Ricci.  The jet tape and g^{ij} run over
+the whole sample; everything after them runs one block of points at a
+time.  :func:`field_blocks` yields, per block, Γ and the fields several
+checks read, formed from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}; the checks
+reduce each block to per-point columns before the next is formed
+(:class:`wstar.checks.CheckContext`), and :func:`curvature_fields`
+concatenates the blocks for ``compute`` and for tests.
+R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; a reader of
+W*^h_{jkl}, Weyl or ∇Weyl forms it from a block's fields with
 :func:`_raise_first` or :func:`_weyl`.  This is truncated-Taylor (jet)
 evaluation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
 2008, ch. 13).
@@ -23,6 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +38,8 @@ from .geometry import Geometry, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
-__all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "weyl_classes"]
+__all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks",
+           "weyl_classes"]
 
 _ZERO = const(0)
 
@@ -69,7 +75,8 @@ class Jet:
     the jet tape is formed one block of points at a time
     (:func:`wstar.backend.blocks`).  :meth:`curvature` differentiates the
     classes; :meth:`ricci` differentiates Ricci alone, for the recurrence
-    fit's displaced points.  Both take ∇ with :func:`_nabla_components`.
+    fit's displaced points, and reduces each block as it comes.  Both take
+    ∇ with :func:`_nabla_components`.
     """
 
     def __init__(self, geo: Geometry):
@@ -196,7 +203,7 @@ class Jet:
 
     def _blocks(self, points, diff: range):
         """Run the leaf tape per block with the partials of its outputs ``diff``:
-        yields (slice, g, g⁻¹, Γ^h_{ij}, the outputs ``diff``, their partials)."""
+        yields (g, g⁻¹, Γ^h_{ij}, the outputs ``diff``, their partials)."""
         geo, tape = self.geo, self._leaf_tape
         pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
         count, n = pts.shape
@@ -221,27 +228,29 @@ class Jet:
                 raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
                                     None, err.coordinate,
                                     at=point_text(geo.metric.coords, pts[p])) from None
-            yield (part, g[part], gi, out[:, _gamma_index(n)],
+            yield (g[part], gi, out[:, _gamma_index(n)],
                    out[:, diff.start:diff.stop], partials)
 
     def curvature(self, points):
-        """Per block of points: (slice, g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}),
-        the last two by symmetry class (see :func:`by_symmetry`)."""
+        """Per block of points: (g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}), the
+        last two by symmetry class (see :func:`by_symmetry`)."""
         n = self.geo.dim
         index = _class_index(n)
-        for part, g, ginv, gam, rc, partials in self._blocks(points, _leaf_outputs(n)[0]):
-            yield (part, g, ginv, gam, rc,
+        for g, ginv, gam, rc, partials in self._blocks(points, _leaf_outputs(n)[0]):
+            yield (g, ginv, gam, rc,
                    _nabla_components(by_symmetry(rc), partials, gam, index))
 
-    def ricci(self, points) -> tuple:
-        """(R_{jk}, ∇_m R_{jk}) at the points, differentiating the leaf tape's Ricci only."""
-        n, count = self.geo.dim, len(points)
-        ric, nric = np.empty((count, n, n)), np.empty((count, n, n, n))
-        sym = _pair_index(n)
-        for part, _, _, gam, pairs, partials in self._blocks(points, _leaf_outputs(n)[1]):
-            ric[part] = pairs[:, sym]
-            nric[part] = _nabla_components(ric[part], partials, gam, _pair_ij(n))[:, sym]
-        return ric, nric
+    def ricci(self, points, reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
+              ) -> np.ndarray:
+        """``reduce(R_{jk}, ∇_m R_{jk})`` per block of points, concatenated,
+        differentiating the leaf tape's Ricci only: Ricci and ∇Ricci live for
+        one block."""
+        n = self.geo.dim
+        sym, out = _pair_index(n), []
+        for _, _, gam, pairs, partials in self._blocks(points, _leaf_outputs(n)[1]):
+            ric = pairs[:, sym]
+            out.append(reduce(ric, _nabla_components(ric, partials, gam, _pair_ij(n))[:, sym]))
+        return np.concatenate(out)
 
 
 @cache
@@ -350,7 +359,7 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
     return out
 
 
-# the fields CheckContext serves -> their number of slots after the point axis;
+# the fields of a block (field_blocks) -> their number of slots after the point axis;
 # every slot is lower except the first of gam (Γ^h_{ij}) and r13, and a
 # derivative slot is last.
 # R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
@@ -397,19 +406,19 @@ def _weyl(r, g, ric, scal) -> np.ndarray:
     return by_symmetry(weyl_classes(r, g, ric, scal))
 
 
-def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
-    """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``,
-    from the metric's 3-jet (:class:`Jet`).
+def field_blocks(geo: Geometry, points, cfg: FieldEquationConfig):
+    """Per block of points (:func:`wstar.backend.blocks`): the fields of
+    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`).
 
-    The fields are formed block by block, so ∇R_{ijkl} lives for one block
-    only; its symmetry classes and R_{ijkl}'s (``nrc``, ``rc``) are kept.
-    """
-    n, count = geo.dim, np.shape(points)[0]
-    shapes = {name: (n,) * slots for name, slots in FIELDS.items()}
-    classes = _class_index(n).shape[1]
-    shapes.update(rc=(classes,), nrc=(classes, n))
-    vals = {name: np.empty((count,) + shape) for name, shape in shapes.items()}
-    for part, *block in geo.jet.curvature(points):
-        for name, v in _block_fields(*block, cfg).items():
-            vals[name][part] = v
-    return vals
+    Each field is C-contiguous: ``einsum`` picks its summation order from
+    the strides, so a strided field could round differently."""
+    for block in geo.jet.curvature(points):
+        yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block, cfg).items()}
+
+
+def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
+    """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``:
+    :func:`field_blocks` concatenated, for ``compute``'s one point and for
+    tests.  The checks reduce each block as it comes instead."""
+    parts = list(field_blocks(geo, points, cfg))
+    return {name: np.concatenate([f[name] for f in parts]) for name in parts[0]}

@@ -24,6 +24,8 @@ import numpy as np
 
 from .checks import (
     CheckContext,
+    FLAGS,
+    PAIRINGS,
     CheckOutcome,
     _trace_relation_gap,
     _trace_vanishes,
@@ -84,7 +86,7 @@ def einstein_check(ctx: CheckContext) -> EinsteinCheck:
 
 def is_einstein(m: MetricSpec, points) -> EinsteinCheck:
     """:func:`einstein_check` at the points."""
-    return einstein_check(CheckContext(m, points, FieldEquationConfig()))
+    return einstein_check(CheckContext(m, points, FieldEquationConfig(), checks=("einstein",)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +159,8 @@ def classify(
     Public flag name -> the :class:`wstar.checks.CheckOutcome` it reads, from
     one context; see :func:`wstar.checks.classification` and ``holds``.
     """
-    return classification(CheckContext(m, points, cfg, atol, rtol))
+    return classification(CheckContext(m, points, cfg, atol, rtol,
+                                       checks=[name for _, name in FLAGS]))
 
 
 @dataclass(frozen=True)
@@ -175,7 +178,8 @@ def pairing_checks(
     rtol: float = 1e-6,
 ) -> tuple:
     """The theorem pairings, in report order; see :func:`wstar.checks.pairings`."""
-    outcomes = pairings(CheckContext(m, points, cfg, atol, rtol))
+    outcomes = pairings(CheckContext(m, points, cfg, atol, rtol,
+                                   checks=[name for _, name in PAIRINGS]))
     return tuple(PairingResult(name, holds(out), out.reason)
                  for name, out in outcomes.items())
 
@@ -257,7 +261,7 @@ def matter_inheritance_check(
     phi_t = np.einsum("pij,pij->p", vals["LT"], vals["t"]) / (2.0 * t_sq)
     residual = _amax(vals["LT"] - 2.0 * phi_t[:, None, None] * vals["t"])
 
-    ctx = CheckContext(m, points, cfg)
+    ctx = CheckContext(m, points, cfg, checks=("wstar_flat",))
     gap = _amax(conf.phi - phi_t)
     if ctx.check("wstar_flat").status != "pass":
         equivalence = "not-applicable"

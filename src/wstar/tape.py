@@ -102,6 +102,7 @@ class Tape:
         self.n_coords = n_coords
         self.param_names = tuple(param_names)
         self.labels = labels  # output index -> name, for error attribution
+        self._activities = {}  # (lanes, diff, seeded) -> backend._activity
 
     @property
     def n_instructions(self) -> int:
@@ -123,6 +124,15 @@ class Tape:
         from .backend import schedule
 
         return schedule(self.code, self.a, self.b, self.cval)
+
+    def activity(self, lanes: int, diff_idx: np.ndarray, seeded: bool):
+        """:func:`wstar.backend._activity` of a tangent run, analysed once per key."""
+        key = (lanes, diff_idx.tobytes(), seeded)
+        if key not in self._activities:
+            from .backend import _activity
+
+            self._activities[key] = _activity(*self.schedule, lanes, diff_idx, seeded)
+        return self._activities[key]
 
     def _points(self, points) -> np.ndarray:
         pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -159,9 +169,11 @@ class Tape:
                                          self.outputs)
             partials = lane = None
         else:
+            diff_idx = self.outputs[np.asarray(diff, dtype=np.int64)]
+            lanes = pts.shape[1] if seeds is None else seeds.shape[2]
             vals, partials, err, lane = backend.run(
-                self.schedule, pts, pvec, self.outputs,
-                self.outputs[np.asarray(diff, dtype=np.int64)], seeds)
+                self.schedule, pts, pvec, self.outputs, diff_idx, seeds,
+                self.activity(lanes, diff_idx, seeds is not None))
         if coords is not None:
             self._raise_first_failure(err, pts, coords, lane, diff)
         return vals, partials, err, lane

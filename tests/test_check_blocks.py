@@ -1,22 +1,28 @@
 """The check algebra works over blocks of sample points.
 
-Residuals built from a curvature commutator or the cyclic sum are reduced
-block by block, so these tests pin what the blocking must not change: the
-reports at a point count that spans several blocks, the blocked maxima
-themselves, and the memory a check may allocate on a wide sample.
+Every field is reduced to per-point columns one block of points at a time,
+so these tests pin what the blocking must not change: the reports at a
+point count that spans several blocks, the columns themselves against the
+whole sample at once, and the memory a check may allocate and the context
+may hold on a wide sample.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wstar import checks
-from wstar.catalog import catalog_metric
+from wstar import checks, cli
+from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import REGISTRY, CheckContext
 from wstar.cli import main, sample_for
 from wstar.geometry import ricci_commutator, workspace
+from wstar.jet import curvature_fields
 from wstar.matter import FieldEquationConfig
 
 # sha256 of the --no-timestamp stdout and the exit code at 130 points: two
@@ -55,29 +61,55 @@ def test_multi_block_output_is_pinned(command, metric, capsys):
     assert (digest, code) == MULTI_BLOCK[command, metric]
 
 
-def context(metric, points):
+def context(metric, points, **kwargs):
     m = catalog_metric(metric)
-    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig())
+    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig(),
+                        **kwargs)
+
+
+def assert_same_bits(got, want, what):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    if got.dtype == object:
+        assert got.tolist() == want.tolist(), what
+    else:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), what
 
 
 @pytest.mark.parametrize("points", [1, 63, 64, 65, 130])
 def test_blocked_ptmax_matches_whole_sample(points):
     ctx = context("schwarzschild", points)
-    w04, r13 = ctx.get("w04"), ctx.get("r13")
-    whole = checks._ptmax(ricci_commutator(w04, "llll", r13))
-    blocked = checks._blocked_ptmax(lambda w, r: ricci_commutator(w, "llll", r), w04, r13)
-    assert blocked.shape == (points,)
-    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    whole = checks._ptmax(ricci_commutator(v["w04"], "llll", v["r13"]))
+    assert ctx.reduced("wstar_semisymmetric").shape == (points,)
+    assert_same_bits(ctx.reduced("wstar_semisymmetric"), whole, points)
+
+
+@pytest.mark.parametrize("metric", CATALOG_NAMES)
+def test_every_step_streams_the_bits_of_one_whole_sample_block(metric):
+    # each step reduced block by block, against the same step given the
+    # whole sample's fields as one block: the blocking moves no bit
+    ctx = context(metric, 130)
+    whole = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    for step, reduce in checks._STEPS.items():
+        streamed, at_once = ctx.reduced(step), reduce(ctx, whole)
+        if isinstance(streamed, dict):
+            assert streamed.keys() == at_once.keys()
+            streamed, at_once = list(streamed.values()), list(at_once.values())
+        elif not isinstance(streamed, tuple):
+            streamed, at_once = [streamed], [at_once]
+        for got, want in zip(streamed, at_once):
+            assert_same_bits(got, want, step)
 
 
 def test_no_check_allocates_whole_sample_rank6_arrays():
-    # the (P, 4, 4, 4, 4, 4, 4) commutator of W* took +96 MiB at 1024 points
-    # and the cyclic sum +32 MiB; blocked, no check needs more than 4 MiB.
-    # W*^h_{jkl}, ∇Weyl and the Krupka C, D, E are formed per block and
-    # dropped, so what the checks leave held is small next to the fields
-    # (11 MiB when those three were held for the whole sample)
+    # a whole-sample (P, 4, 4, 4, 4, 4, 4) commutator of W* takes 96 MiB at
+    # 1024 points, and the fields 15 MiB.  Every field lives for one block of
+    # points: the walk over the blocks, which the first check starts, peaks
+    # at 4.8 MiB (2.9 at 64 points); every check after it reads columns; and
+    # the context keeps only per-point columns
     ctx = context("schwarzschild", 1024)
-    ctx.get("g")  # every field
+    ctx.geo.jet._leaf_tape  # the workspace's tapes, compiled once per metric
     peaks = {}
     tracemalloc.start()
     try:
@@ -89,6 +121,55 @@ def test_no_check_allocates_whole_sample_rank6_arrays():
         held = tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
-    over = {name: round(mib, 1) for name, mib in peaks.items() if mib > 4.0}
-    assert not over, f"tracemalloc peaks above 4 MiB: {over}"
-    assert held <= 2.0, f"the checks left {held:.1f} MiB held besides the fields"
+    walk = peaks.pop(next(iter(REGISTRY)))
+    assert walk <= 6.0, f"the walk over the blocks peaks at {walk:.1f} MiB"
+    over = {name: round(mib, 2) for name, mib in peaks.items() if mib > 1.0}
+    assert not over, f"tracemalloc peaks above 1 MiB: {over}"
+    assert held <= 1.0, f"the context holds {held:.2f} MiB after every check"
+
+
+def test_the_context_holds_no_field_of_the_whole_sample():
+    ctx = context("flrw_dust", 130)
+    for name in REGISTRY:
+        ctx.check(name)
+    shapes = {}
+    for step, columns in ctx._columns.items():
+        if isinstance(columns, dict):
+            columns = tuple(columns.values())
+        elif not isinstance(columns, tuple):
+            columns = (columns,)
+        shapes[step] = {np.shape(c) for c in columns}
+    # one number per point, and the recurrence covector b, one per point and slot
+    assert shapes.pop("recurrence") == {(130, 4), (130,)}
+    assert all(s == {(130,)} for s in shapes.values()), shapes
+
+
+# Starts ``python -m wstar.cli`` with the given arguments and prints its exit
+# code, its peak RSS in KiB and its stderr.  On Linux a child's ru_maxrss
+# counts the resident set of the process it was forked from, so the run is
+# started from this small process and not from the test process.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "wstar.cli", *sys.argv[1:]],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+err = child.stderr.read()
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, repr(err))
+"""
+
+
+@pytest.mark.parametrize("command", [["check", "--checks", "all"], ["classify"]])
+def test_a_4096_point_run_peaks_under_50_mib(command):
+    # no field is held for the whole sample, so a wide run peaks near a
+    # narrow one: 35 MiB at 32 points, 41-42 MiB here; with the fields held
+    # it takes 111 and 106 MiB
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *command, "--metric", "flrw_dust", "--points", "4096",
+         "--no-timestamp"], env=env, capture_output=True, text=True, check=True).stdout
+    code, kib, err = out.split(maxsplit=2)
+    assert (int(code), err.strip()) == (1, "b''")
+    peak = int(kib) / 1024
+    assert peak <= 50.0, f"{command[0]} at 4096 points peaked at {peak:.1f} MiB"

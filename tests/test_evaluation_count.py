@@ -2,11 +2,13 @@
 
 ``check --checks all`` and ``classify`` read one
 :class:`wstar.checks.CheckContext`, which takes each tape's values and, for
-the covariant derivatives, its partials from one evaluation; the classification flags and the theorem
+the covariant derivatives, its partials from one evaluation, in one walk
+over the blocks of points; the classification flags and the theorem
 pairings are views over its check outcomes.  The sampler tests a block of
-candidates with one det g evaluation.  These guards count the kernel calls
-and the check-function runs of one command, the det g evaluations of one
-sample, and the trace-system solves and W* divergences of one context.
+candidates with one det g evaluation.  These guards count the kernel calls,
+the walks and the check-function runs of one command, the det g
+evaluations of one sample, and the trace-system solves and W* divergences
+of one context.
 
 Each check computes its own outcome from the context: a check run alone
 reports the same entry, byte for byte, as in ``--checks all``, and runs only
@@ -95,6 +97,33 @@ READS = {
 }
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """The point counts of every walk over the blocks of field values."""
+    seen, real = [], checks.field_blocks
+
+    def counted(geo, points, cfg):
+        seen.append(len(points))
+        return real(geo, points, cfg)
+
+    monkeypatch.setattr(checks, "field_blocks", counted)
+    return seen
+
+
+@pytest.mark.parametrize("name", checks.REGISTRY)
+def test_a_check_alone_walks_the_blocks_once(name, walks):
+    # the steps a check needs, and those of the checks it reads, are known
+    # before the walk (checks._STEP_OF, checks._READS): none needs a second one
+    run_checks(RunConfig(metric="flrw_dust", checks=(name,), points=8, timestamp=False))
+    assert walks == [8]
+
+
+def test_all_checks_and_classify_walk_the_blocks_once(walks):
+    run_checks(RunConfig(metric="flrw_dust", points=70, timestamp=False))
+    classify_payload(RunConfig(metric="flrw_dust", points=70, timestamp=False))
+    assert walks == [70, 70]
+
+
 @pytest.mark.parametrize("name", READS)
 def test_a_check_runs_only_what_it_reads(name, check_runs):
     run_checks(RunConfig(metric="flrw_dust", checks=(name,), points=8, timestamp=False))
@@ -133,9 +162,10 @@ def counting(monkeypatch, name):
     return calls
 
 
-def context(metric, points):
+def context(metric, points, **kwargs):
     m = catalog_metric(metric)
-    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig())
+    return CheckContext(m, sample_for(workspace(m), points, 42), FieldEquationConfig(),
+                        **kwargs)
 
 
 def test_krupka_trace_system_is_solved_once_per_block(monkeypatch):
@@ -149,8 +179,9 @@ def test_krupka_trace_system_is_solved_once_per_block(monkeypatch):
 def test_divergence_of_wstar_is_formed_once(monkeypatch):
     direct = counting(monkeypatch, "divergence")
     forms = counting(monkeypatch, "divergence_closed_form")
-    ctx = context("flrw_dust", 8)
-    for name in ("divergence_formula", "divergence_adjusted", "wstar_divergence_free"):
+    names = ("divergence_formula", "divergence_adjusted", "wstar_divergence_free")
+    ctx = context("flrw_dust", 8, checks=names)
+    for name in names:
         ctx.check(name)
     assert len(direct) == 1
     assert sorted(coeff for *_, coeff in forms) == [1.0 / 6.0, 1.0 / 3.0]

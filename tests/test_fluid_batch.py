@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from wstar.catalog import catalog_metric
+from wstar import checks
 from wstar.checks import CheckContext
 from wstar.matter import FieldEquationConfig, FluidError, decompose_fluids
 
@@ -132,10 +133,12 @@ def test_all_failing_stack_matches_reference():
     assert len(failures) == 5
 
 
-def test_all_failing_stack_makes_field_equation_trace_not_applicable():
+def test_all_failing_stack_makes_field_equation_trace_not_applicable(monkeypatch):
     t, g, ginv = all_failing()
-    ctx = CheckContext(catalog_metric("minkowski"), np.zeros((5, 4)), FieldEquationConfig())
-    ctx._vals.update(t=t, g=g, ginv=ginv)
+    block = dict(t=t, g=g, ginv=ginv, R=np.zeros(5))  # one block of field values
+    monkeypatch.setattr(checks, "field_blocks", lambda geo, points, cfg: iter([block]))
+    ctx = CheckContext(catalog_metric("minkowski"), np.zeros((5, 4)), FieldEquationConfig(),
+                       checks=("field_equation_trace",))
     out = ctx.check("field_equation_trace")
     assert out.status == "not-applicable"
     assert out.reason == "no perfect-fluid decomposition at any sample point"

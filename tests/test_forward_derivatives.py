@@ -7,9 +7,10 @@ values and a numeric g^{-1} gives Γ and R_{ijkl} with their partials (see
 bundle, ``geo.weyl``, ``energy_momentum``, and the covariant derivatives
 ``grad_scalar``, ``nabla_ricci``, ``_nabla_wstar04`` and those of Weyl and
 T) are the oracle: on every catalog metric and on
-generated perturbations of Minkowski space each field ``CheckContext.get``
-serves, R_{ijkl} from its symmetry classes ``rc``, and W*^h_{jkl}, Weyl and
-∇Weyl as the checks form them from the served fields, agree within
+generated perturbations of Minkowski space each field of
+:func:`wstar.jet.curvature_fields`, R_{ijkl} from its symmetry classes
+``rc``, and W*^h_{jkl}, Weyl and ∇Weyl as the checks form them from those
+fields, agree within
 1e-10·(1 + max|X|).  The kernel tests pin the tangent mode itself: its value
 lanes are bit-identical to value mode, unit seeds reproduce the unseeded
 partials bit for bit, every opcode's chain rule matches the symbolic
@@ -24,11 +25,10 @@ from hypothesis import strategies as st
 
 from wstar import backend, wstar as ws
 from wstar.catalog import CATALOG_NAMES, catalog_metric
-from wstar.checks import CheckContext
 from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
-from wstar.jet import FIELDS, _raise_first, _weyl, by_symmetry
+from wstar.jet import FIELDS, _raise_first, _weyl, by_symmetry, curvature_fields
 from wstar.matter import FieldEquationConfig, energy_momentum
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
@@ -69,7 +69,7 @@ SYMBOLIC = {
 }
 
 
-# fields no context serves -> how the checks that read them form them
+# fields curvature_fields does not give -> how the checks that read them form them
 FORMED = {
     "w13": lambda get: _raise_first(get("ginv"), get("w04")),
     "weyl": lambda get: _weyl(get("rc"), get("g"), get("ric"), get("R")),
@@ -85,13 +85,13 @@ def test_every_served_field_has_an_oracle():
 def assert_routes_agree(metric, points):
     geo = workspace(metric)
     pts = sample_for(geo, points, 42)
-    ctx = CheckContext(metric, pts, CFG)
+    vals = curvature_fields(geo, pts, CFG)
     fields = {n: f(metric, geo) for n, f in SYMBOLIC.items()}
     symbolic = geo.eval_fields({**fields, "rc": geo.riemann04}, pts)
     for name, want in symbolic.items():
         # R_{ijkl} is served by its symmetry classes
-        got = (by_symmetry(ctx.get(name)) if name == "rc" else
-               FORMED[name](ctx.get) if name in FORMED else ctx.get(name))
+        got = (by_symmetry(vals[name]) if name == "rc" else
+               FORMED[name](vals.get) if name in FORMED else vals[name])
         assert got.shape == want.shape, name
         gap = float(np.max(np.abs(got - want)))
         assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
@@ -152,7 +152,8 @@ def test_value_lanes_equal_value_mode(metric):
     pvec = tape.param_vector(dict(geo.metric.params))
     vals, err = backend.run_tape(tape.code, tape.a, tape.b, tape.cval, pts, pvec, tape.outputs)
     diff = tape.outputs[: tape.n_outputs // 2]
-    tvals, partials, terr, _ = backend.run(tape.schedule, pts, pvec, tape.outputs, diff)
+    tvals, partials, terr, _ = backend.run(tape.schedule, pts, pvec, tape.outputs, diff,
+                                           activity=tape.activity(4, diff, False))
     assert np.array_equal(tvals.view(np.int64), vals.view(np.int64))
     assert np.array_equal(terr, err)
     assert partials.shape == (70, diff.shape[0], 4)

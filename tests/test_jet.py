@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from wstar import cli, geometry
+from wstar import backend, checks, cli, geometry
 from wstar.catalog import CATALOG_NAMES, catalog_metric
-from wstar.checks import CheckContext, classification, pairings, recurrence_fit
+from wstar.checks import CheckContext, recurrence_fit
 from wstar.geometry import workspace
-from wstar.jet import Jet, by_symmetry
+from wstar.exprlib import parse
+from wstar.jet import Jet, _leaf_outputs, by_symmetry, curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
 from wstar.tape import Tape, TapeEvalError
@@ -73,10 +74,10 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
             seeded.append((where[-1], self))
         return run(self, points, params, diff, seeds, coords)
 
-    def spy_ricci(self, points):
+    def spy_ricci(self, points, reduce):
         where.append("ricci")
         try:
-            return ricci(self, points)
+            return ricci(self, points, reduce)
         finally:
             where.pop()
 
@@ -101,7 +102,7 @@ def test_a_failed_derivative_is_named_with_its_point(tmp_path):
     metric = load_metric(str(path))
     pts = np.array([[0.1, 0.3, 0.2, 0.3], [0.1, 0.0, 0.2, 0.3]])
     with pytest.raises(TapeEvalError) as info:
-        CheckContext(metric, pts, CFG).get("ric")
+        CheckContext(metric, pts, CFG).check("ricci_flat")
     err = info.value
     assert (err.point_index, err.coordinate, err.label) == (1, "x", "∂_x ∂_x g[1][1]")
     assert str(err) == ("partial derivative along x is not finite for ∂_x ∂_x g[1][1]"
@@ -118,17 +119,22 @@ def test_a_failed_curvature_partial_is_named_with_its_sample_point():
     metric = parse_metric_text(metric_text(g11="x^2", g22="1 + x^2"), "steep")
     pts = np.tile([0.1, 0.5, 0.2, 0.3], (70, 1))
     pts[66, 1] = 1e-110
+    ctx = CheckContext(metric, pts, CFG)
     with pytest.raises(TapeEvalError) as info:
-        CheckContext(metric, pts, CFG).get("ric")
+        ctx.check("ricci_flat")
     assert (info.value.point_index, info.value.coordinate) == (66, "x")
     assert str(info.value).endswith("at t=0.1, x=1e-110, y=0.2, z=0.3 (point #66)")
+    # the error is kept: every check that reads a step raises it again
+    with pytest.raises(TapeEvalError) as again:
+        ctx.check("t_semisymmetric")
+    assert str(again.value) == str(info.value)
 
 
 def test_a_singular_metric_is_an_evaluation_error():
     metric = parse_metric_text(metric_text(g11="x^2"), "degenerate")
     pts = np.array([[0.1, 0.5, 0.2, 0.3], [0.1, 0.0, 0.2, 0.3]])
     with pytest.raises(np.linalg.LinAlgError, match=r"singular at t=0.1, x=0, .* \(point #1\)"):
-        CheckContext(metric, pts, CFG).get("g")
+        CheckContext(metric, pts, CFG).check("ricci_flat")
     assert issubclass(np.linalg.LinAlgError, cli.EVAL_ERRORS)
 
 
@@ -158,9 +164,9 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
     seen = []
     ricci = Jet.ricci
 
-    def spy(self, points):
+    def spy(self, points, reduce):
         seen.append(np.asarray(points).copy())
-        return ricci(self, points)
+        return ricci(self, points, reduce)
 
     monkeypatch.setattr(Jet, "ricci", spy)
     fit = recurrence_fit(ctx)
@@ -175,10 +181,14 @@ def assert_ricci_leaf_tape_agrees(metric, points):
     # tape's Ricci outputs) against the full curvature pass and the symbolic fields
     geo = workspace(metric)
     pts = cli.sample_for(geo, points, 42)
-    ctx = CheckContext(metric, pts, CFG)
+    fields = curvature_fields(geo, pts, CFG)
     symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
-    for got, name in zip(geo.jet.ricci(pts), ("ric", "nric")):
-        for want in (ctx.get(name), symbolic[name]):
+    n = geo.dim
+    both = geo.jet.ricci(pts, lambda ric, nric: np.concatenate(
+        [ric.reshape(len(ric), -1), nric.reshape(len(ric), -1)], axis=1))
+    ricci = both[:, :n * n].reshape(-1, n, n), both[:, n * n:].reshape(-1, n, n, n)
+    for got, name in zip(ricci, ("ric", "nric")):
+        for want in (fields[name], symbolic[name]):
             assert got.shape == want.shape, name
             gap = float(np.max(np.abs(got - want)))
             assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
@@ -195,18 +205,108 @@ def test_ricci_leaf_tape_matches_the_other_routes_on_generated_metrics(terms):
     assert_ricci_leaf_tape_agrees(parse_metric_text(perturbed_minkowski(terms), "generated"), 4)
 
 
-def test_classify_forms_no_weyl_field():
+def test_classify_forms_no_weyl_field(monkeypatch, capsys):
+    formed = []
+
+    def spy(name, real):
+        def forming(*args):
+            formed.append(name)
+            return real(*args)
+
+        return forming
+
+    for name in ("_raise_first", "_weyl"):  # W*^h_{jkl}; Weyl and ∇Weyl
+        monkeypatch.setattr(checks, name, spy(name, getattr(checks, name)))
+    cli.main(["classify", "--metric", "schwarzschild", "--points", "8", "--no-timestamp"])
+    capsys.readouterr()
+    assert not formed
+    # the two checks that read W*^h_{jkl} and ∇Weyl form them per block, and hold none
     metric = catalog_metric("schwarzschild")
-    ctx = CheckContext(metric, cli.sample_for(workspace(metric), 8, 42), CFG)
-    classification(ctx)
-    pairings(ctx)
-    formed = {"w13", "weyl", "nweyl"}
-    assert not formed & set(ctx._vals)
-    assert "krupka" not in vars(ctx)
-    # the two checks that read W*^h_{jkl} and ∇Weyl form them, and hold none
+    ctx = CheckContext(metric, cli.sample_for(workspace(metric), 70, 42), CFG,
+                       checks=("krupka_oracle_match", "weyl_divergence"))
     for name in ("krupka_oracle_match", "weyl_divergence"):
         ctx.check(name)
-    assert not formed & set(ctx._vals)
-    w13 = np.einsum("phi,pijkl->phjkl", ctx.get("ginv"), ctx.get("w04"))
-    assert np.allclose(ctx.krupka[:, 0], np.max(np.abs(w13), axis=(1, 2, 3, 4)),
+    assert formed == ["_raise_first", "_weyl"] * 2  # two blocks
+    fields = curvature_fields(ctx.geo, ctx.points, CFG)
+    w13 = np.einsum("phi,pijkl->phjkl", fields["ginv"], fields["w04"])
+    assert np.allclose(ctx.reduced("krupka")[0], np.max(np.abs(w13), axis=(1, 2, 3, 4)),
                        rtol=1e-14, atol=0)
+
+
+def leaf_tape_calls(geo, pts, monkeypatch):
+    """The (leaves, seeds) of every leaf-tape block of one curvature pass."""
+    tape, calls, run = geo.jet._leaf_tape, [], Tape.run
+
+    def spy(self, points, params=None, diff=None, seeds=None, coords=None):
+        if self is tape:
+            calls.append((points, seeds))
+        return run(self, points, params, diff, seeds, coords)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Tape, "run", spy)
+        list(geo.jet.curvature(pts))
+    return tape, calls
+
+
+def assert_same_tangents(got, want):
+    (_, partials, err, lane), (_, all_partials, all_err, all_lane) = got, want
+    assert np.array_equal(partials.view(np.int64), all_partials.view(np.int64))
+    assert np.array_equal(err, all_err) and np.array_equal(lane, all_lane)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_chain_rule_skips_only_groups_no_read_partial_needs(name, monkeypatch):
+    # with every output differentiated every group is needed, so nothing is
+    # skipped: each range of the leaf tape must read the same bits from it
+    geo = workspace(catalog_metric(name))
+    tape, calls = leaf_tape_calls(geo, cli.sample_for(geo, 70, 42), monkeypatch)
+    assert len(calls) == 2
+    every_idx = tape.outputs[np.arange(tape.n_outputs)]
+    assert all(tape.activity(geo.dim, every_idx, True)[2])
+    for leaves, seeds in calls:
+        every = tape.run(leaves, None, range(tape.n_outputs), seeds)
+        for outputs in _leaf_outputs(geo.dim):
+            got = tape.run(leaves, None, outputs, seeds)
+            partials = every[1][:, outputs.start:outputs.stop]
+            assert_same_tangents(got, (None, partials, every[2], every[3]))
+    # the curvature pass reads no partial of the Ricci sums, and skips them
+    diff = tape.outputs[np.asarray(_leaf_outputs(geo.dim)[0])]
+    assert not all(tape.activity(geo.dim, diff, True)[2]) or geo.jet.axes == []
+
+
+def test_a_skipped_chain_rule_keeps_a_failing_point():
+    # sqrt at 0 has an infinite slope along x: the second point fails, lane 0
+    names = ("x", "y")
+    tape = geometry.compile_tape([parse(e, names) for e in ("sqrt(x) * y", "y * y", "x + y")],
+                                 2)
+    pts = np.array([[0.5, 2.0], [0.0, 3.0], [0.25, 1.0]])
+    every = tape.run(pts, None, range(3))
+    assert every[2].tolist() == [-1, every[2][1], -1] and every[2][1] >= 0
+    assert every[3].tolist() == [-1, 0, -1]
+    for outputs in (range(0, 1), range(0, 2)):
+        got = tape.run(pts, None, outputs)
+        partials = every[1][:, outputs.start:outputs.stop]
+        assert_same_tangents(got, (None, partials, every[2], every[3]))
+    # without the sqrt among the read outputs its slope is skipped, and no point fails
+    assert tape.run(pts, None, range(1, 3))[2].tolist() == [-1, -1, -1]
+
+
+def test_the_activity_analysis_runs_once_per_key(monkeypatch):
+    metric = parse_metric_text(cli.catalog._TEXTS["flrw_dust"], "flrw_dust")  # a fresh tape
+    geo = workspace(metric)
+    keys, real = [], backend._activity
+
+    def counted(reg, groups, lanes, diff_idx, seeded):
+        keys.append((lanes, diff_idx.tobytes(), seeded))
+        return real(reg, groups, lanes, diff_idx, seeded)
+
+    monkeypatch.setattr(backend, "_activity", counted)
+    ctx = CheckContext(metric, cli.sample_for(geo, 130, 42), CFG)  # three blocks
+    ctx.check("ricci_recurrent")  # the curvature pass, then Ricci at displaced points
+    tape = geo.jet._leaf_tape
+    assert len(keys) == len(set(keys)) == len(tape._activities) + 1  # + the jet tape's
+    for (lanes, diff, seeded), (idle, needed, active) in tape._activities.items():
+        fresh = real(*tape.schedule, lanes, np.frombuffer(diff, dtype=np.int64), seeded)
+        assert [None if a is None else a.tolist() for a in idle] == [
+            None if a is None else a.tolist() for a in fresh[0]]
+        assert np.array_equal(needed, fresh[1]) and active == fresh[2]

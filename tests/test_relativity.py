@@ -276,7 +276,7 @@ class TestRunTolerances:
         em = ctx.check("em_distribution")
         assert em.status == "pass"
         assert em.max_residual == ctx.amax("nric")
-        assert em.tolerance == ctx.tol(1.0 + amax(ctx.get("R")))
+        assert em.tolerance == ctx.tol(1.0 + amax(ctx.scalar))
         assert readings(em.reason)[0] == 0.0
         # dust_vacuum: max|mu| against tol(1), the dust premise holding
         mu, p, _ = ctx.fluid

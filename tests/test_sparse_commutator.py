@@ -1,13 +1,12 @@
 """The semi-symmetry commutators skip products that are 0 at every point.
 
-``checks._commutator_ptmax`` forms max |[nabla, nabla] X| per point either
-densely (``geometry.ricci_commutator``, the reference) or from a plan of only
-the products whose two factors have support in the sample.  The route is
-chosen from the share of such products; whichever is taken, the per-point
-maxima must carry the same bits as the dense route's.
+``checks._commutator_ptmax`` forms max |[nabla, nabla] X| per point of a
+block either densely (``geometry.ricci_commutator``, the reference) or from
+a plan of only the products whose two factors have support in the block.
+The route is chosen from the share of such products, once per distinct
+pair of support masks in a run; whichever is taken, the per-point maxima
+must carry the same bits as the dense route's over the whole sample.
 """
-
-from functools import partial
 
 import numpy as np
 import pytest
@@ -19,12 +18,15 @@ from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext
 from wstar.cli import sample_for
 from wstar.geometry import ricci_commutator, workspace
+from wstar.jet import curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import parse_metric_text
 
 from test_forward_derivatives import _perturbation, perturbed_minkowski
 
-FIELDS = {"w04": "llll", "ric": "ll", "t": "ll"}
+# field -> its variance and the step whose column is max |[nabla, nabla] X|
+FIELDS = {"w04": ("llll", "wstar_semisymmetric"), "ric": ("ll", "ricci_semisymmetric"),
+          "t": ("ll", "t_semisymmetric")}
 
 
 def context(metric, points):
@@ -32,15 +34,14 @@ def context(metric, points):
 
 
 def dense_ptmax(x, r13):
-    variance = "l" * (x.ndim - 1)
-    return checks._blocked_ptmax(lambda a, r: ricci_commutator(a, variance, r), x, r13)
+    return checks._ptmax(ricci_commutator(x, "l" * (x.ndim - 1), r13))
 
 
 def sparse_ptmax(x, r13):
     plan = checks._commutator_plan(checks._support(x), checks._support(r13))
     if not plan[0]:
         return np.zeros(x.shape[0])
-    return checks._blocked_ptmax(partial(checks._sparse_commutator, plan), x, r13)
+    return checks._ptmax(checks._sparse_commutator(plan, x, r13))
 
 
 def assert_same_bits(got, want):
@@ -49,12 +50,13 @@ def assert_same_bits(got, want):
 
 
 def assert_routes_agree(ctx):
-    r13 = ctx.get("r13")
-    for name, variance in FIELDS.items():
-        x = ctx.get(name)
-        want = dense_ptmax(x, r13)
-        assert_same_bits(sparse_ptmax(x, r13), want)
-        assert_same_bits(checks._commutator_ptmax(ctx, name, variance), want)
+    # the whole sample at once, by either route, against the context's
+    # columns, which take each block's route from that block's supports
+    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    for name, (_, step) in FIELDS.items():
+        want = dense_ptmax(v[name], v["r13"])
+        assert_same_bits(sparse_ptmax(v[name], v["r13"]), want)
+        assert_same_bits(ctx.reduced(step), want)
 
 
 @pytest.mark.parametrize("metric", CATALOG_NAMES)
@@ -86,13 +88,14 @@ def test_sparse_route_matches_dense_on_arbitrary_supports(seed, rank, points, sh
 
 def test_minkowski_has_no_products():
     ctx = context(catalog_metric("minkowski"), 130)
-    rm = checks._support(ctx.get("r13"))
+    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    rm = checks._support(v["r13"])
     for name in FIELDS:
-        xm = checks._support(ctx.get(name))
+        xm = checks._support(v[name])
         assert checks._takes_sparse_route(xm, rm)
         assert checks._commutator_plan(xm, rm)[0] == 0
-    for name, variance in FIELDS.items():
-        assert_same_bits(checks._commutator_ptmax(ctx, name, variance), np.zeros(130))
+    for _, step in FIELDS.values():
+        assert_same_bits(ctx.reduced(step), np.zeros(130))
     out = ctx.check("wstar_semisymmetric")
     assert out.max_residual == 0.0
     assert np.array_equal(out.worst_point, ctx.points[0])
@@ -106,6 +109,23 @@ def test_minkowski_has_no_products():
 ])
 def test_route_follows_the_observed_support(metric, sparse):
     ctx = context(catalog_metric(metric), 8)
-    rm = checks._support(ctx.get("r13"))
+    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    rm = checks._support(v["r13"])
     for name in FIELDS:
-        assert checks._takes_sparse_route(checks._support(ctx.get(name)), rm) is sparse, name
+        assert checks._takes_sparse_route(checks._support(v[name]), rm) is sparse, name
+
+
+def test_a_plan_is_made_once_per_pair_of_masks(monkeypatch):
+    # 1024 points are 16 blocks; the structural zeros, and so the masks,
+    # are the same in every block (and Ricci and T share theirs)
+    made, real = [], checks._commutator_plan
+
+    def counted(xm, rm):
+        made.append((xm.tobytes(), rm.tobytes()))
+        return real(xm, rm)
+
+    monkeypatch.setattr(checks, "_commutator_plan", counted)
+    ctx = context(catalog_metric("schwarzschild"), 1024)
+    for _, step in FIELDS.values():
+        ctx.reduced(step)
+    assert made and len(made) == len(set(made)) <= len(FIELDS)

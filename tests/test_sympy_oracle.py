@@ -1,4 +1,4 @@
-"""An independent curvature oracle: sympy against ``CheckContext.get``.
+"""An independent curvature oracle: sympy against :func:`wstar.jet.curvature_fields`.
 
 Nothing here goes through ``wstar``'s own symbolic layer or tape kernel: the
 metric components are rebuilt as sympy expressions, and sympy differentiates
@@ -21,9 +21,9 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from wstar.catalog import catalog_metric  # noqa: E402
-from wstar.checks import CheckContext  # noqa: E402
 from wstar.cli import sample_for  # noqa: E402
 from wstar.geometry import workspace  # noqa: E402
+from wstar.jet import curvature_fields  # noqa: E402
 from wstar.matter import FieldEquationConfig  # noqa: E402
 
 N = 4
@@ -164,9 +164,9 @@ def oracle(name, route):
 
 def assert_matches(name, route):
     metric, pts = sample(name)
-    ctx = CheckContext(metric, pts, FieldEquationConfig())
+    fields = curvature_fields(workspace(metric), pts, FieldEquationConfig())
     for field, want in oracle(name, route).items():
-        got = ctx.get(field)
+        got = fields[field]
         assert got.shape == want.shape, field
         scale = float(np.max(np.abs(want)))
         gap = float(np.max(np.abs(got - want)))

@@ -8,7 +8,8 @@ disagree with the independently computed ground truth, and those tests are
 strict expected failures with the deviation documented.  Residuals that
 the check registry scores are read from its outcomes (a
 :class:`wstar.checks.CheckContext` over the same sample points), and the
-conformal-curvature cross-check is rebuilt from the shared residual formulas.
+conformal-curvature cross-check is rebuilt from the shared residual formulas
+over :func:`wstar.jet.curvature_fields`.
 """
 
 import numpy as np
@@ -18,7 +19,7 @@ from wstar.catalog import catalog_metric
 from wstar.checks import CheckContext
 from wstar.cli import compute_at, sample_for
 from wstar.geometry import ricci_commutator, workspace
-from wstar.jet import _weyl
+from wstar.jet import _weyl, curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar import wstar as W
 
@@ -59,14 +60,12 @@ def weyl_divergence(name, pts):
     order, so its last two slots are swapped before the trace.  ∇C is formed
     from the classes of ∇R_{ijkl}, ∇Ricci and ∇R, as the check forms it.
     """
-    ctx = context(name, pts)
-    nweyl = _weyl(ctx.get("nrc"), ctx.get("g"), ctx.get("nric"), ctx.get("gradR"))
-    direct = W.divergence(ctx.get("ginv"), np.einsum("pijlkm->pijklm", nweyl))
-    printed = 0.5 * W.divergence_closed_form(
-        ctx.get("nric"), ctx.get("g"), ctx.get("gradR"), -1.0 / 3.0
-    )
+    v = curvature_fields(geo_for(name), pts, FieldEquationConfig())
+    nweyl = _weyl(v["nrc"], v["g"], v["nric"], v["gradR"])
+    direct = W.divergence(v["ginv"], np.einsum("pijlkm->pijklm", nweyl))
+    printed = 0.5 * W.divergence_closed_form(v["nric"], v["g"], v["gradR"], -1.0 / 3.0)
     return (amax(direct), amax(direct - printed),
-            amax(W.codazzi_defect(ctx.get("nric"))), amax(ctx.get("gradR")))
+            amax(W.codazzi_defect(v["nric"])), amax(v["gradR"]))
 
 
 class TestConstruction:
