@@ -2,15 +2,15 @@
 """Time the tape kernel's tangent mode on the tapes ``check`` and ``classify`` run.
 
 Those commands take every curvature field from the metric's 3-jet
-(:class:`wstar.jet.Jet`), and two tapes do their kernel work:
+(:class:`wstar.jet.Jet`), and two tapes do their kernel work, both run once
+per 64-point block by the one curvature pass (:meth:`wstar.jet.Jet.curvature`):
 
-- ``jet``: the tape of g, ∂g and ∂²g over the coordinates, run once over
-  every point with the partials of the ∂²g outputs (∂³g);
-- ``leaf``: the leaf tape of Γ, R_{ijkl} by symmetry class and Ricci, whose
-  inputs are jet values and g^{ij}, run once per 64-point block with each
-  input's partials seeded from the jet.  The curvature pass differentiates
-  the classes; the recurrence fit's displaced pass (not timed here) runs the
-  same tape and differentiates Ricci.
+- ``jet``: the tape of g, ∂g and ∂²g over the coordinates, with the
+  partials of the ∂²g outputs (∂³g);
+- ``leaf``: the leaf tape of Γ and R_{ijkl} by symmetry class, whose inputs
+  are jet values and g^{ij}, with each input's partials seeded from the jet
+  and the partials of the classes.  The recurrence fit's displaced points
+  (not timed here) go through the same pass.
 
 Each workload records the kernel calls one curvature pass makes (points,
 differentiated outputs, seeds) and times them again, at 32 points and at

@@ -60,7 +60,7 @@ from typing import Callable, Dict, Iterable, Optional, Union
 import numpy as np
 
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import _raise_first, _weyl, field_blocks
+from .jet import _raise_first, _weyl, by_symmetry, field_blocks, ricci_values
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
@@ -186,10 +186,19 @@ class CheckContext:
         )
 
     def check(self, name: str) -> CheckOutcome:
-        """The named check's outcome, computed once per context (or its error, raised again)."""
+        """The named check's outcome, computed once per context (or its error, raised again).
+
+        Float arithmetic that overflows, divides by zero or is invalid raises
+        ``FloatingPointError``, and so does a residual or tolerance that is
+        not finite: no check reports inf or NaN.
+        """
         if name not in self._outcomes:
             try:
-                out = REGISTRY[name](self)
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    out = REGISTRY[name](self)
+                for what, value in (("residual", out.max_residual), ("tolerance", out.tolerance)):
+                    if value is not None and not np.isfinite(value):
+                        raise FloatingPointError(f"the {what} of {name} is {value}")
                 out.name = name
             except Exception as err:
                 out = err
@@ -889,8 +898,10 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
 
     The fit at the sample points is the context's ``recurrence`` step.
     Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point, each block of them
-    reduced to b as it is evaluated (:meth:`wstar.jet.Jet.ricci`).  A copy is
+    covector at displaced copies of each sample point.  They go through the
+    sample points' curvature pass (:meth:`wstar.jet.Jet.curvature`), and
+    Ricci and ∇Ricci through :func:`wstar.jet.ricci_values`, one block at a
+    time, each block reduced to b as it comes.  A copy is
     displaced only along a coordinate the metric depends on: along any
     other, b is constant and its difference is exactly 0.  Points where
     Ricci vanishes carry no information and are dropped; with no usable
@@ -911,7 +922,9 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     displaced = np.concatenate(
         [base + s for s in shifts] + [base - s for s in shifts]
     ).reshape(-1, n)
-    bd = geo.jet.ricci(displaced, _fit_covector)
+    bd = np.concatenate([
+        _fit_covector(*ricci_values(ginv, by_symmetry(rc), by_symmetry(nrc))[1:])
+        for _, ginv, _, rc, nrc in geo.jet.curvature(displaced)])
     p_used, k = base.shape[0], len(axes)
     plus = bd[: k * p_used].reshape(k, p_used, n)
     minus = bd[k * p_used :].reshape(k, p_used, n)

@@ -4,14 +4,16 @@ Every command reads its curvature here and builds no symbolic curvature:
 ``check`` and ``classify`` at their sample points, ``compute`` at its one
 point.  :class:`Jet` holds a tape of the nonzero components of g, ∂g and
 ∂²g, whose tangent mode gives ∂³g, and one leaf tape over those values and
-a numeric g^{ij} that gives Γ, R_{ijkl} by symmetry class and Ricci, with
-the partials of the classes or of Ricci.  The jet tape and g^{ij} run over
-the whole sample; everything after them runs one block of points at a
-time.  :func:`field_blocks` yields, per block, Γ and the fields several
+a numeric g^{ij} that gives Γ and R_{ijkl} by symmetry class, with the
+partials of the classes.  :meth:`Jet.curvature` is the one pass over them,
+and it runs the jet tape, g^{ij} and the leaf tape one block of points at
+a time.  :func:`field_blocks` yields, per block, Γ and the fields several
 checks read, formed from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}; the checks
 reduce each block to per-point columns before the next is formed
 (:class:`wstar.checks.CheckContext`), and :func:`curvature_fields`
-concatenates the blocks for ``compute`` and for tests.
+concatenates the blocks for ``compute`` and for tests.  The recurrence
+fit's displaced points go through the same pass, and Ricci and ∇Ricci
+come from :func:`ricci_values` there as at the sample points.
 R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; a reader of
 W*^h_{jkl}, Weyl or ∇Weyl forms it from a block's fields with
 :func:`_raise_first` or :func:`_weyl`.  This is truncated-Taylor (jet)
@@ -27,7 +29,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
 __all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks",
-           "weyl_classes"]
+           "ricci_values", "weyl_classes"]
 
 _ZERO = const(0)
 
@@ -65,18 +66,15 @@ class Jet:
                    + Γ_{h,li} Γ^h_{jk} − Γ_{h,ki} Γ^h_{jl}
 
     (:attr:`Geometry.riemann04`'s convention) with the expression
-    constructors, over one component per symmetry class of R_{ijkl}, and
-    R_{jk} = g^{hi} R_{ijhk}; the classes and Ricci share their nodes.  A
+    constructors, over one component per symmetry class of R_{ijkl}.  A
     structurally zero input is the constant 0, so a sparse metric keeps a
     small leaf tape.  The leaf tape runs in the kernel's tangent mode with
     each input's partials seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
     and ∂g⁻¹ = −g⁻¹ ∂g g⁻¹, and the covariant derivative of R_{ijkl}
-    follows from its partials and Γ, per symmetry class.  Everything past
-    the jet tape is formed one block of points at a time
-    (:func:`wstar.backend.blocks`).  :meth:`curvature` differentiates the
-    classes; :meth:`ricci` differentiates Ricci alone, for the recurrence
-    fit's displaced points, and reduces each block as it comes.  Both take
-    ∇ with :func:`_nabla_components`.
+    follows from the partials of the classes and Γ, per symmetry class
+    (:func:`_nabla_components`).  :meth:`curvature` runs every step, the
+    jet tape included, one block of points at a time
+    (:func:`wstar.backend.blocks`).
     """
 
     def __init__(self, geo: Geometry):
@@ -133,9 +131,9 @@ class Jet:
 
     @property
     def _leaf_tape(self) -> Tape:
-        """Γ^h_{ij} (i <= j), then R_{ijkl} by symmetry class, then
-        R_{jk} = g^{hi} R_{ijhk} (j <= k), over the leaf inputs: the nonzero
-        ∂g, then the nonzero ∂²g, then g^{ab} (a <= b) within a component."""
+        """Γ^h_{ij} (i <= j), then R_{ijkl} by symmetry class, over the leaf
+        inputs: the nonzero ∂g, then the nonzero ∂²g, then g^{ab} (a <= b)
+        within a component."""
         return self.geo.cached("jet_leaf_tape", self._compile_leaf_tape)
 
     def _compile_leaf_tape(self) -> Tape:
@@ -174,20 +172,17 @@ class Jet:
             return term_sum(terms)
 
         curv = [riemann(*c) for c in _riemann_classes(n)]
-        full, index = curv + [neg(c) for c in curv] + [_ZERO], _riemann_index(n)
-        ric = [term_sum(mul(gi(h, i), full[index[i, j, h, k]])
-                        for h in range(n) for i in range(n))
-               for j in range(n) for k in range(j, n)]
         gams = [gam[h, i, j] for h in range(n) for i in range(n) for j in range(i, n)]
-        return geometry.compile_tape(gams + curv + ric, len(keys))
+        return geometry.compile_tape(gams + curv, len(keys))
 
     # --- evaluation -------------------------------------------------------
 
-    def _inverse(self, g: np.ndarray, points) -> np.ndarray:
-        """g^{ij} at every point, inverted one component of g's pattern at a time.
+    def _inverse(self, g: np.ndarray, points, start: int) -> np.ndarray:
+        """g^{ij} at a block of points, inverted one component of g's pattern
+        at a time.
 
         Raises ``numpy.linalg.LinAlgError`` naming the first point where g is
-        singular.
+        singular, by its index in the sample: the block starts at ``start``.
         """
         ginv = np.zeros_like(g)
         for comp in self._components:
@@ -198,67 +193,50 @@ class Jet:
                 p = int(np.argmax(np.linalg.det(sub) == 0))
                 at = point_text(self.geo.metric.coords, points[p])
                 raise np.linalg.LinAlgError(
-                    f"the metric is singular at {at} (point #{p})") from None
+                    f"the metric is singular at {at} (point #{start + p})") from None
         return ginv
 
-    def _blocks(self, points, diff: range):
-        """Run the leaf tape per block with the partials of its outputs ``diff``:
-        yields (g, g⁻¹, Γ^h_{ij}, the outputs ``diff``, their partials)."""
-        geo, tape = self.geo, self._leaf_tape
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, geo.dim)
-        count, n = pts.shape
-        vals, d3, _, _ = self.tape.run(pts, dict(geo.metric.params), self._d2,
-                                       coords=geo.metric.coords)
-        jet = np.concatenate([vals, np.zeros((count, 1))], axis=1)
-        g = jet[:, self._g]
-        ginv = self._inverse(g, pts)
+    def curvature(self, points):
+        """Per block of points (:func:`wstar.backend.blocks`): (g, g⁻¹,
+        Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}), the last two by symmetry class
+        (see :func:`by_symmetry`).  The jet tape, g^{ij} and the leaf tape
+        run one block at a time; an error names its point by its index in
+        the sample."""
+        geo, leaf = self.geo, self._leaf_tape
+        n, coords, params = geo.dim, geo.metric.coords, dict(geo.metric.params)
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, n)
+        classes = range(n * _pair_ij(n).shape[1], leaf.n_outputs)
         a, b = (np.array(ix, dtype=np.int64) for ix in zip(*self._inv))
-        for part in blocks(count):
-            block, gi = jet[part], ginv[part]
+        for part in blocks(len(pts)):
+            try:
+                vals, d3, _, _ = self.tape.run(pts[part], params, self._d2, coords=coords)
+            except TapeEvalError as err:
+                raise _in_sample(err, err.message, err.expr, part, pts, coords) from None
+            jet = np.concatenate([vals, np.zeros((len(vals), 1))], axis=1)
+            g = jet[:, self._g]
+            gi = self._inverse(g, pts[part], part.start)
             with np.errstate(all="ignore"):  # a seed that is not finite fails its point
-                dginv = -(gi[:, None] @ block[:, self._dg] @ gi[:, None])  # [p, m, a, b]
-            leaves = np.concatenate([block[:, self._d1], block[:, self._d2], gi[:, a, b]],
-                                    axis=1)
-            seeds = np.concatenate([block[:, self._d1_seeds], d3[part],
+                dginv = -(gi[:, None] @ jet[:, self._dg] @ gi[:, None])  # [p, m, a, b]
+            leaves = np.concatenate([jet[:, self._d1], jet[:, self._d2], gi[:, a, b]], axis=1)
+            seeds = np.concatenate([jet[:, self._d1_seeds], d3,
                                     dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
             try:  # the lanes are the coordinates; the leaves are jet values
-                out, partials, _, _ = tape.run(leaves, None, diff, seeds, geo.metric.coords)
-            except TapeEvalError as err:  # name the sample point
-                p = part.start + err.point_index
-                raise TapeEvalError(f"{err.message} in the curvature from the 3-jet", p,
-                                    None, err.coordinate,
-                                    at=point_text(geo.metric.coords, pts[p])) from None
-            yield (g[part], gi, out[:, _gamma_index(n)],
-                   out[:, diff.start:diff.stop], partials)
-
-    def curvature(self, points):
-        """Per block of points: (g, g⁻¹, Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}), the
-        last two by symmetry class (see :func:`by_symmetry`)."""
-        n = self.geo.dim
-        index = _class_index(n)
-        for g, ginv, gam, rc, partials in self._blocks(points, _leaf_outputs(n)[0]):
-            yield (g, ginv, gam, rc,
-                   _nabla_components(by_symmetry(rc), partials, gam, index))
-
-    def ricci(self, points, reduce: Callable[[np.ndarray, np.ndarray], np.ndarray]
-              ) -> np.ndarray:
-        """``reduce(R_{jk}, ∇_m R_{jk})`` per block of points, concatenated,
-        differentiating the leaf tape's Ricci only: Ricci and ∇Ricci live for
-        one block."""
-        n = self.geo.dim
-        sym, out = _pair_index(n), []
-        for _, _, gam, pairs, partials in self._blocks(points, _leaf_outputs(n)[1]):
-            ric = pairs[:, sym]
-            out.append(reduce(ric, _nabla_components(ric, partials, gam, _pair_ij(n))[:, sym]))
-        return np.concatenate(out)
+                out, partials, _, _ = leaf.run(leaves, None, classes, seeds, coords)
+            except TapeEvalError as err:
+                raise _in_sample(err, f"{err.message} in the curvature from the 3-jet", None,
+                                 part, pts, coords) from None
+            gam, rc = out[:, _gamma_index(n)], out[:, classes.start:]
+            yield g, gi, gam, rc, _nabla_components(by_symmetry(rc), partials, gam,
+                                                    _class_index(n))
 
 
-@cache
-def _leaf_outputs(n: int) -> tuple:
-    """The leaf tape's outputs of R_{ijkl} by symmetry class, and of R_{jk}."""
-    pairs = _pair_ij(n).shape[1]
-    ric = n * pairs + _class_index(n).shape[1]
-    return range(n * pairs, ric), range(ric, ric + pairs)
+def _in_sample(err: TapeEvalError, message: str, expr, part: slice, pts,
+               coords) -> TapeEvalError:
+    """``err`` of a run over the block ``part``, naming its point by its index
+    in the sample ``pts``."""
+    p = part.start + err.point_index
+    return TapeEvalError(message, p, expr, err.coordinate, err.label,
+                         at=point_text(coords, pts[p]))
 
 
 def _riemann_classes(n: int) -> list:
@@ -374,6 +352,14 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
 
 
+def ricci_values(ginv: np.ndarray, r04: np.ndarray, nr04: np.ndarray) -> tuple:
+    """(R^h_{jkl}, R_{jk}, ∇_m R_{jk}) at each point from g^{ij}, R_{ijkl}
+    and ∇_m R_{ijkl}: the one way both the sample's fields and the recurrence
+    fit's displaced points form Ricci."""
+    r13 = _raise_first(ginv, r04)
+    return r13, np.einsum("phjhl->pjl", r13), np.einsum("phi,pijhlm->pjlm", ginv, nr04)
+
+
 def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
     """The fields of :data:`FIELDS` on one block of points, and the symmetry
     classes ``rc`` and ``nrc`` they come from.
@@ -384,10 +370,8 @@ def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
     """
     r04, nr04 = by_symmetry(rc), by_symmetry(nrc)
-    r13 = _raise_first(ginv, r04)
-    ric = np.einsum("phjhl->pjl", r13)
+    r13, ric, nric = ricci_values(ginv, r04, nr04)
     scal = np.einsum("pjk,pjk->p", ginv, ric)
-    nric = np.einsum("phi,pijhlm->pjlm", ginv, nr04)
     grad = np.einsum("pjk,pjkm->pm", ginv, nric)
     w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
     return {

@@ -158,18 +158,34 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, repr(err))
 """
 
 
+def peak_run(command, metric, points) -> tuple:
+    """(exit code, peak RSS in MiB, stderr) of one ``wstar.cli`` process."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, *command, "--metric", metric, "--points", str(points),
+         "--no-timestamp"], env=env, capture_output=True, text=True, check=True).stdout
+    code, kib, err = out.split(maxsplit=2)
+    return int(code), int(kib) / 1024, err.strip()
+
+
 @pytest.mark.parametrize("command", [["check", "--checks", "all"], ["classify"]])
 def test_a_4096_point_run_peaks_under_50_mib(command):
     # no field is held for the whole sample, so a wide run peaks near a
     # narrow one: 35 MiB at 32 points, 41-42 MiB here; with the fields held
     # it takes 111 and 106 MiB
-    env = dict(os.environ)
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", PEAK_RSS, *command, "--metric", "flrw_dust", "--points", "4096",
-         "--no-timestamp"], env=env, capture_output=True, text=True, check=True).stdout
-    code, kib, err = out.split(maxsplit=2)
-    assert (int(code), err.strip()) == (1, "b''")
-    peak = int(kib) / 1024
+    code, peak, err = peak_run(command, "flrw_dust", 4096)
+    assert (code, err) == (1, "b''")
     assert peak <= 50.0, f"{command[0]} at 4096 points peaked at {peak:.1f} MiB"
+
+
+@pytest.mark.parametrize("command,exit_code", [(["check", "--checks", "all"], 1),
+                                               (["classify"], 0)])
+def test_a_wide_run_on_a_metric_of_every_coordinate_peaks_under_45_mib(command, exit_code):
+    # perturbed_flat depends on all four coordinates, so the recurrence fit
+    # displaces 8 copies of each of the 1024 points; they run one block at a
+    # time too: 38 MiB, against 49 MiB with their 3-jet held for all of them
+    code, peak, err = peak_run(command, "perturbed_flat", 1024)
+    assert (code, err) == (exit_code, "b''")
+    assert peak <= 45.0, f"{command[0]} at 1024 points peaked at {peak:.1f} MiB"

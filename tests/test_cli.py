@@ -306,6 +306,32 @@ class TestEvaluationErrors:
         assert main(["classify", "--metric", "minkowski", "--points", "4",
                      "--no-timestamp"]) == EXIT_EVAL
 
+    def test_an_overflowing_coupling_is_an_evaluation_error(self, capsys):
+        # T = G/k overflows at k = 1e-308: no inf may reach the report
+        args = ["--metric", "flrw_dust", "--points", "4", "--k", "1e-308", "--no-timestamp"]
+        assert main(["check", "--checks", "all", *args]) == EXIT_CHECK_FAILED
+        out = capsys.readouterr()
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        data = json.loads(out.out, parse_constant=refuse)
+        assert out.err == ""
+        failed = [c for c in data["checks"]
+                  if c.get("reason") == "evaluation error: overflow encountered in divide"]
+        assert failed and all(c["status"] == "fail" and c["max_residual"] is None
+                              for c in failed)
+        assert main(["classify", *args]) == EXIT_EVAL
+        assert capsys.readouterr().err == "evaluation error: overflow encountered in divide\n"
+
+    def test_a_residual_that_is_not_finite_is_an_evaluation_error(self, monkeypatch, capsys):
+        monkeypatch.setitem(REGISTRY, "einstein",
+                            lambda ctx: ctx.outcome(np.full(len(ctx.points), np.inf), 0.0))
+        args = ["--metric", "minkowski", "--points", "4", "--no-timestamp"]
+        assert main(["check", "--checks", "einstein", *args]) == EXIT_CHECK_FAILED
+        entry = json.loads(capsys.readouterr().out)["checks"][0]
+        assert entry["reason"] == "evaluation error: the residual of einstein is inf"
+
 
     @pytest.mark.parametrize("error", [ZeroDivisionError("float division by zero"),
                                        np.linalg.LinAlgError("Singular matrix")])

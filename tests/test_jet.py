@@ -2,14 +2,14 @@
 
 ``check`` and ``classify`` build no symbolic curvature: the jet tape holds
 g, ∂g and ∂²g, and one leaf tape over the jet values and a numeric g^{-1}
-gives Γ, R_{ijkl} and Ricci.  These tests pin what that route promises
-besides its values (``test_forward_derivatives.py`` and
+gives Γ and R_{ijkl} by symmetry class.  These tests pin what that route
+promises besides its values (``test_forward_derivatives.py`` and
 ``test_sympy_oracle.py`` check those): which symbolic fields a command
-builds, which tapes it compiles, how an evaluation error names the metric
-component and the point, the symmetries of the expanded curvature, and
-where the recurrence fit evaluates.  The recurrence fit's own pass, which
-differentiates the leaf tape's Ricci outputs, is compared here with the
-full curvature pass and the symbolic Ricci and ∇Ricci.
+builds, which tapes it compiles and how large the leaf tape is, how an
+evaluation error names the metric component and the point, the symmetries
+of the expanded curvature, and where the recurrence fit evaluates.  The
+Ricci and ∇Ricci the recurrence fit reads at its displaced points are
+compared here with the sample pass's fields and the symbolic ones.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext, recurrence_fit
 from wstar.geometry import workspace
 from wstar.exprlib import parse
-from wstar.jet import Jet, _leaf_outputs, by_symmetry, curvature_fields
+from wstar.jet import Jet, _class_index, by_symmetry, curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
 from wstar.tape import Tape, TapeEvalError
@@ -62,8 +62,8 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
     text = cli.catalog._TEXTS["flrw_dust"]
     metric = parse_metric_text(text, "flrw_dust")  # a fresh workspace, not the catalog's
     monkeypatch.setattr(cli, "load_metric", lambda source: metric)
-    compiled, seeded, where = [], [], ["curvature"]
-    compile_tape, run, ricci = geometry.compile_tape, Tape.run, Jet.ricci
+    compiled, seeded, where = [], [], ["sample"]
+    compile_tape, run, fit = geometry.compile_tape, Tape.run, checks.recurrence_fit
 
     def counting(*args, **kwargs):
         compiled.append(compile_tape(*args, **kwargs))
@@ -74,23 +74,24 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
             seeded.append((where[-1], self))
         return run(self, points, params, diff, seeds, coords)
 
-    def spy_ricci(self, points, reduce):
-        where.append("ricci")
+    def spy_fit(ctx):
+        ctx.reduced("scales"), ctx.reduced("recurrence")  # the sample pass
+        where.append("displaced")
         try:
-            return ricci(self, points, reduce)
+            return fit(ctx)
         finally:
             where.pop()
 
     monkeypatch.setattr(geometry, "compile_tape", counting)
     monkeypatch.setattr(Tape, "run", spy_run)
-    monkeypatch.setattr(Jet, "ricci", spy_ricci)
+    monkeypatch.setattr(checks, "recurrence_fit", spy_fit)
     for command in (["check", "--checks", "all"], ["classify"]):
         cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
     capsys.readouterr()
     geo = workspace(metric)
     assert len(compiled) == 3  # det g, the jet and the leaf tape
     assert compiled[1] is geo.jet.tape
-    assert {place for place, _ in seeded} == {"curvature", "ricci"}
+    assert {place for place, _ in seeded} == {"sample", "displaced"}
     assert {id(tape) for _, tape in seeded} == {id(compiled[2])}
     assert [key for key in geo._cache if "tape" in key] == ["jet_leaf_tape"]
 
@@ -130,6 +131,28 @@ def test_a_failed_curvature_partial_is_named_with_its_sample_point():
     assert str(again.value) == str(info.value)
 
 
+def test_a_failed_jet_component_in_a_later_block_is_named_with_its_sample_point():
+    # the jet tape runs per block of 64 points: the error names the sample index
+    metric = parse_metric_text(metric_text(g11="1 + 0.1*sqrt(x^2)"), "kinked")
+    pts = np.tile([0.1, 0.3, 0.2, 0.3], (70, 1))
+    pts[66, 1] = 0.0
+    with pytest.raises(TapeEvalError) as info:
+        CheckContext(metric, pts, CFG).check("ricci_flat")
+    err = info.value
+    assert (err.point_index, err.coordinate, err.label) == (66, "x", "∂_x ∂_x g[1][1]")
+    assert str(err) == ("partial derivative along x is not finite for ∂_x ∂_x g[1][1]"
+                        " in 'sqrt(x1^2)' at t=0.1, x=0, y=0.2, z=0.3 (point #66)")
+
+
+def test_a_singular_metric_in_a_later_block_is_named_with_its_sample_point():
+    metric = parse_metric_text(metric_text(g11="x^2"), "degenerate")
+    pts = np.tile([0.1, 0.5, 0.2, 0.3], (70, 1))
+    pts[66, 1] = 0.0
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"singular at t=0.1, x=0, y=0.2, z=0.3 \(point #66\)$"):
+        CheckContext(metric, pts, CFG).check("ricci_flat")
+
+
 def test_a_singular_metric_is_an_evaluation_error():
     metric = parse_metric_text(metric_text(g11="x^2"), "degenerate")
     pts = np.array([[0.1, 0.5, 0.2, 0.3], [0.1, 0.0, 0.2, 0.3]])
@@ -148,6 +171,19 @@ def test_the_jet_keeps_only_nonzero_components():
     assert workspace(catalog_metric("minkowski")).jet.axes == []
 
 
+# the leaf tape's instructions per catalog metric
+LEAF_INSTRUCTIONS = {"minkowski": 1, "schwarzschild": 80, "desitter_flat": 45, "flrw_dust": 45,
+                     "perturbed_flat": 697}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_leaf_tape_outputs_gamma_and_the_curvature_classes_only(name):
+    geo = workspace(catalog_metric(name))
+    tape, n = geo.jet._leaf_tape, geo.dim
+    assert tape.n_outputs == n * n * (n + 1) // 2 + _class_index(n).shape[1]
+    assert tape.n_instructions == LEAF_INSTRUCTIONS[name]
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_by_symmetry_has_the_curvature_symmetries_exactly(n):
     count = {3: 6, 4: 21, 5: 55}[n]
@@ -161,14 +197,15 @@ def test_by_symmetry_has_the_curvature_symmetries_exactly(n):
 def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatch):
     metric = catalog_metric("flrw_dust")
     ctx = CheckContext(metric, cli.sample_for(workspace(metric), 8, 42), CFG)
+    ctx.reduced("scales"), ctx.reduced("recurrence")  # the pass over the sample points
     seen = []
-    ricci = Jet.ricci
+    curvature = Jet.curvature
 
-    def spy(self, points, reduce):
+    def spy(self, points):
         seen.append(np.asarray(points).copy())
-        return ricci(self, points, reduce)
+        return curvature(self, points)
 
-    monkeypatch.setattr(Jet, "ricci", spy)
+    monkeypatch.setattr(Jet, "curvature", spy)
     fit = recurrence_fit(ctx)
     (displaced,) = seen
     assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
@@ -177,26 +214,45 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
 
 
 def assert_ricci_leaf_tape_agrees(metric, points):
-    # the recurrence fit's own route (Jet.ricci, which differentiates the leaf
-    # tape's Ricci outputs) against the full curvature pass and the symbolic fields
+    # the Ricci and ∇Ricci the recurrence fit reads at its displaced points,
+    # against the sample pass's fields and the symbolic fields there
     geo = workspace(metric)
-    pts = cli.sample_for(geo, points, 42)
+    ctx = CheckContext(metric, cli.sample_for(geo, points, 42), CFG)
+    ctx.reduced("scales"), ctx.reduced("recurrence")  # the pass over the sample points
+    displaced, formed = [], []
+    curvature, ricci = Jet.curvature, checks.ricci_values
+
+    def spy_curvature(self, pts):
+        displaced.append(np.asarray(pts).copy())
+        return curvature(self, pts)
+
+    def spy_ricci(*args):
+        formed.append(ricci(*args))
+        return formed[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Jet, "curvature", spy_curvature)
+        patch.setattr(checks, "ricci_values", spy_ricci)
+        fit = recurrence_fit(ctx)
+    if not fit.applicable:  # Ricci vanishes: no point is displaced
+        assert fit.reason == "Ricci tensor vanishes" and not displaced and not formed
+        return
+    (pts,) = displaced
     fields = curvature_fields(geo, pts, CFG)
     symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
-    n = geo.dim
-    both = geo.jet.ricci(pts, lambda ric, nric: np.concatenate(
-        [ric.reshape(len(ric), -1), nric.reshape(len(ric), -1)], axis=1))
-    ricci = both[:, :n * n].reshape(-1, n, n), both[:, n * n:].reshape(-1, n, n, n)
-    for got, name in zip(ricci, ("ric", "nric")):
-        for want in (fields[name], symbolic[name]):
-            assert got.shape == want.shape, name
-            gap = float(np.max(np.abs(got - want)))
-            assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
+    for k, name in ((1, "ric"), (2, "nric")):
+        got = np.concatenate([parts[k] for parts in formed])
+        assert np.array_equal(got.view(np.int64), fields[name].view(np.int64)), name
+        want = symbolic[name]
+        assert got.shape == want.shape, name
+        gap = float(np.max(np.abs(got - want)))
+        assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_ricci_leaf_tape_matches_the_other_routes_on_the_catalog(name):
-    assert_ricci_leaf_tape_agrees(catalog_metric(name), 70)  # a full block and a tail
+    # 70 sample points: the displaced points span full blocks and a tail
+    assert_ricci_leaf_tape_agrees(catalog_metric(name), 70)
 
 
 @given(terms=_perturbation)
@@ -233,13 +289,13 @@ def test_classify_forms_no_weyl_field(monkeypatch, capsys):
                        rtol=1e-14, atol=0)
 
 
-def leaf_tape_calls(geo, pts, monkeypatch):
-    """The (leaves, seeds) of every leaf-tape block of one curvature pass."""
-    tape, calls, run = geo.jet._leaf_tape, [], Tape.run
+def jet_tape_calls(geo, pts, monkeypatch):
+    """The points of every jet-tape block of one curvature pass."""
+    tape, calls, run = geo.jet.tape, [], Tape.run
 
     def spy(self, points, params=None, diff=None, seeds=None, coords=None):
         if self is tape:
-            calls.append((points, seeds))
+            calls.append(points)
         return run(self, points, params, diff, seeds, coords)
 
     with monkeypatch.context() as patch:
@@ -254,24 +310,29 @@ def assert_same_tangents(got, want):
     assert np.array_equal(err, all_err) and np.array_equal(lane, all_lane)
 
 
+# the groups of each catalog metric's jet tape, and those the curvature pass
+# runs the chain rule of: it reads the partials of ∂²g only
+JET_GROUPS = {"minkowski": (1, 0), "schwarzschild": (25, 24), "desitter_flat": (8, 8),
+              "flrw_dust": (7, 5), "perturbed_flat": (8, 1)}
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_the_chain_rule_skips_only_groups_no_read_partial_needs(name, monkeypatch):
     # with every output differentiated every group is needed, so nothing is
-    # skipped: each range of the leaf tape must read the same bits from it
+    # skipped: each subset of the jet tape's outputs must read the same bits from it
     geo = workspace(catalog_metric(name))
-    tape, calls = leaf_tape_calls(geo, cli.sample_for(geo, 70, 42), monkeypatch)
+    jet, params = geo.jet, dict(geo.metric.params)
+    tape, calls = jet_tape_calls(geo, cli.sample_for(geo, 70, 42), monkeypatch)
     assert len(calls) == 2
-    every_idx = tape.outputs[np.arange(tape.n_outputs)]
-    assert all(tape.activity(geo.dim, every_idx, True)[2])
-    for leaves, seeds in calls:
-        every = tape.run(leaves, None, range(tape.n_outputs), seeds)
-        for outputs in _leaf_outputs(geo.dim):
-            got = tape.run(leaves, None, outputs, seeds)
-            partials = every[1][:, outputs.start:outputs.stop]
+    assert all(tape.activity(geo.dim, tape.outputs, False)[2])
+    for points in calls:
+        every = tape.run(points, params, range(tape.n_outputs))
+        for outputs in (jet._d2, jet._d1):
+            got = tape.run(points, params, outputs)
+            partials = every[1][:, outputs]
             assert_same_tangents(got, (None, partials, every[2], every[3]))
-    # the curvature pass reads no partial of the Ricci sums, and skips them
-    diff = tape.outputs[np.asarray(_leaf_outputs(geo.dim)[0])]
-    assert not all(tape.activity(geo.dim, diff, True)[2]) or geo.jet.axes == []
+    active = tape.activity(geo.dim, tape.outputs[np.asarray(jet._d2, dtype=np.int64)], False)[2]
+    assert (len(active), sum(active)) == JET_GROUPS[name]
 
 
 def test_a_skipped_chain_rule_keeps_a_failing_point():
@@ -302,11 +363,14 @@ def test_the_activity_analysis_runs_once_per_key(monkeypatch):
 
     monkeypatch.setattr(backend, "_activity", counted)
     ctx = CheckContext(metric, cli.sample_for(geo, 130, 42), CFG)  # three blocks
-    ctx.check("ricci_recurrent")  # the curvature pass, then Ricci at displaced points
-    tape = geo.jet._leaf_tape
-    assert len(keys) == len(set(keys)) == len(tape._activities) + 1  # + the jet tape's
-    for (lanes, diff, seeded), (idle, needed, active) in tape._activities.items():
-        fresh = real(*tape.schedule, lanes, np.frombuffer(diff, dtype=np.int64), seeded)
-        assert [None if a is None else a.tolist() for a in idle] == [
-            None if a is None else a.tolist() for a in fresh[0]]
-        assert np.array_equal(needed, fresh[1]) and active == fresh[2]
+    # the curvature pass over the sample points, then over the displaced
+    # points: eight blocks, each running the jet tape and the leaf tape
+    ctx.check("ricci_recurrent")
+    tapes = (geo.jet.tape, geo.jet._leaf_tape)
+    assert len(keys) == len(set(keys)) == sum(len(t._activities) for t in tapes) == 2
+    for tape in tapes:
+        for (lanes, diff, seeded), (idle, needed, active) in tape._activities.items():
+            fresh = real(*tape.schedule, lanes, np.frombuffer(diff, dtype=np.int64), seeded)
+            assert [None if a is None else a.tolist() for a in idle] == [
+                None if a is None else a.tolist() for a in fresh[0]]
+            assert np.array_equal(needed, fresh[1]) and active == fresh[2]
