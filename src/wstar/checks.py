@@ -20,12 +20,17 @@ each check's residuals, the fluid's mu and p, and the Ricci-recurrence fit's
 covector and residual.  Then the block's fields are dropped.  One walk covers
 the checks the run names and the checks they read (:data:`_STEP_OF`,
 :data:`_READS`); a check outside them, asked for later, walks again for its
-own steps.  Residuals with more slots than their inputs (six for
-[nabla, nabla] W*), W*^h_{jkl} with the Krupka decomposition, and ∇Weyl so
-exist for one block only.  This is strip-mining and loop fusion (M. Wolfe,
-*High Performance Compilers for Parallel Computing*, 1996).  The context
-memoizes the check outcomes; an evaluation error is kept too and raised
-again for every check that reads a step.
+own steps.  W*^h_{jkl} with the Krupka decomposition so exists for one
+block only.  Every array of n⁵ components or more per point (∇R_{ijkl},
+∇W*, the cyclic sum of ∇W*, ∇Weyl, the six-slot [nabla, nabla] W*, and the
+|.| of such a field) exists for one slice of a block only, 16 points
+(:func:`wstar.jet.slices`), where a 64-point block would hold 0.5 MiB
+per array at n = 4.  This is strip-mining and loop fusion (M. Wolfe, *High
+Performance Compilers for Parallel Computing*, 1996).  The context memoizes
+the check outcomes; an evaluation error is kept too and raised again for
+every check that reads a step.  A field that cannot be formed (T or ∇T at
+an overflowing coupling) is kept as its error in the block's fields and in
+the ``scales`` columns, so only the checks that read it fail.
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function from
@@ -53,14 +58,14 @@ deterministic for a fixed (metric, seed, points, tolerances) tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import _raise_first, _weyl, by_symmetry, field_blocks, ricci_values
+from .jet import Fields, _raise_first, _weyl, by_symmetry, field_blocks, ricci_values, slices
 from .matter import FieldEquationConfig, _amax, decompose_fluids
 from . import wstar as ws
 
@@ -70,15 +75,44 @@ __all__ = [
 ]
 
 
+class _OnFirstRead:
+    """A dataclass field (default None) that may be set to a callable: the
+    first read calls it and keeps what it returns.  A call that raises is
+    made again on the next read."""
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        value = getattr(obj, self.slot)
+        if callable(value):
+            value = value()
+            setattr(obj, self.slot, value)
+        return value
+
+    def __set__(self, obj, value):
+        setattr(obj, self.slot, value)
+
+
+def _strict():
+    """Float arithmetic that overflows, divides by zero or is invalid raises."""
+    return np.errstate(divide="raise", over="raise", invalid="raise")
+
+
 @dataclass
 class CheckOutcome:
-    """One check's verdict: residual against tolerance, and the worst point."""
+    """One check's verdict: residual against tolerance, and the worst point.
+
+    ``reason`` may be given as a callable that forms it on first read, for a
+    reason that costs work no verdict needs (the recurrence closedness)."""
 
     status: str  # "pass" | "fail" | "not-applicable"
     max_residual: Optional[float]  # None when the check could not be evaluated
     tolerance: float
     worst_point: Optional[np.ndarray]
-    reason: Optional[str] = None
+    reason: Optional[str] = _OnFirstRead()
     name: str = ""  # the REGISTRY name, set by CheckContext.check
 
 
@@ -194,7 +228,7 @@ class CheckContext:
         """
         if name not in self._outcomes:
             try:
-                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                with _strict():
                     out = REGISTRY[name](self)
                 for what, value in (("residual", out.max_residual), ("tolerance", out.tolerance)):
                     if value is not None and not np.isfinite(value):
@@ -210,17 +244,37 @@ class CheckContext:
 
 
 def _join(parts: list):
-    """The blocks' columns of one step, concatenated along the point axis."""
+    """The blocks' columns of one step, concatenated along the point axis.
+
+    A dict of columns ("scales") keeps a field's error in place of its column."""
     if isinstance(parts[0], dict):
-        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
+        joined = Fields()
+        for key in parts[0]:
+            cols = [p[key] for p in parts]
+            errors = [c for c in cols if isinstance(c, Exception)]
+            joined[key] = errors[0] if errors else np.concatenate(cols)
+        return joined
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(cols) for cols in zip(*parts))
     return np.concatenate(parts)
 
 
-def _ptmax(a: np.ndarray) -> np.ndarray:
-    """Collapse all but the leading (point) axis with max |.|."""
+def _per_slice(reduce: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """``reduce(*arrays)`` per point, run one slice of the block at a time
+    (:func:`wstar.jet.slices`): for a step whose arrays have n⁵
+    components or more per point."""
+    return np.concatenate([reduce(*(a[part] for a in arrays))
+                           for part in slices(arrays[0].shape[0])])
+
+
+def _absmax(a: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
+
+
+def _ptmax(a: np.ndarray) -> np.ndarray:
+    """Collapse all but the leading (point) axis with max |.|; the |.| of an
+    array of n⁵ components or more per point is formed a slice at a time."""
+    return _absmax(a) if a.ndim < 6 else _per_slice(_absmax, a)
 
 
 # The sparse commutator costs about 3x the dense one per product it forms
@@ -304,19 +358,16 @@ def _sparse_commutator(plan, x: np.ndarray, r13: np.ndarray) -> np.ndarray:
     return out.T
 
 
-# The dense route forms n^(rank + 2) components per point, 2 MiB per 64 points
-# for W*, and a few such temporaries at once; it runs on this many points at a time.
-_DENSE_POINTS = 16
-
-
 def _commutator_ptmax(ctx: CheckContext, x: np.ndarray, variance: str,
                       r13: np.ndarray) -> np.ndarray:
-    """max |[nabla, nabla] X| per point of one block, for a lower-index X."""
+    """max |[nabla, nabla] X| per point of one block, for a lower-index X.
+
+    The dense route forms n^(rank + 2) components per point, 2 MiB per 64
+    points for W*, and a few such temporaries at once, so it runs a slice
+    of the block at a time."""
     plan = ctx.commutator_plan(_support(x), _support(r13))
     if plan is None:
-        return np.concatenate([
-            _ptmax(ricci_commutator(x[a:a + _DENSE_POINTS], variance, r13[a:a + _DENSE_POINTS]))
-            for a in range(0, x.shape[0], _DENSE_POINTS)])
+        return _per_slice(lambda x, r13: _absmax(ricci_commutator(x, variance, r13)), x, r13)
     if not plan[0]:
         return np.zeros(x.shape[0])  # every product is 0 at every point
     return _ptmax(_sparse_commutator(plan, x, r13))
@@ -339,8 +390,9 @@ def _trace_relation_gap(ctx: CheckContext) -> np.ndarray:
 
 
 def _cyclic_gap(dw, nric, g) -> np.ndarray:
+    """max |cyclic sum - its closed form| per point, of n⁵ components each."""
     cyc, rhs = ws.cyclic_identity(dw, nric, g)
-    return cyc - rhs
+    return _absmax(cyc - rhs)
 
 
 def _semisymmetry_trace_gap(w02, ric, r13) -> np.ndarray:
@@ -385,12 +437,17 @@ def _divergence(ctx: CheckContext, f: dict) -> tuple:
             _ptmax(direct - _divergence_formula(f, 1.0 / 6.0)))
 
 
+def _weyl_div(nrc, g, nric, grad, ginv) -> np.ndarray:
+    """g^{hi} ∇_h C_{ijkl}, with ∇Weyl's last two slots put in W*'s order."""
+    nweyl = _weyl(nrc, g, nric, grad)
+    return ws.divergence(ginv, np.einsum("pijlkm->pijklm", nweyl))
+
+
 def _weyl_divergence(ctx: CheckContext, f: dict) -> tuple:
     """Per point: max |g^{hi} ∇_h C_{ijkl}|, its gap to the printed closed
-    form codazzi/2 + grad/6, and max |codazzi| of Ricci.  ∇Weyl's last two
-    slots are put in W*'s order."""
-    nweyl = _weyl(f["nrc"], f["g"], f["nric"], f["gradR"])
-    direct = ws.divergence(f["ginv"], np.einsum("pijlkm->pijklm", nweyl))
+    form codazzi/2 + grad/6, and max |codazzi| of Ricci.  ∇Weyl has n⁵
+    components per point and is formed a slice at a time."""
+    direct = _per_slice(_weyl_div, f["nrc"], f["g"], f["nric"], f["gradR"], f["ginv"])
     printed = 0.5 * _divergence_formula(f, -1.0 / 3.0)
     return (_ptmax(direct), _ptmax(direct - printed), _ptmax(_divergence_formula(f, 0.0)))
 
@@ -416,12 +473,13 @@ def _traceless_ricci(f: dict) -> np.ndarray:
 
 
 _STEPS: "Dict[str, Callable[[CheckContext, dict], object]]" = {
-    "scales": lambda ctx, f: {name: _ptmax(v) for name, v in f.items()},
+    "scales": lambda ctx, f: {name: v if isinstance(v, Exception) else _ptmax(v)
+                              for name, v in f.items()},
     "R": lambda ctx, f: f["R"],
     "trace_identity": lambda ctx, f: _ptmax(
         f["w02"] - ctx.geo.dim / (ctx.geo.dim - 1.0) * _traceless_ricci(f)),
     "divergence": _divergence,
-    "bianchi_identity": lambda ctx, f: _ptmax(_cyclic_gap(f["dw"], f["nric"], f["g"])),
+    "bianchi_identity": lambda ctx, f: _per_slice(_cyclic_gap, f["dw"], f["nric"], f["g"]),
     "semisymmetry_trace_identity": lambda ctx, f: _ptmax(
         _semisymmetry_trace_gap(f["w02"], f["ric"], f["r13"])),
     "krupka": _krupka,
@@ -585,9 +643,8 @@ def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
     if not fit.applicable:
         return ctx.na(fit.reason or "recurrence undefined")
     out = ctx.outcome(fit.point_residual, ctx.amax("nric"))
-    out.reason = (
-        f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}"
-    )
+    # only a report that prints the reason pays for the displaced pass
+    out.reason = lambda: f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}"
     return out
 
 
@@ -872,9 +929,15 @@ class RecurrenceFit:
     applicable: bool
     b: Optional[np.ndarray]  # (P, n) fitted covector per usable point
     fit_residual: float
-    closedness_residual: Optional[float]
     reason: Optional[str] = None
     point_residual: Optional[np.ndarray] = None  # (P,), zero where Ricci vanishes
+    closedness: Optional[Callable[[], float]] = field(default=None, repr=False)
+
+    @cached_property
+    def closedness_residual(self) -> Optional[float]:
+        """max |d_mu b_nu - d_nu b_mu|, formed on first read (see
+        :func:`recurrence_fit`); None where the fit does not apply."""
+        return None if self.closedness is None else self.closedness()
 
 
 def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
@@ -898,39 +961,46 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
 
     The fit at the sample points is the context's ``recurrence`` step.
     Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point.  They go through the
-    sample points' curvature pass (:meth:`wstar.jet.Jet.curvature`), and
-    Ricci and ∇Ricci through :func:`wstar.jet.ricci_values`, one block at a
-    time, each block reduced to b as it comes.  A copy is
-    displaced only along a coordinate the metric depends on: along any
-    other, b is constant and its difference is exactly 0.  Points where
-    Ricci vanishes carry no information and are dropped; with no usable
-    points the fit is reported as not applicable rather than as trivially
-    recurrent.
+    covector at displaced copies of each sample point, when
+    ``closedness_residual`` is first read: only ``check`` prints it, so
+    ``classify`` never runs this pass.  The copies go through the sample
+    points' curvature pass (:meth:`wstar.jet.Jet.curvature`), and Ricci and
+    ∇Ricci through :func:`wstar.jet.ricci_values`, one block at a time, each
+    block reduced to b as it comes; like a check, the pass raises on a float
+    fault.  A copy is displaced only along a coordinate the metric depends
+    on: along any other, b is constant and its difference is exactly 0.
+    Points where Ricci vanishes carry no information and are dropped; with
+    no usable points the fit is reported as not applicable rather than as
+    trivially recurrent.
     """
 
-    geo = ctx.geo
     usable = ctx.reduced("scales")["ric"] > _RICCI_FLOOR
     if not np.any(usable):
-        return RecurrenceFit(False, None, 0.0, None, "Ricci tensor vanishes")
+        return RecurrenceFit(False, None, 0.0, "Ricci tensor vanishes")
     b, point_residual = ctx.reduced("recurrence")
     b = b[usable]
+    return RecurrenceFit(True, b, float(point_residual.max()), None, point_residual,
+                         partial(_closedness, ctx.geo, ctx.points, usable, b))
 
+
+def _closedness(geo: Geometry, points: np.ndarray, usable: np.ndarray,
+                b: np.ndarray) -> float:
+    """max |d_mu b_nu - d_nu b_mu| over the ``usable`` sample points, whose
+    fitted covectors are ``b``, by central differences."""
     n, axes = geo.dim, geo.jet.axes
-    base = ctx.points[usable]
-    shifts = _FD_STEP * np.eye(n)[axes]
-    displaced = np.concatenate(
-        [base + s for s in shifts] + [base - s for s in shifts]
-    ).reshape(-1, n)
-    bd = np.concatenate([
-        _fit_covector(*ricci_values(ginv, by_symmetry(rc), by_symmetry(nrc))[1:])
-        for _, ginv, _, rc, nrc in geo.jet.curvature(displaced)])
+    base = points[usable]
     p_used, k = base.shape[0], len(axes)
-    plus = bd[: k * p_used].reshape(k, p_used, n)
-    minus = bd[k * p_used :].reshape(k, p_used, n)
-    grad_b = np.zeros((n, p_used, n))  # grad_b[nu, p, mu] = d_nu b_mu
-    grad_b[axes] = (plus - minus) / (2.0 * _FD_STEP)
-    curl = grad_b - grad_b.transpose(2, 1, 0)
-    return RecurrenceFit(
-        True, b, float(point_residual.max()), _amax(curl), None, point_residual
-    )
+    with _strict():
+        shifts = _FD_STEP * np.eye(n)[axes]
+        displaced = np.concatenate(
+            [base + s for s in shifts] + [base - s for s in shifts]
+        ).reshape(-1, n)
+        bd = np.concatenate([
+            _fit_covector(*ricci_values(ginv, by_symmetry(rc), nrc)[1:3])
+            for _, ginv, _, rc, nrc in geo.jet.curvature(displaced)])
+        plus = bd[: k * p_used].reshape(k, p_used, n)
+        minus = bd[k * p_used :].reshape(k, p_used, n)
+        grad_b = np.zeros((n, p_used, n))  # grad_b[nu, p, mu] = d_nu b_mu
+        grad_b[axes] = (plus - minus) / (2.0 * _FD_STEP)
+        curl = grad_b - grad_b.transpose(2, 1, 0)
+        return _amax(curl)

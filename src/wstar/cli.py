@@ -166,6 +166,7 @@ def run_checks(cfg: RunConfig) -> RunReport:
     for name in names:
         try:
             out = ctx.check(name)
+            out.reason  # a reason formed on first read can fail too (the closedness)
         except EVAL_ERRORS as err:
             out = CheckOutcome("fail", None, ctx.tol(0.0), None,
                                f"evaluation error: {err}", name=name)

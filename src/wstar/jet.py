@@ -14,11 +14,12 @@ reduce each block to per-point columns before the next is formed
 concatenates the blocks for ``compute`` and for tests.  The recurrence
 fit's displaced points go through the same pass, and Ricci and ∇Ricci
 come from :func:`ricci_values` there as at the sample points.
-R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; a reader of
-W*^h_{jkl}, Weyl or ∇Weyl forms it from a block's fields with
-:func:`_raise_first` or :func:`_weyl`.  This is truncated-Taylor (jet)
-evaluation (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
-2008, ch. 13).
+R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl}
+(n⁵ components per point) is expanded 16 points at a time inside
+:func:`ricci_values`, and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
+from a block's fields with :func:`_raise_first` or :func:`_weyl`.  This is
+truncated-Taylor (jet) evaluation (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
 A point is evaluated when g is non-singular there and its 3-jet is finite;
 anywhere else :class:`Jet` raises an error that names the point.
@@ -39,10 +40,23 @@ from .geometry import Geometry, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
-__all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks",
-           "ricci_values", "weyl_classes"]
+__all__ = ["Jet", "FIELDS", "Fields", "by_symmetry", "curvature_fields", "field_blocks",
+           "ricci_values", "slices", "weyl_classes"]
 
 _ZERO = const(0)
+_SLICE = 16
+
+
+def slices(count: int) -> list:
+    """The slices of a block of ``count`` points (:func:`wstar.backend.blocks`),
+    in order: at most 16 points each.
+
+    An array of n⁵ components or more per point takes 0.5 MiB per 64 points
+    at n = 4, so every step that forms one runs a slice at a time.  It
+    lives here rather than beside ``blocks`` because ``perfbench/run.py``
+    imports :mod:`wstar.backend` itself, and the peak RSS it reads for a
+    command includes its own (see CHANGES.md)."""
+    return [slice(start, min(start + _SLICE, count)) for start in range(0, count, _SLICE)]
 
 
 def _sym(i: int, j: int) -> tuple:
@@ -352,12 +366,48 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
 
 
-def ricci_values(ginv: np.ndarray, r04: np.ndarray, nr04: np.ndarray) -> tuple:
-    """(R^h_{jkl}, R_{jk}, ∇_m R_{jk}) at each point from g^{ij}, R_{ijkl}
-    and ∇_m R_{ijkl}: the one way both the sample's fields and the recurrence
-    fit's displaced points form Ricci."""
+def ricci_values(ginv: np.ndarray, r04: np.ndarray, nrc: np.ndarray, g=None) -> tuple:
+    """(R^h_{jkl}, R_{jk}, ∇_m R_{jk}, ∇_m W*_{ijkl} or None) at each point from
+    g^{ij}, R_{ijkl} and the symmetry classes ``nrc`` of ∇_m R_{ijkl}: the one
+    way both the sample's fields and the recurrence fit's displaced points
+    form Ricci.
+
+    ∇_m R_{ijkl} has n⁵ components per point, so it is expanded from its
+    classes one slice of points at a time (:func:`slices`)
+    and dropped after its slice.  Given g, each slice also forms ∇_m W*_{ijkl}
+    (in wstar's index order) into one C-contiguous array.
+    """
+    count, n = nrc.shape[0], ginv.shape[-1]
     r13 = _raise_first(ginv, r04)
-    return r13, np.einsum("phjhl->pjl", r13), np.einsum("phi,pijhlm->pjlm", ginv, nr04)
+    nric = np.empty((count, n, n, n))
+    dw = None if g is None else np.empty((count,) + (n,) * 5)
+    for part in slices(count):
+        nr04 = by_symmetry(nrc[part])
+        nric[part] = np.einsum("phi,pijhlm->pjlm", ginv[part], nr04)
+        if dw is not None:
+            dw[part] = ws.wstar_values(np.swapaxes(nr04, 3, 4), g[part], nric[part])
+    return r13, np.einsum("phjhl->pjl", r13), nric, dw
+
+
+def _formed(make, *args):
+    """``make(*args)``, or the float fault it raised (a ``RuntimeWarning``
+    where warnings are errors): a field that cannot be formed fails only the
+    checks that read it (:class:`Fields`)."""
+    try:
+        return make(*args)
+    except (ArithmeticError, RuntimeWarning) as err:
+        return err
+
+
+class Fields(dict):
+    """Fields (or per-field columns) by name, where a value may be the error
+    that forming it raised: reading that value raises it again."""
+
+    def __getitem__(self, name):
+        value = super().__getitem__(name)
+        if isinstance(value, Exception):
+            raise value
+        return value
 
 
 def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
@@ -368,9 +418,13 @@ def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
     since ∇g = 0, each ∇ field is its field's map applied to the classes
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
+    ∇_m R_{ijkl} itself is formed only a slice of points at a time, inside
+    :func:`ricci_values`, which writes ∇W* (``dw``) as it goes.  T and ∇T
+    divide by the coupling k; one that cannot be formed is kept as its
+    error, so it fails only the checks that read it.
     """
-    r04, nr04 = by_symmetry(rc), by_symmetry(nrc)
-    r13, ric, nric = ricci_values(ginv, r04, nr04)
+    r04 = by_symmetry(rc)
+    r13, ric, nric, dw = ricci_values(ginv, r04, nrc, g)
     scal = np.einsum("pjk,pjk->p", ginv, ric)
     grad = np.einsum("pjk,pjkm->pm", ginv, nric)
     w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
@@ -378,9 +432,9 @@ def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
         "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric, "R": scal,
         "gradR": grad, "nric": nric, "w04": w04,
         "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
-        "dw": ws.wstar_values(np.swapaxes(nr04, 3, 4), g, nric),
-        "t": energy_momentum_values(ric, scal, g, cfg),
-        "nt": energy_momentum_values(nric, grad, g, cfg),
+        "dw": dw,
+        "t": _formed(energy_momentum_values, ric, scal, g, cfg),
+        "nt": _formed(energy_momentum_values, nric, grad, g, cfg),
         "rc": rc, "nrc": nrc,
     }
 
@@ -392,12 +446,15 @@ def _weyl(r, g, ric, scal) -> np.ndarray:
 
 def field_blocks(geo: Geometry, points, cfg: FieldEquationConfig):
     """Per block of points (:func:`wstar.backend.blocks`): the fields of
-    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`).
+    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`), as
+    :class:`Fields`, so reading a field kept as its error raises it.
 
     Each field is C-contiguous: ``einsum`` picks its summation order from
-    the strides, so a strided field could round differently."""
+    the strides, so a strided field could round differently.  ∇W* is formed
+    C-contiguous and is not copied."""
     for block in geo.jet.curvature(points):
-        yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block, cfg).items()}
+        yield Fields({name: v if isinstance(v, Exception) else np.ascontiguousarray(v)
+                      for name, v in _block_fields(*block, cfg).items()})
 
 
 def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:

@@ -105,9 +105,11 @@ def test_every_step_streams_the_bits_of_one_whole_sample_block(metric):
 def test_no_check_allocates_whole_sample_rank6_arrays():
     # a whole-sample (P, 4, 4, 4, 4, 4, 4) commutator of W* takes 96 MiB at
     # 1024 points, and the fields 15 MiB.  Every field lives for one block of
-    # points: the walk over the blocks, which the first check starts, peaks
-    # at 4.8 MiB (2.9 at 64 points); every check after it reads columns; and
-    # the context keeps only per-point columns
+    # points, and every array of n^5 components or more per point (∇R_ijkl,
+    # ∇W*, the cyclic sum, ∇Weyl) for one 16-point slice of it: the walk over
+    # the blocks, which the first check starts, peaks at 3.0 MiB (4.2 with
+    # those arrays formed for a whole 64-point block); every check after it
+    # reads columns; and the context keeps only per-point columns
     ctx = context("schwarzschild", 1024)
     ctx.geo.jet._leaf_tape  # the workspace's tapes, compiled once per metric
     peaks = {}
@@ -122,7 +124,7 @@ def test_no_check_allocates_whole_sample_rank6_arrays():
     finally:
         tracemalloc.stop()
     walk = peaks.pop(next(iter(REGISTRY)))
-    assert walk <= 6.0, f"the walk over the blocks peaks at {walk:.1f} MiB"
+    assert walk <= 3.5, f"the walk over the blocks peaks at {walk:.1f} MiB"
     over = {name: round(mib, 2) for name, mib in peaks.items() if mib > 1.0}
     assert not over, f"tracemalloc peaks above 1 MiB: {over}"
     assert held <= 1.0, f"the context holds {held:.2f} MiB after every check"

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wstar import cli
+from wstar import checks, cli
 from wstar.catalog import CATALOG_NAMES
 from wstar.checks import REGISTRY
 from wstar.cli import (
@@ -323,6 +323,73 @@ class TestEvaluationErrors:
                               for c in failed)
         assert main(["classify", *args]) == EXIT_EVAL
         assert capsys.readouterr().err == "evaluation error: overflow encountered in divide\n"
+
+    def test_a_coupling_error_fails_only_the_checks_that_read_t_or_k(self, capsys):
+        # T and ∇T divide by k; every other field, and every check that reads
+        # none of T, ∇T and k, comes out as at k = 1
+        args = ["--metric", "flrw_dust", "--points", "4", "--no-timestamp"]
+        reports = {}
+        for k in ("1", "1e-308"):
+            assert main(["check", "--checks", "all", *args, "--k", k]) == EXIT_CHECK_FAILED
+            out = capsys.readouterr()
+            assert out.err == ""
+            reports[k] = {c["name"]: c for c in json.loads(out.out)["checks"]}
+        changed = [name for name in REGISTRY if reports["1"][name] != reports["1e-308"][name]]
+        assert changed == ["field_equation_trace", "t_parallel", "t_codazzi", "t_semisymmetric",
+                           "em_distribution", "dust_vacuum", "pairing_parallel_semisymmetric",
+                           "pairing_flat_parallel_t", "pairing_semisymmetric_t"]
+        for name in changed:
+            entry = reports["1e-308"][name]
+            assert (entry["status"], entry["max_residual"], entry["reason"]) == (
+                "fail", None, "evaluation error: overflow encountered in divide"), name
+
+    def test_only_check_meets_a_displaced_point_that_fails(self, tmp_path, monkeypatch, capsys):
+        # g_yy = sqrt(x) on 0.5 <= x <= 1; with a unit step the recurrence fit
+        # displaces x beyond 0, where its closedness cannot be formed.  check
+        # prints the closedness, so it reports the error on ricci_recurrent;
+        # classify never reads it and runs no displaced point
+        path = tmp_path / "warped.metric"
+        path.write_text("\n".join([
+            "dim = 4", "coords = t, x, y, z", "domain t = -1 .. 1", "domain x = 0.5 .. 1",
+            "domain y = -1 .. 1", "domain z = -1 .. 1",
+            "g[0][0] = -1", "g[1][1] = 1", "g[2][2] = sqrt(x)", "g[3][3] = 1"]))
+        monkeypatch.setattr(checks, "_FD_STEP", 1.0)
+        args = ["--metric", str(path), "--points", "4", "--no-timestamp"]
+        assert main(["check", "--checks", "ricci_recurrent,einstein", *args]) == EXIT_CHECK_FAILED
+        recurrent, einstein = json.loads(capsys.readouterr().out)["checks"]
+        assert (recurrent["status"], recurrent["max_residual"]) == ("fail", None)
+        assert recurrent["reason"].startswith(
+            "evaluation error: evaluation left the domain for g[2][2] in 'sqrt(x1)' at ")
+        assert einstein["max_residual"] is not None
+        assert main(["classify", *args]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["flags"]["ricci_recurrent"] is True
+
+    def test_a_float_fault_in_the_displaced_pass_is_an_evaluation_error(self, monkeypatch,
+                                                                         capsys):
+        # the closedness is formed on first read, under the checks' errstate
+        args = ["--metric", "flrw_dust", "--points", "4", "--no-timestamp"]
+        runs = {}
+        for fault in (False, True):
+            if fault:
+                real = checks.ricci_values
+
+                def overflowing(*values):
+                    np.multiply(np.float64(1e308), 10.0)  # raises under the errstate only
+                    return real(*values)
+
+                monkeypatch.setattr(checks, "ricci_values", overflowing)
+            code = main(["check", "--checks", "all", *args])
+            report = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+            runs[fault] = code, report, main(["classify", *args]), capsys.readouterr()
+        code, report, classify, printed = runs[True]
+        assert code == EXIT_CHECK_FAILED
+        assert report.pop("ricci_recurrent") == {
+            "name": "ricci_recurrent", "status": "fail", "max_residual": None,
+            "tolerance": 1e-9, "worst_point": None,
+            "reason": "evaluation error: overflow encountered in multiply"}
+        runs[False][1].pop("ricci_recurrent")
+        assert report == runs[False][1]
+        assert (classify, printed) == runs[False][2:]
 
     def test_a_residual_that_is_not_finite_is_an_evaluation_error(self, monkeypatch, capsys):
         monkeypatch.setitem(REGISTRY, "einstein",

@@ -63,7 +63,7 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
     metric = parse_metric_text(text, "flrw_dust")  # a fresh workspace, not the catalog's
     monkeypatch.setattr(cli, "load_metric", lambda source: metric)
     compiled, seeded, where = [], [], ["sample"]
-    compile_tape, run, fit = geometry.compile_tape, Tape.run, checks.recurrence_fit
+    compile_tape, run, closedness = geometry.compile_tape, Tape.run, checks._closedness
 
     def counting(*args, **kwargs):
         compiled.append(compile_tape(*args, **kwargs))
@@ -71,29 +71,52 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
 
     def spy_run(self, points, params=None, diff=None, seeds=None, coords=None):
         if seeds is not None:  # a leaf tape run: its inputs are jet values
-            seeded.append((where[-1], self))
+            seeded.append((where[0], where[-1], self))
         return run(self, points, params, diff, seeds, coords)
 
-    def spy_fit(ctx):
-        ctx.reduced("scales"), ctx.reduced("recurrence")  # the sample pass
+    def spy_closedness(*args):  # the recurrence fit's displaced pass
         where.append("displaced")
         try:
-            return fit(ctx)
+            return closedness(*args)
         finally:
             where.pop()
 
     monkeypatch.setattr(geometry, "compile_tape", counting)
     monkeypatch.setattr(Tape, "run", spy_run)
-    monkeypatch.setattr(checks, "recurrence_fit", spy_fit)
+    monkeypatch.setattr(checks, "_closedness", spy_closedness)
     for command in (["check", "--checks", "all"], ["classify"]):
+        where[0] = command[0]
         cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
     capsys.readouterr()
     geo = workspace(metric)
     assert len(compiled) == 3  # det g, the jet and the leaf tape
     assert compiled[1] is geo.jet.tape
-    assert {place for place, _ in seeded} == {"sample", "displaced"}
-    assert {id(tape) for _, tape in seeded} == {id(compiled[2])}
+    # classify never prints the recurrence closedness, so it runs no displaced pass
+    assert {(command, place) for command, place, _ in seeded} == {
+        ("check", "check"), ("check", "displaced"), ("classify", "classify")}
+    assert {id(tape) for *_, tape in seeded} == {id(compiled[2])}
     assert [key for key in geo._cache if "tape" in key] == ["jet_leaf_tape"]
+
+
+@pytest.mark.parametrize("command,passes", [
+    (["check", "--checks", "all"], ["sample", (2 * 8, 4)]),  # t + h and t - h
+    (["classify"], ["sample"]),
+])
+def test_only_check_runs_the_curvature_pass_at_displaced_points(command, passes,
+                                                                monkeypatch, capsys):
+    # check prints the recurrence 1-form's closedness, which is formed at
+    # displaced copies of the sample points; classify prints no such reason
+    sample = cli.sample_for(workspace(catalog_metric("flrw_dust")), 8, 42)
+    seen, curvature = [], Jet.curvature
+
+    def spy(self, points):
+        seen.append("sample" if np.array_equal(points, sample) else np.shape(points))
+        return curvature(self, points)
+
+    monkeypatch.setattr(Jet, "curvature", spy)
+    cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
+    capsys.readouterr()
+    assert seen == passes
 
 
 def test_a_failed_derivative_is_named_with_its_point(tmp_path):
@@ -207,10 +230,11 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
 
     monkeypatch.setattr(Jet, "curvature", spy)
     fit = recurrence_fit(ctx)
+    assert fit.applicable and not seen  # the closedness is formed on first read
+    assert fit.closedness_residual is not None
     (displaced,) = seen
     assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
     assert np.array_equal(displaced[:, 1:], np.tile(ctx.points[:, 1:], (2, 1)))
-    assert fit.applicable and fit.closedness_residual is not None
 
 
 def assert_ricci_leaf_tape_agrees(metric, points):
@@ -234,6 +258,7 @@ def assert_ricci_leaf_tape_agrees(metric, points):
         patch.setattr(Jet, "curvature", spy_curvature)
         patch.setattr(checks, "ricci_values", spy_ricci)
         fit = recurrence_fit(ctx)
+        fit.closedness_residual  # the displaced pass
     if not fit.applicable:  # Ricci vanishes: no point is displaced
         assert fit.reason == "Ricci tensor vanishes" and not displaced and not formed
         return
@@ -282,7 +307,9 @@ def test_classify_forms_no_weyl_field(monkeypatch, capsys):
                        checks=("krupka_oracle_match", "weyl_divergence"))
     for name in ("krupka_oracle_match", "weyl_divergence"):
         ctx.check(name)
-    assert formed == ["_raise_first", "_weyl"] * 2  # two blocks
+    # a 64-point block of four 16-point slices, then a 6-point block: W*^h_{jkl}
+    # is formed per block, ∇Weyl per slice
+    assert formed == ["_raise_first"] + ["_weyl"] * 4 + ["_raise_first", "_weyl"]
     fields = curvature_fields(ctx.geo, ctx.points, CFG)
     w13 = np.einsum("phi,pijkl->phjkl", fields["ginv"], fields["w04"])
     assert np.allclose(ctx.reduced("krupka")[0], np.max(np.abs(w13), axis=(1, 2, 3, 4)),
@@ -363,9 +390,10 @@ def test_the_activity_analysis_runs_once_per_key(monkeypatch):
 
     monkeypatch.setattr(backend, "_activity", counted)
     ctx = CheckContext(metric, cli.sample_for(geo, 130, 42), CFG)  # three blocks
-    # the curvature pass over the sample points, then over the displaced
-    # points: eight blocks, each running the jet tape and the leaf tape
-    ctx.check("ricci_recurrent")
+    # the curvature pass over the sample points, then, for the closedness in
+    # the reason, over the displaced points: eight blocks, each running the
+    # jet tape and the leaf tape
+    ctx.check("ricci_recurrent").reason
     tapes = (geo.jet.tape, geo.jet._leaf_tape)
     assert len(keys) == len(set(keys)) == sum(len(t._activities) for t in tapes) == 2
     for tape in tapes:
