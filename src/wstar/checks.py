@@ -24,13 +24,19 @@ own steps.  W*^h_{jkl} with the Krupka decomposition so exists for one
 block only.  Every array of n⁵ components or more per point (∇R_{ijkl},
 ∇W*, the cyclic sum of ∇W*, ∇Weyl, the six-slot [nabla, nabla] W*, and the
 |.| of such a field) exists for one slice of a block only, 16 points
-(:func:`wstar.jet.slices`), where a 64-point block would hold 0.5 MiB
-per array at n = 4.  This is strip-mining and loop fusion (M. Wolfe, *High
-Performance Compilers for Parallel Computing*, 1996).  The context memoizes
-the check outcomes; an evaluation error is kept too and raised again for
-every check that reads a step.  A field that cannot be formed (T or ∇T at
-an overflowing coupling) is kept as its error in the block's fields and in
-the ``scales`` columns, so only the checks that read it fail.
+(:func:`wstar.jet.slices`, and :func:`wstar.jet.per_slice` for a step
+that reduces it), where a 64-point block would hold 0.5 MiB per array at
+n = 4.  This is strip-mining and loop fusion (M. Wolfe, *High Performance
+Compilers for Parallel Computing*, 1996).
+
+A step that raises keeps its error in place of its columns, and the error
+is raised again for every check that reads that step; the context memoizes
+the check outcomes, errors included.  This per-step capture is the one way
+a failing field is kept apart: T and ∇T divide by the coupling k, so they
+are not among a block's fields but formed by the steps that read them (the
+fluid, the T Codazzi and semi-symmetry residuals, and max |T| and max |∇T|
+as the steps "t" and "nt"), and a T that cannot be formed fails only the
+checks that read those steps.
 
 :class:`CheckOutcome` is the one verdict record, from the registry to both
 commands' output, and each verdict is computed in its registry function from
@@ -65,8 +71,8 @@ from typing import Callable, Dict, Iterable, Optional, Union
 import numpy as np
 
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import Fields, _raise_first, _weyl, by_symmetry, field_blocks, ricci_values, slices
-from .matter import FieldEquationConfig, _amax, decompose_fluids
+from .jet import _raise_first, _weyl, by_symmetry, field_blocks, per_slice, ricci_values
+from .matter import FieldEquationConfig, _amax, decompose_fluids, energy_momentum_values
 from . import wstar as ws
 
 __all__ = [
@@ -156,25 +162,31 @@ class CheckContext:
 
         A step that raises keeps its error, and so does every step when the
         fields cannot be formed (the jet pass, a singular g, the leaf tape).
+        The walk runs under :func:`_strict` whoever reads first, a check or a
+        library caller such as ``relativity.fluid_relations``, so a float
+        fault is kept as that error and no step keeps an inf or NaN column.
         """
         todo = [step for step in _STEPS if step in steps and step not in self._columns]
         parts: Dict[str, object] = {step: [] for step in todo}
         try:
-            for fields in field_blocks(self.geo, self.points, self.cfg):
-                for step in todo:
-                    if isinstance(parts[step], list):
-                        try:
-                            parts[step].append(_STEPS[step](self, fields))
-                        except Exception as err:
-                            parts[step] = err
+            with _strict():
+                for fields in field_blocks(self.geo, self.points):
+                    for step in todo:
+                        if isinstance(parts[step], list):
+                            try:
+                                parts[step].append(_STEPS[step](self, fields))
+                            except Exception as err:
+                                parts[step] = err
         except Exception as err:
             parts = dict.fromkeys(todo, err)
         for step, part in parts.items():
             self._columns[step] = _join(part) if isinstance(part, list) else part
 
     def amax(self, name: str) -> float:
-        """max |field| over every point and component (a key of ``reduced("scales")``)."""
-        return float(np.max(self.reduced("scales")[name]))
+        """max |field| over every point and component: a key of
+        ``reduced("scales")``, or T ("t") or ∇T ("nt"), each a step of its own."""
+        return float(np.max(self.reduced(name) if name in ("t", "nt")
+                            else self.reduced("scales")[name]))
 
     @property
     def scalar(self) -> np.ndarray:
@@ -244,37 +256,21 @@ class CheckContext:
 
 
 def _join(parts: list):
-    """The blocks' columns of one step, concatenated along the point axis.
-
-    A dict of columns ("scales") keeps a field's error in place of its column."""
+    """The blocks' columns of one step, concatenated along the point axis."""
     if isinstance(parts[0], dict):
-        joined = Fields()
-        for key in parts[0]:
-            cols = [p[key] for p in parts]
-            errors = [c for c in cols if isinstance(c, Exception)]
-            joined[key] = errors[0] if errors else np.concatenate(cols)
-        return joined
+        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(cols) for cols in zip(*parts))
     return np.concatenate(parts)
 
 
-def _per_slice(reduce: Callable, *arrays: np.ndarray) -> np.ndarray:
-    """``reduce(*arrays)`` per point, run one slice of the block at a time
-    (:func:`wstar.jet.slices`): for a step whose arrays have n⁵
-    components or more per point."""
-    return np.concatenate([reduce(*(a[part] for a in arrays))
-                           for part in slices(arrays[0].shape[0])])
-
-
-def _absmax(a: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
-
-
 def _ptmax(a: np.ndarray) -> np.ndarray:
     """Collapse all but the leading (point) axis with max |.|; the |.| of an
-    array of n⁵ components or more per point is formed a slice at a time."""
-    return _absmax(a) if a.ndim < 6 else _per_slice(_absmax, a)
+    array of n⁵ components or more per point is formed a slice at a time
+    (:func:`wstar.jet.per_slice`)."""
+    if a.ndim < 6:
+        return np.max(np.abs(a.reshape(a.shape[0], -1)), axis=1)
+    return per_slice(lambda part: _ptmax(part.reshape(part.shape[0], -1)), a)
 
 
 # The sparse commutator costs about 3x the dense one per product it forms
@@ -367,7 +363,7 @@ def _commutator_ptmax(ctx: CheckContext, x: np.ndarray, variance: str,
     of the block at a time."""
     plan = ctx.commutator_plan(_support(x), _support(r13))
     if plan is None:
-        return _per_slice(lambda x, r13: _absmax(ricci_commutator(x, variance, r13)), x, r13)
+        return per_slice(lambda x, r13: _ptmax(ricci_commutator(x, variance, r13)), x, r13)
     if not plan[0]:
         return np.zeros(x.shape[0])  # every product is 0 at every point
     return _ptmax(_sparse_commutator(plan, x, r13))
@@ -386,13 +382,14 @@ def _trace_relation_gap(ctx: CheckContext) -> np.ndarray:
 # --- the per-block steps --------------------------------------------------------
 #
 # Each step reduces one block's fields (a dict of :func:`wstar.jet._block_fields`)
-# to per-point columns: an array, or a tuple or dict of arrays.
+# to per-point columns: an array, or a tuple or dict of arrays.  A step that
+# raises fails only the checks that read it (CheckContext._walk).
 
 
 def _cyclic_gap(dw, nric, g) -> np.ndarray:
     """max |cyclic sum - its closed form| per point, of n⁵ components each."""
     cyc, rhs = ws.cyclic_identity(dw, nric, g)
-    return _absmax(cyc - rhs)
+    return _ptmax(cyc - rhs)
 
 
 def _semisymmetry_trace_gap(w02, ric, r13) -> np.ndarray:
@@ -447,14 +444,25 @@ def _weyl_divergence(ctx: CheckContext, f: dict) -> tuple:
     """Per point: max |g^{hi} ∇_h C_{ijkl}|, its gap to the printed closed
     form codazzi/2 + grad/6, and max |codazzi| of Ricci.  ∇Weyl has n⁵
     components per point and is formed a slice at a time."""
-    direct = _per_slice(_weyl_div, f["nrc"], f["g"], f["nric"], f["gradR"], f["ginv"])
+    direct = per_slice(_weyl_div, f["nrc"], f["g"], f["nric"], f["gradR"], f["ginv"])
     printed = 0.5 * _divergence_formula(f, -1.0 / 3.0)
     return (_ptmax(direct), _ptmax(direct - printed), _ptmax(_divergence_formula(f, 0.0)))
 
 
+def _t(ctx: CheckContext, f: dict) -> np.ndarray:
+    """T_{ij} on one block: it divides by the coupling k, so only the steps
+    that read T form it, and a T that cannot be formed fails only them."""
+    return energy_momentum_values(f["ric"], f["R"], f["g"], ctx.cfg)
+
+
+def _nt(ctx: CheckContext, f: dict) -> np.ndarray:
+    """∇_m T_{ij} on one block, as :func:`_t`."""
+    return energy_momentum_values(f["nric"], f["gradR"], f["g"], ctx.cfg)
+
+
 def _fluid(ctx: CheckContext, f: dict) -> tuple:
     """(mu, p, why T has no fluid form or None) per point."""
-    fluid = decompose_fluids(f["t"], f["g"], f["ginv"])
+    fluid = decompose_fluids(_t(ctx, f), f["g"], f["ginv"])
     return fluid.mu, fluid.p, np.array(fluid.errors, dtype=object)
 
 
@@ -473,13 +481,14 @@ def _traceless_ricci(f: dict) -> np.ndarray:
 
 
 _STEPS: "Dict[str, Callable[[CheckContext, dict], object]]" = {
-    "scales": lambda ctx, f: {name: v if isinstance(v, Exception) else _ptmax(v)
-                              for name, v in f.items()},
+    "scales": lambda ctx, f: {name: _ptmax(v) for name, v in f.items()},
+    "t": lambda ctx, f: _ptmax(_t(ctx, f)),
+    "nt": lambda ctx, f: _ptmax(_nt(ctx, f)),
     "R": lambda ctx, f: f["R"],
     "trace_identity": lambda ctx, f: _ptmax(
         f["w02"] - ctx.geo.dim / (ctx.geo.dim - 1.0) * _traceless_ricci(f)),
     "divergence": _divergence,
-    "bianchi_identity": lambda ctx, f: _per_slice(_cyclic_gap, f["dw"], f["nric"], f["g"]),
+    "bianchi_identity": lambda ctx, f: per_slice(_cyclic_gap, f["dw"], f["nric"], f["g"]),
     "semisymmetry_trace_identity": lambda ctx, f: _ptmax(
         _semisymmetry_trace_gap(f["w02"], f["ric"], f["r13"])),
     "krupka": _krupka,
@@ -492,22 +501,25 @@ _STEPS: "Dict[str, Callable[[CheckContext, dict], object]]" = {
     "wstar_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, f["w04"], "llll", f["r13"]),
     "quarter_rule": lambda ctx, f: _ptmax(
         f["nric"] - np.einsum("pjk,pm->pjkm", f["g"], f["gradR"]) / ctx.geo.dim),
-    "t_codazzi": lambda ctx, f: _ptmax(ws.codazzi_defect(f["nt"])),
-    "t_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, f["t"], "ll", f["r13"]),
+    "t_codazzi": lambda ctx, f: _ptmax(ws.codazzi_defect(_nt(ctx, f))),
+    "t_semisymmetric": lambda ctx, f: _commutator_ptmax(ctx, _t(ctx, f), "ll", f["r13"]),
 }
 
-# check -> the step its verdict reads besides "scales" and "R", where that step
-# is not named after the check
+# check -> the steps its verdict reads besides "scales" and "R", where they are
+# not the one step named after the check
 _STEP_OF = {
-    "divergence_formula": "divergence",
-    "divergence_adjusted": "divergence",
-    "wstar_divergence_free": "divergence",
-    "krupka_oracle_match": "krupka",
-    "krupka_printed_forms": "krupka",
-    "field_equation_trace": "fluid",
-    "dust_vacuum": "fluid",
-    "pairing_flat_lambda_fluid": "fluid",
-    "ricci_recurrent": "recurrence",
+    "divergence_formula": ("divergence",),
+    "divergence_adjusted": ("divergence",),
+    "wstar_divergence_free": ("divergence",),
+    "krupka_oracle_match": ("krupka",),
+    "krupka_printed_forms": ("krupka",),
+    "field_equation_trace": ("fluid",),
+    "dust_vacuum": ("fluid",),
+    "pairing_flat_lambda_fluid": ("fluid",),
+    "ricci_recurrent": ("recurrence",),
+    "t_parallel": ("nt", "t"),
+    "t_codazzi": ("t_codazzi", "nt"),
+    "t_semisymmetric": ("t_semisymmetric", "t"),
 }
 
 # check -> the checks whose outcomes its verdict reads
@@ -532,7 +544,8 @@ def _steps_of(names: Iterable[str]) -> set:
         if name not in seen:
             seen.add(name)
             todo.extend(_READS.get(name, ()))
-    return {"scales", "R"} | ({_STEP_OF.get(name, name) for name in seen} & _STEPS.keys())
+    steps = {step for name in seen for step in _STEP_OF.get(name, (name,))}
+    return {"scales", "R"} | (steps & _STEPS.keys())
 
 
 # --- identity checks ----------------------------------------------------------
@@ -682,7 +695,7 @@ def _check_quarter_rule(ctx: CheckContext) -> CheckOutcome:
 
 
 def _check_t_parallel(ctx: CheckContext) -> CheckOutcome:
-    return ctx.outcome(ctx.reduced("scales")["nt"], ctx.amax("t"))
+    return ctx.outcome(ctx.reduced("nt"), ctx.amax("t"))
 
 
 def _check_t_codazzi(ctx: CheckContext) -> CheckOutcome:
@@ -813,7 +826,7 @@ def _check_pairing_codazzi_divergence(ctx: CheckContext) -> CheckOutcome:
 def _trace_vanishes(ctx: CheckContext, tol: float) -> bool:
     """Does the W* trace vanish, scored as n/(n-1) times an Einstein residual of ``tol``?"""
     factor = ctx.geo.dim / (ctx.geo.dim - 1.0)
-    return ctx.amax("w02") <= factor * tol * (1.0 + ctx.amax("g"))
+    return ctx.amax("w02") <= factor * tol
 
 
 def _check_pairing_einstein_trace(ctx: CheckContext) -> CheckOutcome:

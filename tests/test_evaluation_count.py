@@ -102,9 +102,9 @@ def walks(monkeypatch):
     """The point counts of every walk over the blocks of field values."""
     seen, real = [], checks.field_blocks
 
-    def counted(geo, points, cfg):
+    def counted(geo, points):
         seen.append(len(points))
-        return real(geo, points, cfg)
+        return real(geo, points)
 
     monkeypatch.setattr(checks, "field_blocks", counted)
     return seen

@@ -135,8 +135,9 @@ def test_all_failing_stack_matches_reference():
 
 def test_all_failing_stack_makes_field_equation_trace_not_applicable(monkeypatch):
     t, g, ginv = all_failing()
-    block = dict(t=t, g=g, ginv=ginv, R=np.zeros(5))  # one block of field values
-    monkeypatch.setattr(checks, "field_blocks", lambda geo, points, cfg: iter([block]))
+    # one block of field values whose T = Ricci - (R/2) g at k = 1 is t
+    block = dict(ric=t, g=g, ginv=ginv, R=np.zeros(5))
+    monkeypatch.setattr(checks, "field_blocks", lambda geo, points: iter([block]))
     ctx = CheckContext(catalog_metric("minkowski"), np.zeros((5, 4)), FieldEquationConfig(),
                        checks=("field_equation_trace",))
     out = ctx.check("field_equation_trace")

@@ -379,6 +379,18 @@ class TestFluidRelations:
         assert rep.mu_plus_p_max == 0.0
         assert rep.nabla_t_max == 0.0
 
+    def test_an_overflowing_coupling_is_the_same_error_whoever_reads_first(self):
+        # fluid_relations reads the fluid step outside CheckContext.check; the
+        # walk keeps the checks' float rule for it too, so no step keeps an
+        # inf or NaN column and every later reader sees the overflow itself
+        ctx = CheckContext(catalog_metric("flrw_dust"), sample("flrw_dust", 8),
+                           rel.FieldEquationConfig(k=1e-308))
+        with pytest.raises(FloatingPointError, match="^overflow encountered in divide$"):
+            rel.fluid_relations(ctx)
+        for name in ("t_parallel", "t_codazzi", "field_equation_trace", "dust_vacuum"):
+            with pytest.raises(FloatingPointError, match="^overflow encountered in divide$"):
+                ctx.check(name)
+
 
 class TestDustVacuum:
     def test_flat_space_holds(self):

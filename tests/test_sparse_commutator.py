@@ -86,6 +86,29 @@ def test_sparse_route_matches_dense_on_arbitrary_supports(seed, rank, points, sh
     assert_same_bits(sparse_ptmax(x, r13), dense_ptmax(x, r13))
 
 
+def strided_commutator(x, r13):
+    """``ricci_commutator`` as one einsum over the strided, moved X: the form
+    the goldens were first recorded with."""
+    out = np.zeros(x.shape + r13.shape[-2:])
+    for slot in range(x.ndim - 1):
+        term = np.einsum("p...s,psimn->p...imn", np.moveaxis(x, 1 + slot, -1), r13)
+        out -= np.moveaxis(term, -3, 1 + slot)
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 4, 5]),
+       rank=st.sampled_from([1, 2, 4]), points=st.sampled_from([1, 16, 64]))
+@settings(max_examples=20, deadline=None)
+def test_the_batched_product_keeps_the_bits_of_the_strided_einsum(seed, n, rank, points):
+    # the dense route multiplies a contiguous copy of the moved X, as a
+    # (points, n^(rank-1), n) by (points, n, n^3) product; np.matmul would
+    # round differently by an ulp
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((points,) + (n,) * rank)
+    r13 = rng.standard_normal((points,) + (n,) * 4)
+    assert_same_bits(ricci_commutator(x, "l" * rank, r13), strided_commutator(x, r13))
+
+
 def test_minkowski_has_no_products():
     ctx = context(catalog_metric("minkowski"), 130)
     v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
