@@ -43,7 +43,7 @@ import numpy as np
 from . import catalog, wstar as ws
 from .geometry import Geometry, MetricSpec, workspace
 from .jet import _raise_first, _weyl, by_symmetry, curvature_fields
-from .matter import FieldEquationConfig
+from .matter import FieldEquationConfig, energy_momentum_values
 from .metricfile import MetricFileError, load_metric as _load_metric_file
 from .report import (RunReport, classification_payload, render_classification_table,
                      render_json, render_table, stamp, to_json)
@@ -181,9 +181,10 @@ def run_checks(cfg: RunConfig) -> RunReport:
 _TENSORS = {
     "metric": "g", "inverse": "ginv", "christoffel": "gam", "riemann": "rc", "ricci": "ric",
     "scalar": "R", "weyl": "rc", "wstar": "w04", "wstar_contraction": "w02",
-    "energy_momentum": "t",
 }
-_TENSOR_NAMES = (*_TENSORS, "krupka")  # krupka is a decomposition, not a field
+# T is formed from Ricci, R and g, and is the one tensor that reads the
+# coupling k; krupka is a decomposition, not a field
+_TENSOR_NAMES = (*_TENSORS, "energy_momentum", "krupka")
 
 
 def _entries(values: np.ndarray):
@@ -248,14 +249,17 @@ def compute_at(tensor: str, metric: MetricSpec, point: np.ndarray,
         raise UsageError("conformal curvature needs dim >= 3")
     if tensor in ("wstar", "wstar_contraction", "krupka") and metric.dim < 2:
         raise UsageError("the curvature modification needs dim >= 2")
-    fields = curvature_fields(workspace(metric), point[None, :], cfg)
+    fields = curvature_fields(workspace(metric), point[None, :])
     if tensor == "krupka":
         lines = []
         w13 = _raise_first(fields["ginv"], fields["w04"])
         for label, values in zip("BCDE", ws.krupka_parts(w13)):
             lines.extend(_render_values(values[0], prefix=label))
         return "\n".join(lines)
-    values = fields[_TENSORS[tensor]]
+    if tensor == "energy_momentum":
+        values = energy_momentum_values(fields["ric"], fields["R"], fields["g"], cfg)
+    else:
+        values = fields[_TENSORS[tensor]]
     if tensor == "weyl":
         values = _weyl(values, fields["g"], fields["ric"], fields["R"])
     elif tensor == "riemann":

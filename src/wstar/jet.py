@@ -11,7 +11,9 @@ a time.  :func:`field_blocks` yields, per block, Γ and the fields several
 checks read, formed from R_{ijkl}, ∇R_{ijkl}, g and g^{ij}; the checks
 reduce each block to per-point columns before the next is formed
 (:class:`wstar.checks.CheckContext`), and :func:`curvature_fields`
-concatenates the blocks, with T and ∇T, for ``compute`` and for tests.
+concatenates the blocks for ``compute`` and for tests.  T and ∇T are not
+among the fields: they divide by the coupling k, so only their readers
+form them, with :func:`wstar.matter.energy_momentum_values`.
 The recurrence fit's displaced points go through the same pass, and Ricci
 and ∇Ricci come from :func:`ricci_values` there as at the sample points.
 R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl}
@@ -37,7 +39,6 @@ from . import geometry, wstar as ws
 from .backend import blocks
 from .exprlib import const, coord, differentiate, mul, neg
 from .geometry import Geometry, is_zero, term_sum
-from .matter import FieldEquationConfig, energy_momentum_values
 from .tape import Tape, TapeEvalError, point_text
 
 __all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks", "per_slice",
@@ -362,13 +363,15 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
     return out
 
 
-# the fields of curvature_fields -> their number of slots after the point axis;
-# every slot is lower except the first of gam (Γ^h_{ij}) and r13, and a
-# derivative slot is last.  A block of field_blocks holds all but T and ∇T.
-# R_{ijkl} and ∇_m R_{ijkl} are served as their symmetry classes, "rc" and "nrc"
+# the fields of field_blocks and curvature_fields -> their number of slots
+# after the point axis; every slot is lower except the first of gam (Γ^h_{ij})
+# and r13, and a derivative slot is last.  R_{ijkl} and ∇_m R_{ijkl} are served
+# as their symmetry classes, "rc" and "nrc".  T and ∇T are not fields: they
+# divide by the coupling k, and their readers form them
+# (wstar.matter.energy_momentum_values)
 FIELDS = {
     "g": 2, "ginv": 2, "gam": 3, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
-    "w04": 4, "w02": 2, "dw": 5, "t": 2, "nt": 3,
+    "w04": 4, "w02": 2, "dw": 5,
 }
 
 
@@ -401,8 +404,8 @@ def ricci_values(ginv: np.ndarray, r04: np.ndarray, nrc: np.ndarray, g=None) -> 
 
 
 def _block_fields(g, ginv, gam, rc, nrc) -> dict:
-    """The fields of :data:`FIELDS` but T and ∇T on one block of points, and
-    the symmetry classes ``rc`` and ``nrc`` they come from.
+    """The fields of :data:`FIELDS` on one block of points, and the symmetry
+    classes ``rc`` and ``nrc`` they come from.
 
     Each field but Γ is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
@@ -442,13 +445,11 @@ def field_blocks(geo: Geometry, points):
         yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block).items()}
 
 
-def curvature_fields(geo: Geometry, points, cfg: FieldEquationConfig) -> dict:
+def curvature_fields(geo: Geometry, points) -> dict:
     """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``:
-    :func:`field_blocks` concatenated, and T and ∇T from the coupling in
-    ``cfg``, for ``compute``'s one point and for tests.  The checks reduce
-    each block as it comes instead."""
+    :func:`field_blocks` concatenated, for ``compute``'s one point and for
+    tests.  The checks reduce each block as it comes instead.  No field reads
+    the coupling k; a caller that needs T or ∇T forms it from ``ric``, ``R``,
+    ``nric``, ``gradR`` and ``g`` (:func:`wstar.matter.energy_momentum_values`)."""
     parts = list(field_blocks(geo, points))
-    f = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    f["t"] = energy_momentum_values(f["ric"], f["R"], f["g"], cfg)
-    f["nt"] = energy_momentum_values(f["nric"], f["gradR"], f["g"], cfg)
-    return f
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -39,6 +39,11 @@ def _amax(a) -> float:
     return float(np.max(np.abs(a))) if np.size(a) else 0.0
 
 
+def _strict():
+    """Float arithmetic that overflows, divides by zero or is invalid raises."""
+    return np.errstate(divide="raise", over="raise", invalid="raise")
+
+
 @dataclass(frozen=True)
 class FieldEquationConfig:
     """Coupling constant and cosmological constant of the field equations."""
@@ -89,12 +94,15 @@ def energy_momentum_values(ric: np.ndarray, scal: np.ndarray, g: np.ndarray,
     """T_{ij} = (1/k)(R_{ij} - (R/2) g_{ij} + L g_{ij}) from values.
 
     Given ∇Ricci and ∇R, with the derivative slot last, it is ∇_m T_{ij}:
-    ∇g = 0, so the L term drops.
+    ∇g = 0, so the L term drops.  It runs under the checks' float rule
+    (:func:`_strict`) whoever forms T, a check step or ``compute``: a k small
+    enough to overflow T raises ``FloatingPointError`` in place of an inf.
     """
-    t = ric - 0.5 * np.einsum("pij,p...->pij...", g, scal)
-    if cfg.lam != 0.0 and t.ndim == 3:
-        t = t + cfg.lam * g
-    return t / cfg.k
+    with _strict():
+        t = ric - 0.5 * np.einsum("pij,p...->pij...", g, scal)
+        if cfg.lam != 0.0 and t.ndim == 3:
+            t = t + cfg.lam * g
+        return t / cfg.k
 
 
 # --- perfect fluids -----------------------------------------------------------

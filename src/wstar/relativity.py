@@ -27,7 +27,6 @@ from .checks import (
     FLAGS,
     PAIRINGS,
     CheckOutcome,
-    _trace_relation_gap,
     _trace_vanishes,
     classification,
     holds,
@@ -108,7 +107,8 @@ def fluid_relations(ctx: CheckContext) -> FluidRelationsReport:
     """Decompose T at every sample point and test the trace relation.
 
     |R - (4L + k(mu - 3p))| must vanish wherever the decomposition succeeds:
-    it is the metric trace of the field equations, not a special property.
+    it is the metric trace of the field equations, not a special property,
+    and its max is the run's ``field_equation_trace`` residual.
     When the modified curvature vanishes (the run's ``wstar_flat`` check) the
     fluid must behave as a cosmological constant (mu + p = 0, mu - 3p
     constant, T parallel); those extra figures are reported only in that
@@ -130,7 +130,7 @@ def fluid_relations(ctx: CheckContext) -> FluidRelationsReport:
         n_decomposed=int(np.sum(ok)),
         mu=mu,
         p=p,
-        trace_residual=_amax(_trace_relation_gap(ctx)[ok]),
+        trace_residual=ctx.check("field_equation_trace").max_residual,
         scalar_max=ctx.amax("R"),
         failures=tuple(sorted(set(failures))),
         wstar_flat=flat,

@@ -79,7 +79,7 @@ def assert_same_bits(got, want, what):
 @pytest.mark.parametrize("points", [1, 63, 64, 65, 130])
 def test_blocked_ptmax_matches_whole_sample(points):
     ctx = context("schwarzschild", points)
-    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    v = curvature_fields(ctx.geo, ctx.points)
     whole = checks._ptmax(ricci_commutator(v["w04"], "llll", v["r13"]))
     assert ctx.reduced("wstar_semisymmetric").shape == (points,)
     assert_same_bits(ctx.reduced("wstar_semisymmetric"), whole, points)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,28 @@ class TestRegistry:
     def test_all_checks_run_on_minkowski(self):
         rep = report_for("minkowski", points=4)
         assert [c.name for c in rep.checks] == list(REGISTRY)
+
+    def test_the_checks_keep_their_report_order(self):
+        # each check registers itself where it is declared
+        assert list(REGISTRY) == [
+            "trace_identity", "divergence_formula", "divergence_adjusted", "bianchi_identity",
+            "semisymmetry_trace_identity", "krupka_oracle_match", "krupka_printed_forms",
+            "field_equation_trace", "weyl_divergence", "ricci_flat", "einstein",
+            "constant_scalar_curvature", "codazzi", "ricci_recurrent", "ricci_semisymmetric",
+            "wstar_flat", "wstar_divergence_free", "wstar_parallel", "wstar_semisymmetric",
+            "quarter_rule", "t_parallel", "t_codazzi", "t_semisymmetric", "em_distribution",
+            "dust_vacuum", "pairing_codazzi_divergence", "pairing_einstein_trace",
+            "pairing_parallel_semisymmetric", "pairing_flat_parallel_t",
+            "pairing_flat_lambda_fluid", "pairing_semisymmetric_t",
+        ]
+
+    def test_every_declared_step_and_read_exists(self):
+        # the planner walks for what a check declares: a misspelt step would
+        # be reduced by no walk, and a misspelt read would stop the planner
+        assert checks._DECLARED.keys() == REGISTRY.keys()
+        for name, (steps, reads) in checks._DECLARED.items():
+            assert set(steps) <= checks._STEPS.keys(), name
+            assert set(reads) <= REGISTRY.keys(), name
 
 
 class TestRunChecks:
@@ -504,6 +527,35 @@ class TestComputeAt:
         out = compute_at("riemann", m, np.array([1.0, 4.0, 1.2, 0.5]), self.CFG)
         keys = [l.split(": ")[0] for l in out.splitlines()]
         assert keys == sorted(keys)
+
+    # a point of each metric where T = G/k overflows at k = 1e-308
+    OVERFLOW_AT = {"desitter_flat": "t=0.1,x=0.2,y=0.3,z=0.1",
+                   "flrw_dust": "t=1,x=0.1,y=0.2,z=0.3"}
+
+    @pytest.mark.parametrize("metric", OVERFLOW_AT)
+    @pytest.mark.parametrize("tensor", [t for t in cli._TENSOR_NAMES if t != "energy_momentum"])
+    def test_a_tensor_without_t_does_not_read_the_coupling(self, tensor, metric, capsys):
+        args = ["compute", "--metric", metric, "--tensor", tensor,
+                "--at", self.OVERFLOW_AT[metric]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*args, "--k", "1"]) == EXIT_OK
+            want = capsys.readouterr()
+            assert main([*args, "--k", "1e-308"]) == EXIT_OK
+            got = capsys.readouterr()
+        assert (got.out, got.err) == (want.out, "")
+
+    def test_an_overflowing_t_is_an_evaluation_error(self, capsys):
+        # T divides by k under the checks' float rule, so compute, like
+        # classify, exits 3 with one line where T overflows
+        at = self.OVERFLOW_AT["desitter_flat"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["compute", "--metric", "desitter_flat", "--tensor", "energy_momentum",
+                         "--k", "1e-308", "--at", at])
+        out = capsys.readouterr()
+        assert (code, out.out) == (EXIT_EVAL, "")
+        assert out.err == "evaluation error: overflow encountered in divide\n"
 
 
 class TestMainEndToEnd:

@@ -113,7 +113,8 @@ def walks(monkeypatch):
 @pytest.mark.parametrize("name", checks.REGISTRY)
 def test_a_check_alone_walks_the_blocks_once(name, walks):
     # the steps a check needs, and those of the checks it reads, are known
-    # before the walk (checks._STEP_OF, checks._READS): none needs a second one
+    # before the walk (each check declares them, checks._check): none needs a
+    # second one
     run_checks(RunConfig(metric="flrw_dust", checks=(name,), points=8, timestamp=False))
     assert walks == [8]
 

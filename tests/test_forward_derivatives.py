@@ -29,7 +29,7 @@ from wstar.cli import main, sample_for
 from wstar.exprlib import differentiate, parse
 from wstar.geometry import workspace
 from wstar.jet import FIELDS, _raise_first, _weyl, by_symmetry, curvature_fields
-from wstar.matter import FieldEquationConfig, energy_momentum
+from wstar.matter import FieldEquationConfig, energy_momentum, energy_momentum_values
 from wstar.metricfile import parse_metric_text
 from wstar.tape import TapeEvalError, compile_tape
 
@@ -74,6 +74,8 @@ FORMED = {
     "w13": lambda get: _raise_first(get("ginv"), get("w04")),
     "weyl": lambda get: _weyl(get("rc"), get("g"), get("ric"), get("R")),
     "nweyl": lambda get: _weyl(get("nrc"), get("g"), get("nric"), get("gradR")),
+    "t": lambda get: energy_momentum_values(get("ric"), get("R"), get("g"), CFG),
+    "nt": lambda get: energy_momentum_values(get("nric"), get("gradR"), get("g"), CFG),
 }
 
 
@@ -85,7 +87,7 @@ def test_every_served_field_has_an_oracle():
 def assert_routes_agree(metric, points):
     geo = workspace(metric)
     pts = sample_for(geo, points, 42)
-    vals = curvature_fields(geo, pts, CFG)
+    vals = curvature_fields(geo, pts)
     fields = {n: f(metric, geo) for n, f in SYMBOLIC.items()}
     symbolic = geo.eval_fields({**fields, "rc": geo.riemann04}, pts)
     for name, want in symbolic.items():

@@ -263,7 +263,7 @@ def assert_ricci_leaf_tape_agrees(metric, points):
         assert fit.reason == "Ricci tensor vanishes" and not displaced and not formed
         return
     (pts,) = displaced
-    fields = curvature_fields(geo, pts, CFG)
+    fields = curvature_fields(geo, pts)
     symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
     for k, name in ((1, "ric"), (2, "nric")):
         got = np.concatenate([parts[k] for parts in formed])
@@ -310,7 +310,7 @@ def test_classify_forms_no_weyl_field(monkeypatch, capsys):
     # a 64-point block of four 16-point slices, then a 6-point block: W*^h_{jkl}
     # is formed per block, ∇Weyl per slice
     assert formed == ["_raise_first"] + ["_weyl"] * 4 + ["_raise_first", "_weyl"]
-    fields = curvature_fields(ctx.geo, ctx.points, CFG)
+    fields = curvature_fields(ctx.geo, ctx.points)
     w13 = np.einsum("phi,pijkl->phjkl", fields["ginv"], fields["w04"])
     assert np.allclose(ctx.reduced("krupka")[0], np.max(np.abs(w13), axis=(1, 2, 3, 4)),
                        rtol=1e-14, atol=0)

@@ -18,7 +18,7 @@ import pytest
 from wstar.catalog import CATALOG_NAMES, _TEXTS
 from wstar.cli import main
 
-SCALES = ("1e-2", "1e2", "1e6")
+SCALES = ("1e-2", "1e2", "1e6", "1e8")
 
 # (metric, c) -> why a check changes status there
 KNOWN = {
@@ -27,6 +27,22 @@ KNOWN = {
         "round-off residual of O(c) terms against the bare atol (1.06e-9 and "
         "2.3e-9 against 1e-9 here), and quarter_rule and em_distribution "
         "read wstar_parallel"),
+    ("desitter_flat", "1e8"): (
+        "ricci_flat scores max|R_jk| (weight 0 in c) against a scale of weight 1, "
+        "max|R_ijkl| (7.49 against 623); where W* vanishes, wstar_parallel and "
+        "wstar_semisymmetric score round-off of O(c) terms against the bare atol "
+        "(7.9e-8 and 7.2e-8 against 1e-9), and quarter_rule and em_distribution "
+        "read wstar_parallel; dust_vacuum scores max|p| (weight -1) against the "
+        "bare atol + rtol (3.0e-8 reads as dust)"),
+    ("flrw_dust", "1e8"): (
+        "ricci_flat scores max|R_jk| (weight 0 in c) against a scale of weight 1, "
+        "max|R_ijkl| (1.48 against 127)"),
+    ("perturbed_flat", "1e8"): (
+        "ricci_flat and wstar_divergence_free score a residual of weight 0 in c "
+        "against a scale of weight 1, max|R_ijkl| and max|nabla W*| (0.199 against "
+        "10.0, 7.7e-3 against 0.51); constant_scalar_curvature scores max|grad R| "
+        "(weight -1) against the bare atol (3.4e-10 against 1e-9); and "
+        "pairing_codazzi_divergence reads wstar_divergence_free"),
 }
 
 

@@ -19,7 +19,7 @@ from wstar.checks import CheckContext
 from wstar.cli import sample_for
 from wstar.geometry import ricci_commutator, workspace
 from wstar.jet import curvature_fields
-from wstar.matter import FieldEquationConfig
+from wstar.matter import FieldEquationConfig, energy_momentum_values
 from wstar.metricfile import parse_metric_text
 
 from test_forward_derivatives import _perturbation, perturbed_minkowski
@@ -31,6 +31,14 @@ FIELDS = {"w04": ("llll", "wstar_semisymmetric"), "ric": ("ll", "ricci_semisymme
 
 def context(metric, points):
     return CheckContext(metric, sample_for(workspace(metric), points, 42), FieldEquationConfig())
+
+
+def fields_of(ctx):
+    """The context's fields over the whole sample, with T formed from its
+    coupling as the T steps form it."""
+    v = curvature_fields(ctx.geo, ctx.points)
+    v["t"] = energy_momentum_values(v["ric"], v["R"], v["g"], ctx.cfg)
+    return v
 
 
 def dense_ptmax(x, r13):
@@ -52,7 +60,7 @@ def assert_same_bits(got, want):
 def assert_routes_agree(ctx):
     # the whole sample at once, by either route, against the context's
     # columns, which take each block's route from that block's supports
-    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    v = fields_of(ctx)
     for name, (_, step) in FIELDS.items():
         want = dense_ptmax(v[name], v["r13"])
         assert_same_bits(sparse_ptmax(v[name], v["r13"]), want)
@@ -111,7 +119,7 @@ def test_the_batched_product_keeps_the_bits_of_the_strided_einsum(seed, n, rank,
 
 def test_minkowski_has_no_products():
     ctx = context(catalog_metric("minkowski"), 130)
-    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    v = fields_of(ctx)
     rm = checks._support(v["r13"])
     for name in FIELDS:
         xm = checks._support(v[name])
@@ -132,7 +140,7 @@ def test_minkowski_has_no_products():
 ])
 def test_route_follows_the_observed_support(metric, sparse):
     ctx = context(catalog_metric(metric), 8)
-    v = curvature_fields(ctx.geo, ctx.points, ctx.cfg)
+    v = fields_of(ctx)
     rm = checks._support(v["r13"])
     for name in FIELDS:
         assert checks._takes_sparse_route(checks._support(v[name]), rm) is sparse, name

@@ -24,7 +24,6 @@ from wstar.catalog import catalog_metric  # noqa: E402
 from wstar.cli import sample_for  # noqa: E402
 from wstar.geometry import workspace  # noqa: E402
 from wstar.jet import curvature_fields  # noqa: E402
-from wstar.matter import FieldEquationConfig  # noqa: E402
 
 N = 4
 POINTS = 8
@@ -164,7 +163,7 @@ def oracle(name, route):
 
 def assert_matches(name, route):
     metric, pts = sample(name)
-    fields = curvature_fields(workspace(metric), pts, FieldEquationConfig())
+    fields = curvature_fields(workspace(metric), pts)
     for field, want in oracle(name, route).items():
         got = fields[field]
         assert got.shape == want.shape, field

@@ -60,7 +60,7 @@ def weyl_divergence(name, pts):
     order, so its last two slots are swapped before the trace.  ∇C is formed
     from the classes of ∇R_{ijkl}, ∇Ricci and ∇R, as the check forms it.
     """
-    v = curvature_fields(geo_for(name), pts, FieldEquationConfig())
+    v = curvature_fields(geo_for(name), pts)
     nweyl = _weyl(v["nrc"], v["g"], v["nric"], v["gradR"])
     direct = W.divergence(v["ginv"], np.einsum("pijlkm->pijklm", nweyl))
     printed = 0.5 * W.divergence_closed_form(v["nric"], v["g"], v["gradR"], -1.0 / 3.0)
