@@ -17,12 +17,17 @@ each, from the metric's 3-jet; no symbolic curvature is built) and reduces
 each block's fields at once to per-point columns, the *steps* of
 :data:`_STEPS`: max |.| of every field (behind ``CheckContext.amax``), R,
 each check's residuals, the fluid's mu and p, and the Ricci-recurrence fit's
-covector and residual.  Then the block's fields are dropped.  One walk covers
-the checks the run names and the checks they read: each check registers
-itself with :func:`_check`, which records, beside the check's code, the
-steps it reduces to and the checks it reads.  A check outside them, asked
-for later, walks again for its own steps.  W*^h_{jkl} with the Krupka
-decomposition so exists for one block only.  Every array of n⁵ components
+covector and residual.  Each step's columns are arrays of the sample's
+length, filled in place block by block, and a block's fields are dropped
+before the next block is formed: a check holds its columns and one block's
+arrays.  On ``flrw_dust`` (tracemalloc) the walk peaks 1.7-1.8 MiB above
+the columns, which take 0.4 MiB at 1024 points, 1.5 MiB at 4096 and 5.7 MiB
+at 16384; the recurrence closedness adds 0.8-0.9 MiB at any size.  One walk
+covers the checks the run names and the checks they read: each check
+registers itself with :func:`_check`, which records, beside the check's
+code, the steps it reduces to and the checks it reads.  A check outside
+them, asked for later, walks again for its own steps.  W*^h_{jkl} with the
+Krupka decomposition so exists for one block only.  Every array of n⁵ components
 or more per point (∇R_{ijkl}, ∇W*, the cyclic sum of ∇W*, ∇Weyl, the
 six-slot [nabla, nabla] W*, and the |.| of such a field) exists for one
 slice of a block only, 16 points (:func:`wstar.jet.slices`, and
@@ -71,10 +76,13 @@ from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
+from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import _raise_first, _weyl, by_symmetry, field_blocks, per_slice, ricci_values
+from .jet import (SingularMetric, _located, _raise_first, _weyl, by_symmetry, field_blocks,
+                  per_slice, ricci_values)
 from .matter import (FieldEquationConfig, _amax, _strict, decompose_fluids,
                      energy_momentum_values)
+from .tape import TapeEvalError, point_text
 from . import wstar as ws
 
 __all__ = [
@@ -157,27 +165,42 @@ class CheckContext:
     def _walk(self, steps: set):
         """Reduce every block of points to the columns of ``steps`` not yet kept.
 
+        Each step's columns are arrays of the sample's length, allocated from
+        the first block's shapes, and every block writes its rows in place;
+        block k's fields are dropped before block k+1 is formed.  So the walk
+        holds the columns and one block's arrays, and nothing more.
+
         A step that raises keeps its error, and so does every step when the
-        fields cannot be formed (the jet pass, a singular g, the leaf tape).
+        fields cannot be formed (the jet pass, a singular g, the leaf tape);
+        the locals of the error's frames are cleared, so it keeps no block.
         The walk runs under :func:`_strict` whoever reads first, a check or a
         library caller such as ``relativity.fluid_relations``, so a float
         fault is kept as that error and no step keeps an inf or NaN column.
         """
         todo = [step for step in _STEPS if step in steps and step not in self._columns]
-        parts: Dict[str, object] = {step: [] for step in todo}
+        count = len(self.points)
+        columns: Dict[str, object] = {}
         try:
             with _strict():
+                parts = iter(blocks(count))
                 for fields in field_blocks(self.geo, self.points):
+                    part = next(parts)
                     for step in todo:
-                        if isinstance(parts[step], list):
-                            try:
-                                parts[step].append(_STEPS[step](self, fields))
-                            except Exception as err:
-                                parts[step] = err
+                        if isinstance(columns.get(step), Exception):
+                            continue
+                        try:
+                            value = _STEPS[step](self, fields)
+                        except Exception as err:
+                            columns[step] = _without_locals(err)
+                            continue
+                        if step not in columns:
+                            columns[step] = _empty_columns(value, count)
+                        for column, rows in zip(_arrays(columns[step]), _arrays(value)):
+                            column[part] = rows
+                    del fields  # before field_blocks forms the next block
         except Exception as err:
-            parts = dict.fromkeys(todo, err)
-        for step, part in parts.items():
-            self._columns[step] = _join(part) if isinstance(part, list) else part
+            columns = dict.fromkeys(todo, _without_locals(err))
+        self._columns.update(columns)
 
     def amax(self, name: str) -> float:
         """max |field| over every point and component: a key of
@@ -252,13 +275,31 @@ class CheckContext:
         return out
 
 
-def _join(parts: list):
-    """The blocks' columns of one step, concatenated along the point axis."""
-    if isinstance(parts[0], dict):
-        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(cols) for cols in zip(*parts))
-    return np.concatenate(parts)
+def _without_locals(err: Exception) -> Exception:
+    """``err``, with the locals of the frames it passed through cleared
+    (:func:`traceback.clear_frames`): they would keep the block whose step
+    raised it for as long as the context keeps the error."""
+    import traceback  # on the error path only
+
+    traceback.clear_frames(err.__traceback__)
+    return err
+
+
+def _empty_columns(block, count: int):
+    """Columns of ``count`` points shaped like one block's columns ``block``:
+    an array, or a tuple or dict of arrays."""
+    def empty(a):
+        return np.empty((count,) + a.shape[1:], a.dtype)
+    if isinstance(block, dict):
+        return {key: empty(a) for key, a in block.items()}
+    return tuple(map(empty, block)) if isinstance(block, tuple) else empty(block)
+
+
+def _arrays(columns) -> list:
+    """The arrays of a step's columns, in order."""
+    if isinstance(columns, dict):
+        return list(columns.values())
+    return list(columns) if isinstance(columns, tuple) else [columns]
 
 
 def _ptmax(a: np.ndarray) -> np.ndarray:
@@ -954,10 +995,15 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     ``closedness_residual`` is first read: only ``check`` prints it, so
     ``classify`` never runs this pass.  The copies go through the sample
     points' curvature pass (:meth:`wstar.jet.Jet.curvature`), and Ricci and
-    ∇Ricci through :func:`wstar.jet.ricci_values`, one block at a time, each
-    block reduced to b as it comes; like a check, the pass raises on a float
-    fault.  A copy is displaced only along a coordinate the metric depends
-    on: along any other, b is constant and its difference is exactly 0.
+    ∇Ricci through :func:`wstar.jet.ricci_values`, one block of sample
+    points at a time (:func:`_closedness`), each block reduced to its max
+    |curl| before the next; like a check, the pass raises on a float fault.
+    So the pass adds one block's arrays to the columns, whatever the sample:
+    0.8-0.9 MiB (tracemalloc) on ``flrw_dust`` at 1024, 4096 and 16384 points,
+    where the whole sample's displaced points, their covectors and curl took
+    2.1 MiB at 4096 and 8.5 MiB at 16384.  A copy is displaced only along a
+    coordinate the metric depends on: along any other, b is constant and its
+    difference is exactly 0.
     Points where Ricci vanishes carry no information and are dropped; with
     no usable points the fit is reported as not applicable rather than as
     trivially recurrent.
@@ -969,27 +1015,45 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     b, point_residual = ctx.reduced("recurrence")
     b = b[usable]
     return RecurrenceFit(True, b, float(point_residual.max()), None, point_residual,
-                         partial(_closedness, ctx.geo, ctx.points, usable, b))
+                         partial(_closedness, ctx.geo, ctx.points, usable))
 
 
-def _closedness(geo: Geometry, points: np.ndarray, usable: np.ndarray,
-                b: np.ndarray) -> float:
-    """max |d_mu b_nu - d_nu b_mu| over the ``usable`` sample points, whose
-    fitted covectors are ``b``, by central differences."""
-    n, axes = geo.dim, geo.jet.axes
-    base = points[usable]
-    p_used, k = base.shape[0], len(axes)
+def _closedness(geo: Geometry, points: np.ndarray, usable: np.ndarray) -> float:
+    """max |d_mu b_nu - d_nu b_mu| over the ``usable`` sample points, by
+    central differences of the covector fitted at displaced copies of them.
+
+    It runs one block of those points at a time (:func:`wstar.backend.blocks`):
+    the block's copies, each point's 2k in a row, go through
+    :meth:`wstar.jet.Jet.curvature`, and the block is reduced to its max |curl|
+    before the next is formed.  An error at a copy names its sample point and
+    its displacement, the first in sample order where several copies fail."""
+    n, axes, h = geo.dim, geo.jet.axes, _FD_STEP
+    sample = np.flatnonzero(usable)
+    shifts = h * np.eye(n)[axes]
+    worst = 0.0
     with _strict():
-        shifts = _FD_STEP * np.eye(n)[axes]
-        displaced = np.concatenate(
-            [base + s for s in shifts] + [base - s for s in shifts]
-        ).reshape(-1, n)
-        bd = np.concatenate([
-            _fit_covector(*ricci_values(ginv, by_symmetry(rc), nrc)[1:3])
-            for _, ginv, _, rc, nrc in geo.jet.curvature(displaced)])
-        plus = bd[: k * p_used].reshape(k, p_used, n)
-        minus = bd[k * p_used :].reshape(k, p_used, n)
-        grad_b = np.zeros((n, p_used, n))  # grad_b[nu, p, mu] = d_nu b_mu
-        grad_b[axes] = (plus - minus) / (2.0 * _FD_STEP)
-        curl = grad_b - grad_b.transpose(2, 1, 0)
-        return _amax(curl)
+        for part in blocks(sample.size):
+            base = points[sample[part]]
+            displaced = np.stack([base + s for s in shifts] + [base - s for s in shifts], axis=1)
+            try:
+                bd = np.concatenate([
+                    _fit_covector(*ricci_values(ginv, by_symmetry(rc), nrc)[1:3])
+                    for _, ginv, _, rc, nrc in geo.jet.curvature(displaced.reshape(-1, n))])
+            except (TapeEvalError, SingularMetric) as err:
+                raise _copy_error(err, geo, sample[part], base) from None
+            bd = bd.reshape(len(base), 2, len(axes), n)  # [p, +/-, axis, mu]
+            grad_b = np.zeros((len(base), n, n))  # grad_b[p, nu, mu] = d_nu b_mu
+            grad_b[:, axes] = (bd[:, 0] - bd[:, 1]) / (2.0 * h)
+            worst = max(worst, _amax(grad_b - grad_b.transpose(0, 2, 1)))
+    return worst
+
+
+def _copy_error(err, geo: Geometry, sample: np.ndarray, base: np.ndarray):
+    """``err`` of the curvature pass over one block of :func:`_closedness`,
+    whose points ``base`` are the sample points ``sample``, naming the sample
+    point and the displacement of the copy that failed."""
+    coords, axes = geo.metric.coords, geo.jet.axes
+    p, c = divmod(err.point_index, 2 * len(axes))
+    sign = "+" if c < len(axes) else "-"
+    at = f"{coords[axes[c % len(axes)]]} {sign} {_FD_STEP:g} from {point_text(coords, base[p])}"
+    return _located(err, int(sample[p]), at)

@@ -41,8 +41,8 @@ from .exprlib import const, coord, differentiate, mul, neg
 from .geometry import Geometry, is_zero, term_sum
 from .tape import Tape, TapeEvalError, point_text
 
-__all__ = ["Jet", "FIELDS", "by_symmetry", "curvature_fields", "field_blocks", "per_slice",
-           "ricci_values", "slices", "weyl_classes"]
+__all__ = ["Jet", "FIELDS", "SingularMetric", "by_symmetry", "curvature_fields",
+           "field_blocks", "per_slice", "ricci_values", "slices", "weyl_classes"]
 
 _ZERO = const(0)
 _SLICE = 16
@@ -181,20 +181,20 @@ class Jet:
         for s in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    low[s, i, j] = low[s, j, i] = mul(half, term_sum(
+                    low[s, i, j] = low[s, j, i] = _product(half, term_sum(
                         [dg(i, s, j), dg(j, s, i), neg(dg(s, i, j))]))
         for h in range(n):
             for i in range(n):
                 for j in range(i, n):
                     gam[h, i, j] = gam[h, j, i] = term_sum(  # a zero product is skipped
-                        mul(gi(h, s), low[s, i, j]) for s in range(n))
+                        _product(gi(h, s), low[s, i, j]) for s in range(n))
 
         def riemann(i, j, k, l):
-            terms = [mul(half, term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
+            terms = [_product(half, term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
                                          neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))]))]
             for h in range(n):
-                terms.append(mul(low[h, l, i], gam[h, j, k]))
-                terms.append(neg(mul(low[h, k, i], gam[h, j, l])))
+                terms.append(_product(low[h, l, i], gam[h, j, k]))
+                terms.append(neg(_product(low[h, k, i], gam[h, j, l])))
             return term_sum(terms)
 
         curv = [riemann(*c) for c in _riemann_classes(n)]
@@ -207,7 +207,7 @@ class Jet:
         """g^{ij} at a block of points, inverted one component of g's pattern
         at a time.
 
-        Raises ``numpy.linalg.LinAlgError`` naming the first point where g is
+        Raises :class:`SingularMetric` naming the first point where g is
         singular, by its index in the sample: the block starts at ``start``.
         """
         ginv = np.zeros_like(g)
@@ -217,43 +217,71 @@ class Jet:
                 ginv[:, comp[:, None], comp] = np.linalg.inv(sub)
             except np.linalg.LinAlgError:
                 p = int(np.argmax(np.linalg.det(sub) == 0))
-                at = point_text(self.geo.metric.coords, points[p])
-                raise np.linalg.LinAlgError(
-                    f"the metric is singular at {at} (point #{start + p})") from None
+                raise SingularMetric(start + p,
+                                     point_text(self.geo.metric.coords, points[p])) from None
         return ginv
 
     def curvature(self, points):
         """Per block of points (:func:`wstar.backend.blocks`): (g, g⁻¹,
         Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}), the last two by symmetry class
         (see :func:`by_symmetry`).  The jet tape, g^{ij} and the leaf tape
-        run one block at a time; an error names its point by its index in
+        run one block at a time, each block in :meth:`_block`, so none of a
+        block's intermediates (jet values, leaves, seeds, partials) outlives
+        its yield: a caller that drops a block before asking for the next
+        holds one block at a time.  An error names its point by its index in
         the sample."""
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, self.geo.dim)
+        for part in blocks(len(pts)):
+            yield self._block(pts, part)
+
+    def _block(self, pts: np.ndarray, part: slice) -> tuple:
+        """One block of :meth:`curvature`: the points ``pts[part]``."""
         geo, leaf = self.geo, self._leaf_tape
         n, coords, params = geo.dim, geo.metric.coords, dict(geo.metric.params)
-        pts = np.asarray(points, dtype=np.float64).reshape(-1, n)
         classes = range(n * _pair_ij(n).shape[1], leaf.n_outputs)
         a, b = (np.array(ix, dtype=np.int64) for ix in zip(*self._inv))
-        for part in blocks(len(pts)):
-            try:
-                vals, d3, _, _ = self.tape.run(pts[part], params, self._d2, coords=coords)
-            except TapeEvalError as err:
-                raise _in_sample(err, err.message, err.expr, part, pts, coords) from None
-            jet = np.concatenate([vals, np.zeros((len(vals), 1))], axis=1)
-            g = jet[:, self._g]
-            gi = self._inverse(g, pts[part], part.start)
-            with np.errstate(all="ignore"):  # a seed that is not finite fails its point
-                dginv = -(gi[:, None] @ jet[:, self._dg] @ gi[:, None])  # [p, m, a, b]
-            leaves = np.concatenate([jet[:, self._d1], jet[:, self._d2], gi[:, a, b]], axis=1)
-            seeds = np.concatenate([jet[:, self._d1_seeds], d3,
-                                    dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
-            try:  # the lanes are the coordinates; the leaves are jet values
-                out, partials, _, _ = leaf.run(leaves, None, classes, seeds, coords)
-            except TapeEvalError as err:
-                raise _in_sample(err, f"{err.message} in the curvature from the 3-jet", None,
-                                 part, pts, coords) from None
-            gam, rc = out[:, _gamma_index(n)], out[:, classes.start:]
-            yield g, gi, gam, rc, _nabla_components(by_symmetry(rc), partials, gam,
-                                                    _class_index(n))
+        try:
+            vals, d3, _, _ = self.tape.run(pts[part], params, self._d2, coords=coords)
+        except TapeEvalError as err:
+            raise _in_sample(err, err.message, err.expr, part, pts, coords) from None
+        jet = np.concatenate([vals, np.zeros((len(vals), 1))], axis=1)
+        g = jet[:, self._g]
+        gi = self._inverse(g, pts[part], part.start)
+        with np.errstate(all="ignore"):  # a seed that is not finite fails its point
+            dginv = -(gi[:, None] @ jet[:, self._dg] @ gi[:, None])  # [p, m, a, b]
+        leaves = np.concatenate([jet[:, self._d1], jet[:, self._d2], gi[:, a, b]], axis=1)
+        seeds = np.concatenate([jet[:, self._d1_seeds], d3,
+                                dginv[:, :, a, b].transpose(0, 2, 1)], axis=1)
+        try:  # the lanes are the coordinates; the leaves are jet values
+            out, partials, _, _ = leaf.run(leaves, None, classes, seeds, coords)
+        except TapeEvalError as err:
+            raise _in_sample(err, f"{err.message} in the curvature from the 3-jet", None,
+                             part, pts, coords) from None
+        gam, rc = out[:, _gamma_index(n)], out[:, classes.start:]
+        return g, gi, gam, rc, _nabla_components(by_symmetry(rc), partials, gam,
+                                                 _class_index(n))
+
+
+class SingularMetric(np.linalg.LinAlgError):
+    """g is singular at the point ``point_index``, whose coordinates read ``at``."""
+
+    def __init__(self, point_index: int, at: str):
+        self.point_index = point_index
+        super().__init__(f"the metric is singular at {at} (point #{point_index})")
+
+
+def _located(err, index: int, at: str):
+    """``err``, a :class:`TapeEvalError` or :class:`SingularMetric` of a
+    curvature pass, naming instead the point ``index`` at ``at``."""
+    if isinstance(err, SingularMetric):
+        return SingularMetric(index, at)
+    return TapeEvalError(err.message, index, err.expr, err.coordinate, err.label, at=at)
+
+
+def _product(a, b):
+    """``mul(a, b)``, with a structural zero returned before ``mul`` folds it
+    through exact rationals: the leaf tape is built from mostly zero factors."""
+    return _ZERO if is_zero(a) or is_zero(b) else mul(a, b)
 
 
 def _in_sample(err: TapeEvalError, message: str, expr, part: slice, pts,
@@ -440,9 +468,12 @@ def field_blocks(geo: Geometry, points):
 
     Each field is C-contiguous: ``einsum`` picks its summation order from
     the strides, so a strided field could round differently.  ∇W* is formed
-    C-contiguous and is not copied."""
+    C-contiguous and is not copied.  A block is dropped here before the
+    next is formed, so a caller that drops its fields too before asking for
+    the next holds one block at a time."""
     for block in geo.jet.curvature(points):
         yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block).items()}
+        del block  # before the next block is formed
 
 
 def curvature_fields(geo: Geometry, points) -> dict:

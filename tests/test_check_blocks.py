@@ -7,6 +7,7 @@ whole sample at once, and the memory a check may allocate and the context
 may hold on a wide sample.
 """
 
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -22,7 +23,7 @@ from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import REGISTRY, CheckContext
 from wstar.cli import main, sample_for
 from wstar.geometry import ricci_commutator, workspace
-from wstar.jet import curvature_fields, field_blocks
+from wstar.jet import by_symmetry, curvature_fields, field_blocks, ricci_values
 from wstar.matter import FieldEquationConfig
 
 # sha256 of the --no-timestamp stdout and the exit code at 130 points: two
@@ -103,15 +104,23 @@ def test_every_step_streams_the_bits_of_one_whole_sample_block(metric):
             assert_same_bits(got, want, step)
 
 
-def test_no_check_allocates_whole_sample_rank6_arrays():
+# the walk's tracemalloc peak at 1024 points, per metric: 2.53, 2.13 and 3.02
+# MiB; 3.00, 2.94 and 4.06 with two blocks' fields alive at every boundary
+# and every column held twice while the blocks' parts were concatenated
+WALK_CAP = {"schwarzschild": 2.75, "flrw_dust": 2.5, "perturbed_flat": 3.5}
+
+
+@pytest.mark.parametrize("metric", sorted(WALK_CAP))
+def test_no_check_allocates_whole_sample_rank6_arrays(metric):
     # a whole-sample (P, 4, 4, 4, 4, 4, 4) commutator of W* takes 96 MiB at
     # 1024 points, and the fields 15 MiB.  Every field lives for one block of
     # points, and every array of n^5 components or more per point (∇R_ijkl,
-    # ∇W*, the cyclic sum, ∇Weyl) for one 16-point slice of it: the walk over
-    # the blocks, which the first check starts, peaks at 3.0 MiB (4.2 with
-    # those arrays formed for a whole 64-point block); every check after it
-    # reads columns; and the context keeps only per-point columns
-    ctx = context("schwarzschild", 1024)
+    # ∇W*, the cyclic sum, ∇Weyl) for one 16-point slice of it; a block's
+    # fields are dropped before the next block is formed, and each column is
+    # written in place into one array of the sample's length.  The walk over
+    # the blocks, which the first check starts, peaks under WALK_CAP; every
+    # check after it reads columns; and the context keeps only per-point columns
+    ctx = context(metric, 1024)
     ctx.geo.jet._leaf_tape  # the workspace's tapes, compiled once per metric
     peaks = {}
     tracemalloc.start()
@@ -125,10 +134,85 @@ def test_no_check_allocates_whole_sample_rank6_arrays():
     finally:
         tracemalloc.stop()
     walk = peaks.pop(next(iter(REGISTRY)))
-    assert walk <= 3.5, f"the walk over the blocks peaks at {walk:.1f} MiB"
+    assert walk <= WALK_CAP[metric], f"the walk over the blocks peaks at {walk:.2f} MiB"
     over = {name: round(mib, 2) for name, mib in peaks.items() if mib > 1.0}
     assert not over, f"tracemalloc peaks above 1 MiB: {over}"
     assert held <= 1.0, f"the context holds {held:.2f} MiB after every check"
+
+
+def test_a_step_that_raises_keeps_no_block():
+    # T overflows at k = 1e-308, so the steps that form it keep their error
+    # in place of their columns; the error's frames held the first block's
+    # fields (1.39 MiB held after every check, against 0.47 at k = 1)
+    m = catalog_metric("flrw_dust")
+    ctx = CheckContext(m, sample_for(workspace(m), 1024, 42), FieldEquationConfig(k=1e-308))
+    ctx.geo.jet._leaf_tape
+    tracemalloc.start()
+    try:
+        for name in REGISTRY:
+            with contextlib.suppress(FloatingPointError):
+                ctx.check(name)
+        held = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert isinstance(ctx._columns["t"], FloatingPointError)
+    assert held <= 1.0, f"the context holds {held:.2f} MiB after every check"
+
+
+def test_a_wide_check_holds_its_columns_once_and_one_block():
+    # at 4096 points flrw_dust's columns take 1.53 MiB.  The walk peaks 1.72
+    # MiB above them (1.66 at 64 points, one block: the block term), where
+    # joining the blocks' parts held every column twice (2.77).  The
+    # closedness runs one block of sample points at a time: 0.79 MiB above
+    # the columns, where the whole sample's displaced pass took 2.13
+    ctx = context("flrw_dust", 4096)
+    ctx.geo.jet._leaf_tape
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ctx.check(next(iter(REGISTRY)))
+        held, walk = (mib / 2**20 for mib in tracemalloc.get_traced_memory())
+        fit = ctx.recurrence
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fit.closedness_residual
+        closedness = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert walk - held <= 2.0, f"the walk peaks {walk - held:.2f} MiB above {held:.2f} MiB"
+    assert closedness <= 1.0, f"the closedness peaks {closedness:.2f} MiB above the columns"
+
+
+def whole_sample_closedness(ctx) -> float:
+    """The recurrence closedness with every displaced copy in one curvature
+    pass, the plus copies of every point before the minus copies: the
+    formula before the pass ran one block of sample points at a time."""
+    geo, h = ctx.geo, checks._FD_STEP
+    n, axes = geo.dim, geo.jet.axes
+    base = ctx.points[ctx.reduced("scales")["ric"] > checks._RICCI_FLOOR]
+    p_used, k = base.shape[0], len(axes)
+    with np.errstate(all="raise"):
+        shifts = h * np.eye(n)[axes]
+        displaced = np.concatenate([base + s for s in shifts] + [base - s for s in shifts])
+        bd = np.concatenate([
+            checks._fit_covector(*ricci_values(ginv, by_symmetry(rc), nrc)[1:3])
+            for _, ginv, _, rc, nrc in geo.jet.curvature(displaced)])
+        plus = bd[: k * p_used].reshape(k, p_used, n)
+        minus = bd[k * p_used:].reshape(k, p_used, n)
+        grad_b = np.zeros((n, p_used, n))
+        grad_b[axes] = (plus - minus) / (2.0 * h)
+        return float(np.max(np.abs(grad_b - grad_b.transpose(2, 1, 0))))
+
+
+@pytest.mark.parametrize("metric,points", [(name, 130) for name in CATALOG_NAMES]
+                         + [("flrw_dust", 4096)])
+def test_the_streamed_closedness_keeps_the_bits_of_one_whole_sample_pass(metric, points):
+    ctx = context(metric, points)
+    fit = ctx.recurrence
+    if not fit.applicable:  # Ricci vanishes: there is no closedness
+        assert fit.closedness_residual is None
+        return
+    assert fit.closedness_residual.hex() == whole_sample_closedness(ctx).hex()
 
 
 def test_the_context_holds_no_field_of_the_whole_sample():
@@ -176,7 +260,7 @@ def peak_run(command, metric, points) -> tuple:
 @pytest.mark.parametrize("command", [["check", "--checks", "all"], ["classify"]])
 def test_a_4096_point_run_peaks_under_50_mib(command):
     # no field is held for the whole sample, so a wide run peaks near a
-    # narrow one: 35 MiB at 32 points, 41-42 MiB here; with the fields held
+    # narrow one: 34-35 MiB at 32 points, 36 MiB here; with the fields held
     # it takes 111 and 106 MiB
     code, peak, err = peak_run(command, "flrw_dust", 4096)
     assert (code, err) == (1, "b''")
@@ -188,7 +272,7 @@ def test_a_4096_point_run_peaks_under_50_mib(command):
 def test_a_wide_run_on_a_metric_of_every_coordinate_peaks_under_45_mib(command, exit_code):
     # perturbed_flat depends on all four coordinates, so the recurrence fit
     # displaces 8 copies of each of the 1024 points; they run one block at a
-    # time too: 38 MiB, against 49 MiB with their 3-jet held for all of them
+    # time too: 36-37 MiB, against 49 MiB with their 3-jet held for all of them
     code, peak, err = peak_run(command, "perturbed_flat", 1024)
     assert (code, err) == (exit_code, "b''")
     assert peak <= 45.0, f"{command[0]} at 1024 points peaked at {peak:.1f} MiB"

@@ -29,9 +29,10 @@ from wstar.cli import (
     parse_point,
     run_checks,
 )
+from wstar.geometry import workspace
 from wstar.relativity import FieldEquationConfig
 from wstar.report import render_json, render_table
-from wstar.tape import TapeEvalError
+from wstar.tape import TapeEvalError, point_text
 
 
 def report_for(metric, checks=("all",), points=8, **kw):
@@ -383,6 +384,11 @@ class TestEvaluationErrors:
         assert (recurrent["status"], recurrent["max_residual"]) == ("fail", None)
         assert recurrent["reason"].startswith(
             "evaluation error: evaluation left the domain for g[2][2] in 'sqrt(x1)' at ")
+        # every point's copy at x - 1 fails: the error names the first sample
+        # point, by its index and coordinates in the sample, and the displacement
+        first = cli.sample_for(workspace(load_metric(str(path))), 4, 42)[0]
+        assert recurrent["reason"].endswith(
+            f" at x - 1 from {point_text(('t', 'x', 'y', 'z'), first)} (point #0)")
         assert einstein["max_residual"] is not None
         assert main(["classify", *args]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["flags"]["ricci_recurrent"] is True

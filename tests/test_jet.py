@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from wstar import backend, checks, cli, geometry
+from wstar import backend, checks, cli, geometry, jet
 from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext, recurrence_fit
 from wstar.geometry import workspace
-from wstar.exprlib import parse
+from wstar.exprlib import mul, parse
 from wstar.jet import Jet, _class_index, by_symmetry, curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
@@ -184,6 +184,19 @@ def test_a_singular_metric_is_an_evaluation_error():
     assert issubclass(np.linalg.LinAlgError, cli.EVAL_ERRORS)
 
 
+def test_a_singular_displaced_copy_is_named_with_its_sample_point(monkeypatch):
+    # x^3 vanishes at the copy x - 1 of a point at x = 1: points #66 and #68,
+    # in the second block of sample points; the first in sample order is named
+    metric = parse_metric_text(metric_text(g22="x^3"), "cusp")
+    pts = np.tile([0.1, 0.5, 0.2, 0.3], (70, 1))
+    pts[[66, 68], 1] = 1.0
+    monkeypatch.setattr(checks, "_FD_STEP", 1.0)
+    fit = recurrence_fit(CheckContext(metric, pts, CFG))
+    with pytest.raises(np.linalg.LinAlgError, match=(
+            r"^the metric is singular at x - 1 from t=0.1, x=1, y=0.2, z=0.3 \(point #66\)$")):
+        fit.closedness_residual
+
+
 def test_the_jet_keeps_only_nonzero_components():
     jet = workspace(catalog_metric("schwarzschild")).jet
     # g_00, g_11, g_22, g_33; ∂_r of each and ∂_θ g_33; the five second partials
@@ -205,6 +218,32 @@ def test_the_leaf_tape_outputs_gamma_and_the_curvature_classes_only(name):
     tape, n = geo.jet._leaf_tape, geo.dim
     assert tape.n_outputs == n * n * (n + 1) // 2 + _class_index(n).shape[1]
     assert tape.n_instructions == LEAF_INSTRUCTIONS[name]
+
+
+def assert_leaf_tape_skips_only_zero_products(geo):
+    # a product with a structural zero is 0 before exprlib.mul folds it:
+    # the tape is the one built with mul for every product
+    def program(tape):
+        return [tape.code, tape.a, tape.b, tape.cval, tape.outputs]
+
+    skipping = program(geo.jet._compile_leaf_tape())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jet, "_product", mul)
+        folding = program(geo.jet._compile_leaf_tape())
+    for got, want in zip(skipping, folding):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_the_leaf_tape_skips_only_zero_products_on_the_catalog(name):
+    assert_leaf_tape_skips_only_zero_products(workspace(catalog_metric(name)))
+
+
+@given(terms=_perturbation)
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_the_leaf_tape_skips_only_zero_products_on_generated_metrics(terms):
+    metric = parse_metric_text(perturbed_minkowski(terms), "generated")
+    assert_leaf_tape_skips_only_zero_products(workspace(metric))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -234,7 +273,10 @@ def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatc
     assert fit.closedness_residual is not None
     (displaced,) = seen
     assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
-    assert np.array_equal(displaced[:, 1:], np.tile(ctx.points[:, 1:], (2, 1)))
+    # each point's copies in a row: the first copy that fails is the first in sample order
+    assert np.array_equal(displaced[:, 1:], np.repeat(ctx.points[:, 1:], 2, axis=0))
+    t, h = ctx.points[:, 0], checks._FD_STEP
+    assert np.array_equal(displaced[:, 0], np.stack([t + h, t - h], axis=1).ravel())
 
 
 def assert_ricci_leaf_tape_agrees(metric, points):
@@ -262,7 +304,7 @@ def assert_ricci_leaf_tape_agrees(metric, points):
     if not fit.applicable:  # Ricci vanishes: no point is displaced
         assert fit.reason == "Ricci tensor vanishes" and not displaced and not formed
         return
-    (pts,) = displaced
+    pts = np.concatenate(displaced)  # one pass per block of sample points
     fields = curvature_fields(geo, pts)
     symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
     for k, name in ((1, "ric"), (2, "nric")):
