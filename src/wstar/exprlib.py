@@ -24,11 +24,15 @@ rational literals ``a/b`` are recognized in exponent position only (elsewhere
 
 The constructors (:func:`add`, :func:`mul`, :func:`power`, ...) fold
 constants and prune identities before they intern, so an expression built
-with them alone is already simplified.  Nodes are hash-consed into a weak
-table, so equal subexpressions share one object (and one tape instruction),
-and each node keeps its own :func:`differentiate` results: a node and its
-memos live as long as their last user (Filliâtre & Conchon, "Type-safe
-modular hash-consing", 2006).  Nothing needs clearing.
+with them alone is already simplified.  They alone own the structural-zero
+rule: :func:`mul` returns the one held exact zero :data:`ZERO` as soon as a
+factor is that node, and :func:`term_sum` skips zero terms, so a builder
+over a sparse metric writes plain sums of products and tests no factor.
+Nodes are hash-consed into a weak table, so equal subexpressions share one
+object (and one tape instruction), and each node keeps its own
+:func:`differentiate` results: a node and its memos live as long as their
+last user (Filliâtre & Conchon, "Type-safe modular hash-consing", 2006).
+Nothing needs clearing.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from typing import Mapping, Sequence
 __all__ = [
     "Expr",
     "Point",
+    "ZERO",
     "ExprError",
     "ParseError",
     "EvalDomainError",
@@ -63,6 +68,8 @@ __all__ = [
     "mul",
     "div",
     "power",
+    "is_zero",
+    "term_sum",
     "parse",
     "evaluate",
     "differentiate",
@@ -212,6 +219,11 @@ def const(value) -> Expr:
     return _mk("const", (), value)
 
 
+# the exact zero, held so that it stays the one interned node: a product
+# with it is it, and a structural zero of a builder is it
+ZERO = const(_ZERO)
+
+
 def coord(index: int) -> Expr:
     if index < 0:
         raise ValueError("coordinate index must be non-negative")
@@ -266,7 +278,7 @@ def add(a: Expr, b: Expr) -> Expr:
 
 def sub(a: Expr, b: Expr) -> Expr:
     if a is b:
-        return const(_ZERO)
+        return ZERO
     ca, cb = _const_data(a, b)
     if ca is not None and cb is not None and _finite(ca - cb):
         return const(ca - cb)
@@ -278,11 +290,15 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    """Product; a factor that is :data:`ZERO` gives it back before any
+    constant arithmetic (most factors of a sparse metric's builders are)."""
+    if a is ZERO or b is ZERO:
+        return ZERO
     ca, cb = _const_data(a, b)
     if ca is not None and cb is not None and _finite(ca * cb):
         return const(ca * cb)
     if ca == 0 or cb == 0:
-        return const(_ZERO)
+        return ZERO
     if ca == 1:
         return b
     if cb == 1:
@@ -304,7 +320,7 @@ def div(a: Expr, b: Expr) -> Expr:
         if cb == -1:
             return neg(a)
     if ca == 0 and cb != 0:
-        return const(_ZERO)
+        return ZERO
     return _mk("div", (a, b))
 
 
@@ -332,6 +348,22 @@ def power(base: Expr, exponent) -> Expr:
         if folded is not None:
             return const(folded)
     return _mk("pow", (base,), exponent)
+
+
+def is_zero(e: Expr) -> bool:
+    """A constant 0, exact or float."""
+    return e.kind == "const" and e.data == 0
+
+
+def term_sum(terms) -> Expr:
+    """Left-fold sum skipping constant zeros, exact or float (keeps sparse
+    metrics sparse); :data:`ZERO` when every term is skipped."""
+    acc = None
+    for t in terms:
+        if is_zero(t):
+            continue
+        acc = t if acc is None else add(acc, t)
+    return ZERO if acc is None else acc
 
 
 # --- traversal helpers --------------------------------------------------------
@@ -477,9 +509,9 @@ def differentiate(e: Expr, index: int) -> Expr:
             continue
         kind = node.kind
         if kind == "const" or kind == "param":
-            res = const(_ZERO)
+            res = ZERO
         elif kind == "coord":
-            res = const(_ONE) if node.data == index else const(_ZERO)
+            res = const(_ONE) if node.data == index else ZERO
         else:
             a = node.args[0]
             da = d[id(a)]
@@ -731,6 +763,14 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def number(self, tok):
+        """The value of the numeric literal ``tok``; one that overflows to
+        infinity is refused at its offset."""
+        value = _number_value(tok[1])
+        if not _finite(value):
+            raise ParseError(f"numeric literal {tok[1]!r} must be finite", self.src, tok[2])
+        return value
+
     def expect_op(self, symbol: str):
         tok = self.next()
         if tok[0] != "op" or tok[1] != symbol:
@@ -791,7 +831,7 @@ class _Parser:
         if tok[0] != "num":
             raise ParseError("exponent must be a numeric constant", self.src, tok[2])
         self.next()
-        value = _number_value(tok[1])
+        value = self.number(tok)
         # rational literal a/b: only when both sides are plain integers
         if (
             isinstance(value, Fraction)
@@ -810,7 +850,7 @@ class _Parser:
     def base(self) -> Expr:
         tok = self.next()
         if tok[0] == "num":
-            return const(_number_value(tok[1]))
+            return const(self.number(tok))
         if tok[0] == "ident":
             name = tok[1]
             if self.peek()[0] == "op" and self.peek()[1] == "(":
@@ -838,6 +878,7 @@ def parse(src: str, coord_names: Sequence[str], param_names=()) -> Expr:
     ``coord_names`` fixes the coordinate order (identifiers resolve to
     positional references); ``param_names`` lists the allowed parameter names.
     Raises :class:`ParseError` (with character offset) on syntax errors,
-    unknown identifiers, or non-constant exponents.
+    unknown identifiers, non-constant exponents, or a numeric literal that
+    overflows to infinity.
     """
     return _Parser(src, coord_names, param_names).parse()

@@ -17,7 +17,11 @@ primitives ``lower_index``, ``contract`` and ``covariant_derivative`` of
 :class:`Geometry`, not by a loop of its own: R_{ijkl} lowers slot 0 of
 R^h_{jkl}, R_{jk} contracts its slots 0 and 2, and ∇R, ∇_m ξ^i and the ∇ of
 every curvature field are covariant derivatives.  All component
-expressions are simplified as they are built, and :meth:`Geometry.eval_fields`
+expressions are simplified as they are built.  The builders write plain sums
+of products and test no factor for zero: the expression constructors own
+that rule (:func:`wstar.exprlib.mul` gives back :data:`wstar.exprlib.ZERO`
+when a factor is it, and :func:`wstar.exprlib.term_sum` skips zero terms),
+so a sparse metric keeps sparse fields.  :meth:`Geometry.eval_fields`
 evaluates symbolic fields at sample points through compiled tapes and the
 one numpy tape kernel (see :mod:`wstar.tape` / :mod:`wstar.backend`).
 
@@ -42,14 +46,14 @@ import numpy as np
 
 from .exprlib import (
     Expr,
-    add,
     const,
     differentiate,
     div,
+    is_zero,
     mul,
     neg,
     simplify,
-    sub,
+    term_sum,
 )
 from .tape import Tape, compile_tape
 
@@ -61,23 +65,6 @@ __all__ = [
     "Geometry",
     "workspace",
 ]
-
-_ZERO = const(0)
-
-
-def is_zero(e: Expr) -> bool:
-    return e.kind == "const" and e.data == 0
-
-
-def term_sum(terms) -> Expr:
-    """Left-fold sum skipping literal zeros (keeps sparse metrics sparse)."""
-    acc = None
-    for t in terms:
-        if is_zero(t):
-            continue
-        acc = t if acc is None else add(acc, t)
-    return _ZERO if acc is None else acc
-
 
 # --- specifications -----------------------------------------------------------
 
@@ -257,25 +244,15 @@ class Geometry:
             dg = np.empty((n, n, n), dtype=object)  # dg[k, i, j] = ∂_k g_{ij}
             for k, i, j in product(range(n), repeat=3):
                 dg[k, i, j] = differentiate(g[i, j], k)
+            low = {(s, i, j): term_sum([dg[i, s, j], dg[j, s, i], neg(dg[s, i, j])])
+                   for s in range(n) for i in range(n) for j in range(i, n)}  # 2 Γ_{s,ij}
             half = const(Fraction(1, 2))
             comps = np.empty((n, n, n), dtype=object)
             for h in range(n):
                 for i in range(n):
                     for j in range(i, n):
-                        terms = []
-                        for s in range(n):
-                            if is_zero(ginv[h, s]):
-                                continue
-                            inner = term_sum(
-                                [dg[i, s, j], dg[j, s, i], neg(dg[s, i, j])]
-                            )
-                            if is_zero(inner):
-                                continue
-                            terms.append(mul(ginv[h, s], inner))
-                        total = term_sum(terms)
-                        entry = _ZERO if is_zero(total) else mul(half, total)
-                        comps[h, i, j] = entry
-                        comps[h, j, i] = entry
+                        total = term_sum(mul(ginv[h, s], low[s, i, j]) for s in range(n))
+                        comps[h, i, j] = comps[h, j, i] = mul(half, total)
             return TensorField("ull", comps, "Christoffel")
 
         return self.cached("christoffel", build)
@@ -292,10 +269,8 @@ class Geometry:
             for h, j, k, l in product(range(n), repeat=4):
                 terms = [dgam[k, h, j, l], neg(dgam[l, h, j, k])]
                 for s in range(n):
-                    if not (is_zero(gam[h, k, s]) or is_zero(gam[s, j, l])):
-                        terms.append(mul(gam[h, k, s], gam[s, j, l]))
-                    if not (is_zero(gam[h, l, s]) or is_zero(gam[s, j, k])):
-                        terms.append(neg(mul(gam[h, l, s], gam[s, j, k])))
+                    terms += [mul(gam[h, k, s], gam[s, j, l]),
+                              neg(mul(gam[h, l, s], gam[s, j, k]))]
                 comps[h, j, k, l] = term_sum(terms)
             return TensorField("ulll", comps, "Riemann13")
 
@@ -318,11 +293,7 @@ class Geometry:
         def build():
             n = self.dim
             ginv, ric = self.ginv, self.ricci
-            return term_sum(
-                mul(ginv[j, k], ric[j, k])
-                for j, k in product(range(n), repeat=2)
-                if not (is_zero(ginv[j, k]) or is_zero(ric[j, k]))
-            )
+            return term_sum(mul(ginv[j, k], ric[j, k]) for j, k in product(range(n), repeat=2))
 
         return self.cached("scalar_expr", build)
 
@@ -366,12 +337,8 @@ class Geometry:
                 gg_part = term_sum(
                     [mul(g[i, k], g[j, l]), neg(mul(g[i, l], g[j, k]))]
                 )
-                terms = [r04[i, j, k, l]]
-                if not is_zero(ric_part):
-                    terms.append(neg(mul(c1, ric_part)))
-                if not (is_zero(gg_part) or is_zero(rsc)):
-                    terms.append(mul(mul(c2, rsc), gg_part))
-                comps[i, j, k, l] = term_sum(terms)
+                comps[i, j, k, l] = term_sum(
+                    [r04[i, j, k, l], neg(mul(c1, ric_part)), mul(mul(c2, rsc), gg_part)])
             return TensorField("llll", comps, "Weyl")
 
         return self.cached("weyl", build)
@@ -388,20 +355,11 @@ class Geometry:
                 terms = [differentiate(t.comps[idx], m)]
                 for slot, var in enumerate(t.variance):
                     for s in range(n):
-                        swapped = idx[:slot] + (s,) + idx[slot + 1 :]
-                        comp = t.comps[swapped]
-                        if is_zero(comp):
-                            continue
+                        comp = t.comps[idx[:slot] + (s,) + idx[slot + 1 :]]
                         if var == "u":
-                            gamma = gam[idx[slot], m, s]
-                            if is_zero(gamma):
-                                continue
-                            terms.append(mul(gamma, comp))
+                            terms.append(mul(gam[idx[slot], m, s], comp))
                         else:
-                            gamma = gam[s, m, idx[slot]]
-                            if is_zero(gamma):
-                                continue
-                            terms.append(neg(mul(gamma, comp)))
+                            terms.append(neg(mul(gam[s, m, idx[slot]], comp)))
                 comps[idx + (m,)] = term_sum(terms)
         return TensorField(t.variance + "l", comps, f"Nabla[{t.label}]")
 
@@ -426,39 +384,24 @@ class Geometry:
         comps = np.empty(t.shape, dtype=object)
         for idx in np.ndindex(t.shape):
             i = idx[pos]
-            terms = []
-            for s in range(n):
-                m_entry = metric_field[i, s]
-                src = t.comps[idx[:pos] + (s,) + idx[pos + 1 :]]
-                if is_zero(m_entry) or is_zero(src):
-                    continue
-                terms.append(mul(m_entry, src))
-            comps[idx] = term_sum(terms)
+            comps[idx] = term_sum(
+                mul(metric_field[i, s], t.comps[idx[:pos] + (s,) + idx[pos + 1 :]])
+                for s in range(n)
+            )
         var = t.variance[:pos] + new_letter + t.variance[pos + 1 :]
         return TensorField(var, comps, t.label)
 
     def contract(self, t: TensorField, pos_a: int, pos_b: int):
         """Sum one upper slot against one lower slot; rank-0 results are Expr."""
-        n = self.dim
         a, b = sorted((pos_a, pos_b))
         if a == b:
             raise ValueError("cannot contract a slot with itself")
         if {t.variance[a], t.variance[b]} != {"u", "l"}:
             raise ValueError("variance mismatch: contraction needs one upper and one lower slot")
-        out_shape = t.shape[: t.rank - 2]
-        comps = np.empty(out_shape, dtype=object)
-        for idx in np.ndindex(out_shape):
-            full = list(idx)
-            full.insert(a, 0)
-            full.insert(b, 0)
-            terms = []
-            for s in range(n):
-                full[a] = s
-                full[b] = s
-                comp = t.comps[tuple(full)]
-                if not is_zero(comp):
-                    terms.append(comp)
-            comps[idx] = term_sum(terms)
+        diagonal = np.diagonal(t.comps, axis1=a, axis2=b)  # the slots' common index last
+        comps = np.empty(diagonal.shape[:-1], dtype=object)
+        for idx in np.ndindex(comps.shape):
+            comps[idx] = term_sum(diagonal[idx])
         var = "".join(v for s, v in enumerate(t.variance) if s not in (a, b))
         if not var:
             return comps[()]
@@ -481,15 +424,9 @@ class Geometry:
         comps = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(i, n):
-                terms = []
-                for s in range(n):
-                    if not (is_zero(g[j, s]) or is_zero(dxi[s, i])):
-                        terms.append(mul(g[j, s], dxi[s, i]))
-                    if not (is_zero(g[i, s]) or is_zero(dxi[s, j])):
-                        terms.append(mul(g[i, s], dxi[s, j]))
-                entry = term_sum(terms)
-                comps[i, j] = entry
-                comps[j, i] = entry
+                comps[i, j] = comps[j, i] = term_sum(
+                    p for s in range(n)
+                    for p in (mul(g[j, s], dxi[s, i]), mul(g[i, s], dxi[s, j])))
         return TensorField("ll", comps, f"Lie[{xi.name}]Metric")
 
     def lie_derivative_sym2(self, xi: VectorFieldSpec, t: TensorField) -> TensorField:
@@ -501,15 +438,10 @@ class Geometry:
         dxi = self.nabla_vector(xi)
         comps = np.empty((n, n), dtype=object)
         for i, j in product(range(n), repeat=2):
-            terms = []
-            for s in range(n):
-                if not (is_zero(xi.components[s]) or is_zero(dt[i, j, s])):
-                    terms.append(mul(xi.components[s], dt[i, j, s]))
-                if not (is_zero(t[s, j]) or is_zero(dxi[s, i])):
-                    terms.append(mul(t[s, j], dxi[s, i]))
-                if not (is_zero(t[i, s]) or is_zero(dxi[s, j])):
-                    terms.append(mul(t[i, s], dxi[s, j]))
-            comps[i, j] = term_sum(terms)
+            comps[i, j] = term_sum(
+                p for s in range(n)
+                for p in (mul(xi.components[s], dt[i, j, s]), mul(t[s, j], dxi[s, i]),
+                          mul(t[i, s], dxi[s, j])))
         return TensorField("ll", comps, f"Lie[{xi.name}]{t.label}")
 
     # --- numeric evaluation ---------------------------------------------------

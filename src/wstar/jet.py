@@ -37,14 +37,13 @@ import numpy as np
 
 from . import geometry, wstar as ws
 from .backend import blocks
-from .exprlib import const, coord, differentiate, mul, neg
-from .geometry import Geometry, is_zero, term_sum
+from .exprlib import ZERO, const, coord, differentiate, is_zero, mul, neg, term_sum
+from .geometry import Geometry
 from .tape import Tape, TapeEvalError, point_text
 
 __all__ = ["Jet", "FIELDS", "SingularMetric", "by_symmetry", "curvature_fields",
            "field_blocks", "per_slice", "ricci_values", "slices", "weyl_classes"]
 
-_ZERO = const(0)
 _SLICE = 16
 
 
@@ -93,9 +92,10 @@ class Jet:
 
     (:attr:`Geometry.riemann04`'s convention) with the expression
     constructors, over one component per symmetry class of R_{ijkl}.  A
-    structurally zero input is the constant 0, so a sparse metric keeps a
-    small leaf tape.  The leaf tape runs in the kernel's tangent mode with
-    each input's partials seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
+    structurally zero input is :data:`wstar.exprlib.ZERO`, which ``mul``
+    and ``term_sum`` drop, so a sparse metric keeps a small leaf tape.  The
+    leaf tape runs in the kernel's tangent mode with each input's partials
+    seeded from the jet: ∂(∂g) = ∂²g, ∂(∂²g) = ∂³g
     and ∂g⁻¹ = −g⁻¹ ∂g g⁻¹, and the covariant derivative of R_{ijkl}
     follows from the partials of the classes and Γ, per symmetry class
     (:func:`_nabla_components`).  :meth:`curvature` runs every step, the
@@ -168,33 +168,33 @@ class Jet:
         leaf = {key: coord(k) for k, key in enumerate(keys)}
 
         def dg(k, i, j):
-            return leaf.get(((k,), *_sym(i, j)), _ZERO)
+            return leaf.get(((k,), *_sym(i, j)), ZERO)
 
         def ddg(k, l, i, j):
-            return leaf.get((_sym(k, l), *_sym(i, j)), _ZERO)
+            return leaf.get((_sym(k, l), *_sym(i, j)), ZERO)
 
         def gi(a, b):
-            return leaf.get(("inv", *_sym(a, b)), _ZERO)
+            return leaf.get(("inv", *_sym(a, b)), ZERO)
 
         half = const(Fraction(1, 2))
         low, gam = {}, {}
         for s in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    low[s, i, j] = low[s, j, i] = _product(half, term_sum(
+                    low[s, i, j] = low[s, j, i] = mul(half, term_sum(
                         [dg(i, s, j), dg(j, s, i), neg(dg(s, i, j))]))
         for h in range(n):
             for i in range(n):
                 for j in range(i, n):
-                    gam[h, i, j] = gam[h, j, i] = term_sum(  # a zero product is skipped
-                        _product(gi(h, s), low[s, i, j]) for s in range(n))
+                    gam[h, i, j] = gam[h, j, i] = term_sum(
+                        mul(gi(h, s), low[s, i, j]) for s in range(n))
 
         def riemann(i, j, k, l):
-            terms = [_product(half, term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
-                                         neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))]))]
+            terms = [mul(half, term_sum([ddg(j, k, i, l), ddg(i, l, j, k),
+                                     neg(ddg(i, k, j, l)), neg(ddg(j, l, i, k))]))]
             for h in range(n):
-                terms.append(_product(low[h, l, i], gam[h, j, k]))
-                terms.append(neg(_product(low[h, k, i], gam[h, j, l])))
+                terms.append(mul(low[h, l, i], gam[h, j, k]))
+                terms.append(neg(mul(low[h, k, i], gam[h, j, l])))
             return term_sum(terms)
 
         curv = [riemann(*c) for c in _riemann_classes(n)]
@@ -276,12 +276,6 @@ def _located(err, index: int, at: str):
     if isinstance(err, SingularMetric):
         return SingularMetric(index, at)
     return TapeEvalError(err.message, index, err.expr, err.coordinate, err.label, at=at)
-
-
-def _product(a, b):
-    """``mul(a, b)``, with a structural zero returned before ``mul`` folds it
-    through exact rationals: the leaf tape is built from mostly zero factors."""
-    return _ZERO if is_zero(a) or is_zero(b) else mul(a, b)
 
 
 def _in_sample(err: TapeEvalError, message: str, expr, part: slice, pts,

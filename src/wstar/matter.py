@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exprlib import const, mul
-from .geometry import MetricSpec, PointTensor, TensorField, is_zero, term_sum, workspace
+from .exprlib import const, mul, term_sum
+from .geometry import MetricSpec, PointTensor, TensorField, workspace
 
 __all__ = [
     "FieldEquationConfig",
@@ -73,15 +73,11 @@ def energy_momentum(m: MetricSpec, cfg: FieldEquationConfig) -> TensorField:
         g, ric, scal = geo.g, geo.ricci, geo.scalar
         comps = np.empty((n, n), dtype=object)
         for i, j in product(range(n), repeat=2):
-            terms = []
-            if not is_zero(ric[i, j]):
-                terms.append(ric[i, j])
-            if not (is_zero(scal) or is_zero(g[i, j])):
-                terms.append(mul(const(Fraction(-1, 2)), mul(scal, g[i, j])))
-            if cfg.lam != 0.0 and not is_zero(g[i, j]):
+            terms = [ric[i, j], mul(const(Fraction(-1, 2)), mul(scal, g[i, j]))]
+            if cfg.lam != 0.0:
                 terms.append(mul(const(cfg.lam), g[i, j]))
             e = term_sum(terms)
-            if cfg.k != 1.0 and not is_zero(e):
+            if cfg.k != 1.0:
                 e = mul(const(1.0 / cfg.k), e)
             comps[i, j] = e
         return TensorField("ll", comps, "EnergyMomentum")

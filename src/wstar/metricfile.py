@@ -23,7 +23,7 @@ import math
 import re
 from pathlib import Path
 
-from .exprlib import ParseError, const, parse
+from .exprlib import ZERO, ParseError, parse
 from .geometry import MetricSpec
 
 __all__ = ["MetricFileError", "load_metric", "parse_metric_text"]
@@ -126,8 +126,7 @@ def parse_metric_text(text: str, name: str) -> MetricSpec:
         if cname not in coords:
             raise MetricFileError(f"domain for unknown coordinate {cname!r}", lineno)
 
-    zero = const(0)
-    g = [[zero for _ in range(dim)] for _ in range(dim)]
+    g = [[ZERO for _ in range(dim)] for _ in range(dim)]
     for lineno, i, j, src in deferred_g:
         if i >= dim or j >= dim:
             raise MetricFileError(f"metric index out of range for dim {dim}", lineno)

@@ -30,15 +30,8 @@ from itertools import product
 
 import numpy as np
 
-from .exprlib import const, mul, neg, sub
-from .geometry import (
-    Geometry,
-    MetricSpec,
-    TensorField,
-    is_zero,
-    term_sum,
-    workspace,
-)
+from .exprlib import const, mul, neg, sub, term_sum
+from .geometry import Geometry, MetricSpec, TensorField, workspace
 
 __all__ = [
     "WStarBundle",
@@ -86,16 +79,8 @@ def _wstar04(geo: Geometry) -> TensorField:
         coeff = const(Fraction(1, n - 1))
         comps = np.empty((n, n, n, n), dtype=object)
         for i, j, k, l in product(range(n), repeat=4):
-            terms = []
-            if not (is_zero(g[j, k]) or is_zero(ric[i, l])):
-                terms.append(mul(g[j, k], ric[i, l]))
-            if not (is_zero(g[j, l]) or is_zero(ric[i, k])):
-                terms.append(neg(mul(g[j, l], ric[i, k])))
-            correction = term_sum(terms)
-            if is_zero(correction):
-                comps[i, j, k, l] = r4[i, j, k, l]
-            else:
-                comps[i, j, k, l] = sub(r4[i, j, k, l], mul(coeff, correction))
+            correction = term_sum([mul(g[j, k], ric[i, l]), neg(mul(g[j, l], ric[i, k]))])
+            comps[i, j, k, l] = sub(r4[i, j, k, l], mul(coeff, correction))
         return TensorField("llll", comps, "WStar04")
 
     return geo.cached("wstar04", build)

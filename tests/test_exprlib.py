@@ -50,6 +50,26 @@ def unshared(e):
     return Expr(e.kind, tuple(unshared(c) for c in e.args), e.data)
 
 
+def reference_mul(a, b):
+    """The product fold with no shortcut for ``exprlib.ZERO``: every pair of
+    factors goes through the constant arithmetic.  ``mul`` must return the
+    same node wherever neither factor is ``ZERO``."""
+    ca, cb = ex._const_data(a, b)
+    if ca is not None and cb is not None and ex._finite(ca * cb):
+        return const(ca * cb)
+    if ca == 0 or cb == 0:
+        return const(0)
+    if ca == 1:
+        return b
+    if cb == 1:
+        return a
+    if ca == -1:
+        return neg(b)
+    if cb == -1:
+        return neg(a)
+    return ex._mk("mul", (a, b))
+
+
 # --- independent oracles ------------------------------------------------------
 
 
@@ -225,6 +245,13 @@ class TestParse:
     def test_empty_source(self):
         with pytest.raises(ParseError):
             parse("", COORDS)
+
+    @pytest.mark.parametrize("src, offset", [("1e400*x", 0), ("x^1e400", 2), ("x^(-1e400)", 4)])
+    def test_overflowing_literal_rejected_at_its_offset(self, src, offset):
+        # the literal would read as inf: a factor and an exponent alike
+        with pytest.raises(ParseError, match="must be finite") as err:
+            parse(src, COORDS)
+        assert err.value.offset == offset
 
     def test_zero_denominator_exponent(self):
         with pytest.raises(ParseError):
@@ -596,6 +623,19 @@ class TestProperties:
     def test_constructor_output_is_an_interned_fixed_point(self, e):
         """The constructors only return simplified nodes."""
         assert simplify(unshared(e)) is e
+
+    @given(a=st.one_of(st.just(ex.ZERO), expressions(depth=2)),
+           b=st.one_of(st.just(ex.ZERO), expressions(depth=2)))
+    # the one pair where the two differ: the reference folds 0 * 0.5 to the
+    # float 0.0
+    @example(a=ex.ZERO, b=const(0.5))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_gives_the_held_zero_else_the_reference_fold(self, a, b):
+        got = mul(a, b)
+        if a is ex.ZERO or b is ex.ZERO:
+            assert got is ex.ZERO
+        else:
+            assert got is reference_mul(a, b)
 
     @given(e=smooth_expressions(), pt=points, idx=st.integers(0, 3))
     # fast oscillation: d/dx3 is 4939.7 here, and one central difference at

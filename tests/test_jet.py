@@ -20,12 +20,13 @@ from wstar import backend, checks, cli, geometry, jet
 from wstar.catalog import CATALOG_NAMES, catalog_metric
 from wstar.checks import CheckContext, recurrence_fit
 from wstar.geometry import workspace
-from wstar.exprlib import mul, parse
+from wstar.exprlib import parse
 from wstar.jet import Jet, _class_index, by_symmetry, curvature_fields
 from wstar.matter import FieldEquationConfig
 from wstar.metricfile import load_metric, parse_metric_text
 from wstar.tape import Tape, TapeEvalError
 
+from test_exprlib import reference_mul
 from test_forward_derivatives import _perturbation, perturbed_minkowski
 
 CFG = FieldEquationConfig()
@@ -221,14 +222,15 @@ def test_the_leaf_tape_outputs_gamma_and_the_curvature_classes_only(name):
 
 
 def assert_leaf_tape_skips_only_zero_products(geo):
-    # a product with a structural zero is 0 before exprlib.mul folds it:
-    # the tape is the one built with mul for every product
+    # mul gives a product with a structural zero back as ZERO before any
+    # constant arithmetic: the tape is the one built with the full fold of
+    # every product
     def program(tape):
         return [tape.code, tape.a, tape.b, tape.cval, tape.outputs]
 
     skipping = program(geo.jet._compile_leaf_tape())
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(jet, "_product", mul)
+        patch.setattr(jet, "mul", reference_mul)
         folding = program(geo.jet._compile_leaf_tape())
     for got, want in zip(skipping, folding):
         assert got.dtype == want.dtype and np.array_equal(got, want)

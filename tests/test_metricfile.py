@@ -111,6 +111,8 @@ class TestParseErrors:
         "domain u = 0 .. inf",
         "domain u = nan .. 1",
         "domain u = 0 .. nan",
+        "g[0][0] = 1e400*u",
+        "g[0][0] = u^1e400",
     ])
     def test_non_finite_number(self, line):
         self.check(f"coords = u\n{line}\ng[0][0] = 1\n", "must be finite", 2)
