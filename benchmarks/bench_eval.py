@@ -9,8 +9,7 @@ per 64-point block by the one curvature pass (:meth:`wstar.jet.Jet.curvature`):
   partials of the ∂²g outputs (∂³g);
 - ``leaf``: the leaf tape of Γ and R_{ijkl} by symmetry class, whose inputs
   are jet values and g^{ij}, with each input's partials seeded from the jet
-  and the partials of the classes.  The recurrence fit's displaced points
-  (not timed here) go through the same pass.
+  and the partials of the classes.
 
 Each workload records the kernel calls one curvature pass makes (points,
 differentiated outputs, seeds) and times them again, at 32 points and at

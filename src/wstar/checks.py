@@ -17,17 +17,20 @@ each, from the metric's 3-jet; no symbolic curvature is built) and reduces
 each block's fields at once to per-point columns, the *steps* of
 :data:`_STEPS`: max |.| of every field (behind ``CheckContext.amax``), R,
 each check's residuals, the fluid's mu and p, and the Ricci-recurrence fit's
-covector and residual.  Each step's columns are arrays of the sample's
+covector, residual and curl.  Each step's columns are arrays of the sample's
 length, filled in place block by block, and a block's fields are dropped
 before the next block is formed: a check holds its columns and one block's
 arrays.  On ``flrw_dust`` (tracemalloc) the walk peaks 1.7-1.8 MiB above
 the columns, which take 0.4 MiB at 1024 points, 1.5 MiB at 4096 and 5.7 MiB
-at 16384; the recurrence closedness adds 0.8-0.9 MiB at any size.  One walk
-covers the checks the run names and the checks they read: each check
-registers itself with :func:`_check`, which records, beside the check's
-code, the steps it reduces to and the checks it reads.  A check outside
-them, asked for later, walks again for its own steps.  W*^h_{jkl} with the
-Krupka decomposition so exists for one block only.  Every array of n⁵ components
+at 16384.  Every column is formed at the sample points alone: even the curl
+of the recurrence 1-form b comes from the fields at each point, by the Ricci
+identity (d_l b_m - d_m b_l) R_{jk} = [nabla_l, nabla_m] R_{jk}
+(:func:`recurrence_fit`; E. M. Patterson, J. London Math. Soc. 27 (1952)
+287-295).  One walk covers the checks the run names and the checks they
+read: each check registers itself with :func:`_check`, which records,
+beside the check's code, the steps it reduces to and the checks it reads.
+A check outside them, asked for later, walks again for its own steps.
+W*^h_{jkl} with the Krupka decomposition so exists for one block only.  Every array of n⁵ components
 or more per point (∇R_{ijkl}, ∇W*, the cyclic sum of ∇W*, ∇Weyl, the
 six-slot [nabla, nabla] W*, and the |.| of such a field) exists for one
 slice of a block only, 16 points (:func:`wstar.jet.slices`, and
@@ -71,18 +74,16 @@ deterministic for a fixed (metric, seed, points, tolerances) tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Dict, Iterable, Optional, Union
 
 import numpy as np
 
 from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import (SingularMetric, _located, _raise_first, _weyl, by_symmetry, field_blocks,
-                  per_slice, ricci_values)
+from .jet import _raise_first, _weyl, field_blocks, per_slice
 from .matter import (FieldEquationConfig, _amax, _strict, decompose_fluids,
                      energy_momentum_values)
-from .tape import TapeEvalError, point_text
 from . import wstar as ws
 
 __all__ = [
@@ -91,39 +92,15 @@ __all__ = [
 ]
 
 
-class _OnFirstRead:
-    """A dataclass field (default None) that may be set to a callable: the
-    first read calls it and keeps what it returns.  A call that raises is
-    made again on the next read."""
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return None
-        value = getattr(obj, self.slot)
-        if callable(value):
-            value = value()
-            setattr(obj, self.slot, value)
-        return value
-
-    def __set__(self, obj, value):
-        setattr(obj, self.slot, value)
-
-
 @dataclass
 class CheckOutcome:
-    """One check's verdict: residual against tolerance, and the worst point.
-
-    ``reason`` may be given as a callable that forms it on first read, for a
-    reason that costs work no verdict needs (the recurrence closedness)."""
+    """One check's verdict: residual against tolerance, and the worst point."""
 
     status: str  # "pass" | "fail" | "not-applicable"
     max_residual: Optional[float]  # None when the check could not be evaluated
     tolerance: float
     worst_point: Optional[np.ndarray]
-    reason: Optional[str] = _OnFirstRead()
+    reason: Optional[str] = None
     name: str = ""  # the REGISTRY name, set by CheckContext.check
 
 
@@ -499,13 +476,19 @@ def _fluid(ctx: CheckContext, f: dict) -> tuple:
 
 
 def _recurrence(ctx: CheckContext, f: dict) -> tuple:
-    """(b, max |nabla Ric - b Ric|) per point, both 0 where Ricci vanishes."""
-    ric = f["ric"]
-    usable = _ptmax(ric) > _RICCI_FLOOR
-    b, res = np.zeros(ric.shape[:2]), np.zeros(ric.shape[0])
+    """(b, max |nabla Ric - b Ric|, max |curl b|) per point, each 0 where
+    Ricci vanishes: b by least squares per point and slot,
+    b_m = <nabla_m Ric, Ric> / <Ric, Ric>, and its curl by :func:`_curl`."""
+    usable = _ptmax(f["ric"]) > _RICCI_FLOOR
+    count = len(usable)
+    b, res, curl = np.zeros((count, f["ric"].shape[1])), np.zeros(count), np.zeros(count)
     if np.any(usable):
-        b[usable], res[usable] = _fit_recurrence(ric[usable], f["nric"][usable])
-    return b, res
+        ric, nric = f["ric"][usable], f["nric"][usable]
+        fit = np.einsum("pjkm,pjk->pm", nric, ric) / np.einsum("pjk,pjk->p", ric, ric)[:, None]
+        b[usable] = fit
+        res[usable] = _ptmax(nric - np.einsum("pjk,pm->pjkm", ric, fit))
+        curl[usable] = _ptmax(_curl(ric, f["r13"][usable]))
+    return b, res, curl
 
 
 def _traceless_ricci(f: dict) -> np.ndarray:
@@ -696,10 +679,8 @@ def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
     fit = ctx.recurrence
     if not fit.applicable:
         return ctx.na(fit.reason or "recurrence undefined")
-    out = ctx.outcome(fit.point_residual, ctx.amax("nric"))
-    # only a report that prints the reason pays for the displaced pass
-    out.reason = lambda: f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}"
-    return out
+    return ctx.outcome(fit.point_residual, ctx.amax("nric"),
+                       f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}")
 
 
 @_check("ricci_semisymmetric", steps=("ricci_semisymmetric",))
@@ -957,53 +938,44 @@ def pairings(ctx: CheckContext) -> Dict[str, CheckOutcome]:
 # --- Ricci recurrence -------------------------------------------------------
 
 
-# no repr: it would read closedness_residual, and so run the displaced pass
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False)
 class RecurrenceFit:
     applicable: bool
     b: Optional[np.ndarray]  # (P, n) fitted covector per usable point
     fit_residual: float
     reason: Optional[str] = None
     point_residual: Optional[np.ndarray] = None  # (P,), zero where Ricci vanishes
-    # max |d_mu b_nu - d_nu b_mu|, formed on first read (see recurrence_fit);
+    # max |d_l b_m - d_m b_l| over the usable points (see recurrence_fit);
     # None where the fit does not apply
-    closedness_residual: Optional[float] = _OnFirstRead()
+    closedness_residual: Optional[float] = None
 
 
-def _fit_covector(ric: np.ndarray, nric: np.ndarray) -> np.ndarray:
-    # least squares per point and slot: b_m = <nabla_m Ric, Ric> / <Ric, Ric>
-    denom = np.einsum("pjk,pjk->p", ric, ric)
-    return np.einsum("pjkm,pjk->pm", nric, ric) / denom[:, None]
-
-
-def _fit_recurrence(ric: np.ndarray, nric: np.ndarray) -> tuple:
-    """(b, max |nabla Ric - b Ric| per point) at the usable points."""
-    b = _fit_covector(ric, nric)
-    return b, _ptmax(nric - np.einsum("pjk,pm->pjkm", ric, b))
+def _curl(ric: np.ndarray, r13: np.ndarray) -> np.ndarray:
+    """d_l b_m - d_m b_l per point: [nabla_l, nabla_m] R_{jk}
+    (``geometry.ricci_commutator``) projected onto Ric as the fit of b
+    projects nabla_m R_{jk} (:func:`_recurrence`), which by the symmetry of Ric is
+    -2 R^s_{jlm} (Ric Ric^T)_{sj} / <Ric, Ric>: one (n², n²) product per point."""
+    count, n = ric.shape[:2]
+    denom = -0.5 * np.einsum("pjk,pjk->p", ric, ric)
+    weight = (ric @ ric.transpose(0, 2, 1)).reshape(count, 1, n * n) / denom[:, None, None]
+    return (weight @ r13.reshape(count, n * n, n * n)).reshape(count, n, n)
 
 
 _RICCI_FLOOR = 1e-10  # max |Ric| at a point whose recurrence is fitted
-_FD_STEP = 1e-4  # central-difference step of the closedness estimate
 
 
 def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
-    """Fit nabla_m R_{ij} = b_m R_{ij} and measure how closed the 1-form b is.
+    """Fit nabla_m R_{jk} = b_m R_{jk} and measure how closed the 1-form b is.
 
-    The fit at the sample points is the context's ``recurrence`` step.
-    Closedness of b is estimated by central finite differences of the fitted
-    covector at displaced copies of each sample point, when
-    ``closedness_residual`` is first read: only ``check`` prints it, so
-    ``classify`` never runs this pass.  The copies go through the sample
-    points' curvature pass (:meth:`wstar.jet.Jet.curvature`), and Ricci and
-    ∇Ricci through :func:`wstar.jet.ricci_values`, one block of sample
-    points at a time (:func:`_closedness`), each block reduced to its max
-    |curl| before the next; like a check, the pass raises on a float fault.
-    So the pass adds one block's arrays to the columns, whatever the sample:
-    0.8-0.9 MiB (tracemalloc) on ``flrw_dust`` at 1024, 4096 and 16384 points,
-    where the whole sample's displaced points, their covectors and curl took
-    2.1 MiB at 4096 and 8.5 MiB at 16384.  A copy is displaced only along a
-    coordinate the metric depends on: along any other, b is constant and its
-    difference is exactly 0.
+    Both come from the context's ``recurrence`` step, at the sample points.
+    Where the fit holds, the Ricci identity gives the curl of b exactly from
+    the fields at the point, with no derivative of b:
+    (d_l b_m - d_m b_l) R_{jk} = [nabla_l, nabla_m] R_{jk}
+    = -R^s_{jlm} R_{sk} - R^s_{klm} R_{js}, and the curl is that projected
+    onto Ric (:func:`_curl`).  On a Ricci-recurrent space with Ric != 0 the
+    1-form is closed, b = d log|Ric| (E. M. Patterson, "Some theorems on
+    Ricci-recurrent spaces", J. London Math. Soc. 27 (1952) 287-295), so a
+    curl above rounding measures how far the fit is from recurrence.
     Points where Ricci vanishes carry no information and are dropped; with
     no usable points the fit is reported as not applicable rather than as
     trivially recurrent.
@@ -1012,48 +984,6 @@ def recurrence_fit(ctx: CheckContext) -> RecurrenceFit:
     usable = ctx.reduced("scales")["ric"] > _RICCI_FLOOR
     if not np.any(usable):
         return RecurrenceFit(False, None, 0.0, "Ricci tensor vanishes")
-    b, point_residual = ctx.reduced("recurrence")
-    b = b[usable]
-    return RecurrenceFit(True, b, float(point_residual.max()), None, point_residual,
-                         partial(_closedness, ctx.geo, ctx.points, usable))
-
-
-def _closedness(geo: Geometry, points: np.ndarray, usable: np.ndarray) -> float:
-    """max |d_mu b_nu - d_nu b_mu| over the ``usable`` sample points, by
-    central differences of the covector fitted at displaced copies of them.
-
-    It runs one block of those points at a time (:func:`wstar.backend.blocks`):
-    the block's copies, each point's 2k in a row, go through
-    :meth:`wstar.jet.Jet.curvature`, and the block is reduced to its max |curl|
-    before the next is formed.  An error at a copy names its sample point and
-    its displacement, the first in sample order where several copies fail."""
-    n, axes, h = geo.dim, geo.jet.axes, _FD_STEP
-    sample = np.flatnonzero(usable)
-    shifts = h * np.eye(n)[axes]
-    worst = 0.0
-    with _strict():
-        for part in blocks(sample.size):
-            base = points[sample[part]]
-            displaced = np.stack([base + s for s in shifts] + [base - s for s in shifts], axis=1)
-            try:
-                bd = np.concatenate([
-                    _fit_covector(*ricci_values(ginv, by_symmetry(rc), nrc)[1:3])
-                    for _, ginv, _, rc, nrc in geo.jet.curvature(displaced.reshape(-1, n))])
-            except (TapeEvalError, SingularMetric) as err:
-                raise _copy_error(err, geo, sample[part], base) from None
-            bd = bd.reshape(len(base), 2, len(axes), n)  # [p, +/-, axis, mu]
-            grad_b = np.zeros((len(base), n, n))  # grad_b[p, nu, mu] = d_nu b_mu
-            grad_b[:, axes] = (bd[:, 0] - bd[:, 1]) / (2.0 * h)
-            worst = max(worst, _amax(grad_b - grad_b.transpose(0, 2, 1)))
-    return worst
-
-
-def _copy_error(err, geo: Geometry, sample: np.ndarray, base: np.ndarray):
-    """``err`` of the curvature pass over one block of :func:`_closedness`,
-    whose points ``base`` are the sample points ``sample``, naming the sample
-    point and the displacement of the copy that failed."""
-    coords, axes = geo.metric.coords, geo.jet.axes
-    p, c = divmod(err.point_index, 2 * len(axes))
-    sign = "+" if c < len(axes) else "-"
-    at = f"{coords[axes[c % len(axes)]]} {sign} {_FD_STEP:g} from {point_text(coords, base[p])}"
-    return _located(err, int(sample[p]), at)
+    b, point_residual, curl = ctx.reduced("recurrence")
+    return RecurrenceFit(True, b[usable], float(point_residual.max()), None, point_residual,
+                         float(curl.max()))

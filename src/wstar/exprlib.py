@@ -746,6 +746,11 @@ def _number_value(text: str):
     return float(text)
 
 
+def _underflows(text: str, value) -> bool:
+    """Does the decimal literal ``text``, nonzero as written, read as 0.0?"""
+    return value == 0 and any(c in "123456789" for c in text.lower().partition("e")[0])
+
+
 class _Parser:
     def __init__(self, src: str, coord_names: Sequence[str], param_names):
         self.src = src
@@ -765,10 +770,14 @@ class _Parser:
 
     def number(self, tok):
         """The value of the numeric literal ``tok``; one that overflows to
-        infinity is refused at its offset."""
+        infinity, or a nonzero one that underflows to 0.0, is refused at its
+        offset."""
         value = _number_value(tok[1])
         if not _finite(value):
             raise ParseError(f"numeric literal {tok[1]!r} must be finite", self.src, tok[2])
+        if _underflows(tok[1], value):
+            raise ParseError(f"numeric literal {tok[1]!r} must be finite and nonzero, but it"
+                             " underflows to 0.0", self.src, tok[2])
         return value
 
     def expect_op(self, symbol: str):

@@ -13,12 +13,13 @@ reduce each block to per-point columns before the next is formed
 (:class:`wstar.checks.CheckContext`), and :func:`curvature_fields`
 concatenates the blocks for ``compute`` and for tests.  T and ∇T are not
 among the fields: they divide by the coupling k, so only their readers
-form them, with :func:`wstar.matter.energy_momentum_values`.
-The recurrence fit's displaced points go through the same pass, and Ricci
-and ∇Ricci come from :func:`ricci_values` there as at the sample points.
-R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl}
-(n⁵ components per point) is expanded 16 points at a time inside
-:func:`ricci_values`, and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
+form them, with :func:`wstar.matter.energy_momentum_values`.  No command
+evaluates curvature anywhere but at its own points: the recurrence fit's
+closedness comes from the Ricci identity at the sample points
+(:func:`wstar.checks.recurrence_fit`).
+R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl} (n⁵
+components per point) is expanded 16 points at a time inside
+:func:`_block_fields`, and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
 from a block's fields with :func:`_raise_first` or :func:`_weyl`.  This is
 truncated-Taylor (jet) evaluation (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13).
@@ -42,7 +43,7 @@ from .geometry import Geometry
 from .tape import Tape, TapeEvalError, point_text
 
 __all__ = ["Jet", "FIELDS", "SingularMetric", "by_symmetry", "curvature_fields",
-           "field_blocks", "per_slice", "ricci_values", "slices", "weyl_classes"]
+           "field_blocks", "per_slice", "slices", "weyl_classes"]
 
 _SLICE = 16
 
@@ -54,7 +55,7 @@ def slices(count: int) -> list:
     An array of n⁵ components or more per point takes 0.5 MiB per 64 points
     at n = 4, so every step that forms one runs a slice at a time: a step
     that reduces it to per-point columns through :func:`per_slice`, and
-    :func:`ricci_values`, which writes ∇Ricci and ∇W* into whole-block
+    :func:`_block_fields`, which writes ∇Ricci and ∇W* into whole-block
     arrays, over these slices directly.  Both live here rather than beside
     ``blocks`` because ``perfbench/run.py`` imports :mod:`wstar.backend`
     itself, and the peak RSS it reads for a command includes its own (see
@@ -135,8 +136,6 @@ class Jet:
         self._g = np.array([[column((), i, j) for j in range(n)] for i in range(n)])
         self._dg = np.array([[[column((k,), i, j) for j in range(n)] for i in range(n)]
                              for k in range(n)])
-        # the coordinates g depends on: every jet value is constant along the others
-        self.axes = sorted({key[0][0] for key in self._col if len(key[0]) == 1})
         self._d1 = [c for key, c in self._col.items() if len(key[0]) == 1]
         self._d2 = [c for key, c in self._col.items() if len(key[0]) == 2]
         # the seeds of a ∂_k g_ij input: ∂_m ∂_k g_ij along each m
@@ -222,7 +221,9 @@ class Jet:
         return ginv
 
     def curvature(self, points):
-        """Per block of points (:func:`wstar.backend.blocks`): (g, g⁻¹,
+        """The curvature pass behind :func:`field_blocks`.
+
+        Per block of points (:func:`wstar.backend.blocks`): (g, g⁻¹,
         Γ^h_{ij}, R_{ijkl}, ∇_m R_{ijkl}), the last two by symmetry class
         (see :func:`by_symmetry`).  The jet tape, g^{ij} and the leaf tape
         run one block at a time, each block in :meth:`_block`, so none of a
@@ -268,14 +269,6 @@ class SingularMetric(np.linalg.LinAlgError):
     def __init__(self, point_index: int, at: str):
         self.point_index = point_index
         super().__init__(f"the metric is singular at {at} (point #{point_index})")
-
-
-def _located(err, index: int, at: str):
-    """``err``, a :class:`TapeEvalError` or :class:`SingularMetric` of a
-    curvature pass, naming instead the point ``index`` at ``at``."""
-    if isinstance(err, SingularMetric):
-        return SingularMetric(index, at)
-    return TapeEvalError(err.message, index, err.expr, err.coordinate, err.label, at=at)
 
 
 def _in_sample(err: TapeEvalError, message: str, expr, part: slice, pts,
@@ -402,29 +395,6 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
 
 
-def ricci_values(ginv: np.ndarray, r04: np.ndarray, nrc: np.ndarray, g=None) -> tuple:
-    """(R^h_{jkl}, R_{jk}, ∇_m R_{jk}, ∇_m W*_{ijkl} or None) at each point from
-    g^{ij}, R_{ijkl} and the symmetry classes ``nrc`` of ∇_m R_{ijkl}: the one
-    way both the sample's fields and the recurrence fit's displaced points
-    form Ricci.
-
-    ∇_m R_{ijkl} has n⁵ components per point, so it is expanded from its
-    classes one slice of points at a time (:func:`slices`)
-    and dropped after its slice.  Given g, each slice also forms ∇_m W*_{ijkl}
-    (in wstar's index order) into one C-contiguous array.
-    """
-    count, n = nrc.shape[0], ginv.shape[-1]
-    r13 = _raise_first(ginv, r04)
-    nric = np.empty((count, n, n, n))
-    dw = None if g is None else np.empty((count,) + (n,) * 5)
-    for part in slices(count):
-        nr04 = by_symmetry(nrc[part])
-        nric[part] = np.einsum("phi,pijhlm->pjlm", ginv[part], nr04)
-        if dw is not None:
-            dw[part] = ws.wstar_values(np.swapaxes(nr04, 3, 4), g[part], nric[part])
-    return r13, np.einsum("phjhl->pjl", r13), nric, dw
-
-
 def _block_fields(g, ginv, gam, rc, nrc) -> dict:
     """The fields of :data:`FIELDS` on one block of points, and the symmetry
     classes ``rc`` and ``nrc`` they come from.
@@ -433,14 +403,22 @@ def _block_fields(g, ginv, gam, rc, nrc) -> dict:
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
     since ∇g = 0, each ∇ field is its field's map applied to the classes
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
-    ∇_m R_{ijkl} itself is formed only a slice of points at a time, inside
-    :func:`ricci_values`, which writes ∇W* (``dw``) as it goes.  T and ∇T
-    divide by the coupling k, so the checks that read them form them from
-    Ricci, R, their ∇ and g in their own steps, where a T that cannot be
-    formed fails only those steps.
+    ∇_m R_{ijkl} has n⁵ components per point, so it is expanded from its
+    classes one slice of points at a time (:func:`slices`) and dropped after
+    its slice, and each slice writes ∇Ricci and ∇W* (``dw``, in wstar's
+    index order) into whole-block arrays.  T and ∇T divide by the coupling k, so the
+    checks that read them form them from Ricci, R, their ∇ and g in their
+    own steps, where a T that cannot be formed fails only those steps.
     """
+    count, n = nrc.shape[0], g.shape[-1]
     r04 = by_symmetry(rc)
-    r13, ric, nric, dw = ricci_values(ginv, r04, nrc, g)
+    r13 = _raise_first(ginv, r04)
+    ric = np.einsum("phjhl->pjl", r13)
+    nric, dw = np.empty((count, n, n, n)), np.empty((count,) + (n,) * 5)
+    for part in slices(count):
+        nr04 = by_symmetry(nrc[part])
+        nric[part] = np.einsum("phi,pijhlm->pjlm", ginv[part], nr04)
+        dw[part] = ws.wstar_values(np.swapaxes(nr04, 3, 4), g[part], nric[part])
     w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
     return {
         "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric,

@@ -23,7 +23,7 @@ import math
 import re
 from pathlib import Path
 
-from .exprlib import ZERO, ParseError, parse
+from .exprlib import ZERO, ParseError, _underflows, parse
 from .geometry import MetricSpec
 
 __all__ = ["MetricFileError", "load_metric", "parse_metric_text"]
@@ -47,6 +47,9 @@ def _float(text: str, lineno: int, what: str) -> float:
         raise MetricFileError(f"{what} is not a number: {text!r}", lineno) from None
     if not math.isfinite(value):
         raise MetricFileError(f"{what} must be finite, got {text!r}", lineno)
+    if _underflows(text, value):
+        raise MetricFileError(f"{what} must be finite and nonzero, but {text!r} underflows to 0.0",
+                              lineno)
     return value
 
 

@@ -253,6 +253,18 @@ class TestParse:
             parse(src, COORDS)
         assert err.value.offset == offset
 
+    @pytest.mark.parametrize("src, offset", [("1 + 1e-400*x", 4), ("x^1e-400", 2),
+                                             ("x^(-0.5e-400)", 4), ("1 + .1E-999", 4)])
+    def test_underflowing_literal_rejected_at_its_offset(self, src, offset):
+        # a nonzero literal that would read as 0.0 changes the metric silently
+        with pytest.raises(ParseError, match="underflows to 0.0") as err:
+            parse(src, COORDS)
+        assert err.value.offset == offset
+
+    @pytest.mark.parametrize("src", ["0.0e-400*x", "0e5 + x", "00.000*x", "5e-324*x"])
+    def test_a_zero_or_subnormal_literal_is_kept(self, src):
+        parse(src, COORDS)
+
     def test_zero_denominator_exponent(self):
         with pytest.raises(ParseError):
             parse("t^(1/0)", COORDS)

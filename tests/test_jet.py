@@ -7,9 +7,9 @@ promises besides its values (``test_forward_derivatives.py`` and
 ``test_sympy_oracle.py`` check those): which symbolic fields a command
 builds, which tapes it compiles and how large the leaf tape is, how an
 evaluation error names the metric component and the point, the symmetries
-of the expanded curvature, and where the recurrence fit evaluates.  The
-Ricci and ∇Ricci the recurrence fit reads at its displaced points are
-compared here with the sample pass's fields and the symbolic ones.
+of the expanded curvature, and that each command evaluates curvature at
+its sample points only.  Ricci and ∇Ricci at points off the default sample
+are compared here with the symbolic ones.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 
 from wstar import backend, checks, cli, geometry, jet
 from wstar.catalog import CATALOG_NAMES, catalog_metric
-from wstar.checks import CheckContext, recurrence_fit
+from wstar.checks import CheckContext
 from wstar.geometry import workspace
 from wstar.exprlib import parse
 from wstar.jet import Jet, _class_index, by_symmetry, curvature_fields
@@ -63,8 +63,8 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
     text = cli.catalog._TEXTS["flrw_dust"]
     metric = parse_metric_text(text, "flrw_dust")  # a fresh workspace, not the catalog's
     monkeypatch.setattr(cli, "load_metric", lambda source: metric)
-    compiled, seeded, where = [], [], ["sample"]
-    compile_tape, run, closedness = geometry.compile_tape, Tape.run, checks._closedness
+    compiled, seeded, where = [], [], [None]
+    compile_tape, run = geometry.compile_tape, Tape.run
 
     def counting(*args, **kwargs):
         compiled.append(compile_tape(*args, **kwargs))
@@ -72,19 +72,11 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
 
     def spy_run(self, points, params=None, diff=None, seeds=None, coords=None):
         if seeds is not None:  # a leaf tape run: its inputs are jet values
-            seeded.append((where[0], where[-1], self))
+            seeded.append((where[0], self))
         return run(self, points, params, diff, seeds, coords)
-
-    def spy_closedness(*args):  # the recurrence fit's displaced pass
-        where.append("displaced")
-        try:
-            return closedness(*args)
-        finally:
-            where.pop()
 
     monkeypatch.setattr(geometry, "compile_tape", counting)
     monkeypatch.setattr(Tape, "run", spy_run)
-    monkeypatch.setattr(checks, "_closedness", spy_closedness)
     for command in (["check", "--checks", "all"], ["classify"]):
         where[0] = command[0]
         cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
@@ -92,21 +84,16 @@ def test_check_and_classify_compile_one_leaf_tape(monkeypatch, capsys):
     geo = workspace(metric)
     assert len(compiled) == 3  # det g, the jet and the leaf tape
     assert compiled[1] is geo.jet.tape
-    # classify never prints the recurrence closedness, so it runs no displaced pass
-    assert {(command, place) for command, place, _ in seeded} == {
-        ("check", "check"), ("check", "displaced"), ("classify", "classify")}
-    assert {id(tape) for *_, tape in seeded} == {id(compiled[2])}
+    # one block of 8 points: each command runs the leaf tape once, over its sample
+    assert [command for command, _ in seeded] == ["check", "classify"]
+    assert {id(tape) for _, tape in seeded} == {id(compiled[2])}
     assert [key for key in geo._cache if "tape" in key] == ["jet_leaf_tape"]
 
 
-@pytest.mark.parametrize("command,passes", [
-    (["check", "--checks", "all"], ["sample", (2 * 8, 4)]),  # t + h and t - h
-    (["classify"], ["sample"]),
-])
-def test_only_check_runs_the_curvature_pass_at_displaced_points(command, passes,
-                                                                monkeypatch, capsys):
-    # check prints the recurrence 1-form's closedness, which is formed at
-    # displaced copies of the sample points; classify prints no such reason
+@pytest.mark.parametrize("command", [["check", "--checks", "all"], ["classify"]])
+def test_each_command_runs_one_curvature_pass_over_the_sample(command, monkeypatch, capsys):
+    # the recurrence closedness comes from the Ricci identity at the sample
+    # points, so no command evaluates curvature anywhere else
     sample = cli.sample_for(workspace(catalog_metric("flrw_dust")), 8, 42)
     seen, curvature = [], Jet.curvature
 
@@ -117,7 +104,7 @@ def test_only_check_runs_the_curvature_pass_at_displaced_points(command, passes,
     monkeypatch.setattr(Jet, "curvature", spy)
     cli.main(command + ["--metric", "flrw_dust", "--points", "8", "--no-timestamp"])
     capsys.readouterr()
-    assert seen == passes
+    assert seen == ["sample"]
 
 
 def test_a_failed_derivative_is_named_with_its_point(tmp_path):
@@ -185,27 +172,12 @@ def test_a_singular_metric_is_an_evaluation_error():
     assert issubclass(np.linalg.LinAlgError, cli.EVAL_ERRORS)
 
 
-def test_a_singular_displaced_copy_is_named_with_its_sample_point(monkeypatch):
-    # x^3 vanishes at the copy x - 1 of a point at x = 1: points #66 and #68,
-    # in the second block of sample points; the first in sample order is named
-    metric = parse_metric_text(metric_text(g22="x^3"), "cusp")
-    pts = np.tile([0.1, 0.5, 0.2, 0.3], (70, 1))
-    pts[[66, 68], 1] = 1.0
-    monkeypatch.setattr(checks, "_FD_STEP", 1.0)
-    fit = recurrence_fit(CheckContext(metric, pts, CFG))
-    with pytest.raises(np.linalg.LinAlgError, match=(
-            r"^the metric is singular at x - 1 from t=0.1, x=1, y=0.2, z=0.3 \(point #66\)$")):
-        fit.closedness_residual
-
-
 def test_the_jet_keeps_only_nonzero_components():
     jet = workspace(catalog_metric("schwarzschild")).jet
     # g_00, g_11, g_22, g_33; ∂_r of each and ∂_θ g_33; the five second partials
     # along r and θ, and ∂_θ ∂_θ g_33
     assert jet.tape.labels[:4] == ("g[0][0]", "g[1][1]", "g[2][2]", "g[3][3]")
     assert jet.tape.n_outputs == 4 + 5 + 6
-    assert jet.axes == [1, 2]
-    assert workspace(catalog_metric("minkowski")).jet.axes == []
 
 
 # the leaf tape's instructions per catalog metric
@@ -258,61 +230,15 @@ def test_by_symmetry_has_the_curvature_symmetries_exactly(n):
     assert np.array_equal(x.transpose(0, 3, 4, 1, 2, 5), x)
 
 
-def test_recurrence_displaces_only_along_the_coordinates_g_depends_on(monkeypatch):
-    metric = catalog_metric("flrw_dust")
-    ctx = CheckContext(metric, cli.sample_for(workspace(metric), 8, 42), CFG)
-    ctx.reduced("scales"), ctx.reduced("recurrence")  # the pass over the sample points
-    seen = []
-    curvature = Jet.curvature
-
-    def spy(self, points):
-        seen.append(np.asarray(points).copy())
-        return curvature(self, points)
-
-    monkeypatch.setattr(Jet, "curvature", spy)
-    fit = recurrence_fit(ctx)
-    assert fit.applicable and not seen  # the closedness is formed on first read
-    assert fit.closedness_residual is not None
-    (displaced,) = seen
-    assert displaced.shape == (2 * 8, 4)  # t + h and t - h only
-    # each point's copies in a row: the first copy that fails is the first in sample order
-    assert np.array_equal(displaced[:, 1:], np.repeat(ctx.points[:, 1:], 2, axis=0))
-    t, h = ctx.points[:, 0], checks._FD_STEP
-    assert np.array_equal(displaced[:, 0], np.stack([t + h, t - h], axis=1).ravel())
-
-
 def assert_ricci_leaf_tape_agrees(metric, points):
-    # the Ricci and ∇Ricci the recurrence fit reads at its displaced points,
-    # against the sample pass's fields and the symbolic fields there
+    # Ricci and ∇Ricci of the curvature pass at points off the default sample
+    # (seed 7, not 42), against the symbolic fields there
     geo = workspace(metric)
-    ctx = CheckContext(metric, cli.sample_for(geo, points, 42), CFG)
-    ctx.reduced("scales"), ctx.reduced("recurrence")  # the pass over the sample points
-    displaced, formed = [], []
-    curvature, ricci = Jet.curvature, checks.ricci_values
-
-    def spy_curvature(self, pts):
-        displaced.append(np.asarray(pts).copy())
-        return curvature(self, pts)
-
-    def spy_ricci(*args):
-        formed.append(ricci(*args))
-        return formed[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Jet, "curvature", spy_curvature)
-        patch.setattr(checks, "ricci_values", spy_ricci)
-        fit = recurrence_fit(ctx)
-        fit.closedness_residual  # the displaced pass
-    if not fit.applicable:  # Ricci vanishes: no point is displaced
-        assert fit.reason == "Ricci tensor vanishes" and not displaced and not formed
-        return
-    pts = np.concatenate(displaced)  # one pass per block of sample points
+    pts = cli.sample_for(geo, points, 7)
     fields = curvature_fields(geo, pts)
     symbolic = geo.eval_fields({"ric": geo.ricci, "nric": geo.nabla_ricci}, pts)
-    for k, name in ((1, "ric"), (2, "nric")):
-        got = np.concatenate([parts[k] for parts in formed])
-        assert np.array_equal(got.view(np.int64), fields[name].view(np.int64)), name
-        want = symbolic[name]
+    for name in ("ric", "nric"):
+        got, want = fields[name], symbolic[name]
         assert got.shape == want.shape, name
         gap = float(np.max(np.abs(got - want)))
         assert gap <= 1e-10 * (1.0 + float(np.max(np.abs(want)))), (name, gap)
@@ -320,7 +246,7 @@ def assert_ricci_leaf_tape_agrees(metric, points):
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_ricci_leaf_tape_matches_the_other_routes_on_the_catalog(name):
-    # 70 sample points: the displaced points span full blocks and a tail
+    # 70 points: a full block and a tail
     assert_ricci_leaf_tape_agrees(catalog_metric(name), 70)
 
 
@@ -434,10 +360,9 @@ def test_the_activity_analysis_runs_once_per_key(monkeypatch):
 
     monkeypatch.setattr(backend, "_activity", counted)
     ctx = CheckContext(metric, cli.sample_for(geo, 130, 42), CFG)  # three blocks
-    # the curvature pass over the sample points, then, for the closedness in
-    # the reason, over the displaced points: eight blocks, each running the
-    # jet tape and the leaf tape
-    ctx.check("ricci_recurrent").reason
+    # the curvature pass over the sample points: three blocks, each running
+    # the jet tape and the leaf tape
+    ctx.check("ricci_recurrent")
     tapes = (geo.jet.tape, geo.jet._leaf_tape)
     assert len(keys) == len(set(keys)) == sum(len(t._activities) for t in tapes) == 2
     for tape in tapes:

@@ -113,6 +113,11 @@ class TestParseErrors:
         "domain u = 0 .. nan",
         "g[0][0] = 1e400*u",
         "g[0][0] = u^1e400",
+        # a nonzero literal that reads as 0.0 is refused as an overflow is
+        "param a = 1e-400",
+        "domain u = 1e-400 .. 1",
+        "g[0][0] = 1 + 1e-400*u",
+        "g[0][0] = u^0.5e-400",
     ])
     def test_non_finite_number(self, line):
         self.check(f"coords = u\n{line}\ng[0][0] = 1\n", "must be finite", 2)
