@@ -20,7 +20,7 @@ each check's residuals, the fluid's mu and p, and the Ricci-recurrence fit's
 covector, residual and curl.  Each step's columns are arrays of the sample's
 length, filled in place block by block, and a block's fields are dropped
 before the next block is formed: a check holds its columns and one block's
-arrays.  On ``flrw_dust`` (tracemalloc) the walk peaks 1.7-1.8 MiB above
+arrays.  On ``flrw_dust`` (tracemalloc) the walk peaks 1.2-1.3 MiB above
 the columns, which take 0.4 MiB at 1024 points, 1.5 MiB at 4096 and 5.7 MiB
 at 16384.  Every column is formed at the sample points alone: even the curl
 of the recurrence 1-form b comes from the fields at each point, by the Ricci
@@ -30,12 +30,14 @@ identity (d_l b_m - d_m b_l) R_{jk} = [nabla_l, nabla_m] R_{jk}
 read: each check registers itself with :func:`_check`, which records,
 beside the check's code, the steps it reduces to and the checks it reads.
 A check outside them, asked for later, walks again for its own steps.
-W*^h_{jkl} with the Krupka decomposition so exists for one block only.  Every array of n⁵ components
-or more per point (∇R_{ijkl}, ∇W*, the cyclic sum of ∇W*, ∇Weyl, the
-six-slot [nabla, nabla] W*, and the |.| of such a field) exists for one
-slice of a block only, 16 points (:func:`wstar.jet.slices`, and
-:func:`wstar.jet.per_slice` for a step that reduces it), where a 64-point
-block would hold 0.5 MiB per array at n = 4.  This is strip-mining and loop fusion (M. Wolfe, *High Performance
+W*^h_{jkl} with the Krupka decomposition so exists for one block only.
+Every dense array of n⁵ components or more per point (∇R_{ijkl}, ∇W* where
+the divergence reads it, ∇Weyl, the six-slot [nabla, nabla] W*, and the
+|.| of such a field) exists for one slice of a block only, 16 points
+(:func:`wstar.jet.slices`, and :func:`wstar.jet.per_slice` for a step that
+reduces it), where a 64-point block would hold 0.5 MiB per array at n = 4;
+∇W* and the cyclic identity are held on their supports instead (below).
+This is strip-mining and loop fusion (M. Wolfe, *High Performance
 Compilers for Parallel Computing*, 1996).
 
 A step that raises keeps its error in place of its columns, and the error
@@ -55,17 +57,46 @@ perfect-fluid results, the theorem pairings) runs only those.  The
 :data:`PAIRINGS` name the check behind each public name and :func:`holds`
 reads its value, so every report of a run reads the same numbers.
 
-The semi-symmetry commutators R(X, Y)·X of W*, Ricci and T pick their route
-per block from its supports: the products x * R^s_{imn} whose two factors are
-nonzero at some point are counted from the two masks, and below
-``_SPARSE_SHARE`` of the dense count (Schwarzschild, de Sitter and FLRW keep
-under 7%, ``perturbed_flat`` over half) a plan of only those products runs;
-otherwise ``geometry.ricci_commutator`` forms every product.  A plan is built
-once per distinct pair of masks in a run.  The sparse route keeps the dense
-route's bits: per slot it sums the products in increasing s with elementwise
-multiply and add, as the dense ``einsum`` does, and subtracts the slot terms
-in slot order.  A skipped product is an exact ±0, x ± 0 = x for finite x,
-and the max |.| per point erases the sign of a zero.
+Support plans.  W*, ∇W*, the cyclic identity of ∇W* and the semi-symmetry
+commutators skip what is 0 at every point of a block.  A field's support is
+the set of its components that are nonzero at some point of the block
+(:func:`wstar.jet._support`), and a plan lists, for what can be nonzero
+given the supports of the factors, the columns its terms are gathered
+from.  A plan is built once per distinct tuple of masks
+(:func:`wstar.jet.planned`), in a dict that lives with one walk (W*, ∇W*)
+or one context (the rest), never at module level; the structural zeros,
+and so the masks, are the same in every block of a catalog metric.
+
+- W*_{ijkl} and ∇_m W*_{ijkl} (:func:`wstar.jet._wstar_on_support`) are
+  formed where R_{ijlk} or one of the two g ⊗ Ric terms can be nonzero,
+  from the masks of the classes of R (∇R), of g and of Ricci (∇Ricci).  W*
+  is then written out dense for the commutator and Krupka steps.  ∇W* stays
+  on its support (:class:`wstar.jet.Compact`): ``scales`` reads max |∇W*|
+  off its columns, the divergence makes it dense a 16-point slice at a
+  time, and the cyclic identity reads its columns.  On Schwarzschild, de
+  Sitter and FLRW 9-18% of ∇W*'s 1024 components per point are formed;
+  ``perturbed_flat`` forms all of them, over 16-point slices.
+- The cyclic sum of ∇W* and its closed form (:func:`_cyclic_plan`) are
+  formed on the union support of their six addends, 10-21% of the
+  components on those three metrics.
+- The commutators R(X, Y)·X of W*, Ricci and T count the products
+  x * R^s_{imn} whose two factors are nonzero at some point from the two
+  masks; below ``_SPARSE_SHARE`` of the dense count (Schwarzschild, de
+  Sitter and FLRW keep under 7%, ``perturbed_flat`` over half) a plan of
+  only those products runs, otherwise ``geometry.ricci_commutator`` forms
+  every product.
+
+Every plan keeps the dense route's bits.  A value on a support is formed
+with the dense formula's operations in its order: W* and the cyclic sums
+gather their terms from the arrays the dense route multiplies and apply the
+one implementation of their brackets (``wstar.wstar_from_terms``,
+``wstar.cyclic_from_terms``), and the sparse commutator sums its products
+in increasing s per slot with elementwise multiply and add, as the dense
+``einsum`` does, and subtracts the slot terms in slot order.  What a plan
+skips is an exact ±0 at every point of the block, since each of its terms
+or factors is 0 there, and x ± 0 = x for finite x.  So at most the sign of
+an exact zero differs, and every reader erases it: a sum with a nonzero
+term, or the max |.| per point.
 
 The registry is ordered; running a subset or everything through one context is
 deterministic for a fixed (metric, seed, points, tolerances) tuple.
@@ -81,7 +112,7 @@ import numpy as np
 
 from .backend import blocks
 from .geometry import Geometry, MetricSpec, ricci_commutator, workspace
-from .jet import _raise_first, _weyl, field_blocks, per_slice
+from .jet import Compact, _raise_first, _support, _weyl, field_blocks, per_slice, planned
 from .matter import (FieldEquationConfig, _amax, _strict, decompose_fluids,
                      energy_momentum_values)
 from . import wstar as ws
@@ -127,7 +158,7 @@ class CheckContext:
         self.rtol = rtol
         self._planned = _steps_of(REGISTRY if checks is None else checks)
         self._columns: Dict[str, object] = {}  # step -> its columns, or its error
-        self._commutator_plans: dict = {}  # support masks -> sparse commutator plan
+        self.plans: dict = {}  # (builder, support masks) -> its plan (wstar.jet.planned)
         self._outcomes: Dict[str, Union[CheckOutcome, Exception]] = {}
 
     def reduced(self, step: str):
@@ -199,15 +230,6 @@ class CheckContext:
     @cached_property
     def recurrence(self) -> "RecurrenceFit":
         return recurrence_fit(self)
-
-    def commutator_plan(self, xm: np.ndarray, rm: np.ndarray):
-        """The sparse plan of the commutator for these support masks, or None
-        where the dense route is taken; decided once per distinct pair of masks."""
-        key = (xm.shape, xm.tobytes(), rm.tobytes())
-        plans = self._commutator_plans
-        if key not in plans:
-            plans[key] = _commutator_plan(xm, rm) if _takes_sparse_route(xm, rm) else None
-        return plans[key]
 
     def tol(self, scale: float) -> float:
         return self.atol + self.rtol * scale
@@ -296,14 +318,6 @@ def _ptmax(a: np.ndarray) -> np.ndarray:
 _SPARSE_SHARE = 0.125
 
 
-def _support(a: np.ndarray) -> np.ndarray:
-    """Components that are nonzero at some point of the block.
-
-    Two reductions over the point axis, so no mask of every point is formed.
-    """
-    return (np.max(a, axis=0) != 0) | (np.min(a, axis=0) != 0)
-
-
 def _takes_sparse_route(xm: np.ndarray, rm: np.ndarray) -> bool:
     """Do both factors have support in under ``_SPARSE_SHARE`` of the products?
 
@@ -349,6 +363,12 @@ def _commutator_plan(xm: np.ndarray, rm: np.ndarray):
     return int(used.sum()), [[(where[out], x, r) for out, x, r in steps] for steps in slots]
 
 
+def _commutator_route(xm: np.ndarray, rm: np.ndarray):
+    """The sparse plan of the commutator for these support masks, or None
+    where the dense route is taken."""
+    return _commutator_plan(xm, rm) if _takes_sparse_route(xm, rm) else None
+
+
 def _sparse_commutator(plan, x: np.ndarray, r13: np.ndarray) -> np.ndarray:
     """The nonzero result columns of ``ricci_commutator`` for one block, by point.
 
@@ -376,12 +396,64 @@ def _commutator_ptmax(ctx: CheckContext, x: np.ndarray, variance: str,
     The dense route forms n^(rank + 2) components per point, 2 MiB per 64
     points for W*, and a few such temporaries at once, so it runs a slice
     of the block at a time."""
-    plan = ctx.commutator_plan(_support(x), _support(r13))
+    plan = planned(ctx.plans, _commutator_route, _support(x), _support(r13))
     if plan is None:
         return per_slice(lambda x, r13: _ptmax(ricci_commutator(x, variance, r13)), x, r13)
     if not plan[0]:
         return np.zeros(x.shape[0])  # every product is 0 at every point
     return _ptmax(_sparse_commutator(plan, x, r13))
+
+
+def _cyclic_plan(wm: np.ndarray, gm: np.ndarray, xm: np.ndarray) -> tuple:
+    """The union support of the six addends of the cyclic identity in a
+    block (:func:`wstar.cyclic_from_terms`), and where each is gathered from.
+
+    ``wm``, ``gm`` and ``xm`` are the supports of ∇W*, g and the Codazzi
+    defect x of Ricci.  The addends at (i, j, k, l, m) are ∇W* and
+    g_{jk} x_{ilm} at (k, l, m), (l, m, k) and (m, k, l), so the union
+    support is closed under that cyclic shift.  Returns, over the kept
+    components: the components of ∇W* at the three shifts, the columns of
+    g and x for g_{jk} x_{ilm}, and the place among the kept of the two
+    shifted components."""
+    n = gm.shape[0]
+    i, j, k, l, m = np.indices(wm.shape).reshape(5, -1)
+    shifts = [np.ravel_multi_index(c, wm.shape) for c in ((i, j, k, l, m), (i, j, l, m, k),
+                                                          (i, j, m, k, l))]
+    gx = (j * n + k, (i * n + l) * n + m)
+    gxm = gm.ravel()[gx[0]] & xm.ravel()[gx[1]]
+    keep = np.flatnonzero(np.logical_or.reduce([(wm.ravel() | gxm)[c] for c in shifts]))
+    place = np.zeros(wm.size, dtype=np.int64)
+    place[keep] = np.arange(keep.size)
+    return ([c[keep] for c in shifts], (gx[0][keep], gx[1][keep]),
+            [place[c[keep]] for c in shifts[1:]])
+
+
+def _bianchi(ctx: CheckContext, f: dict) -> np.ndarray:
+    """max |cyclic sum - its closed form| per point of one block, formed on
+    the union support of the addends (the plan of :func:`_cyclic_plan`) one
+    16-point slice at a time, since the six addends are alive at once;
+    everywhere else every addend, and so the gap, is an exact ±0."""
+    dw, g, x = f["dw"], f["g"], ws.codazzi_defect(f["nric"])
+    w, (gc, xc), shifted = planned(ctx.plans, _cyclic_plan, dw.support(), _support(g),
+                                   _support(x))
+    count = len(g)
+    if not gc.size:
+        return np.zeros(count)
+    w = [dw.index.ravel()[c] for c in w]  # columns of the compact ∇W*
+
+    def gap(cols, g, x):
+        gx = g.take(gc, 1) * x.take(xc, 1)
+        return _ptmax(np.subtract(*ws.cyclic_from_terms(
+            *(cols.take(c, 1) for c in w), gx, *(gx.take(c, 1) for c in shifted))))
+
+    return per_slice(gap, dw.cols, g.reshape(count, -1), x.reshape(count, -1))
+
+
+def _wstar_divergence(ginv: np.ndarray, dw: Compact) -> np.ndarray:
+    """g^{hi} ∇_h W*_{ijkl} at each point of one block, with ∇W* made dense
+    one 16-point slice at a time for the einsum of :func:`wstar.divergence`."""
+    return per_slice(lambda ginv, cols: ws.divergence(ginv, cols.take(dw.index, 1)),
+                     ginv, dw.cols)
 
 
 def _divergence_formula(f: dict, coeff: float) -> np.ndarray:
@@ -393,12 +465,6 @@ def _divergence_formula(f: dict, coeff: float) -> np.ndarray:
 # Each step reduces one block's fields (a dict of :func:`wstar.jet._block_fields`)
 # to per-point columns: an array, or a tuple or dict of arrays.  A step that
 # raises fails only the checks that read it (CheckContext._walk).
-
-
-def _cyclic_gap(dw, nric, g) -> np.ndarray:
-    """max |cyclic sum - its closed form| per point, of n⁵ components each."""
-    cyc, rhs = ws.cyclic_identity(dw, nric, g)
-    return _ptmax(cyc - rhs)
 
 
 def _semisymmetry_trace_gap(w02, ric, r13) -> np.ndarray:
@@ -438,7 +504,7 @@ def _divergence(ctx: CheckContext, f: dict) -> tuple:
     """Per point: max |g^{hi} ∇_h W*_{ijkl}|, the direct divergence of W*, and
     its gaps to the closed forms with 1/3 and with the 1/6 that the
     contracted Bianchi identity forces."""
-    direct = ws.divergence(f["ginv"], f["dw"])
+    direct = _wstar_divergence(f["ginv"], f["dw"])
     return (_ptmax(direct), _ptmax(direct - _divergence_formula(f, 1.0 / 3.0)),
             _ptmax(direct - _divergence_formula(f, 1.0 / 6.0)))
 
@@ -496,14 +562,15 @@ def _traceless_ricci(f: dict) -> np.ndarray:
 
 
 _STEPS: "Dict[str, Callable[[CheckContext, dict], object]]" = {
-    "scales": lambda ctx, f: {name: _ptmax(v) for name, v in f.items()},
+    "scales": lambda ctx, f: {name: _ptmax(v.cols if isinstance(v, Compact) else v)
+                              for name, v in f.items()},
     "t": lambda ctx, f: _ptmax(_t(ctx, f)),
     "nt": lambda ctx, f: _ptmax(_nt(ctx, f)),
     "R": lambda ctx, f: f["R"],
     "trace_identity": lambda ctx, f: _ptmax(
         f["w02"] - ctx.geo.dim / (ctx.geo.dim - 1.0) * _traceless_ricci(f)),
     "divergence": _divergence,
-    "bianchi_identity": lambda ctx, f: per_slice(_cyclic_gap, f["dw"], f["nric"], f["g"]),
+    "bianchi_identity": _bianchi,
     "semisymmetry_trace_identity": lambda ctx, f: _ptmax(
         _semisymmetry_trace_gap(f["w02"], f["ric"], f["r13"])),
     "krupka": _krupka,
@@ -680,7 +747,8 @@ def _check_ricci_recurrent(ctx: CheckContext) -> CheckOutcome:
     if not fit.applicable:
         return ctx.na(fit.reason or "recurrence undefined")
     return ctx.outcome(fit.point_residual, ctx.amax("nric"),
-                       f"recurrence 1-form closedness residual {fit.closedness_residual:.3e}")
+                       f"[nabla_l, nabla_m] Ric projected onto Ric, the recurrence 1-form's curl "
+                       f"where the fit holds: {fit.closedness_residual:.3e}")
 
 
 @_check("ricci_semisymmetric", steps=("ricci_semisymmetric",))

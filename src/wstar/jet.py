@@ -19,7 +19,9 @@ closedness comes from the Ricci identity at the sample points
 (:func:`wstar.checks.recurrence_fit`).
 R_{ijkl} and ∇R_{ijkl} come only as their symmetry classes; ∇R_{ijkl} (n⁵
 components per point) is expanded 16 points at a time inside
-:func:`_block_fields`, and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
+:func:`_block_fields`, W* and ∇W* are formed only on their supports
+(:class:`Compact`; the one account of support plans is in
+:mod:`wstar.checks`), and a reader of W*^h_{jkl}, Weyl or ∇Weyl forms it
 from a block's fields with :func:`_raise_first` or :func:`_weyl`.  This is
 truncated-Taylor (jet) evaluation (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008, ch. 13).
@@ -33,6 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,25 +45,30 @@ from .exprlib import ZERO, const, coord, differentiate, is_zero, mul, neg, term_
 from .geometry import Geometry
 from .tape import Tape, TapeEvalError, point_text
 
-__all__ = ["Jet", "FIELDS", "SingularMetric", "by_symmetry", "curvature_fields",
+__all__ = ["Jet", "FIELDS", "Compact", "SingularMetric", "by_symmetry", "curvature_fields",
            "field_blocks", "per_slice", "slices", "weyl_classes"]
 
 _SLICE = 16
+_PIECE = _SLICE * 4 ** 5  # the values of a 16-point slice of n⁵ components at n = 4
 
 
-def slices(count: int) -> list:
+def slices(count: int, width: int = 0) -> list:
     """The slices of a block of ``count`` points (:func:`wstar.backend.blocks`),
-    in order: at most 16 points each.
+    in order: at most 16 points each, or, for an array of ``width`` values
+    per point, at most as many points as hold the values of such a 16-point
+    slice at n = 4 (0.125 MiB).
 
     An array of n⁵ components or more per point takes 0.5 MiB per 64 points
     at n = 4, so every step that forms one runs a slice at a time: a step
     that reduces it to per-point columns through :func:`per_slice`, and
-    :func:`_block_fields`, which writes ∇Ricci and ∇W* into whole-block
-    arrays, over these slices directly.  Both live here rather than beside
-    ``blocks`` because ``perfbench/run.py`` imports :mod:`wstar.backend`
-    itself, and the peak RSS it reads for a command includes its own (see
-    CHANGES.md)."""
-    return [slice(start, min(start + _SLICE, count)) for start in range(0, count, _SLICE)]
+    :func:`_block_fields`, which writes ∇Ricci into a whole-block array,
+    over these slices directly; :func:`_wstar_on_support` gathers W* and ∇W*
+    on their supports over slices of their width.  Both live here rather
+    than beside ``blocks`` because ``perfbench/run.py`` imports
+    :mod:`wstar.backend` itself, and the peak RSS it reads for a command
+    includes its own (see CHANGES.md)."""
+    rows = max(1, _PIECE // width) if width else _SLICE
+    return [slice(start, min(start + rows, count)) for start in range(0, count, rows)]
 
 
 def per_slice(reduce, *arrays: np.ndarray) -> np.ndarray:
@@ -381,8 +389,9 @@ def _nabla_components(x: np.ndarray, partials: np.ndarray, gam: np.ndarray,
 # the fields of field_blocks and curvature_fields -> their number of slots
 # after the point axis; every slot is lower except the first of gam (Γ^h_{ij})
 # and r13, and a derivative slot is last.  R_{ijkl} and ∇_m R_{ijkl} are served
-# as their symmetry classes, "rc" and "nrc".  T and ∇T are not fields: they
-# divide by the coupling k, and their readers form them
+# as their symmetry classes, "rc" and "nrc", and field_blocks serves ∇W*, "dw",
+# on its support (a Compact), which curvature_fields densifies.  T and ∇T are
+# not fields: they divide by the coupling k, and their readers form them
 # (wstar.matter.energy_momentum_values)
 FIELDS = {
     "g": 2, "ginv": 2, "gam": 3, "r13": 4, "ric": 2, "R": 0, "gradR": 1, "nric": 3,
@@ -395,9 +404,101 @@ def _raise_first(ginv: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (ginv @ x.reshape(x.shape[0], x.shape[1], -1)).reshape(x.shape)
 
 
-def _block_fields(g, ginv, gam, rc, nrc) -> dict:
+def _support(a: np.ndarray) -> np.ndarray:
+    """Components that are nonzero at some point of the block.
+
+    Two reductions over the point axis, so no mask of every point is formed.
+    """
+    return (np.max(a, axis=0) != 0) | (np.min(a, axis=0) != 0)
+
+
+def planned(plans: dict, build, *masks: np.ndarray):
+    """``build(*masks)``, built once per distinct support masks in ``plans``."""
+    key = (build, *((m.shape, m.tobytes()) for m in masks))
+    if key not in plans:
+        plans[key] = build(*masks)
+    return plans[key]
+
+
+class Compact(NamedTuple):
+    """A tensor at a block of points, held on its support: ``cols[:, index]``
+    is every component.  ``index`` sends each component outside the support
+    to the last column, which is 0 at every point."""
+
+    cols: np.ndarray  # (points, size of the support + 1)
+    index: np.ndarray  # (n,) * rank -> a column of cols
+
+    def support(self) -> np.ndarray:
+        """The components held, as a mask of ``index``'s shape."""
+        return self.index != self.cols.shape[1] - 1
+
+    def dense(self) -> np.ndarray:
+        """Every component at every point, C-contiguous."""
+        return self.cols.take(self.index, axis=1)
+
+
+def _wstar_plan(rm: np.ndarray, gm: np.ndarray, ricm: np.ndarray) -> tuple:
+    """The components of W*_{ijkl} (in wstar's index order) that can be
+    nonzero in a block, or of ∇_m W*_{ijkl} when the masks carry a
+    derivative slot, and where their terms are gathered from.
+
+    ``rm``, ``gm`` and ``ricm`` are the supports (:func:`_support`) of the
+    classes of R_{ijkl} (or ∇R), of g and of Ricci (or ∇Ricci).  A component
+    is kept where R_{ijlk} (wstar's R_{ijkl}, see :mod:`wstar.wstar`) or
+    either of g_{jk} R_{il} and g_{jl} R_{ik} can be nonzero, so the kept
+    set is closed under k <-> l, which swaps the two products.  Returns the
+    kept components' columns in [classes, −classes, 0] flattened (as
+    :func:`by_symmetry` reads it), their columns in g and Ricci for
+    g_{jk} R_{il}, the place among them of each one's k <-> l swap (where
+    g_{jl} R_{ik} is read), and the index of :class:`Compact`.
+    """
+    n, tail = gm.shape[0], ricm.shape[2:]
+    t = int(np.prod(tail))  # 1, or n with a derivative slot
+    shape = (n,) * 4 + tail
+    i, j, k, l, *m = np.indices(shape).reshape(len(shape), -1)
+    m = m[0] if m else 0
+    r = _riemann_index(n)[i, j, l, k] * t + m
+    gjk, ril = j * n + k, (i * n + l) * t + m
+    rm = np.concatenate([rm, rm, np.zeros((1,) + tail, dtype=bool)]).ravel()
+    gr = gm.ravel()[gjk] & ricm.ravel()[ril]
+    keep = np.flatnonzero(rm[r] | gr | np.swapaxes(gr.reshape(shape), 2, 3).ravel())
+    index = np.full(r.size, keep.size)
+    index[keep] = np.arange(keep.size)
+    index = index.reshape(shape)
+    swap = np.swapaxes(index, 2, 3).ravel()[keep]
+    return r[keep], gjk[keep], ril[keep], swap, index
+
+
+def _wstar_on_support(plans: dict, classes: np.ndarray, g: np.ndarray,
+                      ric: np.ndarray) -> Compact:
+    """W*_{ijkl} at a block of points on its support, from the classes of
+    R_{ijkl} and the values of g and Ricci; or ∇_m W*_{ijkl} from those of
+    ∇R_{ijkl} and ∇Ricci.
+
+    Each term is gathered as :func:`by_symmetry` and the einsum of
+    :func:`wstar.wstar_values` form it (g_{jl} R_{ik} is g_{jk} R_{il} at
+    the k <-> l swap), and the bracket is :func:`wstar.wstar_from_terms`, so
+    every value keeps the dense formula's bits; outside the support every
+    term is an exact ±0 at every point.  The plan is built once per
+    distinct masks in ``plans``, and the values are formed over slices no
+    wider than a dense 16-point slice of ∇W*."""
+    r, gjk, ril, swap, index = planned(plans, _wstar_plan, _support(classes), _support(g),
+                                       _support(ric))
+    count, n = g.shape[0], g.shape[-1]
+    cols = np.zeros((count, r.size + 1))
+    g, ric = g.reshape(count, -1), ric.reshape(count, -1)
+    for part in slices(count, r.size):
+        c = classes[part]
+        full = np.concatenate([c, -c, np.zeros_like(c[:, :1])], axis=1).reshape(len(c), -1)
+        gr = g[part].take(gjk, 1) * ric[part].take(ril, 1)
+        cols[part, :-1] = ws.wstar_from_terms(full.take(r, 1), gr, gr.take(swap, 1), n)
+    return Compact(cols, index)
+
+
+def _block_fields(g, ginv, gam, rc, nrc, plans: dict | None = None) -> dict:
     """The fields of :data:`FIELDS` on one block of points, and the symmetry
-    classes ``rc`` and ``nrc`` they come from.
+    classes ``rc`` and ``nrc`` they come from; every array C-contiguous,
+    since ``einsum`` picks its summation order from the strides.
 
     Each field but Γ is a linear map of R_{ijkl}, g and g^{ij}, here given by the
     symmetry classes ``rc`` of R_{ijkl} (see :func:`by_symmetry`);
@@ -405,28 +506,31 @@ def _block_fields(g, ginv, gam, rc, nrc) -> dict:
     ``nrc`` of ∇_m R_{ijkl} and to the ∇ of the fields it is made from.
     ∇_m R_{ijkl} has n⁵ components per point, so it is expanded from its
     classes one slice of points at a time (:func:`slices`) and dropped after
-    its slice, and each slice writes ∇Ricci and ∇W* (``dw``, in wstar's
-    index order) into whole-block arrays.  T and ∇T divide by the coupling k, so the
+    its slice, and each slice writes ∇Ricci into a whole-block array.  W*
+    and ∇W* are formed on their supports only (:func:`_wstar_on_support`,
+    with a plan per distinct masks in ``plans``, one walk's); W* is then
+    written out dense, and ∇W* (``dw``, in wstar's index order) is kept as
+    a :class:`Compact`.  T and ∇T divide by the coupling k, so the
     checks that read them form them from Ricci, R, their ∇ and g in their
     own steps, where a T that cannot be formed fails only those steps.
     """
+    plans = {} if plans is None else plans
     count, n = nrc.shape[0], g.shape[-1]
-    r04 = by_symmetry(rc)
-    r13 = _raise_first(ginv, r04)
+    r13 = _raise_first(ginv, by_symmetry(rc))
     ric = np.einsum("phjhl->pjl", r13)
-    nric, dw = np.empty((count, n, n, n)), np.empty((count,) + (n,) * 5)
+    nric = np.empty((count, n, n, n))
     for part in slices(count):
-        nr04 = by_symmetry(nrc[part])
-        nric[part] = np.einsum("phi,pijhlm->pjlm", ginv[part], nr04)
-        dw[part] = ws.wstar_values(np.swapaxes(nr04, 3, 4), g[part], nric[part])
-    w04 = ws.wstar_values(np.swapaxes(r04, 3, 4), g, ric)  # in wstar's index order
-    return {
+        nric[part] = np.einsum("phi,pijhlm->pjlm", ginv[part], by_symmetry(nrc[part]))
+    w04 = _wstar_on_support(plans, rc, g, ric).dense()  # in wstar's index order
+    fields = {
         "g": g, "ginv": ginv, "gam": gam, "r13": r13, "ric": ric,
         "R": np.einsum("pjk,pjk->p", ginv, ric),
         "gradR": np.einsum("pjk,pjkm->pm", ginv, nric), "nric": nric, "w04": w04,
         "w02": np.einsum("phjkh->pjk", _raise_first(ginv, w04)),
-        "dw": dw, "rc": rc, "nrc": nrc,
+        "dw": _wstar_on_support(plans, nrc, g, nric), "rc": rc, "nrc": nrc,
     }
+    return {name: v if isinstance(v, Compact) else np.ascontiguousarray(v)
+            for name, v in fields.items()}
 
 
 def _weyl(r, g, ric, scal) -> np.ndarray:
@@ -436,23 +540,26 @@ def _weyl(r, g, ric, scal) -> np.ndarray:
 
 def field_blocks(geo: Geometry, points):
     """Per block of points (:func:`wstar.backend.blocks`): the fields of
-    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`).
+    :func:`_block_fields` there, from the metric's 3-jet (:class:`Jet`),
+    with ∇W* on its support (:class:`Compact`).
 
-    Each field is C-contiguous: ``einsum`` picks its summation order from
-    the strides, so a strided field could round differently.  ∇W* is formed
-    C-contiguous and is not copied.  A block is dropped here before the
-    next is formed, so a caller that drops its fields too before asking for
-    the next holds one block at a time."""
+    The plans of W* and ∇W* are made once per distinct masks in this walk
+    and dropped with it.  A block is dropped here before the next is formed,
+    so a caller that drops its fields too before asking for the next holds
+    one block at a time."""
+    plans: dict = {}  # (builder, support masks) -> the plan of W* or ∇W*
     for block in geo.jet.curvature(points):
-        yield {name: np.ascontiguousarray(v) for name, v in _block_fields(*block).items()}
+        yield _block_fields(*block, plans=plans)
         del block  # before the next block is formed
 
 
 def curvature_fields(geo: Geometry, points) -> dict:
     """Every field of :data:`FIELDS` at the points, and ``rc`` and ``nrc``:
-    :func:`field_blocks` concatenated, for ``compute``'s one point and for
-    tests.  The checks reduce each block as it comes instead.  No field reads
-    the coupling k; a caller that needs T or ∇T forms it from ``ric``, ``R``,
-    ``nric``, ``gradR`` and ``g`` (:func:`wstar.matter.energy_momentum_values`)."""
-    parts = list(field_blocks(geo, points))
+    :func:`field_blocks` concatenated, ∇W* dense, for ``compute``'s one point
+    and for tests.  The checks reduce each block as it comes instead.  No
+    field reads the coupling k; a caller that needs T or ∇T forms it from
+    ``ric``, ``R``, ``nric``, ``gradR`` and ``g``
+    (:func:`wstar.matter.energy_momentum_values`)."""
+    parts = [{name: v.dense() if isinstance(v, Compact) else v for name, v in part.items()}
+             for part in field_blocks(geo, points)]
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -37,11 +37,13 @@ __all__ = [
     "WStarBundle",
     "wstar_tensor",
     "wstar_values",
+    "wstar_from_terms",
     "traceless_ricci",
     "codazzi_defect",
     "divergence",
     "divergence_closed_form",
     "cyclic_identity",
+    "cyclic_from_terms",
     "wstar_divergence_direct",
     "wstar_divergence_formula",
     "wstar_bianchi_residual",
@@ -129,9 +131,16 @@ def wstar_values(r4: np.ndarray, g: np.ndarray, ric: np.ndarray) -> np.ndarray:
     and ∇Ricci, with the derivative slot last, it is ∇_m W*_{ijkl}: ∇g = 0.
     In dim 1 the bracket is identically 0 (j = k = l) and is not divided.
     """
-    n = g.shape[-1]
     gr = np.einsum("pjk,pil...->pijkl...", g, ric)  # g_jk R_il
-    return r4 - (gr - np.swapaxes(gr, 3, 4)) / max(n - 1, 1)
+    return wstar_from_terms(r4, gr, np.swapaxes(gr, 3, 4), g.shape[-1])
+
+
+def wstar_from_terms(r: np.ndarray, gr: np.ndarray, rg: np.ndarray, n: int) -> np.ndarray:
+    """W*_{ijkl} from its three terms at any set of components: R_{ijkl},
+    g_{jk} R_{il} and g_{jl} R_{ik} (each with a derivative slot for ∇W*),
+    in dim ``n``.  The one implementation of the bracket, so every route
+    that gathers the terms rounds as :func:`wstar_values` does."""
+    return r - (gr - rg) / max(n - 1, 1)
 
 
 def traceless_ricci(ric: np.ndarray, scal: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -173,14 +182,20 @@ def cyclic_identity(dw: np.ndarray, nric: np.ndarray, g: np.ndarray) -> tuple:
     identically, so the sum alone vanishes precisely when the Ricci tensor
     is Codazzi.
     """
-    cyc = dw + np.einsum("pijlmk->pijklm", dw) + np.einsum("pijmkl->pijklm", dw)
     x = codazzi_defect(nric)  # x[p, i, a, b] = ∇_b R_ia − ∇_a R_ib
-    rhs = (-1.0 / 3.0) * (
-        np.einsum("pjk,pilm->pijklm", g, x)
-        + np.einsum("pjl,pimk->pijklm", g, x)
-        + np.einsum("pjm,pikl->pijklm", g, x)
-    )
-    return cyc, rhs
+    return cyclic_from_terms(
+        dw, np.einsum("pijlmk->pijklm", dw), np.einsum("pijmkl->pijklm", dw),
+        np.einsum("pjk,pilm->pijklm", g, x), np.einsum("pjl,pimk->pijklm", g, x),
+        np.einsum("pjm,pikl->pijklm", g, x))
+
+
+def cyclic_from_terms(w_klm, w_lmk, w_mkl, g_jk, g_jl, g_jm) -> tuple:
+    """(cyclic sum, its closed form) of :func:`cyclic_identity` from its six
+    addends at any set of components: ∇_m W*_{ijkl}, ∇_k W*_{ijlm} and
+    ∇_l W*_{ijmk}, then g_{jk} x_{ilm}, g_{jl} x_{imk} and g_{jm} x_{ikl}
+    with x the Codazzi defect of Ricci.  The one implementation of both
+    sums, so every route that gathers the addends rounds as that does."""
+    return w_klm + w_lmk + w_mkl, (-1.0 / 3.0) * (g_jk + g_jl + g_jm)
 
 
 def wstar_divergence_direct(bundle: WStarBundle, metric: MetricSpec, points) -> np.ndarray:

@@ -381,7 +381,7 @@ class TestEvaluationErrors:
         assert main(["check", "--checks", "ricci_recurrent,einstein", *args]) == EXIT_CHECK_FAILED
         recurrent, einstein = json.loads(capsys.readouterr().out)["checks"]
         assert recurrent["status"] == "pass" and recurrent["max_residual"] is not None
-        assert recurrent["reason"].startswith("recurrence 1-form closedness residual ")
+        assert recurrent["reason"].startswith("[nabla_l, nabla_m] Ric projected onto Ric, ")
         assert einstein["max_residual"] is not None
         assert main(["classify", *args]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["flags"]["ricci_recurrent"] is True

@@ -82,7 +82,9 @@ def _assert_recurrent(out, fit, want: np.ndarray):
     entry = {"name": out.name, "status": out.status, "max_residual": out.max_residual,
              "tolerance": out.tolerance, "reason": out.reason}
     assert out.status == "pass" and not margin_faults(entry), entry
-    (printed,) = re.fullmatch(r"recurrence 1-form closedness residual (\S+)", out.reason).groups()
+    (printed,) = re.fullmatch(r"\[nabla_l, nabla_m\] Ric projected onto Ric, "
+                            r"the recurrence 1-form's curl where the fit holds: (\S+)",
+                            out.reason).groups()
     assert float(printed) <= 1e-12, out.reason
     assert fit.b.shape == want.shape  # every point is usable: Ricci vanishes nowhere
     gap = float(np.max(np.abs(fit.b - want)))
